@@ -4,6 +4,7 @@ from .adversary import AdversaryModel, remaining_time, sample_length, worst_case
 from .costmodel import (
     ConflictInstance,
     CostBreakdown,
+    conflict_cost,
     expected_cost,
     opt_cost,
     pointwise_cost,
@@ -17,7 +18,7 @@ from .oracle import (
     verify_pdf,
     worst_case_ratio,
 )
-from .rng import Stream, derive_seed, stream
+from .rng import Stream, Streams, derive_seed, stream, streams
 from .strategy import (
     ConflictMode,
     GracePeriodStrategy,
@@ -38,11 +39,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AdversaryModel", "ConflictInstance", "ConflictMode", "CostBreakdown",
     "GracePeriodStrategy", "RatioReport", "StrategyKind", "StrategySpec",
-    "Stream", "Variant", "abort_density_comparison", "competitive_ratio",
-    "derive_seed", "det_competitive_ratio", "det_threshold", "expected_cost",
+    "Stream", "Streams", "Variant", "abort_density_comparison",
+    "competitive_ratio", "conflict_cost", "derive_seed",
+    "det_competitive_ratio", "det_threshold", "expected_cost",
     "lagrange_corner", "lagrange_identity_check", "make_strategy",
     "optimality_probe", "opt_cost", "pointwise_cost", "ratio_profile",
     "remaining_time", "run_verification_suite", "sample_length", "stream",
-    "threshold_condition", "verify_pdf", "worst_case_ratio",
+    "streams", "threshold_condition", "verify_pdf", "worst_case_ratio",
     "worst_case_for_det",
 ]

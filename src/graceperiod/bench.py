@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversary import AdversaryModel, remaining_time, worst_case_for_det
+from .costmodel import conflict_cost
 from .rng import stream
 from .strategy import ConflictMode, StrategySpec, Variant, make_strategy
 
@@ -116,12 +117,7 @@ def _score(name: str, strategy, ys: np.ndarray, B: float, seed: int, dist: str, 
     if name == "OPT":
         return opt.copy(), opt
     xs = strategy.sample_batch(stream(seed, "bench", dist, name), n)
-    commit = ys < xs
-    if strategy.spec.mode is ConflictMode.REQUESTOR_WINS:
-        abort_cost = _K * xs + B
-    else:
-        abort_cost = xs + B  # (k-1)*(x+B) at k = 2
-    return np.where(commit, ys, abort_cost), opt
+    return conflict_cost(strategy.spec.mode, _K, B, xs, ys), opt
 
 
 def run_bench(config: BenchConfig) -> list[TrialRecord]:

@@ -95,7 +95,9 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         data["seed"] = args.seed
     config = simulator.config_from_dict(data)
-    online, offline, check = simulator.simulate_pair(config)
+    schedule = simulator.build_schedule(config)
+    baseline = simulator.run_offline_baseline(config, schedule)
+    online, offline, check = simulator.simulate_pair(config, schedule, baseline)
     doc = {
         "config": data,
         "online": online.to_json_dict(),
@@ -103,7 +105,9 @@ def _cmd_simulate(args) -> int:
         "bound_check": check.to_json_dict(),
     }
     if args.campaign_seeds and args.campaign_seeds > 1:
-        ratios, offline_m, camp = simulator.throughput_campaign(config, args.campaign_seeds)
+        ratios, _, camp = simulator.throughput_campaign(
+            config, args.campaign_seeds, schedule=schedule, offline=baseline
+        )
         doc["campaign"] = {
             "n_seeds": args.campaign_seeds,
             "mean_ratio": float(ratios.mean()),

@@ -79,10 +79,22 @@ def opt_cost(instance: ConflictInstance) -> float:
     return min((instance.k - 1) * instance.y, instance.B)
 
 
-def _abort_total(mode: ConflictMode, k: int, B: float, x):
+def conflict_cost(mode: ConflictMode, k: int, B: float, x, y):
+    """Total cost of grace ``x`` against remaining time ``y``; ties abort.
+
+    The commit branch (``y < x``) costs ``(k-1)*y``; the abort branch costs
+    ``k*x + B`` (requestor wins) or ``(k-1)*(x + B)`` (requestor aborts).
+    ``x`` and ``y`` may be floats or broadcastable arrays; two floats give a
+    float.  Passing ``y = x`` gives the abort branch alone.
+    """
     if mode is ConflictMode.REQUESTOR_WINS:
-        return k * x + B
-    return (k - 1) * (x + B)
+        abort = k * x + B
+    else:
+        abort = (k - 1) * (x + B)
+    commit = y < x
+    if isinstance(commit, bool):
+        return (k - 1) * y if commit else abort
+    return np.where(commit, (k - 1) * y, abort)
 
 
 def _check_match(strategy: GracePeriodStrategy, instance: ConflictInstance):
@@ -115,8 +127,9 @@ def expected_cost(strategy: GracePeriodStrategy, instance: ConflictInstance) -> 
         return abort_cost + y * float(np.sum(pmf[~aborted]))
 
     cut = min(y, strategy.support_max)
+    # x <= cut <= y on the head, so every grace there aborts
     head = adaptive_simpson(
-        lambda x: _abort_total(instance.mode, k, B, x) * strategy.pdf(x), 0.0, cut
+        lambda x: conflict_cost(instance.mode, k, B, x, y) * strategy.pdf(x), 0.0, cut
     )
     tail_mass = adaptive_simpson(strategy.pdf, cut, strategy.support_max)
     return head + (k - 1) * y * tail_mass
@@ -134,11 +147,7 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     S = strategy.support_max
 
     if strategy.kind is StrategyKind.ATOM:
-        x0 = strategy.params["x0"]
-        commit = ys < x0
-        return np.where(
-            commit, (k - 1) * ys, _abort_total(strategy.spec.mode, k, B, x0)
-        )
+        return conflict_cost(strategy.spec.mode, k, B, strategy.params["x0"], ys)
 
     if strategy.kind is StrategyKind.DISCRETE_PMF:
         pmf = strategy.params["pmf"]
@@ -151,7 +160,7 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     cut = np.clip(ys, 0.0, S)
     mesh = np.unique(np.concatenate([np.linspace(0.0, S, _PROFILE_MESH), cut]))
     pvals = strategy.pdf(mesh)
-    avals = _abort_total(strategy.spec.mode, k, B, mesh) * pvals
+    avals = conflict_cost(strategy.spec.mode, k, B, mesh, mesh) * pvals
     widths = np.diff(mesh)
     cum_mass = np.concatenate([[0.0], np.cumsum(widths * 0.5 * (pvals[1:] + pvals[:-1]))])
     cum_abort = np.concatenate([[0.0], np.cumsum(widths * 0.5 * (avals[1:] + avals[:-1]))])

@@ -229,7 +229,7 @@ def _profile_objective(
     ys: np.ndarray, mu: float | None,
 ) -> float:
     widths = np.diff(mesh)
-    avals = costmodel._abort_total(mode, k, B, mesh) * pdf_vals
+    avals = costmodel.conflict_cost(mode, k, B, mesh, mesh) * pdf_vals
     cum_mass = np.concatenate([[0.0], np.cumsum(widths * 0.5 * (pdf_vals[1:] + pdf_vals[:-1]))])
     cum_abort = np.concatenate([[0.0], np.cumsum(widths * 0.5 * (avals[1:] + avals[:-1]))])
     idx = np.searchsorted(mesh, ys)

@@ -10,6 +10,11 @@ a time.
 Sub-streams are derived with :func:`derive_seed`, which folds integer and
 string labels into a parent seed.  Components never share streams; each
 caller owns its stream explicitly.
+
+:class:`Streams` is the vector form: ``streams(seed, *tokens, n=n)`` holds
+the ``n`` streams ``stream(seed, *tokens, i)`` and draws column ``j`` of all
+of them at once, the counter-based layout of Salmon et al. 2011 ("Parallel
+random numbers: as easy as 1, 2, 3").
 """
 
 from __future__ import annotations
@@ -102,3 +107,32 @@ class Stream:
 def stream(seed: int, *tokens: int | str) -> Stream:
     """Stream for ``seed`` scoped by label tokens."""
     return Stream(derive_seed(seed, *tokens) if tokens else seed)
+
+
+class Streams:
+    """Many SplitMix64 streams advanced in lockstep, one column per draw.
+
+    Every call to :meth:`uniform` takes the next draw of each stream, so
+    column ``j`` is ``mix64(state_i + (j+1) * GOLDEN)`` for every stream ``i``
+    and equals the ``j``-th :meth:`Stream.uniform` of that stream.
+    """
+
+    __slots__ = ("_states",)
+
+    def __init__(self, states: np.ndarray):
+        self._states = np.asarray(states, dtype=np.uint64)
+
+    def uniform(self) -> np.ndarray:
+        """Next uniform double in [0, 1) of every stream."""
+        self._states = self._states + np.uint64(GOLDEN)
+        return (_mix64_vec(self._states) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def streams(seed: int, *tokens: int | str, n: int) -> Streams:
+    """The ``n`` streams ``stream(seed, *tokens, i)`` for ``i`` in ``range(n)``.
+
+    An integer token folds as ``h = mix64(h ^ i)``, so all ``n`` seeds come
+    from one vectorized mix of the parent seed.
+    """
+    parent = np.uint64(derive_seed(seed, *tokens))
+    return Streams(_mix64_vec(parent ^ np.arange(n, dtype=np.uint64)))

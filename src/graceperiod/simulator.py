@@ -33,6 +33,11 @@ multiplicative backoff doubles the transaction's abort cost identically
 on both sides.  Each event therefore carries its abort cost, fixed at
 generation time.  Trace files (``time receiver_thread k`` per line) are
 validated against the same windows and rejected with line diagnostics.
+
+One online replay serves both a single run and a throughput campaign: it
+walks the events once and carries one value per policy stream, so a
+campaign of ``n`` seeds costs one pass over the schedule and each seed's
+totals match a run of that seed alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,8 +50,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adversary import AdversaryModel, sample_length
-from .rng import Stream, stream
-from .strategy import ConflictMode, StrategySpec, Variant, make_strategy
+from .costmodel import conflict_cost
+from .rng import Stream, stream, streams
+from .strategy import (
+    ConflictMode,
+    GracePeriodStrategy,
+    StrategyKind,
+    StrategySpec,
+    Variant,
+    make_strategy,
+)
 
 __all__ = [
     "PolicyConfig", "SimConfig", "ConflictEvent", "Schedule", "SimMetrics",
@@ -95,10 +108,17 @@ class SimConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if (self.conflict_rate is None) == (self.trace_path is None):
             raise ValueError("exactly one of conflict_rate and trace_path must be set")
-        if self.conflict_rate is not None and self.conflict_rate < 0.0:
-            raise ValueError(f"conflict rate must be >= 0, got {self.conflict_rate}")
-        if self.cleanup_cost < 0.0:
-            raise ValueError(f"cleanup cost must be >= 0, got {self.cleanup_cost}")
+        if self.conflict_rate is not None and not (
+            self.conflict_rate >= 0.0 and math.isfinite(self.conflict_rate)
+        ):
+            raise ValueError(
+                f"conflict_rate (conflict_schedule.rate) must be finite and >= 0, "
+                f"got {self.conflict_rate}"
+            )
+        if not (self.cleanup_cost >= 0.0 and math.isfinite(self.cleanup_cost)):
+            raise ValueError(
+                f"cleanup_cost must be finite and >= 0, got {self.cleanup_cost}"
+            )
         if isinstance(self.chain_size, dict):
             if not self.chain_size:
                 raise ValueError("chain size distribution is empty")
@@ -365,56 +385,57 @@ def build_schedule(config: SimConfig) -> Schedule:
 # -- execution -------------------------------------------------------------
 
 
-def _run_events(
-    config: SimConfig,
-    schedule: Schedule,
-    policy_stream: Stream | None,
-    offline: bool,
-    collect_per_transaction: bool = False,
+def _online_replay(config: SimConfig, schedule: Schedule, draw, n: int):
+    """The online policy's replay of ``schedule`` under ``n`` streams at once.
+
+    ``draw()`` returns the next uniform of every policy stream as one
+    length-``n`` column; each event takes one column, except that atoms take
+    none.  Yields ``(event, commit, extra)`` per event, with ``commit`` and
+    ``extra`` length-``n`` arrays.  Columns are mapped and costed
+    elementwise, so each stream's results equal a replay of that stream
+    alone, bit for bit.
+    """
+    strategies: dict[tuple[int, float], GracePeriodStrategy] = {}
+    for ev in schedule.events:
+        strat = strategies.get((ev.k, ev.b_cost))
+        if strat is None:
+            strat = strategies[ev.k, ev.b_cost] = make_strategy(
+                StrategySpec(config.mode, ev.k, ev.b_cost, config.policy.variant,
+                             mu=config.policy.mu)
+            )
+        if strat.kind is StrategyKind.ATOM:
+            x = np.full(n, strat.params["x0"])
+        else:
+            x = strat.quantile(draw())
+        yield ev, ev.y < x, conflict_cost(config.mode, ev.k, ev.b_cost, x, ev.y)
+
+
+def _offline_replay(schedule: Schedule):
+    """Perfect information: wait iff ``(k-1)*y <= B``, else abort at once."""
+    for ev in schedule.events:
+        wait = (ev.k - 1) * ev.y
+        if wait <= ev.b_cost:
+            yield ev, True, wait
+        else:
+            yield ev, False, ev.b_cost
+
+
+def _tally(
+    config: SimConfig, schedule: Schedule, outcomes, collect_per_transaction: bool
 ) -> SimMetrics:
-    mode = config.mode
-    rw = mode is ConflictMode.REQUESTOR_WINS
+    """Metrics of one replay from its ``(event, commit, extra)`` outcomes."""
+    rw = config.mode is ConflictMode.REQUESTOR_WINS
     attempts: dict[tuple[int, int], int] = {}
     extras: dict[tuple[int, int], float] = {}
-    strategy_cache: dict[tuple[int, float], object] = {}
-
     sum_extra = 0.0
     commit_branches = 0
-    abort_branches = 0
 
-    for ev in schedule.events:
+    for ev, commit, extra in outcomes:
         key = (ev.thread, ev.tx_index)
-        b_c = ev.b_cost
-        k = ev.k
-
-        if offline:
-            # perfect information: wait iff (k-1)*y <= B, else abort at once
-            if (k - 1) * ev.y <= b_c:
-                extra = (k - 1) * ev.y
-                commit_branches += 1
-            else:
-                extra = b_c
-                abort_branches += 1
-                if rw:
-                    attempts[key] = attempts.get(key, 1) + 1
-        else:
-            cache_key = (k, b_c)
-            strat = strategy_cache.get(cache_key)
-            if strat is None:
-                strat = make_strategy(
-                    StrategySpec(mode, k, b_c, config.policy.variant, mu=config.policy.mu)
-                )
-                strategy_cache[cache_key] = strat
-            x = strat.sample(policy_stream)
-            if ev.y < x:
-                extra = (k - 1) * ev.y
-                commit_branches += 1
-            else:
-                extra = (k * x + b_c) if rw else (k - 1) * (x + b_c)
-                abort_branches += 1
-                if rw:
-                    attempts[key] = attempts.get(key, 1) + 1
-
+        if commit:
+            commit_branches += 1
+        elif rw:
+            attempts[key] = attempts.get(key, 1) + 1
         extras[key] = extras.get(key, 0.0) + extra
         sum_extra += extra
 
@@ -447,7 +468,7 @@ def _run_events(
         transactions_committed=schedule.transactions_committed,
         n_conflicts=len(schedule.events),
         commit_branches=commit_branches,
-        abort_branches=abort_branches,
+        abort_branches=len(schedule.events) - commit_branches,
         sum_rho=schedule.sum_rho,
         sum_extra=sum_extra,
         sum_gamma=sum_gamma,
@@ -464,13 +485,19 @@ def run(
     policy_stream: Stream | None = None,
     collect_per_transaction: bool = False,
 ) -> SimMetrics:
-    """Online run: the configured policy draws every grace period."""
+    """Online run: the configured policy draws every grace period.
+
+    This is the one-stream case of the campaign's replay.
+    """
     if schedule is None:
         schedule = build_schedule(config)
     if policy_stream is None:
         policy_stream = stream(config.seed, "policy")
-    return _run_events(config, schedule, policy_stream, offline=False,
-                       collect_per_transaction=collect_per_transaction)
+    replay = _online_replay(
+        config, schedule, lambda: np.array([policy_stream.uniform()]), 1
+    )
+    outcomes = ((ev, bool(commit[0]), float(extra[0])) for ev, commit, extra in replay)
+    return _tally(config, schedule, outcomes, collect_per_transaction)
 
 
 def run_offline_baseline(
@@ -486,8 +513,15 @@ def run_offline_baseline(
     """
     if schedule is None:
         schedule = build_schedule(config)
-    return _run_events(config, schedule, None, offline=True,
-                       collect_per_transaction=collect_per_transaction)
+    return _tally(config, schedule, _offline_replay(schedule), collect_per_transaction)
+
+
+def _bound_check(ratios: np.ndarray, waste: float, n_sigma: float) -> BoundCheck:
+    lhs = float(np.mean(ratios))
+    stderr = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
+    rhs = (2.0 * waste + 1.0) / (waste + 1.0)
+    margin = n_sigma * stderr
+    return BoundCheck(lhs, rhs, stderr, margin, lhs <= rhs + margin, len(ratios))
 
 
 def throughput_bound_check(
@@ -506,18 +540,31 @@ def throughput_bound_check(
         if m.schedule_digest != offline.schedule_digest:
             raise ValueError("bound check requires online and offline runs of one schedule")
     ratios = np.array([m.sum_gamma / offline.sum_gamma for m in online_runs])
-    lhs = float(np.mean(ratios))
-    stderr = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
-    w = offline.waste
-    rhs = (2.0 * w + 1.0) / (w + 1.0)
-    margin = n_sigma * stderr
-    return BoundCheck(lhs, rhs, stderr, margin, lhs <= rhs + margin, len(ratios))
+    return _bound_check(ratios, offline.waste, n_sigma)
 
 
-def simulate_pair(config: SimConfig) -> tuple[SimMetrics, SimMetrics, BoundCheck]:
-    """Online and offline runs of one schedule plus the throughput bound."""
-    schedule = build_schedule(config)
-    offline = run_offline_baseline(config, schedule)
+def _schedule_and_offline(
+    config: SimConfig, schedule: Schedule | None, offline: SimMetrics | None
+) -> tuple[Schedule, SimMetrics]:
+    if schedule is None:
+        schedule = build_schedule(config)
+    if offline is None:
+        offline = run_offline_baseline(config, schedule)
+    elif offline.schedule_digest != schedule.digest:
+        raise ValueError("the offline baseline must replay the given schedule")
+    return schedule, offline
+
+
+def simulate_pair(
+    config: SimConfig,
+    schedule: Schedule | None = None,
+    offline: SimMetrics | None = None,
+) -> tuple[SimMetrics, SimMetrics, BoundCheck]:
+    """Online and offline runs of one schedule plus the throughput bound.
+
+    ``schedule`` and its ``offline`` baseline are built when not given.
+    """
+    schedule, offline = _schedule_and_offline(config, schedule, offline)
     online = run(config, schedule)
     check = throughput_bound_check(online, offline)
     online = replace(online, global_ratio=online.sum_gamma / offline.sum_gamma)
@@ -526,18 +573,28 @@ def simulate_pair(config: SimConfig) -> tuple[SimMetrics, SimMetrics, BoundCheck
 
 
 def throughput_campaign(
-    config: SimConfig, n_seeds: int, n_sigma: float = 3.0
+    config: SimConfig,
+    n_seeds: int,
+    n_sigma: float = 3.0,
+    schedule: Schedule | None = None,
+    offline: SimMetrics | None = None,
 ) -> tuple[np.ndarray, SimMetrics, BoundCheck]:
-    """Many online runs of one schedule under independent policy streams."""
-    schedule = build_schedule(config)
-    offline = run_offline_baseline(config, schedule)
-    runs = [
-        run(config, schedule, policy_stream=stream(config.seed, "campaign", i))
-        for i in range(n_seeds)
-    ]
-    check = throughput_bound_check(runs, offline, n_sigma)
-    ratios = np.array([m.sum_gamma / offline.sum_gamma for m in runs])
-    return ratios, offline, check
+    """Many online runs of one schedule under independent policy streams.
+
+    Seed ``i`` draws from ``stream(config.seed, "campaign", i)``.  All seeds
+    replay together in one pass over the events, and each seed's ratio
+    equals that of ``run`` with its stream, bit for bit.  ``schedule`` and
+    its ``offline`` baseline are built when not given.
+    """
+    if n_seeds < 1:
+        raise ValueError(f"a campaign needs n_seeds >= 1, got {n_seeds}")
+    schedule, offline = _schedule_and_offline(config, schedule, offline)
+    lanes = streams(config.seed, "campaign", n=n_seeds)
+    sum_extra = np.zeros(n_seeds)
+    for _, _, extra in _online_replay(config, schedule, lanes.uniform, n_seeds):
+        sum_extra += extra
+    ratios = (schedule.sum_rho + sum_extra) / offline.sum_gamma
+    return ratios, offline, _bound_check(ratios, offline.waste, n_sigma)
 
 
 # -- progress under multiplicative backoff ---------------------------------

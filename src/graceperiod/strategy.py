@@ -324,28 +324,25 @@ class GracePeriodStrategy:
         """
         if self.kind is StrategyKind.ATOM:
             return self.params["x0"]
-        u = np.float64(stream.uniform())  # numpy scalar: bit-identical to batch
-        if self.kind is StrategyKind.DISCRETE_PMF:
-            return float(np.searchsorted(self.params["cumulative"], u, side="right") + 1)
-        B, k = self.spec.B, self.spec.k
-        fam, p = self.family, self.params
-        if fam == "uniform":
-            return float(self.support_max * u)
-        if fam == "ra_exp":
-            return float(B * np.log1p(u * p["eps"]))
-        if fam == "rw_power":
-            return float(B * ((1.0 + u * (p["q"] - 1.0)) ** (1.0 / (k - 1)) - 1.0))
-        return float(self._invert_cdf(np.array([u]))[0])
+        return float(self.quantile(np.array([stream.uniform()]))[0])
 
     def sample_batch(self, stream: Stream, n: int) -> np.ndarray:
         """``n`` grace periods; atoms repeat ``x0`` without consuming draws."""
         if self.kind is StrategyKind.ATOM:
             return np.full(n, self.params["x0"])
+        return self.quantile(stream.uniform_batch(n))
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Grace periods for uniforms ``u`` in [0, 1): the inverse CDF.
+
+        Every sampler maps its draws through this one function, so a draw
+        gives the same bits whichever sampler made it.
+        """
+        if self.kind is StrategyKind.ATOM:
+            raise ValueError("atom strategies take no draws")
         if self.kind is StrategyKind.DISCRETE_PMF:
-            u = stream.uniform_batch(n)
             days = np.searchsorted(self.params["cumulative"], u, side="right") + 1
             return days.astype(float)
-        u = stream.uniform_batch(n)
         B, k = self.spec.B, self.spec.k
         fam, p = self.family, self.params
         if fam == "uniform":

@@ -70,6 +70,22 @@ class TestSimulateCommand:
         assert doc["online"]["schedule_digest"] == doc["offline"]["schedule_digest"]
         assert doc["online"]["global_ratio"] >= 1.0 - 1e-9
 
+    def test_schedule_built_once(self, tmp_path, monkeypatch):
+        from graceperiod import simulator
+
+        built = []
+        original = simulator.build_schedule
+        monkeypatch.setattr(
+            simulator, "build_schedule", lambda config: built.append(config) or original(config)
+        )
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(SIM_CONFIG))
+        rc, _ = run_to_file(
+            ["simulate", "--config", str(cfg), "--campaign-seeds", "20"], tmp_path / "a.json"
+        )
+        assert rc == 0
+        assert len(built) == 1
+
     def test_bundled_configs_resolve(self, tmp_path):
         rc, data = run_to_file(
             ["simulate", "--config", "stress_low.json"], tmp_path / "s.json"

@@ -1,6 +1,6 @@
 import numpy as np
 
-from graceperiod.rng import Stream, derive_seed, mix64, stream
+from graceperiod.rng import Stream, derive_seed, mix64, stream, streams
 
 
 def test_splitmix64_reference_vector():
@@ -32,6 +32,16 @@ def test_uniform_batch_matches_scalar():
     batch = a.uniform_batch(100)
     scalars = np.array([b.uniform() for _ in range(100)])
     assert np.array_equal(batch, scalars)
+
+
+def test_stream_columns_match_scalar_streams():
+    # column j of streams(seed, *labels, n=n) is draw j of stream(seed, *labels, i)
+    for labels in (("campaign",), ("a", 3), ()):
+        lanes = streams(72, *labels, n=40)
+        columns = np.array([lanes.uniform() for _ in range(6)])
+        for i in range(40):
+            s = stream(72, *labels, i)
+            assert np.array_equal(columns[:, i], [s.uniform() for _ in range(6)])
 
 
 def test_uniform_ranges():

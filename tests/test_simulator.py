@@ -1,4 +1,6 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -297,11 +299,112 @@ class TestThroughputBound:
             m = run(config, sched, policy_stream=stream(config.seed, "campaign", i))
             assert ratios[i] == m.sum_gamma / offline.sum_gamma
 
+    def test_campaign_reuses_given_schedule_and_baseline(self):
+        config = base_config()
+        sched = build_schedule(config)
+        offline = run_offline_baseline(config, sched)
+        ratios, got_offline, check = throughput_campaign(
+            config, 30, schedule=sched, offline=offline
+        )
+        assert got_offline is offline
+        assert np.array_equal(ratios, throughput_campaign(config, 30)[0])
+        assert check == throughput_campaign(config, 30)[2]
+        assert simulate_pair(config, sched, offline) == simulate_pair(config)
+
+    def test_baseline_of_another_schedule_rejected(self):
+        sched = build_schedule(base_config())
+        other = run_offline_baseline(base_config(seed=405))
+        with pytest.raises(ValueError, match="offline baseline"):
+            throughput_campaign(base_config(), 10, schedule=sched, offline=other)
+        with pytest.raises(ValueError, match="offline baseline"):
+            simulate_pair(base_config(), sched, other)
+
+    def test_campaign_rejects_no_seeds(self):
+        for n_seeds in (0, -3):
+            with pytest.raises(ValueError, match="n_seeds"):
+                throughput_campaign(base_config(), n_seeds)
+
+    def test_campaign_engine_matches_per_seed_reference(self):
+        for name, config, families in engine_cases():
+            sched = build_schedule(config)
+            offline = run_offline_baseline(config, sched)
+            assert sched.events, name
+            assert bool(sched.backoff_mults) == config.doubling_backoff, name
+            assert policy_families(config, sched) == families, name
+            ratios, _, _ = throughput_campaign(config, ENGINE_SEEDS)
+            expected = reference_campaign_ratios(config, sched, offline, ENGINE_SEEDS)
+            assert np.array_equal(ratios, expected), name
+
     def test_rhs_limits(self):
         # waste 0 -> bound 1; huge waste -> bound approaches 2
         assert (2 * 0.0 + 1) / (0.0 + 1) == 1.0
         w = 1e9
         assert (2 * w + 1) / (w + 1) == pytest.approx(2.0, abs=1e-6)
+
+
+ENGINE_SEEDS = 20
+
+
+def engine_cases():
+    """``(name, config, policy families it resolves to)`` for the engine test."""
+    raw = resources.files("graceperiod").joinpath("configs", "stress_high.json").read_text()
+    return [
+        ("stress_high", config_from_dict(json.loads(raw)), {"uniform"}),
+        ("ra_exp + ra_expm1", base_config(
+            mode=RA, policy=PolicyConfig(Variant.RANDOMIZED_CONSTRAINED, 100.0, mu=70.0),
+            chain_size={2: 0.5, 3: 0.5}, horizon=400.0,
+        ), {"ra_exp", "ra_expm1"}),
+        ("discrete_classic", base_config(
+            mode=RA, policy=PolicyConfig(Variant.DISCRETE_CLASSIC, 100.0),
+        ), {"discrete_classic"}),
+        ("atom", base_config(policy=PolicyConfig(Variant.DETERMINISTIC, 100.0)), {"atom"}),
+        ("rw_log + rw_shifted_power", base_config(
+            policy=PolicyConfig(Variant.RANDOMIZED_CONSTRAINED, 100.0, mu=10.0),
+            chain_size={2: 0.4, 3: 0.3, 4: 0.3}, horizon=300.0,
+        ), {"rw_log", "rw_shifted_power"}),
+        ("rw_power", base_config(
+            policy=PolicyConfig(Variant.RANDOMIZED_CONSTRAINED, 100.0, mu=90.0),
+            chain_size={2: 0.5, 3: 0.5},
+        ), {"uniform", "rw_power"}),
+        ("dynamic_b + cleanup + backoff", base_config(
+            dynamic_b=True, cleanup_cost=5.0, doubling_backoff=True, conflict_rate=2.0,
+        ), {"uniform"}),
+    ]
+
+
+def policy_families(config, sched):
+    return {
+        make_strategy(StrategySpec(
+            config.mode, ev.k, ev.b_cost, config.policy.variant, mu=config.policy.mu
+        )).family
+        for ev in sched.events
+    }
+
+
+def reference_campaign_ratios(config, sched, offline, n_seeds):
+    """The per-seed scalar replay: one stream per seed, one ``sample`` per event."""
+    ratios = []
+    for i in range(n_seeds):
+        policy_stream = stream(config.seed, "campaign", i)
+        strategies = {}
+        sum_extra = 0.0
+        for ev in sched.events:
+            key = (ev.k, ev.b_cost)
+            if key not in strategies:
+                strategies[key] = make_strategy(StrategySpec(
+                    config.mode, ev.k, ev.b_cost, config.policy.variant,
+                    mu=config.policy.mu,
+                ))
+            x = strategies[key].sample(policy_stream)
+            if ev.y < x:
+                extra = (ev.k - 1) * ev.y
+            elif config.mode is RW:
+                extra = ev.k * x + ev.b_cost
+            else:
+                extra = (ev.k - 1) * (x + ev.b_cost)
+            sum_extra += extra
+        ratios.append((sched.sum_rho + sum_extra) / offline.sum_gamma)
+    return np.array(ratios)
 
 
 class TestProgress:
@@ -322,6 +425,15 @@ class TestProgress:
         y, gamma, k, B = 64.0, 4, 2, 1.0
         a = math.ceil(math.log2(y) + math.log2(gamma) + math.log2(k) - math.log2(B) + 1)
         assert B * 2.0 ** a >= 2 * k * y * gamma
+
+
+CONFIG_DATA = {
+    "n_threads": 4, "mode": "requestor_wins",
+    "policy": {"variant": "randomized_unconstrained", "B": 100.0},
+    "length_model": {"kind": "exponential", "mean": 20.0},
+    "conflict_schedule": {"kind": "random_rate", "rate": 0.1},
+    "horizon": 500.0, "seed": 3,
+}
 
 
 class TestConfigParsing:
@@ -364,3 +476,18 @@ class TestConfigParsing:
                 "conflict_schedule": {"kind": "nope"},
                 "horizon": 10.0, "seed": 1,
             })
+
+    def test_infinite_rate_rejected(self):
+        # an infinite rate never advances the conflict clock
+        with pytest.raises(ValueError, match="conflict_rate"):
+            config_from_dict(dict(CONFIG_DATA, conflict_schedule={
+                "kind": "random_rate", "rate": float("inf")}))
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError, match="conflict_rate"):
+            config_from_dict(dict(CONFIG_DATA, conflict_schedule={
+                "kind": "random_rate", "rate": float("nan")}))
+
+    def test_nan_cleanup_cost_rejected(self):
+        with pytest.raises(ValueError, match="cleanup_cost"):
+            config_from_dict(dict(CONFIG_DATA, cleanup_cost=float("nan")))

@@ -250,17 +250,23 @@ class TestSampling:
         assert ks_statistic(xs, strat.cdf) < 0.004
 
     def test_scalar_and_batch_draws_agree(self):
-        for spec in (
-            StrategySpec(RW, 2, 100.0, UNC),
-            StrategySpec(RA, 3, 100.0, UNC),
-            StrategySpec(RW, 2, 100.0, CON, mu=10.0),
-            StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC),
+        for spec, family in (
+            (StrategySpec(RW, 2, 100.0, UNC), "uniform"),
+            (StrategySpec(RA, 3, 100.0, UNC), "ra_exp"),
+            (StrategySpec(RW, 2, 100.0, CON, mu=10.0), "rw_log"),
+            (StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC), "discrete_classic"),
+            (StrategySpec(RW, 3, 100.0, CON, mu=90.0), "rw_power"),
+            (StrategySpec(RW, 3, 100.0, CON, mu=10.0), "rw_shifted_power"),
+            (StrategySpec(RA, 2, 100.0, CON, mu=10.0), "ra_expm1"),
+            (StrategySpec(RW, 2, 100.0, Variant.DETERMINISTIC), "atom"),
         ):
             strat = make_strategy(spec)
+            assert strat.family == family
             a, b = stream(9, "x"), stream(9, "x")
             batch = strat.sample_batch(a, 50)
             scalars = np.array([strat.sample(b) for _ in range(50)])
-            assert np.array_equal(batch, scalars)
+            assert np.array_equal(batch, scalars), family
+            assert a.u64() == b.u64()  # both consumed the same number of draws
 
     def test_discrete_sampling_matches_pmf(self):
         strat = make_strategy(StrategySpec(RA, 2, 10.0, Variant.DISCRETE_CLASSIC))
