@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,11 @@ DISCRETE_KINDS = frozenset({"geometric", "poisson"})
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+# The zero-truncated Poisson inversion table holds O(sqrt(mean)) entries, 543k
+# (4.3 MB) at this cap; larger means are rejected rather than truncated.
+POISSON_MAX_MEAN = 1e9
+_POISSON_TAIL = 1e-16  # mass the table may leave out on each side
 
 
 def _phi(z: float) -> float:
@@ -46,21 +52,24 @@ def _inv_mills(a: float) -> float:
     return t + 1.0 / t - 2.0 / t ** 3
 
 
-def _solve_truncated_normal_loc(mean: float, sigma: float) -> float:
-    # E[X | X > 0] for X ~ N(loc, sigma) is loc + sigma*inv_mills(loc/sigma);
-    # increasing in loc, so bisect.
-    def trunc_mean(loc):
-        return loc + sigma * _inv_mills(loc / sigma)
-
-    lo = min(mean - 45.0 * sigma, -2.0 * sigma * sigma / mean - 10.0 * sigma)
-    hi = mean
-    for _ in range(200):
+def _bisect(f, target: float, lo: float, hi: float, iters: int) -> float:
+    """Midpoint of ``[lo, hi]`` after ``iters`` halvings toward ``f = target``,
+    for increasing ``f``."""
+    for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if trunc_mean(mid) < mean:
+        if f(mid) < target:
             lo = mid
         else:
             hi = mid
-    loc = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=64)
+def _solve_truncated_normal_loc(mean: float, sigma: float) -> float:
+    # E[X | X > 0] for X ~ N(loc, sigma) is loc + sigma*inv_mills(loc/sigma),
+    # increasing in loc.
+    lo = min(mean - 45.0 * sigma, -2.0 * sigma * sigma / mean - 10.0 * sigma)
+    loc = _bisect(lambda m: m + sigma * _inv_mills(m / sigma), mean, lo, mean, 200)
     if _big_phi(loc / sigma) < 1e-2:
         raise ValueError(
             f"normal_truncated with mean {mean} and sigma {sigma} leaves under 1% "
@@ -71,15 +80,7 @@ def _solve_truncated_normal_loc(mean: float, sigma: float) -> float:
 
 def _solve_zero_truncated_poisson_rate(mean: float) -> float:
     # E[N | N >= 1] = lam / (1 - exp(-lam)), increasing, range (1, inf).
-    lo, hi = 1e-12, mean
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        trunc = mid / -math.expm1(-mid)
-        if trunc < mean:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda lam: lam / -math.expm1(-lam), mean, 1e-12, mean, 80)
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,11 @@ class AdversaryModel:
             raise ValueError(f"mean must be positive, got {self.mean}")
         if self.kind == "geometric" and self.mean < 1.0:
             raise ValueError("geometric lengths live on {1,2,...}; mean must be >= 1")
-        if self.kind == "poisson" and self.mean <= 1.0:
-            raise ValueError("zero-truncated poisson needs mean > 1")
+        if self.kind == "poisson" and not 1.0 < self.mean <= POISSON_MAX_MEAN:
+            raise ValueError(
+                f"zero-truncated poisson needs 1 < mean <= {POISSON_MAX_MEAN:g} "
+                f"(its inversion table grows as sqrt(mean)), got {self.mean}"
+            )
         if self.kind == "normal_truncated":
             sigma = self.sigma if self.sigma is not None else self.mean / 4.0
             if not (sigma > 0.0):
@@ -146,30 +150,29 @@ def _sample_normal_truncated(model: AdversaryModel, stream: Stream, n: int) -> n
     return out
 
 
-def _sample_poisson_raw(lam: float, stream: Stream, n: int) -> np.ndarray:
-    # Count exponential arrivals inside a window of size lam.
-    counts = np.zeros(n, dtype=np.int64)
-    pending = np.arange(n)
-    acc = np.zeros(n)
-    while pending.size:
-        u = stream.uniform_open_batch(pending.size)
-        acc[pending] += -np.log(u)
-        done = acc[pending] >= lam
-        counts[pending[~done]] += 1
-        pending = pending[~done]
-    return counts
+@lru_cache(maxsize=64)
+def _zero_truncated_poisson_table(mean: float) -> tuple[int, np.ndarray]:
+    """``(lo, cdf)``: ``cdf[j] = P(N <= lo + j | N >= 1)``, ``cdf[-1] = 1``, for
+    ``N ~ Poisson(lam)`` with ``lam`` calibrated to ``mean``.
 
-
-def _sample_poisson(model: AdversaryModel, stream: Stream, n: int) -> np.ndarray:
-    lam = _solve_zero_truncated_poisson_rate(model.mean)
-    counts = _sample_poisson_raw(lam, stream, n)
-    # zero-rejection keeps every sample positive
-    while True:
-        zero = np.flatnonzero(counts == 0)
-        if not zero.size:
-            break
-        counts[zero] = _sample_poisson_raw(lam, stream, zero.size)
-    return counts.astype(float)
+    The window is O(sqrt(lam)) wide: Chernoff's ``P(N <= lam - x) <=
+    exp(-x^2/(2 lam))`` and ``P(N >= lam + x) <= exp(-x^2/(2(lam + x)))`` put
+    under ``_POISSON_TAIL`` of the truncated mass outside it on each side.  The
+    log pmf is summed from its ratios ``ln(lam/n)``: ``lgamma`` at ``n ~ lam``
+    would lose ``~lam * 1e-16`` of it.
+    """
+    lam = _solve_zero_truncated_poisson_rate(mean)
+    c = -math.log(_POISSON_TAIL) - math.log(-math.expm1(-lam))
+    lo = max(1, math.floor(lam - math.sqrt(2.0 * c * lam)))
+    hi = math.ceil(lam + c + math.sqrt(c * c + 2.0 * c * lam))
+    log_pmf = np.arange(lo, hi + 1, dtype=float)
+    np.log(np.divide(lam, log_pmf, out=log_pmf), out=log_pmf)
+    log_pmf[0] = 0.0
+    np.cumsum(log_pmf, out=log_pmf)  # peaks about c above lo: exp cannot overflow
+    cdf = np.cumsum(np.exp(log_pmf, out=log_pmf), out=log_pmf)
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False  # shared by every caller of the cache
+    return lo, cdf
 
 
 def sample_length(model: AdversaryModel, stream: Stream, n: int | None = None):
@@ -188,8 +191,10 @@ def sample_length(model: AdversaryModel, stream: Stream, n: int | None = None):
         out = np.floor(np.log(u) / math.log1p(-p)) + 1.0 if p < 1.0 else np.ones(count)
     elif kind == "normal_truncated":
         out = _sample_normal_truncated(model, stream, count)
-    elif kind == "poisson":
-        out = _sample_poisson(model, stream, count)
+    elif kind == "poisson":  # table inversion (Devroye 1986, X.3): one uniform a length
+        lo, cdf = _zero_truncated_poisson_table(model.mean)
+        u = stream.uniform_open_batch(count)
+        out = (lo + np.searchsorted(cdf, u, side="right")).astype(float)
     else:  # pragma: no cover
         raise AssertionError(kind)
     return float(out[0]) if n is None else out

@@ -84,32 +84,21 @@ def _length_model(name: str, config: BenchConfig) -> AdversaryModel:
     return AdversaryModel(kind=kind, mean=config.mu)
 
 
+_CELLS = {
+    "DET": (ConflictMode.REQUESTOR_WINS, Variant.DETERMINISTIC),
+    "RRW": (ConflictMode.REQUESTOR_WINS, Variant.RANDOMIZED_UNCONSTRAINED),
+    "RRW(mu)": (ConflictMode.REQUESTOR_WINS, Variant.RANDOMIZED_CONSTRAINED),
+    "RRA": (ConflictMode.REQUESTOR_ABORTS, Variant.RANDOMIZED_UNCONSTRAINED),
+    "RRA(mu)": (ConflictMode.REQUESTOR_ABORTS, Variant.RANDOMIZED_CONSTRAINED),
+}
+
+
 def _strategy_for(name: str, config: BenchConfig):
     if name == "OPT":
         return None
-    if name == "DET":
-        spec = StrategySpec(ConflictMode.REQUESTOR_WINS, _K, config.B, Variant.DETERMINISTIC)
-    elif name == "RRW":
-        spec = StrategySpec(
-            ConflictMode.REQUESTOR_WINS, _K, config.B, Variant.RANDOMIZED_UNCONSTRAINED
-        )
-    elif name == "RRW(mu)":
-        spec = StrategySpec(
-            ConflictMode.REQUESTOR_WINS, _K, config.B,
-            Variant.RANDOMIZED_CONSTRAINED, mu=config.mu,
-        )
-    elif name == "RRA":
-        spec = StrategySpec(
-            ConflictMode.REQUESTOR_ABORTS, _K, config.B, Variant.RANDOMIZED_UNCONSTRAINED
-        )
-    elif name == "RRA(mu)":
-        spec = StrategySpec(
-            ConflictMode.REQUESTOR_ABORTS, _K, config.B,
-            Variant.RANDOMIZED_CONSTRAINED, mu=config.mu,
-        )
-    else:  # pragma: no cover
-        raise AssertionError(name)
-    return make_strategy(spec)
+    mode, variant = _CELLS[name]
+    mu = config.mu if variant is Variant.RANDOMIZED_CONSTRAINED else None
+    return make_strategy(StrategySpec(mode, _K, config.B, variant, mu=mu))
 
 
 def _score(name: str, strategy, ys: np.ndarray, B: float, seed: int, dist: str, n: int):

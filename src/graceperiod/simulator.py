@@ -123,8 +123,10 @@ class SimConfig:
             if not self.chain_size:
                 raise ValueError("chain size distribution is empty")
             for k, w in self.chain_size.items():
-                if int(k) != k or k < 2 or w < 0.0:
-                    raise ValueError(f"bad chain size entry {k}: {w}")
+                if int(k) != k or k < 2 or not (w >= 0.0 and math.isfinite(w)):
+                    raise ValueError(f"bad chain_size entry {k}: {w}")
+            if not 0.0 < sum(self.chain_size.values()) < math.inf:
+                raise ValueError("chain_size weights must have a positive finite sum")
         elif int(self.chain_size) != self.chain_size or self.chain_size < 2:
             raise ValueError(f"chain size must be an integer >= 2, got {self.chain_size}")
 
@@ -678,6 +680,15 @@ def progress_check(
 # -- config ingestion -------------------------------------------------------
 
 
+def _integral(value) -> int:
+    # JSON numbers only: 3 and 3.0 pass, 1.7, true and "3" do not
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        math.isfinite(value) and value == int(value)
+    ):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(data: dict) -> SimConfig:
     """Build a SimConfig from parsed JSON, naming the offending field on error."""
 
@@ -737,19 +748,25 @@ def config_from_dict(data: dict) -> SimConfig:
         )
 
     chain = data.get("chain_size", 2)
-    if isinstance(chain, dict):
-        chain = {int(k): float(w) for k, w in chain.items()}
-    else:
-        chain = int(chain)
+    try:
+        if isinstance(chain, dict):  # JSON object keys are strings
+            keys = [_integral(float(k) if isinstance(k, str) else k) for k in chain]
+            if len(set(keys)) < len(keys):
+                raise ValueError(f"a chain size appears twice in {list(chain)}")
+            chain = dict(zip(keys, map(float, chain.values())))
+        else:
+            chain = _integral(chain)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config field 'chain_size': {exc}") from exc
 
     try:
         return SimConfig(
-            n_threads=need("n_threads", int),
+            n_threads=need("n_threads", _integral),
             mode=mode,
             policy=policy,
             length_model=length_model,
             horizon=need("horizon", float),
-            seed=need("seed", int),
+            seed=need("seed", _integral),
             conflict_rate=rate,
             trace_path=trace_path,
             chain_size=chain,

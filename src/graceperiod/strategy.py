@@ -54,7 +54,7 @@ from .rng import Stream
 
 LN4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
 
-_BISECT_ITERS = 48
+_NEWTON_STEPS = 4  # three suffice; one more for margin
 
 
 class ConflictMode(Enum):
@@ -351,18 +351,29 @@ class GracePeriodStrategy:
             return B * np.log1p(u * p["eps"])
         if fam == "rw_power":
             return B * ((1.0 + u * (p["q"] - 1.0)) ** (1.0 / (k - 1)) - 1.0)
+        if fam == "custom":  # piecewise-linear CDF table: its exact inverse
+            return np.interp(u, p["cum"], p["mesh"])
         return self._invert_cdf(u)
 
     def _invert_cdf(self, u: np.ndarray) -> np.ndarray:
-        # Monotone CDF without a closed-form inverse: bisect to 1e-10 * support.
-        lo = np.zeros_like(u)
-        hi = np.full_like(u, self.support_max)
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            below = self._cdf_inside(mid / self.spec.B) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        # The density vanishes linearly at 0, so sqrt(F) is nearly linear in
+        # t = x/B: Newton on sqrt(F(t)) = sqrt(u) from the linear guess settles
+        # in three steps.  dF/dt = B * pdf, as _pdf_inside is a density in x.
+        B, top = self.spec.B, self.support_max / self.spec.B
+        root_u = np.sqrt(u)
+        t = root_u * top
+        for _ in range(_NEWTON_STEPS):
+            root_f = self._cdf_inside(t)
+            np.maximum(root_f, 0.0, out=root_f)  # cancellation can dip below 0
+            np.sqrt(root_f, out=root_f)
+            step = np.subtract(root_f, root_u)
+            step *= root_f
+            step *= 2.0 / B
+            # at t = 0 (u = 0) both F and the density vanish: no step
+            np.divide(step, self._pdf_inside(t), out=step, where=root_f > 0.0)
+            t -= step
+            np.clip(t, 0.0, top, out=t)
+        return np.multiply(t, B, out=t)
 
     # -- theory ---------------------------------------------------------
 

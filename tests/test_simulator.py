@@ -491,3 +491,31 @@ class TestConfigParsing:
     def test_nan_cleanup_cost_rejected(self):
         with pytest.raises(ValueError, match="cleanup_cost"):
             config_from_dict(dict(CONFIG_DATA, cleanup_cost=float("nan")))
+
+    def test_fractional_seed_rejected(self):
+        # 1.7 used to run silently as seed 1
+        with pytest.raises(ValueError, match="'seed'"):
+            config_from_dict(dict(CONFIG_DATA, seed=1.7))
+        assert config_from_dict(dict(CONFIG_DATA, seed=7.0)).seed == 7
+
+    def test_fractional_n_threads_rejected(self):
+        with pytest.raises(ValueError, match="'n_threads'"):
+            config_from_dict(dict(CONFIG_DATA, n_threads=2.5))
+
+    def test_fractional_chain_size_rejected(self):
+        with pytest.raises(ValueError, match="'chain_size'"):
+            config_from_dict(dict(CONFIG_DATA, chain_size=2.5))
+
+    def test_fractional_chain_size_key_rejected(self):
+        with pytest.raises(ValueError, match="'chain_size'"):
+            config_from_dict(dict(CONFIG_DATA, chain_size={"2": 0.5, "3.5": 0.5}))
+        config = config_from_dict(dict(CONFIG_DATA, chain_size={"2": 0.5, "3": 0.5}))
+        assert config.chain_size == {2: 0.5, 3: 0.5}
+
+    def test_all_zero_chain_weights_rejected(self):
+        with pytest.raises(ValueError, match="chain_size"):
+            config_from_dict(dict(CONFIG_DATA, chain_size={"2": 0.0, "3": 0.0}))
+
+    def test_nan_chain_weight_rejected(self):
+        with pytest.raises(ValueError, match="chain_size"):
+            config_from_dict(dict(CONFIG_DATA, chain_size={"2": 1.0, "3": float("nan")}))

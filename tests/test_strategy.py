@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from graceperiod.strategy import (
     StrategySpec,
     Variant,
     competitive_ratio,
+    custom_continuous,
     det_competitive_ratio,
     det_threshold,
     lagrange_corner,
@@ -275,6 +277,88 @@ class TestSampling:
         freq = counts / len(xs)
         pmf = np.array([strat.pdf(i) for i in range(1, 11)])
         assert np.max(np.abs(freq - pmf)) < 0.004
+
+
+def reference_bisection_quantile(strat, u):
+    """The 48-step bisection ``quantile`` used before its Newton inverse,
+    kept here only as a reference."""
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, strat.support_max)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        below = strat.cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def mean_aware(mode, k, B):
+    """The constrained density of ``(mode, k)`` at abort cost ``B``.
+
+    ``make_strategy`` falls back to the unconstrained form where the mean
+    threshold fails (always for requestor-aborts chains of three or more at
+    ``B <= 1``), so build it at ``B = 100`` and rescale: its parameters
+    depend on ``k`` only.
+    """
+    strat = make_strategy(StrategySpec(mode, k, 100.0, CON, mu=5.0))
+    spec = StrategySpec(mode, k, B, CON, mu=0.05 * B)
+    return dataclasses.replace(strat, spec=spec, support_max=spec.support_max)
+
+
+# dense grid plus log-spaced tails toward 0 and 1
+U_GRID = np.unique(np.concatenate([
+    np.linspace(0.0, 1.0, 20001)[:-1],
+    np.logspace(-12.0, -1.0, 221),
+    1.0 - np.logspace(-15.0, -1.0, 281),
+]))
+SMALLEST_UNIFORMS = 2.0 ** -53 * np.arange(1, 65)  # the stream's first steps above 0
+
+MEAN_AWARE = [
+    (RW, 2, "rw_log"),
+    (RW, 3, "rw_shifted_power"),
+    (RW, 4, "rw_shifted_power"),
+    (RW, 5, "rw_shifted_power"),
+    (RA, 2, "ra_expm1"),
+    (RA, 3, "ra_expm1"),
+    (RA, 7, "ra_expm1"),
+]
+
+
+def assert_quantile_inverts_cdf(strat):
+    S = strat.support_max
+    x = strat.quantile(U_GRID)
+    assert np.max(np.abs(strat.cdf(x) - U_GRID)) < 1e-12
+    tiny = strat.quantile(SMALLEST_UNIFORMS)
+    assert np.max(np.abs(strat.cdf(tiny) - SMALLEST_UNIFORMS)) < 1e-12
+    assert strat.quantile(np.zeros(1))[0] == 0.0
+    tail = U_GRID >= 1e-9
+    ref = reference_bisection_quantile(strat, U_GRID[tail])
+    assert np.max(np.abs(x[tail] - ref)) < 1e-9 * S
+    assert np.all(np.diff(x) >= -1e-14 * S)
+    assert np.all((x >= 0.0) & (x <= S))
+
+
+class TestQuantile:
+    @pytest.mark.parametrize("B", [1e-3, 1.0, 2000.0, 1e6])
+    @pytest.mark.parametrize("mode,k,family", MEAN_AWARE)
+    def test_mean_aware_inverse(self, mode, k, family, B):
+        strat = mean_aware(mode, k, B)
+        assert strat.family == family
+        assert_quantile_inverts_cdf(strat)
+
+    @pytest.mark.parametrize("B", [1e-3, 1e6])
+    def test_custom_table_inverse(self, B):
+        spec = StrategySpec(RW, 2, B, UNC)
+        # linear density that does not vanish at 0: (1 + x/B) / (1.5 B)
+        strat = custom_continuous(spec, lambda x: (1.0 + x / B) / (1.5 * B), mesh_points=2049)
+        assert strat.family == "custom"
+        assert_quantile_inverts_cdf(strat)
+
+    def test_make_strategy_builds_each_family_at_moderate_B(self):
+        # the rescaled strategies above are what make_strategy itself returns
+        for mode, k, family in MEAN_AWARE:
+            spec = StrategySpec(mode, k, 2000.0, CON, mu=100.0)
+            assert make_strategy(spec) == mean_aware(mode, k, 2000.0)
 
 
 class TestRegimesAndRatios:
