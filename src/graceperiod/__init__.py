@@ -3,11 +3,9 @@
 from .adversary import AdversaryModel, remaining_time, sample_length, worst_case_for_det
 from .costmodel import (
     ConflictInstance,
-    CostBreakdown,
     conflict_cost,
     expected_cost,
     opt_cost,
-    pointwise_cost,
     ratio_profile,
 )
 from .oracle import (
@@ -37,13 +35,13 @@ from .strategy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversaryModel", "ConflictInstance", "ConflictMode", "CostBreakdown",
+    "AdversaryModel", "ConflictInstance", "ConflictMode",
     "GracePeriodStrategy", "RatioReport", "StrategyKind", "StrategySpec",
     "Stream", "Streams", "Variant", "abort_density_comparison",
     "competitive_ratio", "conflict_cost", "derive_seed",
     "det_competitive_ratio", "det_threshold", "expected_cost",
     "lagrange_corner", "lagrange_identity_check", "make_strategy",
-    "optimality_probe", "opt_cost", "pointwise_cost", "ratio_profile",
+    "optimality_probe", "opt_cost", "ratio_profile",
     "remaining_time", "run_verification_suite", "sample_length", "stream",
     "streams", "threshold_condition", "verify_pdf", "worst_case_ratio",
     "worst_case_for_det",

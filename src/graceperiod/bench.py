@@ -24,6 +24,7 @@ import numpy as np
 from .adversary import AdversaryModel, remaining_time, worst_case_for_det
 from .costmodel import conflict_cost
 from .rng import stream
+from .simulator import _integral
 from .strategy import ConflictMode, StrategySpec, Variant, make_strategy
 
 DISTRIBUTIONS = ("geometric", "normal", "uniform", "exponential", "poisson")
@@ -45,6 +46,20 @@ class BenchConfig:
     strategies: tuple[str, ...] = STRATEGIES
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            try:
+                object.__setattr__(self, name, _integral(getattr(self, name)))
+            except ValueError as exc:
+                raise ValueError(f"config field '{name}': {exc}") from exc
+        for name in ("B", "mu"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"config field '{name}' must be a number, got {value!r}")
+        for name in ("distributions", "strategies"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"config field '{name}' must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         for d in self.distributions:

@@ -77,12 +77,8 @@ def _cmd_bench(args) -> int:
         "mu": args.mu if args.mu is not None else data.get("mu", 500.0),
         "trials": args.trials if args.trials is not None else data.get("trials", 100_000),
         "seed": args.seed if args.seed is not None else data.get("seed", 1),
-        "distributions": tuple(
-            args.dist if args.dist else data.get("distributions", bench.DISTRIBUTIONS)
-        ),
-        "strategies": tuple(
-            args.strategy if args.strategy else data.get("strategies", bench.STRATEGIES)
-        ),
+        "distributions": args.dist or data.get("distributions", bench.DISTRIBUTIONS),
+        "strategies": args.strategy or data.get("strategies", bench.STRATEGIES),
     }
     config = bench.BenchConfig(**merged)
     rows = bench.run_bench(config)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, cumulative_trapezoid
 from .strategy import ConflictMode, GracePeriodStrategy, StrategyKind
 
 _PROFILE_MESH = 32769  # base resolution of the batched cost profile
@@ -49,29 +49,6 @@ class ConflictInstance:
             raise ValueError(f"abort cost B must be positive, got {self.B}")
         if not (self.y > 0.0 and math.isfinite(self.y)):
             raise ValueError(f"remaining time y must be positive, got {self.y}")
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    total: float
-    committed: bool
-    delay_component: float
-    abort_component: float
-
-
-def pointwise_cost(instance: ConflictInstance, x: float) -> CostBreakdown:
-    """Cost of granting grace ``x`` against ``instance``; ties (x == y) abort."""
-    if x < 0.0:
-        raise ValueError(f"grace period must be nonnegative, got {x}")
-    k, B, y = instance.k, instance.B, instance.y
-    if y < x:
-        delay = (k - 1) * y
-        return CostBreakdown(delay, True, delay, 0.0)
-    if instance.mode is ConflictMode.REQUESTOR_WINS:
-        delay, abort = k * x, B
-    else:
-        delay, abort = (k - 1) * x, (k - 1) * B
-    return CostBreakdown(delay + abort, False, delay, abort)
 
 
 def opt_cost(instance: ConflictInstance) -> float:
@@ -117,7 +94,7 @@ def expected_cost(strategy: GracePeriodStrategy, instance: ConflictInstance) -> 
     k, B, y = instance.k, instance.B, instance.y
 
     if strategy.kind is StrategyKind.ATOM:
-        return pointwise_cost(instance, strategy.params["x0"]).total
+        return conflict_cost(instance.mode, k, B, strategy.params["x0"], y)
 
     if strategy.kind is StrategyKind.DISCRETE_PMF:
         pmf = strategy.params["pmf"]
@@ -157,16 +134,21 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
         idx = np.clip(np.floor(ys).astype(int), 0, len(pmf))
         return abort_prefix[idx] + ys * (1.0 - mass_prefix[idx])
 
-    cut = np.clip(ys, 0.0, S)
-    mesh = np.unique(np.concatenate([np.linspace(0.0, S, _PROFILE_MESH), cut]))
-    pvals = strategy.pdf(mesh)
-    avals = conflict_cost(strategy.spec.mode, k, B, mesh, mesh) * pvals
-    widths = np.diff(mesh)
-    cum_mass = np.concatenate([[0.0], np.cumsum(widths * 0.5 * (pvals[1:] + pvals[:-1]))])
-    cum_abort = np.concatenate([[0.0], np.cumsum(widths * 0.5 * (avals[1:] + avals[:-1]))])
-    total_mass = cum_mass[-1]
-    idx = np.searchsorted(mesh, cut)
-    return cum_abort[idx] + (k - 1) * ys * (total_mass - cum_mass[idx])
+    mesh = np.unique(np.concatenate([np.linspace(0.0, S, _PROFILE_MESH), np.clip(ys, 0.0, S)]))
+    return mesh_expected_costs(strategy.spec.mode, k, B, mesh, strategy.pdf(mesh), ys)
+
+
+def mesh_expected_costs(mode: ConflictMode, k: int, B: float, mesh, pvals, ys) -> np.ndarray:
+    """Expected costs at ``ys`` of the density tabulated as ``pvals`` on ``mesh``.
+
+    One cumulative-trapezoid sweep of the mass and of the abort-branch cost:
+    graces up to ``y`` abort, the mass above ``y`` commits.  ``ys`` past the
+    mesh end abort with the whole mass.
+    """
+    cum_mass = cumulative_trapezoid(mesh, pvals)
+    cum_abort = cumulative_trapezoid(mesh, conflict_cost(mode, k, B, mesh, mesh) * pvals)
+    idx = np.searchsorted(mesh, np.clip(ys, 0.0, mesh[-1]))
+    return cum_abort[idx] + (k - 1) * ys * (cum_mass[-1] - cum_mass[idx])
 
 
 def ratio_profile(strategy: GracePeriodStrategy, y_grid) -> list[tuple[float, float]]:

@@ -228,13 +228,7 @@ def _profile_objective(
     mesh: np.ndarray, pdf_vals: np.ndarray, mode: ConflictMode, k: int, B: float,
     ys: np.ndarray, mu: float | None,
 ) -> float:
-    widths = np.diff(mesh)
-    avals = costmodel.conflict_cost(mode, k, B, mesh, mesh) * pdf_vals
-    cum_mass = np.concatenate([[0.0], np.cumsum(widths * 0.5 * (pdf_vals[1:] + pdf_vals[:-1]))])
-    cum_abort = np.concatenate([[0.0], np.cumsum(widths * 0.5 * (avals[1:] + avals[:-1]))])
-    idx = np.searchsorted(mesh, ys)
-    costs = cum_abort[idx] + (k - 1) * ys * (cum_mass[-1] - cum_mass[idx])
-    ratios = costs / ((k - 1) * ys)
+    ratios = costmodel.mesh_expected_costs(mode, k, B, mesh, pdf_vals, ys) / ((k - 1) * ys)
     if mu is None:
         return float(np.max(ratios))
     return _min_dual_objective(ys, ratios, mu)
@@ -259,7 +253,7 @@ def optimality_probe(
         raise ValueError("the optimality probe applies to continuous strategies")
     spec = strategy.spec
     S = strategy.support_max
-    mu = spec.mu if strategy.family in ("rw_log", "rw_shifted_power", "ra_expm1") else None
+    mu = spec.mu if strategy.mean_aware else None
 
     mesh = np.linspace(0.0, S, 8193)
     base_pdf = strategy.pdf(mesh)
@@ -341,9 +335,7 @@ def _negative_control_checks() -> list[dict]:
     B = 10.0
     c = B * (2.0 * math.log(2.0) - 1.0)
     spec = StrategySpec(_RW, 2, B, Variant.RANDOMIZED_UNCONSTRAINED)
-    wrong = custom_continuous(
-        spec, lambda x: math.log((B + x) / max(x, 1e-12)) / c, label="wrong_rw_constrained"
-    )
+    wrong = custom_continuous(spec, lambda x: math.log((B + x) / max(x, 1e-12)) / c)
     res = verify_pdf(wrong)
     return [_check(
         "negative_control/wrong_form_rw_constrained_detected", not res.passed,
@@ -455,9 +447,7 @@ def _probe_checks(seed: int) -> list[dict]:
     # control: mass squeezed onto [0, B/2] must be improvable (ratio ~3 at y ~ B/2)
     B = 100.0
     spec = StrategySpec(_RW, 2, B, Variant.RANDOMIZED_UNCONSTRAINED)
-    squeezed = custom_continuous(
-        spec, lambda x: 2.0 / B if x <= B / 2.0 else 0.0, label="suboptimal_uniform_half"
-    )
+    squeezed = custom_continuous(spec, lambda x: 2.0 / B if x <= B / 2.0 else 0.0)
     res = optimality_probe(squeezed, 200, Stream(seed).spawn("probe", "control"))
     checks.append(_check(
         "probe/suboptimal_control_detected", not res.passed,

@@ -1,14 +1,18 @@
-"""Adaptive Simpson quadrature.
+"""Adaptive Simpson quadrature and cumulative trapezoid sums.
 
 The verification oracles in this package check closed-form densities and
 costs against numerical integration, so the integrator must be independent
 of those closed forms.  Intervals are subdivided until the Richardson
 estimate of the local error satisfies ``|dI| <= max(abs_tol, rel_tol*|I|)``.
+Tabulated densities and batched cost sweeps accumulate on a fixed mesh with
+:func:`cumulative_trapezoid` instead.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+
+import numpy as np
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
@@ -60,3 +64,8 @@ def _recurse(f, a, b, fa, fm, fb, whole, rel_tol, abs_tol, depth):
     return _recurse(
         f, a, m, fa, flm, fm, left, rel_tol, 0.5 * abs_tol, depth - 1
     ) + _recurse(f, m, b, fm, frm, fb, right, rel_tol, 0.5 * abs_tol, depth - 1)
+
+
+def cumulative_trapezoid(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of ``f`` over ``[x[0], x[i]]`` for every ``i``."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * 0.5 * (f[1:] + f[:-1]))])

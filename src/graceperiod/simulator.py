@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,23 +154,6 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class TransactionState:
-    """Per-transaction bookkeeping during a run."""
-
-    thread: int
-    index: int
-    commit_cost: float
-    attempts: int = 1
-    abort_cost_multiplier: float = 1.0
-    extra: float = 0.0
-
-    @property
-    def gamma(self) -> float:
-        """Start-to-commit time: isolated work plus amortized conflict extras."""
-        return self.commit_cost + self.extra
-
-
-@dataclass(frozen=True)
 class SimMetrics:
     n_transactions: int
     transactions_committed: int
@@ -184,7 +167,6 @@ class SimMetrics:
     attempts_hist: dict[int, int]
     schedule_digest: str
     global_ratio: float | None = None
-    per_transaction: tuple | None = field(default=None, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -345,6 +327,12 @@ def build_schedule(config: SimConfig) -> Schedule:
                     f"must not be re-conflicted during a grace period"
                 )
             idx, elapsed, y = _locate(starts[thr], per_thread[thr], t)
+            if config.dynamic_b and elapsed + config.cleanup_cost <= 0.0:
+                raise TraceError(
+                    f"{config.trace_path}: entry {n_line}: conflict at time {t} hits the "
+                    f"start of a transaction, so dynamic_b gives abort cost "
+                    f"elapsed + cleanup_cost = 0; set cleanup_cost > 0"
+                )
             events.append(builder.admit(t, thr, k, idx, elapsed, y))
     elif config.conflict_rate > 0.0:
         s = stream(config.seed, "conflicts")
@@ -422,23 +410,19 @@ def _offline_replay(schedule: Schedule):
             yield ev, False, ev.b_cost
 
 
-def _tally(
-    config: SimConfig, schedule: Schedule, outcomes, collect_per_transaction: bool
-) -> SimMetrics:
+def _tally(config: SimConfig, schedule: Schedule, outcomes) -> SimMetrics:
     """Metrics of one replay from its ``(event, commit, extra)`` outcomes."""
     rw = config.mode is ConflictMode.REQUESTOR_WINS
     attempts: dict[tuple[int, int], int] = {}
-    extras: dict[tuple[int, int], float] = {}
     sum_extra = 0.0
     commit_branches = 0
 
     for ev, commit, extra in outcomes:
-        key = (ev.thread, ev.tx_index)
         if commit:
             commit_branches += 1
         elif rw:
+            key = (ev.thread, ev.tx_index)
             attempts[key] = attempts.get(key, 1) + 1
-        extras[key] = extras.get(key, 0.0) + extra
         sum_extra += extra
 
     hist: dict[int, int] = {}
@@ -447,22 +431,6 @@ def _tally(
         hist[1] = n_single
     for a in attempts.values():
         hist[a] = hist.get(a, 0) + 1
-
-    per_tx = None
-    if collect_per_transaction:
-        sched_mults = dict(schedule.backoff_mults)
-        per_tx = tuple(
-            TransactionState(
-                thread=thr,
-                index=i,
-                commit_cost=r,
-                attempts=attempts.get((thr, i), 1),
-                abort_cost_multiplier=sched_mults.get((thr, i), 1.0),
-                extra=extras.get((thr, i), 0.0),
-            )
-            for thr, lengths in enumerate(schedule.rho)
-            for i, r in enumerate(lengths)
-        )
 
     sum_gamma = schedule.sum_rho + sum_extra
     return SimMetrics(
@@ -477,7 +445,6 @@ def _tally(
         waste=sum_extra / schedule.sum_rho,
         attempts_hist=hist,
         schedule_digest=schedule.digest,
-        per_transaction=per_tx,
     )
 
 
@@ -485,7 +452,6 @@ def run(
     config: SimConfig,
     schedule: Schedule | None = None,
     policy_stream: Stream | None = None,
-    collect_per_transaction: bool = False,
 ) -> SimMetrics:
     """Online run: the configured policy draws every grace period.
 
@@ -499,14 +465,10 @@ def run(
         config, schedule, lambda: np.array([policy_stream.uniform()]), 1
     )
     outcomes = ((ev, bool(commit[0]), float(extra[0])) for ev, commit, extra in replay)
-    return _tally(config, schedule, outcomes, collect_per_transaction)
+    return _tally(config, schedule, outcomes)
 
 
-def run_offline_baseline(
-    config: SimConfig,
-    schedule: Schedule | None = None,
-    collect_per_transaction: bool = False,
-) -> SimMetrics:
+def run_offline_baseline(config: SimConfig, schedule: Schedule | None = None) -> SimMetrics:
     """Perfect-information replay of the same schedule.
 
     Each conflict costs ``min((k-1)*y, B)``: wait out the receiver when the
@@ -515,7 +477,7 @@ def run_offline_baseline(
     """
     if schedule is None:
         schedule = build_schedule(config)
-    return _tally(config, schedule, _offline_replay(schedule), collect_per_transaction)
+    return _tally(config, schedule, _offline_replay(schedule))
 
 
 def _bound_check(ratios: np.ndarray, waste: float, n_sigma: float) -> BoundCheck:

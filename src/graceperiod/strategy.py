@@ -44,12 +44,15 @@ threads.  Sampling always takes an explicit per-caller stream.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
+from .quadrature import cumulative_trapezoid
 from .rng import Stream
 
 LN4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
@@ -204,12 +207,79 @@ def lagrange_corner(mode: ConflictMode, k: int, B: float, constrained: bool) -> 
     return (1.0 + eps) / eps, 0.0
 
 
+class _Family(NamedTuple):
+    """One closed-form density family, as functions of ``u = x/B``.
+
+    ``pdf`` is the density in ``x`` and ``cdf`` its distribution function;
+    ``inverse`` maps uniforms to grace periods in closed form, and families
+    without one are inverted by Newton steps on the cdf.  ``params(k)``
+    precomputes the family's constants.
+    """
+
+    pdf: Callable
+    cdf: Callable
+    inverse: Callable | None = None
+    params: Callable = lambda k: {}
+    mean_aware: bool = False  # built from the known mean mu (constrained)
+
+
+def _custom_pdf(u, k, B, p):
+    f = p["pdf"]
+    return np.asarray([f(v) for v in np.atleast_1d(u * B)], dtype=float)
+
+
+_FAMILIES = {
+    "uniform": _Family(
+        pdf=lambda u, k, B, p: np.full_like(u, (k - 1) / B),
+        cdf=lambda u, k, B, p: (k - 1) * u,
+        inverse=lambda u, k, B, p: B / (k - 1) * u,
+    ),
+    "rw_log": _Family(
+        pdf=lambda u, k, B, p: np.log1p(u) / (B * LN4_MINUS_1),
+        cdf=lambda u, k, B, p: ((1.0 + u) * np.log1p(u) - u) / LN4_MINUS_1,
+        mean_aware=True,
+    ),
+    "rw_shifted_power": _Family(
+        pdf=lambda u, k, B, p: (k - 1) * ((1.0 + u) ** (k - 2) - 1.0) / (B * (p["q"] - 2.0)),
+        cdf=lambda u, k, B, p: ((1.0 + u) ** (k - 1) - 1.0 - (k - 1) * u) / (p["q"] - 2.0),
+        params=lambda k: {"q": _q(k)},
+        mean_aware=True,
+    ),
+    "rw_power": _Family(
+        pdf=lambda u, k, B, p: (k - 1) * (1.0 + u) ** (k - 2) / (B * (p["q"] - 1.0)),
+        cdf=lambda u, k, B, p: ((1.0 + u) ** (k - 1) - 1.0) / (p["q"] - 1.0),
+        inverse=lambda u, k, B, p: B * ((1.0 + u * (p["q"] - 1.0)) ** (1.0 / (k - 1)) - 1.0),
+        params=lambda k: {"q": _q(k)},
+    ),
+    "ra_exp": _Family(
+        pdf=lambda u, k, B, p: np.exp(u) / (B * p["eps"]),
+        cdf=lambda u, k, B, p: np.expm1(u) / p["eps"],
+        inverse=lambda u, k, B, p: B * np.log1p(u * p["eps"]),
+        params=lambda k: {"eps": _eps(k)},
+    ),
+    "ra_expm1": _Family(
+        pdf=lambda u, k, B, p: (k - 1) * np.expm1(u) / (B * p["g"]),
+        cdf=lambda u, k, B, p: (k - 1) * (np.expm1(u) - u) / p["g"],
+        params=lambda k: {"g": _g(k)},
+        mean_aware=True,
+    ),
+    # a tabulated density (custom_continuous): piecewise-linear CDF table,
+    # inverted exactly
+    "custom": _Family(
+        pdf=_custom_pdf,
+        cdf=lambda u, k, B, p: np.interp(u * B, p["mesh"], p["cum"]),
+        inverse=lambda u, k, B, p: np.interp(u, p["cum"], p["mesh"]),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class GracePeriodStrategy:
     """A realized distribution over grace periods.
 
-    ``family`` selects the closed form; ``params`` carries its precomputed
-    constants.  ``kind`` distinguishes atoms, continuous densities on
+    ``family`` selects the closed form (a row of ``_FAMILIES`` for the
+    continuous kind); ``params`` carries its precomputed constants.
+    ``kind`` distinguishes atoms, continuous densities on
     ``[0, support_max]``, and the integer-day pmf of the discrete classic.
     """
 
@@ -218,6 +288,12 @@ class GracePeriodStrategy:
     family: str
     support_max: float
     params: dict = field(default_factory=dict)
+
+    @property
+    def mean_aware(self) -> bool:
+        """True for the constrained densities built from the known mean."""
+        row = _FAMILIES.get(self.family)
+        return row is not None and row.mean_aware
 
     # -- evaluation -----------------------------------------------------
 
@@ -252,44 +328,10 @@ class GracePeriodStrategy:
         return float(vals[0]) if scalar else vals
 
     def _pdf_inside(self, u):
-        B, k = self.spec.B, self.spec.k
-        fam, p = self.family, self.params
-        if fam == "uniform":
-            return np.full_like(u, (k - 1) / B)
-        if fam == "rw_log":
-            return np.log1p(u) / (B * LN4_MINUS_1)
-        if fam == "rw_shifted_power":
-            return (k - 1) * ((1.0 + u) ** (k - 2) - 1.0) / (B * (p["q"] - 2.0))
-        if fam == "rw_power":
-            return (k - 1) * (1.0 + u) ** (k - 2) / (B * (p["q"] - 1.0))
-        if fam == "ra_exp":
-            return np.exp(u) / (B * p["eps"])
-        if fam == "ra_expm1":
-            return (k - 1) * np.expm1(u) / (B * p["g"])
-        if fam == "custom":
-            f = p["pdf"]
-            return np.asarray([f(v) for v in np.atleast_1d(u * B)], dtype=float)
-        raise AssertionError(fam)
+        return _FAMILIES[self.family].pdf(u, self.spec.k, self.spec.B, self.params)
 
     def _cdf_inside(self, u):
-        B, k = self.spec.B, self.spec.k
-        fam, p = self.family, self.params
-        if fam == "uniform":
-            return (k - 1) * u
-        if fam == "rw_log":
-            return ((1.0 + u) * np.log1p(u) - u) / LN4_MINUS_1
-        if fam == "rw_shifted_power":
-            return ((1.0 + u) ** (k - 1) - 1.0 - (k - 1) * u) / (p["q"] - 2.0)
-        if fam == "rw_power":
-            return ((1.0 + u) ** (k - 1) - 1.0) / (p["q"] - 1.0)
-        if fam == "ra_exp":
-            return np.expm1(u) / p["eps"]
-        if fam == "ra_expm1":
-            return (k - 1) * (np.expm1(u) - u) / p["g"]
-        if fam == "custom":
-            mesh, cum = p["mesh"], p["cum"]
-            return np.interp(u * B, mesh, cum)
-        raise AssertionError(fam)
+        return _FAMILIES[self.family].cdf(u, self.spec.k, self.spec.B, self.params)
 
     def _pmf(self, i):
         arr = np.asarray(i, dtype=float)
@@ -343,17 +385,10 @@ class GracePeriodStrategy:
         if self.kind is StrategyKind.DISCRETE_PMF:
             days = np.searchsorted(self.params["cumulative"], u, side="right") + 1
             return days.astype(float)
-        B, k = self.spec.B, self.spec.k
-        fam, p = self.family, self.params
-        if fam == "uniform":
-            return self.support_max * u
-        if fam == "ra_exp":
-            return B * np.log1p(u * p["eps"])
-        if fam == "rw_power":
-            return B * ((1.0 + u * (p["q"] - 1.0)) ** (1.0 / (k - 1)) - 1.0)
-        if fam == "custom":  # piecewise-linear CDF table: its exact inverse
-            return np.interp(u, p["cum"], p["mesh"])
-        return self._invert_cdf(u)
+        inverse = _FAMILIES[self.family].inverse
+        if inverse is None:
+            return self._invert_cdf(u)
+        return inverse(u, self.spec.k, self.spec.B, self.params)
 
     def _invert_cdf(self, u: np.ndarray) -> np.ndarray:
         # The density vanishes linearly at 0, so sqrt(F) is nearly linear in
@@ -379,8 +414,7 @@ class GracePeriodStrategy:
 
     def lagrange_corner(self) -> tuple[float, float]:
         """Corner ``(lambda1, lambda2)`` matching this strategy's regime."""
-        constrained = self.family in ("rw_log", "rw_shifted_power", "ra_expm1")
-        return lagrange_corner(self.spec.mode, self.spec.k, self.spec.B, constrained)
+        return lagrange_corner(self.spec.mode, self.spec.k, self.spec.B, self.mean_aware)
 
 
 def _discrete_classic_pmf(B: int) -> np.ndarray:
@@ -389,7 +423,7 @@ def _discrete_classic_pmf(B: int) -> np.ndarray:
     return ((B - 1.0) / B) ** (B - i) / (B * z)
 
 
-def make_strategy(spec: StrategySpec, raw_ra_inequality: bool = False) -> GracePeriodStrategy:
+def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
     """Build the optimal strategy for ``spec``.
 
     A constrained spec whose threshold condition fails falls back to the
@@ -412,34 +446,20 @@ def make_strategy(spec: StrategySpec, raw_ra_inequality: bool = False) -> GraceP
             {"pmf": pmf, "cumulative": cumulative},
         )
 
-    constrained = (
-        spec.variant is Variant.RANDOMIZED_CONSTRAINED
-        and threshold_condition(spec, raw_ra_inequality)
+    constrained = spec.variant is Variant.RANDOMIZED_CONSTRAINED
+    if mode is ConflictMode.REQUESTOR_WINS:
+        if constrained and threshold_condition(spec):
+            family = "rw_log" if k == 2 else "rw_shifted_power"
+        else:
+            family = "rw_power" if constrained and k >= 3 else "uniform"
+    else:
+        family = "ra_expm1" if constrained and threshold_condition(spec) else "ra_exp"
+    return GracePeriodStrategy(
+        spec, StrategyKind.CONTINUOUS_PDF, family, S, _FAMILIES[family].params(k)
     )
 
-    if mode is ConflictMode.REQUESTOR_WINS:
-        if constrained:
-            if k == 2:
-                return GracePeriodStrategy(spec, StrategyKind.CONTINUOUS_PDF, "rw_log", S)
-            return GracePeriodStrategy(
-                spec, StrategyKind.CONTINUOUS_PDF, "rw_shifted_power", S, {"q": _q(k)}
-            )
-        if spec.variant is Variant.RANDOMIZED_CONSTRAINED and k >= 3:
-            return GracePeriodStrategy(
-                spec, StrategyKind.CONTINUOUS_PDF, "rw_power", S, {"q": _q(k)}
-            )
-        return GracePeriodStrategy(spec, StrategyKind.CONTINUOUS_PDF, "uniform", S)
 
-    if constrained:
-        return GracePeriodStrategy(
-            spec, StrategyKind.CONTINUOUS_PDF, "ra_expm1", S, {"g": _g(k)}
-        )
-    return GracePeriodStrategy(spec, StrategyKind.CONTINUOUS_PDF, "ra_exp", S, {"eps": _eps(k)})
-
-
-def custom_continuous(
-    spec: StrategySpec, pdf, label: str = "custom", mesh_points: int = 16385
-) -> GracePeriodStrategy:
+def custom_continuous(spec: StrategySpec, pdf, mesh_points: int = 16385) -> GracePeriodStrategy:
     """Wrap an arbitrary density callable on ``[0, support_max]``.
 
     Intended for verification controls and perturbation probes; the CDF is
@@ -448,37 +468,28 @@ def custom_continuous(
     S = spec.support_max
     mesh = np.linspace(0.0, S, mesh_points)
     vals = np.asarray([pdf(float(x)) for x in mesh], dtype=float)
-    steps = np.diff(mesh) * 0.5 * (vals[1:] + vals[:-1])
-    cum = np.concatenate([[0.0], np.cumsum(steps)])
     return GracePeriodStrategy(
         spec, StrategyKind.CONTINUOUS_PDF, "custom", S,
-        {"pdf": pdf, "mesh": mesh, "cum": cum, "label": label},
+        {"pdf": pdf, "mesh": mesh, "cum": cumulative_trapezoid(mesh, vals)},
     )
 
 
-def competitive_ratio(spec: StrategySpec, raw_ra_inequality: bool = False) -> RatioReport:
+def competitive_ratio(spec: StrategySpec) -> RatioReport:
     """Theoretical worst-case ratio for the regime ``spec`` resolves to.
 
     Constrained ratios are the dual objective ``lambda1 + lambda2*mu`` at
     the binding corner; a zero mean therefore degenerates to ratio 1.
     """
-    mode, k, B = spec.mode, spec.k, spec.B
     if spec.variant is Variant.DETERMINISTIC:
-        return RatioReport(det_competitive_ratio(k), "unconstrained", False)
+        return RatioReport(det_competitive_ratio(spec.k), "unconstrained", False)
     if spec.variant is Variant.DISCRETE_CLASSIC:
         return RatioReport(math.e / (math.e - 1.0), "unconstrained", False)
 
-    holds = spec.mu is not None and threshold_condition(spec, raw_ra_inequality)
-    if spec.variant is Variant.RANDOMIZED_CONSTRAINED and holds:
-        lam1, lam2 = lagrange_corner(mode, k, B, constrained=True)
+    strategy = make_strategy(spec)
+    lam1, lam2 = strategy.lagrange_corner()
+    if strategy.mean_aware:
         return RatioReport(lam1 + lam2 * spec.mu, "constrained", True)
-
-    if mode is ConflictMode.REQUESTOR_WINS:
-        if spec.variant is Variant.RANDOMIZED_CONSTRAINED and k >= 3:
-            ratio = _q(k) / (_q(k) - 1.0)  # power-form fallback corner
-        else:
-            ratio = 2.0
-    else:
-        eps = _eps(k)
-        ratio = (1.0 + eps) / eps
+    holds = spec.mu is not None and threshold_condition(spec)
+    # the uniform density equalizes only at k = 2; its sup is 2 (as y -> 0)
+    ratio = 2.0 if strategy.family == "uniform" else lam1
     return RatioReport(ratio, "unconstrained", holds)

@@ -13,7 +13,7 @@ from graceperiod.adversary import (
     sample_length,
     worst_case_for_det,
 )
-from graceperiod.costmodel import ConflictInstance, expected_cost, pointwise_cost
+from graceperiod.costmodel import ConflictInstance, conflict_cost, expected_cost
 from graceperiod.rng import stream
 from graceperiod.strategy import ConflictMode, StrategySpec, Variant, make_strategy
 
@@ -206,10 +206,8 @@ class TestWorstCaseForDet:
 
     def test_det_cost_under_it(self):
         # tie rule fires the abort: cost 300 against optimum 100
-        inst = ConflictInstance(ConflictMode.REQUESTOR_WINS, 2, 100.0,
-                                worst_case_for_det(2, 100.0).value)
-        bd = pointwise_cost(inst, 100.0)
-        assert not bd.committed and bd.total == 300.0
+        y = worst_case_for_det(2, 100.0).value
+        assert conflict_cost(ConflictMode.REQUESTOR_WINS, 2, 100.0, 100.0, y) == 300.0
 
     def test_rw_uniform_cost_under_it(self):
         strat = make_strategy(

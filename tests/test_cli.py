@@ -55,6 +55,19 @@ class TestBenchCommand:
         assert "zipf" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.7), ("seed", True), ("seed", "1"),
+        ("trials", 10.5), ("trials", "5"), ("trials", False),
+        ("distributions", "uniform"), ("distributions", 3),
+        ("strategies", "OPT"), ("strategies", None), ("B", "100"), ("mu", None),
+    ])
+    def test_bad_config_field_is_named(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"trials": 10, field: value}))
+        assert main(["bench-synthetic", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err
+
 class TestSimulateCommand:
     def test_json_output_schema_and_determinism(self, tmp_path):
         cfg = tmp_path / "sim.json"

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from graceperiod.costmodel import (
     ConflictInstance,
     batch_expected_costs,
+    conflict_cost,
     expected_cost,
     opt_cost,
-    pointwise_cost,
     ratio_profile,
 )
 from graceperiod.strategy import (
@@ -30,28 +30,17 @@ CON = Variant.RANDOMIZED_CONSTRAINED
 
 class TestPointwise:
     def test_rw_commit_branch(self):
-        bd = pointwise_cost(ConflictInstance(RW, 2, 100.0, 30.0), 50.0)
-        assert bd.committed and bd.total == 30.0 and bd.abort_component == 0.0
+        assert conflict_cost(RW, 2, 100.0, 50.0, 30.0) == 30.0  # (k-1)*y
 
     def test_rw_abort_branch(self):
-        bd = pointwise_cost(ConflictInstance(RW, 2, 100.0, 80.0), 50.0)
-        assert not bd.committed
-        assert bd.total == 200.0
-        assert bd.delay_component == 100.0 and bd.abort_component == 100.0
+        assert conflict_cost(RW, 2, 100.0, 50.0, 80.0) == 200.0  # k*x + B
 
     def test_ra_abort_branch_general_k(self):
-        bd = pointwise_cost(ConflictInstance(RA, 3, 100.0, 80.0), 50.0)
-        assert bd.total == 300.0  # (k-1)*(x+B)
-        assert bd.abort_component == 200.0
+        assert conflict_cost(RA, 3, 100.0, 50.0, 80.0) == 300.0  # (k-1)*(x+B)
 
     def test_tie_aborts_in_both_modes(self):
-        for mode in (RW, RA):
-            bd = pointwise_cost(ConflictInstance(mode, 2, 100.0, 50.0), 50.0)
-            assert not bd.committed
-
-    def test_negative_grace_rejected(self):
-        with pytest.raises(ValueError):
-            pointwise_cost(ConflictInstance(RW, 2, 100.0, 30.0), -1.0)
+        assert conflict_cost(RW, 2, 100.0, 50.0, 50.0) == 200.0
+        assert conflict_cost(RA, 2, 100.0, 50.0, 50.0) == 150.0
 
     def test_instance_validation(self):
         with pytest.raises(ValueError):
@@ -235,9 +224,12 @@ class TestLagrangeIdentity:
 )
 def test_property_cost_decomposition(mode, k, b, y, x):
     inst = ConflictInstance(mode, k, b, y)
-    bd = pointwise_cost(inst, x)
-    assert bd.total == bd.delay_component + bd.abort_component
-    assert bd.total >= 0.0
-    assert bd.committed == (y < x)
+    total = conflict_cost(mode, k, b, x, y)
+    delay, abort = (k * x, b) if mode is RW else ((k - 1) * x, (k - 1) * b)
+    if y < x:
+        assert total == (k - 1) * y
+    else:  # (k-1)*(x+B) and (k-1)*x + (k-1)*B may differ in the last bit
+        assert total == pytest.approx(delay + abort, rel=1e-15)
+    assert total >= 0.0
     # the offline optimum lower-bounds every realizable conflict cost
-    assert opt_cost(inst) <= bd.total * (1.0 + 1e-12) + 1e-12
+    assert opt_cost(inst) <= total * (1.0 + 1e-12) + 1e-12

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -324,6 +325,20 @@ MEAN_AWARE = [
 ]
 
 
+# the rows with a closed-form inverse; mu = 10 B fails every threshold, so a
+# constrained requestor-wins spec of k >= 3 falls back to rw_power
+EXACT_INVERSE = [
+    (RW, 2, UNC, "uniform"),
+    (RW, 5, UNC, "uniform"),
+    (RA, 2, UNC, "ra_exp"),
+    (RA, 3, UNC, "ra_exp"),
+    (RA, 7, UNC, "ra_exp"),
+    (RW, 3, CON, "rw_power"),
+    (RW, 4, CON, "rw_power"),
+    (RW, 5, CON, "rw_power"),
+]
+
+
 def assert_quantile_inverts_cdf(strat):
     S = strat.support_max
     x = strat.quantile(U_GRID)
@@ -343,6 +358,13 @@ class TestQuantile:
     @pytest.mark.parametrize("mode,k,family", MEAN_AWARE)
     def test_mean_aware_inverse(self, mode, k, family, B):
         strat = mean_aware(mode, k, B)
+        assert strat.family == family
+        assert_quantile_inverts_cdf(strat)
+
+    @pytest.mark.parametrize("B", [1e-3, 1.0, 2000.0, 1e6])
+    @pytest.mark.parametrize("mode,k,variant,family", EXACT_INVERSE)
+    def test_exact_inverse(self, mode, k, variant, family, B):
+        strat = make_strategy(StrategySpec(mode, k, B, variant, mu=10.0 * B))
         assert strat.family == family
         assert_quantile_inverts_cdf(strat)
 
@@ -399,6 +421,20 @@ class TestRegimesAndRatios:
         assert report.theoretical_ratio == pytest.approx(
             1.0 + 500.0 / (2.0 * 2000.0 * (math.e - 2.0)), rel=1e-15
         )
+
+    def test_mean_aware_exactly_when_regime_constrained(self):
+        seen = set()
+        for mode, variant, k, B, mu in itertools.product(
+            (RW, RA), Variant, (2, 3, 5), (0.5, 3.0, 100.0), (None, 0.0, 1.0, 20.0, 500.0)
+        ):
+            try:
+                spec = StrategySpec(mode, k, B, variant, mu=mu)
+            except ValueError:
+                continue  # no such strategy
+            mean_aware = make_strategy(spec).mean_aware
+            assert mean_aware is (competitive_ratio(spec).regime == "constrained"), spec
+            seen.add(mean_aware)
+        assert seen == {True, False}
 
     def test_discrete_classic_reports_continuous_limit(self):
         report = competitive_ratio(StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC))
