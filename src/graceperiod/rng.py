@@ -12,8 +12,8 @@ string labels into a parent seed.  Components never share streams; each
 caller owns its stream explicitly.
 
 :class:`Streams` is the vector form: ``streams(seed, *tokens, n=n)`` holds
-the ``n`` streams ``stream(seed, *tokens, i)`` and draws column ``j`` of all
-of them at once, the counter-based layout of Salmon et al. 2011 ("Parallel
+the ``n`` streams ``stream(seed, *tokens, i)`` and draws any block of their
+next draws at once, the counter-based layout of Salmon et al. 2011 ("Parallel
 random numbers: as easy as 1, 2, 3").
 """
 
@@ -81,10 +81,6 @@ class Stream:
         """Uniform double in [0, 1) with 53-bit resolution."""
         return (self.u64() >> 11) * _INV_2_53
 
-    def uniform_open(self) -> float:
-        """Uniform double strictly inside (0, 1)."""
-        return ((self.u64() >> 11) + 0.5) * _INV_2_53
-
     def u64_batch(self, n: int) -> np.ndarray:
         counters = np.uint64(self._state) + np.uint64(GOLDEN) * np.arange(
             1, n + 1, dtype=np.uint64
@@ -110,11 +106,11 @@ def stream(seed: int, *tokens: int | str) -> Stream:
 
 
 class Streams:
-    """Many SplitMix64 streams advanced in lockstep, one column per draw.
+    """Many SplitMix64 streams advanced in lockstep, one column per stream.
 
-    Every call to :meth:`uniform` takes the next draw of each stream, so
-    column ``j`` is ``mix64(state_i + (j+1) * GOLDEN)`` for every stream ``i``
-    and equals the ``j``-th :meth:`Stream.uniform` of that stream.
+    :meth:`uniform` takes the next ``m`` draws of each stream as an
+    ``(m, n)`` block: row ``j`` is ``mix64(state_i + (j+1) * GOLDEN)`` for
+    every stream ``i`` and equals that stream's next :meth:`Stream.uniform`.
     """
 
     __slots__ = ("_states",)
@@ -122,10 +118,12 @@ class Streams:
     def __init__(self, states: np.ndarray):
         self._states = np.asarray(states, dtype=np.uint64)
 
-    def uniform(self) -> np.ndarray:
-        """Next uniform double in [0, 1) of every stream."""
-        self._states = self._states + np.uint64(GOLDEN)
-        return (_mix64_vec(self._states) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    def uniform(self, m: int) -> np.ndarray:
+        """The next ``m`` uniform doubles in [0, 1) of every stream, shape ``(m, n)``."""
+        counters = self._states + np.uint64(GOLDEN) * np.arange(1, m + 1, dtype=np.uint64)[:, None]
+        if m:
+            self._states = counters[-1]
+        return (_mix64_vec(counters) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def streams(seed: int, *tokens: int | str, n: int) -> Streams:

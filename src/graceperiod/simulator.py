@@ -34,18 +34,19 @@ on both sides.  Each event therefore carries its abort cost, fixed at
 generation time.  Trace files (``time receiver_thread k`` per line) are
 validated against the same windows and rejected with line diagnostics.
 
-One online replay serves both a single run and a throughput campaign: it
-walks the events once and carries one value per policy stream, so a
-campaign of ``n`` seeds costs one pass over the schedule and each seed's
-totals match a run of that seed alone, bit for bit.
+The schedule's streams are drawn in blocks, and one chunked replay serves
+both a single run and a throughput campaign (one value per policy stream).
+Every sum keeps the one-by-one order, so results equal those of drawing one
+value at a time bit for bit, and each campaign seed equals its own run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from .costmodel import conflict_cost
 from .rng import Stream, stream, streams
 from .strategy import (
     ConflictMode,
-    GracePeriodStrategy,
     StrategyKind,
     StrategySpec,
     Variant,
@@ -152,6 +152,12 @@ class Schedule:
     digest: str
     backoff_mults: tuple[tuple[tuple[int, int], float], ...] = ()
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Rows ``thread, tx_index, k, y, b_cost``: the events' fields as arrays."""
+        fields = [(e.thread, e.tx_index, e.k, e.y, e.b_cost) for e in self.events]
+        return np.array(fields, dtype=float).reshape(-1, 5).T
+
 
 @dataclass(frozen=True)
 class SimMetrics:
@@ -169,20 +175,8 @@ class SimMetrics:
     global_ratio: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_transactions": self.n_transactions,
-            "transactions_committed": self.transactions_committed,
-            "n_conflicts": self.n_conflicts,
-            "commit_branches": self.commit_branches,
-            "abort_branches": self.abort_branches,
-            "sum_rho": self.sum_rho,
-            "sum_extra": self.sum_extra,
-            "sum_gamma": self.sum_gamma,
-            "waste": self.waste,
-            "attempts_hist": {str(a): c for a, c in sorted(self.attempts_hist.items())},
-            "schedule_digest": self.schedule_digest,
-            "global_ratio": self.global_ratio,
-        }
+        hist = {str(a): c for a, c in sorted(self.attempts_hist.items())}
+        return {**asdict(self), "attempts_hist": hist}
 
 
 @dataclass(frozen=True)
@@ -195,72 +189,70 @@ class BoundCheck:
     n_seeds: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs, "rhs": self.rhs, "stderr": self.stderr,
-            "margin": self.margin, "passed": self.passed, "n_seeds": self.n_seeds,
-        }
+        return asdict(self)
 
 
 # -- schedule construction ------------------------------------------------
 
+# Schedule streams are drawn in blocks of at most this many: a short block
+# is refilled, and the draws a block leaves unused are read by nothing else.
+_BLOCK_MAX = 1 << 16
 
-def _draw_lengths(config: SimConfig, thread: int) -> list[float]:
+
+def _block_size(expected: float) -> int:
+    return int(min(expected + 4.0 * math.sqrt(expected) + 16.0, _BLOCK_MAX))
+
+
+def _draw_lengths(config: SimConfig, thread: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``thread``'s ``"rho"`` stream of lengths up to the first transaction that
+    ends at or past the horizon, their starts (a sequential cumsum, so each
+    equals the one-by-one sum before it) and their sum."""
+    model, horizon = config.length_model, config.horizon
     s = stream(config.seed, "rho", thread)
-    lengths: list[float] = []
+    starts, lengths = [], []
     total = 0.0
-    while total < config.horizon:
-        r = sample_length(config.length_model, s)
-        lengths.append(r)
-        total += r
-    return lengths
+    while total < horizon:
+        n = _block_size((horizon - total) / model.mean)
+        if model.kind == "normal_truncated":  # a batch would draw all u1 before all u2
+            block = np.array([sample_length(model, s) for _ in range(n)])
+        else:
+            block = sample_length(model, s, n)
+        acc = np.cumsum(np.concatenate(([total], block)))
+        keep = min(int(np.searchsorted(acc[1:], horizon)) + 1, len(block))
+        starts.append(acc[:keep])
+        lengths.append(block[:keep])
+        total = float(acc[keep])
+    return np.concatenate(starts), np.concatenate(lengths), total
 
 
-def _chain_sampler(config: SimConfig):
-    if isinstance(config.chain_size, int):
-        k_fixed = config.chain_size
-        return lambda u: k_fixed
-    items = sorted(config.chain_size.items())
-    ks = [int(k) for k, _ in items]
+def _conflict_candidates(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, receivers and chain sizes of the candidate conflicts before the
+    horizon: ``(gap, thread, k)`` triples of the ``"conflicts"`` stream (the
+    k draw is taken even for a fixed size), times a sequential gap cumsum."""
+    rate, horizon = config.conflict_rate, config.horizon
+    chain = config.chain_size
+    items = sorted(chain.items()) if isinstance(chain, dict) else [(chain, 1.0)]
+    sizes = np.array([int(k) for k, _ in items])
     weights = np.array([w for _, w in items], dtype=float)
     cum = np.cumsum(weights) / np.sum(weights)
-    return lambda u: ks[int(np.searchsorted(cum, u, side="right"))]
-
-
-def _locate(starts: list[float], lengths: list[float], t: float) -> tuple[int, float, float]:
-    idx = bisect_right(starts, t) - 1
-    elapsed = t - starts[idx]
-    y = lengths[idx] - elapsed
-    return idx, elapsed, y
-
-
-class _EventBuilder:
-    """Applies the grace-window exclusion and the forced-abort backoff rule."""
-
-    def __init__(self, config: SimConfig):
-        self.config = config
-        self.next_allowed = [0.0] * config.n_threads
-        self.mults: dict[tuple[int, int], float] = {}
-
-    def admissible(self, thread: int, t: float) -> bool:
-        return t >= self.next_allowed[thread]
-
-    def admit(self, t, thread, k, tx_index, elapsed, y) -> ConflictEvent:
-        cfg = self.config
-        base_b = (elapsed + cfg.cleanup_cost) if cfg.dynamic_b else cfg.policy.B
-        key = (thread, tx_index)
-        b_cost = base_b * self.mults.get(key, 1.0)
-        if (k - 1) * y <= b_cost:
-            # the offline baseline may wait the receiver out
-            window = max(y, b_cost / (k - 1))
-        else:
-            # abort is forced in both runs within the largest possible grace
-            window = b_cost / (k - 1)
-            if cfg.doubling_backoff and cfg.mode is ConflictMode.REQUESTOR_WINS:
-                # only the receiver accumulates retries; requestor-aborts
-                # throws away fresh synthetic requestors each time
-                self.mults[key] = self.mults.get(key, 1.0) * 2.0
-        self.next_allowed[thread] = t + window
-        return ConflictEvent(t, thread, k, y, tx_index, elapsed, b_cost)
+    s = stream(config.seed, "conflicts")
+    times, picks, t = [], [], 0.0
+    while True:
+        m = _block_size((horizon - t) * rate)
+        u = s.uniform_batch(3 * m).reshape(m, 3)
+        # u + 2**-54 is uniform_open of the same draw, bit for bit; math.log, not
+        # np.log: the two differ in the last bit for some inputs
+        logs = np.fromiter(map(math.log, (u[:, 0] + 2.0**-54).tolist()), float, m)
+        when = np.cumsum(np.concatenate(([t], -logs / rate)))[1:]
+        stop = int(np.searchsorted(when, horizon))
+        times.append(when[:stop])
+        picks.append(u[:stop, 1:])
+        if stop < m:
+            break
+        t = float(when[-1])
+    u = np.concatenate(picks)
+    threads = (u[:, 0] * config.n_threads).astype(np.int64)
+    return np.concatenate(times), threads, sizes[np.searchsorted(cum, u[:, 1], side="right")]
 
 
 def parse_trace(path: str) -> list[tuple[float, int, int]]:
@@ -292,147 +284,158 @@ def parse_trace(path: str) -> list[tuple[float, int, int]]:
     return out
 
 
+def _check_trace_entry(config, entry, t, thr, k, elapsed, next_allowed) -> None:
+    where = f"{config.trace_path}: entry {entry}"
+    if not 0 <= thr < config.n_threads:
+        raise TraceError(f"{where}: thread {thr} out of range")
+    if k < 2:
+        raise TraceError(f"{where}: chain size {k} below 2")
+    if not 0.0 <= t < config.horizon:
+        raise TraceError(f"{where}: time {t} outside [0, horizon)")
+    if t < next_allowed[thr]:
+        raise TraceError(
+            f"{where}: thread {thr} is still inside a grace window until {next_allowed[thr]:.6g}"
+            "; receivers must not be re-conflicted during a grace period"
+        )
+    if config.dynamic_b and elapsed + config.cleanup_cost <= 0.0:
+        raise TraceError(
+            f"{where}: conflict at time {t} hits the start of a transaction, so "
+            f"dynamic_b gives abort cost elapsed + cleanup_cost = 0; set cleanup_cost > 0"
+        )
+
+
 def build_schedule(config: SimConfig) -> Schedule:
     """Generate (or load and validate) the policy-independent schedule."""
     per_thread = [_draw_lengths(config, i) for i in range(config.n_threads)]
-    starts = []
-    for lengths in per_thread:
-        acc, ss = 0.0, []
-        for r in lengths:
-            ss.append(acc)
-            acc += r
-        starts.append(ss)
-
-    events: list[ConflictEvent] = []
-    builder = _EventBuilder(config)
 
     if config.trace_path is not None:
-        for n_line, (t, thr, k) in enumerate(parse_trace(config.trace_path), start=1):
-            if not 0 <= thr < config.n_threads:
-                raise TraceError(
-                    f"{config.trace_path}: entry {n_line}: thread {thr} out of range"
-                )
-            if k < 2:
-                raise TraceError(
-                    f"{config.trace_path}: entry {n_line}: chain size {k} below 2"
-                )
-            if not 0.0 <= t < config.horizon:
-                raise TraceError(
-                    f"{config.trace_path}: entry {n_line}: time {t} outside [0, horizon)"
-                )
-            if not builder.admissible(thr, t):
-                raise TraceError(
-                    f"{config.trace_path}: entry {n_line}: thread {thr} is still inside "
-                    f"a grace window until {builder.next_allowed[thr]:.6g}; receivers "
-                    f"must not be re-conflicted during a grace period"
-                )
-            idx, elapsed, y = _locate(starts[thr], per_thread[thr], t)
-            if config.dynamic_b and elapsed + config.cleanup_cost <= 0.0:
-                raise TraceError(
-                    f"{config.trace_path}: entry {n_line}: conflict at time {t} hits the "
-                    f"start of a transaction, so dynamic_b gives abort cost "
-                    f"elapsed + cleanup_cost = 0; set cleanup_cost > 0"
-                )
-            events.append(builder.admit(t, thr, k, idx, elapsed, y))
+        rows = parse_trace(config.trace_path)
+        times = np.array([t for t, _, _ in rows], dtype=float)
+        # out-of-range threads are rejected below, before their hit is read
+        threads = np.array([thr if 0 <= thr < config.n_threads else 0 for _, thr, _ in rows])
     elif config.conflict_rate > 0.0:
-        s = stream(config.seed, "conflicts")
-        draw_k = _chain_sampler(config)
-        t = 0.0
-        while True:
-            t += -math.log(s.uniform_open()) / config.conflict_rate
-            if t >= config.horizon:
-                break
-            thr = int(s.uniform() * config.n_threads)
-            k = draw_k(s.uniform())
-            if not builder.admissible(thr, t):
-                continue  # thinned: receiver may still be inside a grace window
-            idx, elapsed, y = _locate(starts[thr], per_thread[thr], t)
-            events.append(builder.admit(t, thr, k, idx, elapsed, y))
+        times, threads, ks = _conflict_candidates(config)
+        rows = zip(times.tolist(), threads.tolist(), ks.tolist())
+    else:
+        times, threads, rows = np.empty(0), np.empty(0, dtype=np.int64), ()
 
-    digest_src = "\n".join(
-        f"{e.time!r} {e.thread} {e.k} {e.y!r}" for e in events
-    )
+    # the transaction each candidate hits on its receiver's ideal timeline
+    tx_index = np.zeros(len(times), dtype=np.int64)
+    elapsed, y = np.zeros(len(times)), np.zeros(len(times))
+    for thr in set(threads.tolist()):
+        sel = threads == thr
+        starts, lengths, _ = per_thread[thr]
+        idx = np.searchsorted(starts, times[sel], side="right") - 1
+        tx_index[sel] = idx
+        elapsed[sel] = times[sel] - starts[idx]
+        y[sel] = lengths[idx] - elapsed[sel]
+
+    # admission: the grace-window exclusion and the forced-abort backoff rule
+    next_allowed = [0.0] * config.n_threads
+    mults: dict[tuple[int, int], float] = {}
+    events: list[ConflictEvent] = []
+    hits = zip(rows, tx_index.tolist(), elapsed.tolist(), y.tolist())
+    for entry, ((t, thr, k), idx, el, rem) in enumerate(hits, start=1):
+        if config.trace_path is not None:
+            _check_trace_entry(config, entry, t, thr, k, el, next_allowed)
+        elif t < next_allowed[thr]:
+            continue  # thinned: the receiver may still be inside a grace window
+        base_b = (el + config.cleanup_cost) if config.dynamic_b else config.policy.B
+        b_cost = base_b * mults.get((thr, idx), 1.0)
+        if (k - 1) * rem <= b_cost:
+            # the offline baseline may wait the receiver out
+            window = max(rem, b_cost / (k - 1))
+        else:
+            # abort is forced in both runs within the largest possible grace
+            window = b_cost / (k - 1)
+            if config.doubling_backoff and config.mode is ConflictMode.REQUESTOR_WINS:
+                # only the receiver accumulates retries; requestor-aborts
+                # throws away fresh synthetic requestors each time
+                mults[thr, idx] = mults.get((thr, idx), 1.0) * 2.0
+        next_allowed[thr] = t + window
+        events.append(ConflictEvent(t, thr, k, rem, idx, el, b_cost))
+
+    digest_src = "\n".join(f"{e.time!r} {e.thread} {e.k} {e.y!r}" for e in events)
     digest = hashlib.sha256(digest_src.encode("ascii")).hexdigest()
-    n_tx = sum(len(v) for v in per_thread)
-    committed = sum(
-        1
-        for thr, lengths in enumerate(per_thread)
-        for i, r in enumerate(lengths)
-        if starts[thr][i] + r <= config.horizon
-    )
-    sum_rho = float(sum(sum(v) for v in per_thread))
     return Schedule(
         events=tuple(events),
-        rho=tuple(tuple(v) for v in per_thread),
-        n_transactions=n_tx,
-        transactions_committed=committed,
-        sum_rho=sum_rho,
+        rho=tuple(tuple(lengths.tolist()) for _, lengths, _ in per_thread),
+        n_transactions=sum(len(lengths) for _, lengths, _ in per_thread),
+        transactions_committed=sum(
+            int((starts + lengths <= config.horizon).sum())
+            for starts, lengths, _ in per_thread
+        ),
+        sum_rho=float(np.cumsum([total for _, _, total in per_thread])[-1]),
         digest=digest,
-        backoff_mults=tuple(sorted(builder.mults.items())),
+        backoff_mults=tuple(sorted(mults.items())),
     )
 
 
 # -- execution -------------------------------------------------------------
 
+_CHUNK_CELLS = 8192  # about this many (event, stream) cells per replay chunk
+
 
 def _online_replay(config: SimConfig, schedule: Schedule, draw, n: int):
     """The online policy's replay of ``schedule`` under ``n`` streams at once.
 
-    ``draw()`` returns the next uniform of every policy stream as one
-    length-``n`` column; each event takes one column, except that atoms take
-    none.  Yields ``(event, commit, extra)`` per event, with ``commit`` and
-    ``extra`` length-``n`` arrays.  Columns are mapped and costed
-    elementwise, so each stream's results equal a replay of that stream
-    alone, bit for bit.
+    Yields ``(rows, x, extra)``: a slice of at most ``_CHUNK_CELLS // n``
+    events (at least one) and their ``(len, n)`` grace periods and costs.
+    ``draw(m)`` returns the next ``m`` draws of every stream as an ``(m, n)``
+    block, one row per event except atoms.  Each strategy maps and costs its
+    rows of a chunk in one elementwise call, so each stream's results equal
+    a replay of that stream alone, bit for bit.
     """
-    strategies: dict[tuple[int, float], GracePeriodStrategy] = {}
-    for ev in schedule.events:
-        strat = strategies.get((ev.k, ev.b_cost))
-        if strat is None:
-            strat = strategies[ev.k, ev.b_cost] = make_strategy(
-                StrategySpec(config.mode, ev.k, ev.b_cost, config.policy.variant,
-                             mu=config.policy.mu)
-            )
+    _, _, k, y, b = schedule.columns
+    keys: dict[tuple[float, float], int] = {}  # one strategy per (k, B)
+    group_list = [keys.setdefault(key, len(keys)) for key in zip(k.tolist(), b.tolist())]
+    group = np.array(group_list, dtype=np.intp)
+    variant, mu = config.policy.variant, config.policy.mu
+    strategies = [make_strategy(StrategySpec(config.mode, *kb, variant, mu=mu)) for kb in keys]
+    drawn = np.array([s.kind is not StrategyKind.ATOM for s in strategies], dtype=bool)[group]
+
+    def grace(g, u, n_rows):
+        strat = strategies[g]
         if strat.kind is StrategyKind.ATOM:
-            x = np.full(n, strat.params["x0"])
+            return np.full((n_rows, n), strat.params["x0"])
+        return strat.quantile(u)
+
+    def cost(g, x, y_rows):  # after grace(), so the draws are already freed
+        spec = strategies[g].spec
+        return conflict_cost(config.mode, spec.k, spec.B, x, y_rows)
+
+    step = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, len(group), step):
+        rows = slice(lo, lo + step)
+        y_rows = y[rows, None]
+        n_drawn = int(drawn[rows].sum())
+        present = dict.fromkeys(group_list[rows])
+        if len(present) == 1:  # one strategy: no row masks
+            x = grace(group_list[lo], draw(n_drawn), len(y_rows))
+            extra = cost(group_list[lo], x, y_rows)
         else:
-            x = strat.quantile(draw())
-        yield ev, ev.y < x, conflict_cost(config.mode, ev.k, ev.b_cost, x, ev.y)
+            x, extra = np.empty((len(y_rows), n)), np.empty((len(y_rows), n))
+            x[drawn[rows]] = draw(n_drawn)
+            for g in present:
+                sel = group[rows] == g
+                x[sel] = grace(g, x[sel], sel.sum())
+                extra[sel] = cost(g, x[sel], y_rows[sel])
+        yield rows, x, extra
 
 
-def _offline_replay(schedule: Schedule):
-    """Perfect information: wait iff ``(k-1)*y <= B``, else abort at once."""
-    for ev in schedule.events:
-        wait = (ev.k - 1) * ev.y
-        if wait <= ev.b_cost:
-            yield ev, True, wait
-        else:
-            yield ev, False, ev.b_cost
-
-
-def _tally(config: SimConfig, schedule: Schedule, outcomes) -> SimMetrics:
-    """Metrics of one replay from its ``(event, commit, extra)`` outcomes."""
-    rw = config.mode is ConflictMode.REQUESTOR_WINS
-    attempts: dict[tuple[int, int], int] = {}
-    sum_extra = 0.0
-    commit_branches = 0
-
-    for ev, commit, extra in outcomes:
-        if commit:
-            commit_branches += 1
-        elif rw:
-            key = (ev.thread, ev.tx_index)
-            attempts[key] = attempts.get(key, 1) + 1
-        sum_extra += extra
-
-    hist: dict[int, int] = {}
-    n_single = schedule.n_transactions - len(attempts)
-    if n_single:
-        hist[1] = n_single
-    for a in attempts.values():
-        hist[a] = hist.get(a, 0) + 1
-
-    sum_gamma = schedule.sum_rho + sum_extra
+def _tally(config: SimConfig, schedule: Schedule, commit, extra) -> SimMetrics:
+    """Metrics of one replay from its per-event arrays of commit flags and costs."""
+    thread, tx_index = schedule.columns[:2]
+    # aborted requestor-wins receivers retry; Counter, as the first np.unique
+    # call imports numpy.ma (about 15 ms)
+    retried = ~commit & (config.mode is ConflictMode.REQUESTOR_WINS)
+    aborts = Counter((tx_index * config.n_threads + thread)[retried].tolist())  # per tx
+    hist = dict(Counter(a + 1 for a in aborts.values()))
+    if schedule.n_transactions > len(aborts):
+        hist[1] = schedule.n_transactions - len(aborts)
+    # sequential, in event order (np.sum's pairwise order moves the last bits)
+    sum_extra = float(np.cumsum(np.concatenate(([0.0], extra)))[-1])
+    commit_branches = int(commit.sum())
     return SimMetrics(
         n_transactions=schedule.n_transactions,
         transactions_committed=schedule.transactions_committed,
@@ -441,7 +444,7 @@ def _tally(config: SimConfig, schedule: Schedule, outcomes) -> SimMetrics:
         abort_branches=len(schedule.events) - commit_branches,
         sum_rho=schedule.sum_rho,
         sum_extra=sum_extra,
-        sum_gamma=sum_gamma,
+        sum_gamma=schedule.sum_rho + sum_extra,
         waste=sum_extra / schedule.sum_rho,
         attempts_hist=hist,
         schedule_digest=schedule.digest,
@@ -455,17 +458,21 @@ def run(
 ) -> SimMetrics:
     """Online run: the configured policy draws every grace period.
 
-    This is the one-stream case of the campaign's replay.
+    This is the one-stream case of the campaign's replay.  It takes one draw
+    of ``policy_stream`` per event whose strategy is not an atom.
     """
     if schedule is None:
         schedule = build_schedule(config)
     if policy_stream is None:
         policy_stream = stream(config.seed, "policy")
+    commit, extra = np.empty(len(schedule.events), dtype=bool), np.empty(len(schedule.events))
     replay = _online_replay(
-        config, schedule, lambda: np.array([policy_stream.uniform()]), 1
+        config, schedule, lambda m: policy_stream.uniform_batch(m)[:, None], 1
     )
-    outcomes = ((ev, bool(commit[0]), float(extra[0])) for ev, commit, extra in replay)
-    return _tally(config, schedule, outcomes)
+    for rows, x, cost in replay:
+        commit[rows] = schedule.columns[3, rows] < x[:, 0]
+        extra[rows] = cost[:, 0]
+    return _tally(config, schedule, commit, extra)
 
 
 def run_offline_baseline(config: SimConfig, schedule: Schedule | None = None) -> SimMetrics:
@@ -477,7 +484,10 @@ def run_offline_baseline(config: SimConfig, schedule: Schedule | None = None) ->
     """
     if schedule is None:
         schedule = build_schedule(config)
-    return _tally(config, schedule, _offline_replay(schedule))
+    _, _, k, y, b = schedule.columns
+    wait = (k - 1) * y
+    commit = wait <= b
+    return _tally(config, schedule, commit, np.where(commit, wait, b))
 
 
 def _bound_check(ratios: np.ndarray, waste: float, n_sigma: float) -> BoundCheck:
@@ -488,23 +498,15 @@ def _bound_check(ratios: np.ndarray, waste: float, n_sigma: float) -> BoundCheck
     return BoundCheck(lhs, rhs, stderr, margin, lhs <= rhs + margin, len(ratios))
 
 
-def throughput_bound_check(
-    online_runs: list[SimMetrics] | SimMetrics,
-    offline: SimMetrics,
-    n_sigma: float = 3.0,
-) -> BoundCheck:
-    """Check ``mean(sum Gamma_online / sum Gamma_offline) <= (2w+1)/(w+1)``.
+def throughput_bound_check(online: SimMetrics, offline: SimMetrics, n_sigma=3.0) -> BoundCheck:
+    """Check ``sum Gamma_online / sum Gamma_offline <= (2w+1)/(w+1)`` for one run.
 
-    ``w`` is the offline run's waste.  The Monte-Carlo margin is
-    ``n_sigma`` standard errors of the seed-averaged left-hand side.
+    ``w`` is the offline run's waste.  One run has no standard error, so the
+    margin is 0; :func:`throughput_campaign` checks the seed average.
     """
-    if isinstance(online_runs, SimMetrics):
-        online_runs = [online_runs]
-    for m in online_runs:
-        if m.schedule_digest != offline.schedule_digest:
-            raise ValueError("bound check requires online and offline runs of one schedule")
-    ratios = np.array([m.sum_gamma / offline.sum_gamma for m in online_runs])
-    return _bound_check(ratios, offline.waste, n_sigma)
+    if online.schedule_digest != offline.schedule_digest:
+        raise ValueError("bound check requires online and offline runs of one schedule")
+    return _bound_check(np.array([online.sum_gamma / offline.sum_gamma]), offline.waste, n_sigma)
 
 
 def _schedule_and_offline(
@@ -556,7 +558,8 @@ def throughput_campaign(
     lanes = streams(config.seed, "campaign", n=n_seeds)
     sum_extra = np.zeros(n_seeds)
     for _, _, extra in _online_replay(config, schedule, lanes.uniform, n_seeds):
-        sum_extra += extra
+        for row in extra:  # in event order, as a run of one seed sums them
+            sum_extra += row
     ratios = (schedule.sum_rho + sum_extra) / offline.sum_gamma
     return ratios, offline, _bound_check(ratios, offline.waste, n_sigma)
 
@@ -606,30 +609,19 @@ def progress_check(
     if gamma == 0:
         return ProgressResult(bound, doubling_threshold, 1.0, 0.0, True, True, n_trials)
 
-    attempt_cap = bound + 64
     successes = 0
     doubling_ok = True
     for trial in range(n_trials):
         s = stream(seed, "progress", trial)
         b_t = B
-        aborts = 0
-        committed_at = None
-        for attempt in range(1, attempt_cap + 1):
-            survived = True
-            for _ in range(gamma):
-                x = s.uniform() * (b_t / (k - 1))
-                if x <= y:
-                    survived = False
-                    break
-            if survived:
-                committed_at = attempt
+        for attempt in range(1, bound + 65):
+            # the attempt commits only if every grace draw outlasts y (ties abort)
+            if all(s.uniform() * (b_t / (k - 1)) > y for _ in range(gamma)):
+                successes += attempt <= bound
                 break
-            aborts += 1
-            b_t *= 2.0
-            if aborts == doubling_threshold and b_t < 2.0 * k * y * gamma:
+            b_t *= 2.0  # after abort number `attempt`
+            if attempt == doubling_threshold and b_t < 2.0 * k * y * gamma:
                 doubling_ok = False
-        if committed_at is not None and committed_at <= bound:
-            successes += 1
 
     p_hat = successes / n_trials
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_trials)

@@ -413,8 +413,13 @@ class GracePeriodStrategy:
     # -- theory ---------------------------------------------------------
 
     def lagrange_corner(self) -> tuple[float, float]:
-        """Corner ``(lambda1, lambda2)`` matching this strategy's regime."""
-        return lagrange_corner(self.spec.mode, self.spec.k, self.spec.B, self.mean_aware)
+        """Corner ``(lambda1, lambda2)`` matching this strategy's regime, for the
+        equalizing closed-form densities (the uniform one only at ``k = 2``)."""
+        k = self.spec.k
+        no_corner = ("atom", "discrete_classic", "custom") + (("uniform",) if k >= 3 else ())
+        if self.family in no_corner:
+            raise ValueError(f"the {self.family} density at k = {k} has no equalizing corner")
+        return lagrange_corner(self.spec.mode, k, self.spec.B, self.mean_aware)
 
 
 def _discrete_classic_pmf(B: int) -> np.ndarray:
@@ -483,13 +488,15 @@ def competitive_ratio(spec: StrategySpec) -> RatioReport:
     if spec.variant is Variant.DETERMINISTIC:
         return RatioReport(det_competitive_ratio(spec.k), "unconstrained", False)
     if spec.variant is Variant.DISCRETE_CLASSIC:
-        return RatioReport(math.e / (math.e - 1.0), "unconstrained", False)
+        # the day-granular optimum; e/(e-1) is its limit as B grows
+        return RatioReport(1.0 / (1.0 - (1.0 - 1.0 / spec.B) ** spec.B), "unconstrained", False)
 
     strategy = make_strategy(spec)
+    holds = spec.mu is not None and threshold_condition(spec)
+    if strategy.family == "uniform":
+        # it equalizes only at k = 2; its sup is 2 (as y -> 0) at every k
+        return RatioReport(2.0, "unconstrained", holds)
     lam1, lam2 = strategy.lagrange_corner()
     if strategy.mean_aware:
         return RatioReport(lam1 + lam2 * spec.mu, "constrained", True)
-    holds = spec.mu is not None and threshold_condition(spec)
-    # the uniform density equalizes only at k = 2; its sup is 2 (as y -> 0)
-    ratio = 2.0 if strategy.family == "uniform" else lam1
-    return RatioReport(ratio, "unconstrained", holds)
+    return RatioReport(lam1, "unconstrained", holds)

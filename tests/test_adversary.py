@@ -189,7 +189,7 @@ def test_calibration_solved_once_per_model(monkeypatch):
     monkeypatch.setattr(adversary, "_solve_zero_truncated_poisson_rate",
                         lambda mean: rate_solves.append(mean) or solve_rate(mean))
     s = stream(23, "memo")
-    for _ in range(500):  # one scalar draw per transaction, as build_schedule does
+    for _ in range(500):  # scalar draws; build_schedule draws normal_truncated lengths so
         sample_length(AdversaryModel("normal_truncated", 37.0), s)
         sample_length(AdversaryModel("poisson", 37.0), s)
     assert [solver.cache_info().misses for solver in cached] == [1, 1]

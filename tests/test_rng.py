@@ -34,11 +34,21 @@ def test_uniform_batch_matches_scalar():
     assert np.array_equal(batch, scalars)
 
 
+def test_open_uniform_is_uniform_plus_half_an_ulp():
+    # build_schedule reads the conflict gaps' open uniforms as u + 2**-54
+    a, b = Stream(11), Stream(11)
+    assert np.array_equal(a.uniform_batch(100_000) + 2.0**-54, b.uniform_open_batch(100_000))
+    edges = np.array([0, 1, 2, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=float)
+    assert np.array_equal(edges * 2.0**-53 + 2.0**-54, (edges + 0.5) * 2.0**-53)
+
+
 def test_stream_columns_match_scalar_streams():
-    # column j of streams(seed, *labels, n=n) is draw j of stream(seed, *labels, i)
+    # row j of the blocks of streams(seed, *labels, n=n) is draw j of
+    # stream(seed, *labels, i); consecutive blocks continue the streams
     for labels in (("campaign",), ("a", 3), ()):
         lanes = streams(72, *labels, n=40)
-        columns = np.array([lanes.uniform() for _ in range(6)])
+        columns = np.concatenate([lanes.uniform(1), lanes.uniform(0), lanes.uniform(5)])
+        assert columns.shape == (6, 40)
         for i in range(40):
             s = stream(72, *labels, i)
             assert np.array_equal(columns[:, i], [s.uniform() for _ in range(6)])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graceperiod.oracle import lagrange_identity_check
 from graceperiod.rng import stream
 from graceperiod.strategy import (
     ConflictMode,
@@ -436,9 +437,40 @@ class TestRegimesAndRatios:
             seen.add(mean_aware)
         assert seen == {True, False}
 
-    def test_discrete_classic_reports_continuous_limit(self):
+    def test_discrete_classic_reports_granular_optimum(self):
+        # the exact day-granular ratio, which worst_case_ratio attains; the
+        # continuous e/(e-1) is only its limit, approached from below
         report = competitive_ratio(StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC))
-        assert report.theoretical_ratio == pytest.approx(math.e / (math.e - 1.0))
+        exact = 1 / (1 - Fraction(99, 100) ** 100)
+        assert report.theoretical_ratio == pytest.approx(float(exact), abs=1e-12)
+        assert report.theoretical_ratio < math.e / (math.e - 1.0)
+
+    def test_every_corner_satisfies_the_cost_identity(self):
+        # a strategy either has an equalizing corner that its density meets
+        # along the whole support, or says it has none
+        checked, refused = set(), set()
+        for mode, variant, k, B, mu in itertools.product(
+            (RW, RA), Variant, (2, 3, 5), (3.0, 100.0), (None, 1.0, 20.0, 500.0)
+        ):
+            try:
+                strategy = make_strategy(StrategySpec(mode, k, B, variant, mu=mu))
+            except ValueError:
+                continue  # no such strategy
+            try:
+                corner = strategy.lagrange_corner()
+            except ValueError as exc:
+                assert "no equalizing corner" in str(exc)
+                refused.add((strategy.family, k >= 3))
+                continue
+            key = (strategy.family, mode, k, B, mu if strategy.mean_aware else None)
+            if key not in checked:
+                checked.add(key)
+                assert lagrange_identity_check(strategy, *corner).passed, key
+        assert {family for family, *_ in checked} == {
+            "uniform", "rw_log", "rw_shifted_power", "rw_power", "ra_exp", "ra_expm1"
+        }
+        assert refused == {("atom", False), ("atom", True), ("uniform", True),
+                           ("discrete_classic", False)}
 
     def test_regime_ordering_below_threshold(self):
         for mode in (RW, RA):
