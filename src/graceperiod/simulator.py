@@ -44,9 +44,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .costmodel import conflict_cost
 from .rng import Stream, stream, streams
 from .strategy import (
     ConflictMode,
+    GracePeriodStrategy,
     StrategyKind,
     StrategySpec,
     Variant,
@@ -175,8 +178,20 @@ class SimMetrics:
     global_ratio: float | None = None
 
     def to_json_dict(self) -> dict:
-        hist = {str(a): c for a, c in sorted(self.attempts_hist.items())}
-        return {**asdict(self), "attempts_hist": hist}
+        return {
+            "n_transactions": self.n_transactions,
+            "transactions_committed": self.transactions_committed,
+            "n_conflicts": self.n_conflicts,
+            "commit_branches": self.commit_branches,
+            "abort_branches": self.abort_branches,
+            "sum_rho": self.sum_rho,
+            "sum_extra": self.sum_extra,
+            "sum_gamma": self.sum_gamma,
+            "waste": self.waste,
+            "attempts_hist": {str(a): c for a, c in sorted(self.attempts_hist.items())},
+            "schedule_digest": self.schedule_digest,
+            "global_ratio": self.global_ratio,
+        }
 
 
 @dataclass(frozen=True)
@@ -189,7 +204,10 @@ class BoundCheck:
     n_seeds: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "lhs": self.lhs, "rhs": self.rhs, "stderr": self.stderr,
+            "margin": self.margin, "passed": self.passed, "n_seeds": self.n_seeds,
+        }
 
 
 # -- schedule construction ------------------------------------------------
@@ -225,34 +243,40 @@ def _draw_lengths(config: SimConfig, thread: int) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(starts), np.concatenate(lengths), total
 
 
-def _conflict_candidates(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, receivers and chain sizes of the candidate conflicts before the
-    horizon: ``(gap, thread, k)`` triples of the ``"conflicts"`` stream (the
-    k draw is taken even for a fixed size), times a sequential gap cumsum."""
+def _candidate_blocks(config: SimConfig):
+    """The candidate conflicts ``(t, thread, k)`` in time order, in blocks.
+
+    A trace is one block.  Random candidates are ``(gap, thread, k)`` triples
+    of the ``"conflicts"`` stream (the k draw is taken even for a fixed size),
+    times a sequential gap cumsum, drawn one block at a time.
+    """
+    if config.trace_path is not None:
+        yield parse_trace(config.trace_path)
+        return
     rate, horizon = config.conflict_rate, config.horizon
-    chain = config.chain_size
-    items = sorted(chain.items()) if isinstance(chain, dict) else [(chain, 1.0)]
+    if rate <= 0.0:
+        return
+    size = config.chain_size
+    items = sorted(size.items()) if isinstance(size, dict) else [(size, 1.0)]
     sizes = np.array([int(k) for k, _ in items])
     weights = np.array([w for _, w in items], dtype=float)
     cum = np.cumsum(weights) / np.sum(weights)
     s = stream(config.seed, "conflicts")
-    times, picks, t = [], [], 0.0
+    t = 0.0
     while True:
         m = _block_size((horizon - t) * rate)
         u = s.uniform_batch(3 * m).reshape(m, 3)
         # u + 2**-54 is uniform_open of the same draw, bit for bit; math.log, not
         # np.log: the two differ in the last bit for some inputs
         logs = np.fromiter(map(math.log, (u[:, 0] + 2.0**-54).tolist()), float, m)
-        when = np.cumsum(np.concatenate(([t], -logs / rate)))[1:]
+        when = np.cumsum(np.concatenate(([t], logs / -rate)))[1:]
         stop = int(np.searchsorted(when, horizon))
-        times.append(when[:stop])
-        picks.append(u[:stop, 1:])
+        threads = (u[:stop, 1] * config.n_threads).astype(np.int64)
+        ks = sizes[np.searchsorted(cum, u[:stop, 2], side="right")]
+        yield zip(when[:stop].tolist(), threads.tolist(), ks.tolist())
         if stop < m:
-            break
+            return
         t = float(when[-1])
-    u = np.concatenate(picks)
-    threads = (u[:, 0] * config.n_threads).astype(np.int64)
-    return np.concatenate(times), threads, sizes[np.searchsorted(cum, u[:, 1], side="right")]
 
 
 def parse_trace(path: str) -> list[tuple[float, int, int]]:
@@ -284,7 +308,7 @@ def parse_trace(path: str) -> list[tuple[float, int, int]]:
     return out
 
 
-def _check_trace_entry(config, entry, t, thr, k, elapsed, next_allowed) -> None:
+def _check_trace_entry(config, entry, t, thr, k, next_allowed) -> None:
     where = f"{config.trace_path}: entry {entry}"
     if not 0 <= thr < config.n_threads:
         raise TraceError(f"{where}: thread {thr} out of range")
@@ -297,50 +321,36 @@ def _check_trace_entry(config, entry, t, thr, k, elapsed, next_allowed) -> None:
             f"{where}: thread {thr} is still inside a grace window until {next_allowed[thr]:.6g}"
             "; receivers must not be re-conflicted during a grace period"
         )
-    if config.dynamic_b and elapsed + config.cleanup_cost <= 0.0:
-        raise TraceError(
-            f"{where}: conflict at time {t} hits the start of a transaction, so "
-            f"dynamic_b gives abort cost elapsed + cleanup_cost = 0; set cleanup_cost > 0"
-        )
 
 
 def build_schedule(config: SimConfig) -> Schedule:
     """Generate (or load and validate) the policy-independent schedule."""
     per_thread = [_draw_lengths(config, i) for i in range(config.n_threads)]
-
-    if config.trace_path is not None:
-        rows = parse_trace(config.trace_path)
-        times = np.array([t for t, _, _ in rows], dtype=float)
-        # out-of-range threads are rejected below, before their hit is read
-        threads = np.array([thr if 0 <= thr < config.n_threads else 0 for _, thr, _ in rows])
-    elif config.conflict_rate > 0.0:
-        times, threads, ks = _conflict_candidates(config)
-        rows = zip(times.tolist(), threads.tolist(), ks.tolist())
-    else:
-        times, threads, rows = np.empty(0), np.empty(0, dtype=np.int64), ()
-
-    # the transaction each candidate hits on its receiver's ideal timeline
-    tx_index = np.zeros(len(times), dtype=np.int64)
-    elapsed, y = np.zeros(len(times)), np.zeros(len(times))
-    for thr in set(threads.tolist()):
-        sel = threads == thr
-        starts, lengths, _ = per_thread[thr]
-        idx = np.searchsorted(starts, times[sel], side="right") - 1
-        tx_index[sel] = idx
-        elapsed[sel] = times[sel] - starts[idx]
-        y[sel] = lengths[idx] - elapsed[sel]
+    starts = [s.tolist() for s, _, _ in per_thread]
+    rho = [lengths.tolist() for _, lengths, _ in per_thread]
 
     # admission: the grace-window exclusion and the forced-abort backoff rule
     next_allowed = [0.0] * config.n_threads
     mults: dict[tuple[int, int], float] = {}
     events: list[ConflictEvent] = []
-    hits = zip(rows, tx_index.tolist(), elapsed.tolist(), y.tolist())
-    for entry, ((t, thr, k), idx, el, rem) in enumerate(hits, start=1):
+    candidates = chain.from_iterable(_candidate_blocks(config))
+    for entry, (t, thr, k) in enumerate(candidates, start=1):
         if config.trace_path is not None:
-            _check_trace_entry(config, entry, t, thr, k, el, next_allowed)
+            _check_trace_entry(config, entry, t, thr, k, next_allowed)
         elif t < next_allowed[thr]:
             continue  # thinned: the receiver may still be inside a grace window
+        # the transaction it hits on the receiver's ideal timeline; only the
+        # admitted candidates are located, a bisect each
+        idx = bisect_right(starts[thr], t) - 1
+        el = t - starts[thr][idx]
+        rem = rho[thr][idx] - el
         base_b = (el + config.cleanup_cost) if config.dynamic_b else config.policy.B
+        if config.trace_path is not None and base_b <= 0.0:
+            raise TraceError(
+                f"{config.trace_path}: entry {entry}: conflict at time {t} hits the start of a"
+                " transaction, so dynamic_b gives abort cost elapsed + cleanup_cost = 0;"
+                " set cleanup_cost > 0"
+            )
         b_cost = base_b * mults.get((thr, idx), 1.0)
         if (k - 1) * rem <= b_cost:
             # the offline baseline may wait the receiver out
@@ -359,11 +369,11 @@ def build_schedule(config: SimConfig) -> Schedule:
     digest = hashlib.sha256(digest_src.encode("ascii")).hexdigest()
     return Schedule(
         events=tuple(events),
-        rho=tuple(tuple(lengths.tolist()) for _, lengths, _ in per_thread),
-        n_transactions=sum(len(lengths) for _, lengths, _ in per_thread),
+        rho=tuple(map(tuple, rho)),
+        n_transactions=sum(map(len, rho)),
+        # every transaction but a thread's last ends before the horizon
         transactions_committed=sum(
-            int((starts + lengths <= config.horizon).sum())
-            for starts, lengths, _ in per_thread
+            len(lengths) - (total > config.horizon) for _, lengths, total in per_thread
         ),
         sum_rho=float(np.cumsum([total for _, _, total in per_thread])[-1]),
         digest=digest,
@@ -379,48 +389,32 @@ _CHUNK_CELLS = 8192  # about this many (event, stream) cells per replay chunk
 def _online_replay(config: SimConfig, schedule: Schedule, draw, n: int):
     """The online policy's replay of ``schedule`` under ``n`` streams at once.
 
-    Yields ``(rows, x, extra)``: a slice of at most ``_CHUNK_CELLS // n``
-    events (at least one) and their ``(len, n)`` grace periods and costs.
-    ``draw(m)`` returns the next ``m`` draws of every stream as an ``(m, n)``
-    block, one row per event except atoms.  Each strategy maps and costs its
-    rows of a chunk in one elementwise call, so each stream's results equal
+    Yields ``(rows, x, extra)`` for consecutive slices of at most
+    ``_CHUNK_CELLS // n`` events (at least one) that share one strategy, with
+    their ``(len, n)`` grace periods and costs.  ``draw(m)`` returns the next
+    ``m`` draws of every stream as an ``(m, n)`` block; atoms take none.  One
+    elementwise call maps and costs a slice, so each stream's results equal
     a replay of that stream alone, bit for bit.
     """
     _, _, k, y, b = schedule.columns
-    keys: dict[tuple[float, float], int] = {}  # one strategy per (k, B)
-    group_list = [keys.setdefault(key, len(keys)) for key in zip(k.tolist(), b.tolist())]
-    group = np.array(group_list, dtype=np.intp)
     variant, mu = config.policy.variant, config.policy.mu
-    strategies = [make_strategy(StrategySpec(config.mode, *kb, variant, mu=mu)) for kb in keys]
-    drawn = np.array([s.kind is not StrategyKind.ATOM for s in strategies], dtype=bool)[group]
-
-    def grace(g, u, n_rows):
-        strat = strategies[g]
-        if strat.kind is StrategyKind.ATOM:
-            return np.full((n_rows, n), strat.params["x0"])
-        return strat.quantile(u)
-
-    def cost(g, x, y_rows):  # after grace(), so the draws are already freed
-        spec = strategies[g].spec
-        return conflict_cost(config.mode, spec.k, spec.B, x, y_rows)
-
+    strategies: dict[tuple[float, float], GracePeriodStrategy] = {}  # one per (k, B)
     step = max(1, _CHUNK_CELLS // n)
-    for lo in range(0, len(group), step):
-        rows = slice(lo, lo + step)
-        y_rows = y[rows, None]
-        n_drawn = int(drawn[rows].sum())
-        present = dict.fromkeys(group_list[rows])
-        if len(present) == 1:  # one strategy: no row masks
-            x = grace(group_list[lo], draw(n_drawn), len(y_rows))
-            extra = cost(group_list[lo], x, y_rows)
-        else:
-            x, extra = np.empty((len(y_rows), n)), np.empty((len(y_rows), n))
-            x[drawn[rows]] = draw(n_drawn)
-            for g in present:
-                sel = group[rows] == g
-                x[sel] = grace(g, x[sel], sel.sum())
-                extra[sel] = cost(g, x[sel], y_rows[sel])
-        yield rows, x, extra
+    hi = 0
+    for key, same in groupby(zip(k.tolist(), b.tolist())):
+        lo, hi = hi, hi + sum(1 for _ in same)
+        if key not in strategies:
+            strategies[key] = make_strategy(StrategySpec(config.mode, *key, variant, mu=mu))
+        strat = strategies[key]
+        for start in range(lo, hi, step):
+            rows = slice(start, min(start + step, hi))
+            m = rows.stop - rows.start
+            if strat.kind is StrategyKind.ATOM:
+                x = np.full((m, n), strat.params["x0"])
+            else:
+                x = strat.quantile(draw(m))
+            spec = strat.spec
+            yield rows, x, conflict_cost(config.mode, spec.k, spec.B, x, y[rows, None])
 
 
 def _tally(config: SimConfig, schedule: Schedule, commit, extra) -> SimMetrics:
@@ -435,7 +429,7 @@ def _tally(config: SimConfig, schedule: Schedule, commit, extra) -> SimMetrics:
         hist[1] = schedule.n_transactions - len(aborts)
     # sequential, in event order (np.sum's pairwise order moves the last bits)
     sum_extra = float(np.cumsum(np.concatenate(([0.0], extra)))[-1])
-    commit_branches = int(commit.sum())
+    commit_branches = int(np.count_nonzero(commit))
     return SimMetrics(
         n_transactions=schedule.n_transactions,
         transactions_committed=schedule.transactions_committed,
@@ -609,19 +603,30 @@ def progress_check(
     if gamma == 0:
         return ProgressResult(bound, doubling_threshold, 1.0, 0.0, True, True, n_trials)
 
+    attempt_cap = bound + 64
     successes = 0
     doubling_ok = True
     for trial in range(n_trials):
         s = stream(seed, "progress", trial)
         b_t = B
-        for attempt in range(1, bound + 65):
-            # the attempt commits only if every grace draw outlasts y (ties abort)
-            if all(s.uniform() * (b_t / (k - 1)) > y for _ in range(gamma)):
-                successes += attempt <= bound
+        aborts = 0
+        committed_at = None
+        for attempt in range(1, attempt_cap + 1):
+            survived = True
+            for _ in range(gamma):
+                x = s.uniform() * (b_t / (k - 1))
+                if x <= y:
+                    survived = False
+                    break
+            if survived:
+                committed_at = attempt
                 break
-            b_t *= 2.0  # after abort number `attempt`
-            if attempt == doubling_threshold and b_t < 2.0 * k * y * gamma:
+            aborts += 1
+            b_t *= 2.0
+            if aborts == doubling_threshold and b_t < 2.0 * k * y * gamma:
                 doubling_ok = False
+        if committed_at is not None and committed_at <= bound:
+            successes += 1
 
     p_hat = successes / n_trials
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_trials)

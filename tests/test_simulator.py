@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import time
 from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import replace
 from importlib import resources
 
@@ -603,6 +605,22 @@ class TestScalarReference:
             assert np.array_equal(
                 ratios, reference_campaign_ratios(config, sched, offline, 3)
             ), name
+
+    def test_many_threads_build_in_bounded_time(self):
+        # 512 receivers over a long horizon: 160k candidates in three blocks.
+        # Only admitted candidates are located, one bisect each, so the build
+        # stays linear in the candidates (under a second on two cores).
+        config = base_config(n_threads=512, horizon=2e4, conflict_rate=8.0)
+        began = time.perf_counter()
+        sched = build_schedule(config)
+        assert time.perf_counter() - began < 20.0
+        assert len({ev.thread for ev in sched.events}) == 512
+        starts = [list(accumulate(rs, initial=0.0)) for rs in sched.rho]
+        for ev in sched.events:
+            idx = bisect_right(starts[ev.thread], ev.time) - 1
+            elapsed = ev.time - starts[ev.thread][idx]
+            assert (ev.tx_index, ev.elapsed) == (idx, elapsed)
+            assert ev.y == sched.rho[ev.thread][idx] - elapsed
 
     def test_run_takes_one_draw_per_non_atom_event(self):
         for name, config, _ in engine_cases():
