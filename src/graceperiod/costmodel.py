@@ -134,21 +134,37 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
         idx = np.clip(np.floor(ys).astype(int), 0, len(pmf))
         return abort_prefix[idx] + ys * (1.0 - mass_prefix[idx])
 
-    mesh = np.unique(np.concatenate([np.linspace(0.0, S, _PROFILE_MESH), np.clip(ys, 0.0, S)]))
-    return mesh_expected_costs(strategy.spec.mode, k, B, mesh, strategy.pdf(mesh), ys)
+    mesh = sorted_unique(np.concatenate([np.linspace(0.0, S, _PROFILE_MESH), np.clip(ys, 0.0, S)]))
+    return mesh_expected_costs(strategy.spec.mode, k, B, mesh, ys)(strategy.pdf(mesh))
 
 
-def mesh_expected_costs(mode: ConflictMode, k: int, B: float, mesh, pvals, ys) -> np.ndarray:
-    """Expected costs at ``ys`` of the density tabulated as ``pvals`` on ``mesh``.
+def sorted_unique(values) -> np.ndarray:
+    """``np.unique(values)`` without the ``numpy.ma`` import of its first call."""
+    out = np.sort(values)
+    keep = np.ones(len(out), dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
 
-    One cumulative-trapezoid sweep of the mass and of the abort-branch cost:
-    graces up to ``y`` abort, the mass above ``y`` commits.  ``ys`` past the
-    mesh end abort with the whole mass.
+
+def mesh_expected_costs(mode: ConflictMode, k: int, B: float, mesh, ys):
+    """Expected costs at ``ys`` of densities tabulated on ``mesh``, as ``pvals -> costs``.
+
+    Set up once per mesh, then one cumulative-trapezoid sweep per density of
+    the mass and of the abort-branch cost: graces up to ``y`` abort, the mass
+    above ``y`` commits.  ``ys`` past the mesh end abort with the whole mass.
     """
-    cum_mass = cumulative_trapezoid(mesh, pvals)
-    cum_abort = cumulative_trapezoid(mesh, conflict_cost(mode, k, B, mesh, mesh) * pvals)
+    half_dx = np.diff(mesh) * 0.5
+    abort = conflict_cost(mode, k, B, mesh, mesh)
     idx = np.searchsorted(mesh, np.clip(ys, 0.0, mesh[-1]))
-    return cum_abort[idx] + (k - 1) * ys * (cum_mass[-1] - cum_mass[idx])
+    commit = (k - 1) * ys
+
+    def costs(pvals):
+        cum_mass = cumulative_trapezoid(mesh, pvals, half_dx)
+        above = cum_mass[-1] - cum_mass[idx]  # the mass that commits at each y
+        del cum_mass  # one mesh-sized sum alive at a time keeps the peak down
+        return cumulative_trapezoid(mesh, abort * pvals, half_dx)[idx] + commit * above
+
+    return costs
 
 
 def ratio_profile(strategy: GracePeriodStrategy, y_grid) -> list[tuple[float, float]]:

@@ -139,7 +139,7 @@ def worst_case_ratio(
 
     if strategy.kind is StrategyKind.ATOM:
         x0 = strategy.params["x0"]
-        ys = np.unique(np.concatenate([
+        ys = costmodel.sorted_unique(np.concatenate([
             np.linspace(S / n_grid, S, n_grid), [x0, 0.5 * x0, 1.5 * S]
         ]))
         ratios = [r for _, r in costmodel.ratio_profile(strategy, ys)]
@@ -147,7 +147,9 @@ def worst_case_ratio(
         return float(ratios[idx]), float(ys[idx])
 
     head = np.geomspace(S * 1e-6, S / n_grid, 32)
-    ys = np.unique(np.concatenate([head, np.linspace(S / n_grid, S, n_grid), [1.5 * S]]))
+    ys = costmodel.sorted_unique(
+        np.concatenate([head, np.linspace(S / n_grid, S, n_grid), [1.5 * S]])
+    )
     ratios = np.asarray([r for _, r in costmodel.ratio_profile(strategy, ys)])
     idx = int(np.argmax(ratios))
     best, best_y = float(ratios[idx]), float(ys[idx])
@@ -224,14 +226,19 @@ def _min_dual_objective(ys: np.ndarray, rs: np.ndarray, mu: float) -> float:
     return best
 
 
-def _profile_objective(
-    mesh: np.ndarray, pdf_vals: np.ndarray, mode: ConflictMode, k: int, B: float,
-    ys: np.ndarray, mu: float | None,
-) -> float:
-    ratios = costmodel.mesh_expected_costs(mode, k, B, mesh, pdf_vals, ys) / ((k - 1) * ys)
-    if mu is None:
-        return float(np.max(ratios))
-    return _min_dual_objective(ys, ratios, mu)
+def _raised_cosine(mesh: np.ndarray, center: float, width: float) -> np.ndarray:
+    """``1 + cos(pi * clip((mesh - center)/width, -1, 1))`` on a uniform mesh from 0.
+
+    Evaluated on the window's cells only: past them ``1 + cos(±pi)`` is
+    exactly ``0.0``.  ``i ± r``, the floored center and half-width in cells,
+    leave out at most one inside cell per side; the one-cell margin adds it.
+    """
+    cell = mesh[1]
+    i, r = int(center / cell), int(width / cell)
+    win = slice(max(i - r - 1, 0), i + r + 2)
+    bump = np.zeros_like(mesh)
+    bump[win] = 1.0 + np.cos(math.pi * np.clip((mesh[win] - center) / width, -1.0, 1.0))
+    return bump
 
 
 def optimality_probe(
@@ -259,22 +266,27 @@ def optimality_probe(
     base_pdf = strategy.pdf(mesh)
     base_pdf = base_pdf / np.trapezoid(base_pdf, mesh)
     ys = np.linspace(S / 512, S, 512)
-    base_obj = _profile_objective(mesh, base_pdf, spec.mode, spec.k, spec.B, ys, mu)
+    costs = costmodel.mesh_expected_costs(spec.mode, spec.k, spec.B, mesh, ys)
+    opts = (spec.k - 1) * ys
+
+    def objective(pdf_vals):
+        ratios = costs(pdf_vals) / opts
+        return float(np.max(ratios)) if mu is None else _min_dual_objective(ys, ratios, mu)
+
+    base_obj = objective(base_pdf)
 
     best_obj = math.inf
     for _ in range(n_perturbations):
         center = stream.uniform() * S
         width = (0.05 + 0.20 * stream.uniform()) * S
         weight = 0.05 + 0.30 * stream.uniform()
-        arg = np.clip((mesh - center) / width, -1.0, 1.0)
-        bump = 1.0 + np.cos(math.pi * arg)
+        bump = _raised_cosine(mesh, center, width)
         bump_mass = np.trapezoid(bump, mesh)
         if bump_mass <= 0.0:
             continue
         mixed = (1.0 - weight) * base_pdf + weight * bump / bump_mass
         mixed = mixed / np.trapezoid(mixed, mesh)
-        obj = _profile_objective(mesh, mixed, spec.mode, spec.k, spec.B, ys, mu)
-        best_obj = min(best_obj, obj)
+        best_obj = min(best_obj, objective(mixed))
 
     improvement = base_obj - best_obj
     return ProbeResult(improvement <= tol, base_obj, best_obj, improvement)

@@ -21,7 +21,7 @@ _INITIAL_PANELS = 8
 
 
 def adaptive_simpson(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -29,8 +29,12 @@ def adaptive_simpson(
 ) -> float:
     """Integrate ``f`` over [a, b] by adaptive Simpson subdivision.
 
-    The interval starts from a fixed panel split so features down to a few
-    percent of the interval width cannot hide between stencil points.
+    ``f`` maps an array of nodes to their values, elementwise.  The interval
+    starts from a fixed panel split so features down to a few percent of the
+    interval width cannot hide between stencil points.  Each subdivision
+    level calls ``f`` once, on the new nodes of every interval still
+    refining; the values are then added back up the tree of splits, so the
+    result is the float of the depth-first recursion.
     """
     if a == b:
         return 0.0
@@ -39,33 +43,49 @@ def adaptive_simpson(
 
     edges = [a + (b - a) * i / _INITIAL_PANELS for i in range(_INITIAL_PANELS + 1)]
     edges[-1] = b
-    total = 0.0
-    panel_abs = abs_tol / _INITIAL_PANELS
-    for lo, hi in zip(edges, edges[1:]):
-        flo, fhi = f(lo), f(hi)
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    fe = f(np.concatenate([edges, 0.5 * (lo + hi)]))
+    fa, fb, fm = fe[:_INITIAL_PANELS], fe[1 : _INITIAL_PANELS + 1], fe[_INITIAL_PANELS + 1 :]
+    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+    tol = abs_tol / _INITIAL_PANELS
+    levels = []  # (value, split) of each level's intervals, coarse to fine
+    for depth in range(_MAX_DEPTH, -1, -1):
         m = 0.5 * (lo + hi)
-        fm = f(m)
-        whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
-        total += _recurse(f, lo, hi, flo, fm, fhi, whole, rel_tol, panel_abs, _MAX_DEPTH)
+        flm, frm = np.split(f(np.concatenate([0.5 * (lo + m), 0.5 * (m + hi)])), 2)
+        left = (m - lo) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (hi - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        split = ~(np.abs(delta) <= 15.0 * np.maximum(tol, rel_tol * np.abs(left + right)))
+        split &= depth > 0
+        # Richardson correction: Simpson error shrinks 16x per halving.
+        levels.append((left + right + delta / 15.0, split))
+        if not split.any():
+            break
+        # the children: each split interval's left half, then its right half
+        lo, hi, fa, fm, fb, whole = (
+            np.stack([first[split], second[split]], axis=1).ravel()
+            for first, second in ((lo, m), (m, hi), (fa, fm), (flm, frm), (fm, fb), (left, right))
+        )
+        tol = 0.5 * tol
+
+    sums = levels.pop()[0]
+    while levels:
+        value, split = levels.pop()
+        value[split] = sums[0::2] + sums[1::2]
+        sums = value
+    total = 0.0
+    for v in sums.tolist():
+        total += v
     return total
 
 
-def _recurse(f, a, b, fa, fm, fb, whole, rel_tol, abs_tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * max(abs_tol, rel_tol * abs(left + right)):
-        # Richardson correction: Simpson error shrinks 16x per halving.
-        return left + right + delta / 15.0
-    return _recurse(
-        f, a, m, fa, flm, fm, left, rel_tol, 0.5 * abs_tol, depth - 1
-    ) + _recurse(f, m, b, fm, frm, fb, right, rel_tol, 0.5 * abs_tol, depth - 1)
+def cumulative_trapezoid(x: np.ndarray, f: np.ndarray, half_dx=None) -> np.ndarray:
+    """Trapezoid integrals of ``f`` over ``[x[0], x[i]]`` for every ``i``, built in place.
 
-
-def cumulative_trapezoid(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Trapezoid integrals of ``f`` over ``[x[0], x[i]]`` for every ``i``."""
-    return np.concatenate([[0.0], np.cumsum(np.diff(x) * 0.5 * (f[1:] + f[:-1]))])
+    A sweep of many ``f`` on one ``x`` passes ``half_dx = np.diff(x) * 0.5``.
+    """
+    out = np.zeros(len(f))
+    np.add(f[1:], f[:-1], out=out[1:])
+    out[1:] *= np.diff(x) * 0.5 if half_dx is None else half_dx
+    np.cumsum(out[1:], out=out[1:])
+    return out

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from graceperiod.costmodel import (
     expected_cost,
     opt_cost,
     ratio_profile,
+    sorted_unique,
 )
 from graceperiod.strategy import (
     ConflictMode,
@@ -212,6 +216,40 @@ class TestLagrangeIdentity:
                 x = frac * S
                 numeric = (strat.cdf(x + h) - strat.cdf(x - h)) / (2.0 * h)
                 assert numeric == pytest.approx(strat.pdf(x), rel=1e-5)
+
+
+class TestSortedUnique:
+    def test_equals_np_unique_with_duplicates(self):
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 2, 7, 1000):
+            for pool in (3, 50, 10_000):
+                values = rng.integers(0, pool, n) * 0.25 - 1.0
+                got = sorted_unique(values)
+                assert got.dtype == np.unique(values).dtype
+                assert np.array_equal(got, np.unique(values))
+        grid = np.concatenate([np.linspace(0.0, 1.0, 2001), np.linspace(0.0, 1.0, 11), [-0.0]])
+        assert np.array_equal(sorted_unique(grid), np.unique(grid))
+
+    def test_ratio_scans_do_not_import_numpy_ma(self):
+        # np.unique's first call imports numpy.ma, ~15 ms on every cold verify
+        script = (
+            "import sys\n"
+            "from graceperiod.costmodel import batch_expected_costs\n"
+            "from graceperiod.oracle import worst_case_ratio\n"
+            "from graceperiod.strategy import ConflictMode, StrategySpec, Variant, make_strategy\n"
+            "for variant in (Variant.RANDOMIZED_CONSTRAINED, Variant.DETERMINISTIC):\n"
+            "    spec = StrategySpec(ConflictMode.REQUESTOR_WINS, 2, 100.0, variant, mu=10.0)\n"
+            "    s = make_strategy(spec)\n"
+            "    batch_expected_costs(s, [0.5, 50.0, 50.0, 150.0])\n"
+            "    worst_case_ratio(s)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 @settings(max_examples=40, deadline=None)

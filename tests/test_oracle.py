@@ -1,10 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from graceperiod.costmodel import ratio_profile
+from graceperiod.costmodel import conflict_cost, ratio_profile
 from graceperiod.oracle import (
+    ProbeResult,
+    _min_dual_objective,
+    _raised_cosine,
     abort_density_comparison,
     lagrange_identity_check,
     optimality_probe,
@@ -184,6 +188,89 @@ class TestOptimalityProbe:
                 make_strategy(StrategySpec(RW, 2, 100.0, Variant.DETERMINISTIC)),
                 10, stream(1),
             )
+
+
+def reference_optimality_probe(strategy, n_perturbations, stream, tol=1e-4):
+    """The probe loop with a full-width bump and the sweep rebuilt per perturbation.
+
+    ``optimality_probe`` must return exactly this result.
+    """
+    spec, S = strategy.spec, strategy.support_max
+    k = spec.k
+    mu = spec.mu if strategy.mean_aware else None
+
+    def cumulative(f):
+        return np.concatenate([[0.0], np.cumsum(np.diff(mesh) * 0.5 * (f[1:] + f[:-1]))])
+
+    def objective(pdf_vals):
+        cum_mass = cumulative(pdf_vals)
+        cum_abort = cumulative(conflict_cost(spec.mode, k, spec.B, mesh, mesh) * pdf_vals)
+        idx = np.searchsorted(mesh, np.clip(ys, 0.0, mesh[-1]))
+        costs = cum_abort[idx] + (k - 1) * ys * (cum_mass[-1] - cum_mass[idx])
+        ratios = costs / ((k - 1) * ys)
+        return float(np.max(ratios)) if mu is None else _min_dual_objective(ys, ratios, mu)
+
+    mesh = np.linspace(0.0, S, 8193)
+    base_pdf = strategy.pdf(mesh)
+    base_pdf = base_pdf / np.trapezoid(base_pdf, mesh)
+    ys = np.linspace(S / 512, S, 512)
+    base_obj = objective(base_pdf)
+    best_obj = math.inf
+    for _ in range(n_perturbations):
+        center = stream.uniform() * S
+        width = (0.05 + 0.20 * stream.uniform()) * S
+        weight = 0.05 + 0.30 * stream.uniform()
+        bump = 1.0 + np.cos(math.pi * np.clip((mesh - center) / width, -1.0, 1.0))
+        bump_mass = np.trapezoid(bump, mesh)
+        if bump_mass <= 0.0:
+            continue
+        mixed = (1.0 - weight) * base_pdf + weight * bump / bump_mass
+        mixed = mixed / np.trapezoid(mixed, mesh)
+        best_obj = min(best_obj, objective(mixed))
+    improvement = base_obj - best_obj
+    return ProbeResult(improvement <= tol, base_obj, best_obj, improvement)
+
+
+class TestProbeSameBits:
+    """The windowed bump and the hoisted sweep move no bit of the probe."""
+
+    def test_windowed_bump_equals_full_width(self):
+        rng = np.random.default_rng(11)
+        for S in (100.0, 2000.0 / 3.0):  # 10 000 pairs in all
+            mesh = np.linspace(0.0, S, 8193)
+            centers = rng.uniform(0.0, S, 5000)
+            # from under one cell to wider than the support, so windows hang
+            # over either end
+            widths = S * np.exp(rng.uniform(math.log(1e-5), math.log(1.5), 5000))
+            for lo in range(0, 5000, 100):  # full widths 100 pairs at a time
+                c, w = centers[lo : lo + 100, None], widths[lo : lo + 100, None]
+                full = 1.0 + np.cos(math.pi * np.clip((mesh - c) / w, -1.0, 1.0))
+                for row, ci, wi in zip(full, c[:, 0].tolist(), w[:, 0].tolist()):
+                    assert np.array_equal(_raised_cosine(mesh, ci, wi), row), (S, ci, wi)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("name, spec", [
+        ("uniform", StrategySpec(RW, 2, 100.0, UNC)),
+        ("ra_exp", StrategySpec(RA, 2, 100.0, UNC)),
+        ("rw_log", StrategySpec(RW, 2, 100.0, CON, mu=10.0)),
+        ("ra_expm1", StrategySpec(RA, 3, 100.0, CON, mu=1.0)),
+    ])
+    def test_probe_equals_reference(self, name, spec, seed):
+        strat = make_strategy(spec)
+        assert strat.family == name
+        got = optimality_probe(strat, 200, stream(seed).spawn("probe", name))
+        assert got == reference_optimality_probe(strat, 200, stream(seed).spawn("probe", name))
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_squeezed_control_equals_reference(self, seed):
+        B = 100.0
+        squeezed = custom_continuous(
+            StrategySpec(RW, 2, B, UNC), lambda x: 2.0 / B if x <= B / 2.0 else 0.0
+        )
+        got = optimality_probe(squeezed, 200, stream(seed).spawn("probe", "control"))
+        ref = reference_optimality_probe(squeezed, 200, stream(seed).spawn("probe", "control"))
+        assert got == ref
+        assert not got.passed
 
 
 class TestDensityComparison:

@@ -1,8 +1,59 @@
 import math
 
+import numpy as np
 import pytest
 
-from graceperiod.quadrature import adaptive_simpson
+from graceperiod import oracle
+from graceperiod.costmodel import conflict_cost
+from graceperiod.quadrature import _INITIAL_PANELS, _MAX_DEPTH, adaptive_simpson
+from graceperiod.strategy import (
+    ConflictMode,
+    StrategySpec,
+    Variant,
+    custom_continuous,
+    make_strategy,
+)
+
+
+def reference_adaptive_simpson(f, a, b, rel_tol=1e-9, abs_tol=1e-12):
+    """The depth-first recursion, one scalar node at a time.
+
+    ``adaptive_simpson`` must return exactly this float.
+    """
+    if a == b:
+        return 0.0
+    if a > b:
+        return -reference_adaptive_simpson(f, b, a, rel_tol, abs_tol)
+    edges = [a + (b - a) * i / _INITIAL_PANELS for i in range(_INITIAL_PANELS + 1)]
+    edges[-1] = b
+    total = 0.0
+    panel_abs = abs_tol / _INITIAL_PANELS
+    for lo, hi in zip(edges, edges[1:]):
+        flo, fhi = f(lo), f(hi)
+        m = 0.5 * (lo + hi)
+        fm = f(m)
+        whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
+        total += _recurse(f, lo, hi, flo, fm, fhi, whole, rel_tol, panel_abs, _MAX_DEPTH)
+    return total
+
+
+def _recurse(f, a, b, fa, fm, fb, whole, rel_tol, abs_tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if depth <= 0 or abs(delta) <= 15.0 * max(abs_tol, rel_tol * abs(left + right)):
+        return left + right + delta / 15.0
+    return _recurse(
+        f, a, m, fa, flm, fm, left, rel_tol, 0.5 * abs_tol, depth - 1
+    ) + _recurse(f, m, b, fm, frm, fb, right, rel_tol, 0.5 * abs_tol, depth - 1)
+
+
+def assert_same_bits(f, a, b):
+    assert adaptive_simpson(f, a, b) == reference_adaptive_simpson(f, a, b)
 
 
 def test_cubics_are_exact():
@@ -12,8 +63,8 @@ def test_cubics_are_exact():
 
 
 def test_known_smooth_integrals():
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
-    assert adaptive_simpson(lambda x: math.exp(-x), 0.0, 50.0) == pytest.approx(
+    assert adaptive_simpson(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
+    assert adaptive_simpson(lambda x: np.exp(-x), 0.0, 50.0) == pytest.approx(
         1.0, abs=1e-9
     )
     assert adaptive_simpson(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0) == pytest.approx(
@@ -30,7 +81,79 @@ def test_orientation_and_degenerate_interval():
 def test_peaked_integrand_subdivides():
     # narrow gaussian bump inside a wide interval
     val = adaptive_simpson(
-        lambda x: math.exp(-((x - 0.7) ** 2) / 5e-3), 0.0, 10.0
+        lambda x: np.exp(-((x - 0.7) ** 2) / 5e-3), 0.0, 10.0
     )
     exact = math.sqrt(5e-3 * math.pi)
     assert val == pytest.approx(exact, rel=1e-8)
+
+
+class TestSameBitsAsRecursion:
+    """The level-synchronous integrator returns the recursion's float exactly."""
+
+    def test_normalization_integrands(self, monkeypatch):
+        integrals = []
+
+        def recording(f, a, b, *args):
+            integrals.append((f, a, b))
+            return adaptive_simpson(f, a, b, *args)
+
+        monkeypatch.setattr(oracle, "adaptive_simpson", recording)
+        oracle._normalization_checks()
+        oracle._negative_control_checks()
+        # 96 closed forms and the malformed control; the discrete cells sum exactly
+        assert len(integrals) == 97
+        for f, a, b in integrals:
+            assert_same_bits(f, a, b)
+
+    def test_cdf_vs_quadrature_integrals(self, monkeypatch):
+        integrals = []
+
+        def recording(f, a, b, *args):
+            integrals.append((f, a, b))
+            return adaptive_simpson(f, a, b, *args)
+
+        monkeypatch.setattr(oracle, "adaptive_simpson", recording)
+        oracle._cdf_quadrature_checks()
+        assert len(integrals) == 30
+        for f, a, b in integrals:
+            assert_same_bits(f, a, b)
+
+    @pytest.mark.parametrize("mode", list(ConflictMode))
+    def test_expected_cost_head_integrand(self, mode):
+        for k in (2, 3, 5):
+            for variant, mu in ((Variant.RANDOMIZED_UNCONSTRAINED, None),
+                                (Variant.RANDOMIZED_CONSTRAINED, 10.0)):
+                strat = make_strategy(StrategySpec(mode, k, 100.0, variant, mu=mu))
+                for y in (0.5, 37.0, 2.0 * strat.support_max):
+                    cut = min(y, strat.support_max)
+                    assert_same_bits(
+                        lambda x: conflict_cost(mode, k, 100.0, x, y) * strat.pdf(x),
+                        0.0, cut,
+                    )
+
+    def test_negative_control_log_singularity(self):
+        B = 10.0
+        c = B * (2.0 * math.log(2.0) - 1.0)
+        spec = StrategySpec(ConflictMode.REQUESTOR_WINS, 2, B, Variant.RANDOMIZED_UNCONSTRAINED)
+        wrong = custom_continuous(spec, lambda x: math.log((B + x) / max(x, 1e-12)) / c)
+        assert_same_bits(wrong.pdf, 0.0, wrong.support_max)
+
+    def test_jump_reaching_max_depth(self):
+        calls = []
+
+        def jump(x):
+            calls.append(x)
+            return np.where(x < 0.003, 1.0, 2.0)
+
+        adaptive_simpson(jump, 0.0, 10.0)
+        assert len(calls) == 1 + _MAX_DEPTH + 1  # panels, then every level down to depth 0
+        assert_same_bits(jump, 0.0, 10.0)
+
+    def test_reversed_and_degenerate_intervals(self):
+        assert_same_bits(np.sin, math.pi, 0.0)
+        assert_same_bits(lambda x: np.exp(-x), 50.0, 0.0)
+        assert_same_bits(np.sin, 1.5, 1.5)
+
+    def test_smooth_integrands(self):
+        assert_same_bits(np.sin, 0.0, math.pi)
+        assert_same_bits(lambda x: np.exp(-((x - 0.7) ** 2) / 5e-3), 0.0, 10.0)
