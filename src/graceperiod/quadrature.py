@@ -18,6 +18,10 @@ DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
 _MAX_DEPTH = 60
 _INITIAL_PANELS = 8
+# A level holds every interval still refining, so memory grows with their
+# count; past this bound (the verify suite needs at most 38) the integrand
+# does not converge, as when it is NaN on a whole stretch.
+_MAX_INTERVALS = 1 << 16
 
 
 def adaptive_simpson(
@@ -67,6 +71,8 @@ def adaptive_simpson(
             for first, second in ((lo, m), (m, hi), (fa, fm), (flm, frm), (fm, fb), (left, right))
         )
         tol = 0.5 * tol
+        if len(lo) > _MAX_INTERVALS:
+            raise RuntimeError(f"adaptive Simpson: over {_MAX_INTERVALS} intervals refining")
 
     sums = levels.pop()[0]
     while levels:

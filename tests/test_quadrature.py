@@ -87,6 +87,12 @@ def test_peaked_integrand_subdivides():
     assert val == pytest.approx(exact, rel=1e-8)
 
 
+def test_non_convergent_integrand_raises_instead_of_growing():
+    # every interval splits at every level, so the active set doubles each time
+    with pytest.raises(RuntimeError):
+        adaptive_simpson(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
 class TestSameBitsAsRecursion:
     """The level-synchronous integrator returns the recursion's float exactly."""
 
