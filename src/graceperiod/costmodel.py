@@ -12,6 +12,14 @@ time ``y``, and granted grace period ``x``:
 
 The offline optimum with foresight is ``min((k-1)*y, B)``.
 
+Expected costs against a point adversary are exact to rounding: every
+closed-form density carries its distribution function ``F`` and partial
+first moment ``M``, and the cost is linear in them (see
+:func:`batch_expected_costs`).  Only tabulated ``custom`` densities are
+integrated numerically, by adaptive Simpson in :func:`expected_cost` and on
+a cumulative-trapezoid mesh in :func:`batch_expected_costs`, the mesh
+sweep that the oracle's optimality probe shares.
+
 The discrete classic strategy is scored in integer days with the classic
 accounting (a strategy that commits on day ``i`` pays ``i-1+B`` when it
 fires the abort, i.e. the grace actually granted is ``i-1``); that is the
@@ -29,7 +37,7 @@ import numpy as np
 from .quadrature import adaptive_simpson, cumulative_trapezoid
 from .strategy import ConflictMode, GracePeriodStrategy, StrategyKind
 
-_PROFILE_MESH = 32769  # base resolution of the batched cost profile
+_PROFILE_MESH = 32769  # base resolution of a custom density's batched cost profile
 
 
 @dataclass(frozen=True)
@@ -86,23 +94,15 @@ def _check_match(strategy: GracePeriodStrategy, instance: ConflictInstance):
 def expected_cost(strategy: GracePeriodStrategy, instance: ConflictInstance) -> float:
     """Expected conflict cost of ``strategy`` against a point adversary.
 
-    Continuous densities are integrated by adaptive Simpson quadrature with
-    the integrand split at the commit/abort branch point; discrete pmfs sum
-    exactly; atoms evaluate pointwise.
+    Exact to rounding, as one point of :func:`batch_expected_costs`, for
+    every strategy but a ``custom`` density; that one is integrated by
+    adaptive Simpson quadrature with the integrand split at the
+    commit/abort branch point.
     """
     _check_match(strategy, instance)
+    if strategy.family != "custom":
+        return float(batch_expected_costs(strategy, np.array([instance.y]))[0])
     k, B, y = instance.k, instance.B, instance.y
-
-    if strategy.kind is StrategyKind.ATOM:
-        return conflict_cost(instance.mode, k, B, strategy.params["x0"], y)
-
-    if strategy.kind is StrategyKind.DISCRETE_PMF:
-        pmf = strategy.params["pmf"]
-        days = np.arange(1, len(pmf) + 1)
-        aborted = days <= y
-        abort_cost = float(np.sum(pmf[aborted] * (days[aborted] - 1.0 + B)))
-        return abort_cost + y * float(np.sum(pmf[~aborted]))
-
     cut = min(y, strategy.support_max)
     # x <= cut <= y on the head, so every grace there aborts
     head = adaptive_simpson(
@@ -115,16 +115,19 @@ def expected_cost(strategy: GracePeriodStrategy, instance: ConflictInstance) -> 
 def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     """Expected costs for many adversary points in one pass.
 
-    Numerically equivalent to mapping :func:`expected_cost` (cross-checked
-    by the test suite) but computed from one cumulative-trapezoid sweep of
-    the density, which keeps dense ratio scans fast.
+    A closed-form density with distribution ``F`` and partial first moment
+    ``M(y) = integral_0^y x p(x) dx`` costs ``(k-1)y(1-F) + B*F + k*M``
+    (requestor wins) or ``(k-1)y(1-F) + (k-1)(B*F + M)`` (requestor aborts):
+    graces up to ``y`` abort, the rest commit, and past the support
+    ``F = 1`` and ``M`` is the mean.  Atoms and the day pmf are exact too; a
+    ``custom`` density is swept on a cumulative-trapezoid mesh.
     """
     ys = np.asarray(ys, dtype=float)
-    k, B = strategy.spec.k, strategy.spec.B
+    mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.spec.B
     S = strategy.support_max
 
     if strategy.kind is StrategyKind.ATOM:
-        return conflict_cost(strategy.spec.mode, k, B, strategy.params["x0"], ys)
+        return conflict_cost(mode, k, B, strategy.params["x0"], ys)
 
     if strategy.kind is StrategyKind.DISCRETE_PMF:
         pmf = strategy.params["pmf"]
@@ -134,8 +137,18 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
         idx = np.clip(np.floor(ys).astype(int), 0, len(pmf))
         return abort_prefix[idx] + ys * (1.0 - mass_prefix[idx])
 
-    mesh = sorted_unique(np.concatenate([np.linspace(0.0, S, _PROFILE_MESH), np.clip(ys, 0.0, S)]))
-    return mesh_expected_costs(strategy.spec.mode, k, B, mesh, ys)(strategy.pdf(mesh))
+    if strategy.family == "custom":
+        mesh = sorted_unique(
+            np.concatenate([np.linspace(0.0, S, _PROFILE_MESH), np.clip(ys, 0.0, S)])
+        )
+        return mesh_expected_costs(mode, k, B, mesh, ys)(strategy.pdf(mesh))
+
+    mass = np.where(ys < S, strategy.cdf(ys), 1.0)
+    moment = strategy.moment(ys)
+    commit = (k - 1) * ys * (1.0 - mass)
+    if mode is ConflictMode.REQUESTOR_WINS:
+        return commit + B * mass + k * moment
+    return commit + (k - 1) * (B * mass + moment)
 
 
 def sorted_unique(values) -> np.ndarray:

@@ -35,7 +35,8 @@ from .strategy import (
 
 NORMALIZATION_TOL = 1e-6
 DENSITY_FLOOR = -1e-12
-IDENTITY_TOL = 1e-6
+IDENTITY_TOL = 1e-9
+WORST_CASE_TOL = 1e-9
 PROBE_TOL = 1e-4
 _EXACT_PMF_MAX_B = 12
 
@@ -409,16 +410,16 @@ def _worst_case_checks() -> list[dict]:
         strat = make_strategy(StrategySpec(_RW, 2, B, Variant.RANDOMIZED_UNCONSTRAINED))
         ratio, _ = worst_case_ratio(strat)
         checks.append(_check(
-            f"worst_case/rw_uniform_k2_B{B:g}", abs(ratio - 2.0) < 1e-4,
-            value=ratio, expected=2.0, tolerance=1e-4,
+            f"worst_case/rw_uniform_k2_B{B:g}", abs(ratio - 2.0) < WORST_CASE_TOL,
+            value=ratio, expected=2.0, tolerance=WORST_CASE_TOL,
         ))
     for k in (2, 3, 5, 10):
         strat = make_strategy(StrategySpec(_RW, k, 100.0, Variant.DETERMINISTIC))
         ratio, arg = worst_case_ratio(strat)
         expected = 2.0 + 1.0 / (k - 1)
         checks.append(_check(
-            f"worst_case/det_k{k}", abs(ratio - expected) < 1e-4,
-            value=ratio, expected=expected, argmax=arg, tolerance=1e-4,
+            f"worst_case/det_k{k}", abs(ratio - expected) < WORST_CASE_TOL,
+            value=ratio, expected=expected, argmax=arg, tolerance=WORST_CASE_TOL,
         ))
     strat = make_strategy(StrategySpec(_RA, 2, 100.0, Variant.DISCRETE_CLASSIC))
     ratio, arg = worst_case_ratio(strat)
@@ -434,8 +435,8 @@ def _worst_case_checks() -> list[dict]:
         e1 = math.exp(1.0 / (k - 1))
         expected = e1 / (e1 - 1.0)
         checks.append(_check(
-            f"worst_case/ra_general_k{k}", abs(ratio - expected) < 1e-4,
-            value=ratio, expected=expected, tolerance=1e-4,
+            f"worst_case/ra_general_k{k}", abs(ratio - expected) < WORST_CASE_TOL,
+            value=ratio, expected=expected, tolerance=WORST_CASE_TOL,
         ))
     return checks
 
@@ -469,25 +470,47 @@ def _probe_checks(seed: int) -> list[dict]:
     return checks
 
 
+# one strategy per closed-form family, for the checks against quadrature
+_QUADRATURE_CASES = [
+    ("rw_uniform", StrategySpec(_RW, 2, 100.0, Variant.RANDOMIZED_UNCONSTRAINED)),
+    ("rw_log", StrategySpec(_RW, 2, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=10.0)),
+    ("rw_shifted_power", StrategySpec(_RW, 4, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=1.0)),
+    ("rw_power", StrategySpec(_RW, 4, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=1000.0)),
+    ("ra_exp", StrategySpec(_RA, 3, 100.0, Variant.RANDOMIZED_UNCONSTRAINED)),
+    ("ra_expm1", StrategySpec(_RA, 3, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=1.0)),
+]
+_QUADRATURE_FRACTIONS = (0.125, 0.375, 0.625, 0.875, 1.0)
+
+
 def _cdf_quadrature_checks() -> list[dict]:
     checks = []
-    cases = [
-        ("rw_uniform", StrategySpec(_RW, 2, 100.0, Variant.RANDOMIZED_UNCONSTRAINED)),
-        ("rw_log", StrategySpec(_RW, 2, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=10.0)),
-        ("rw_shifted_power", StrategySpec(_RW, 4, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=1.0)),
-        ("rw_power", StrategySpec(_RW, 4, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=1000.0)),
-        ("ra_exp", StrategySpec(_RA, 3, 100.0, Variant.RANDOMIZED_UNCONSTRAINED)),
-        ("ra_expm1", StrategySpec(_RA, 3, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=1.0)),
-    ]
-    for name, spec in cases:
+    for name, spec in _QUADRATURE_CASES:
         strat = make_strategy(spec)
         S = strat.support_max
         worst = 0.0
-        for frac in (0.125, 0.375, 0.625, 0.875, 1.0):
+        for frac in _QUADRATURE_FRACTIONS:
             x = frac * S
             worst = max(worst, abs(strat.cdf(x) - adaptive_simpson(strat.pdf, 0.0, x)))
         checks.append(_check(
             f"cdf_vs_quadrature/{name}", worst < 1e-8, residual=worst, tolerance=1e-8,
+        ))
+    return checks
+
+
+def _moment_quadrature_checks() -> list[dict]:
+    """The closed-form partial moments the expected costs rest on, against quadrature."""
+    checks = []
+    for name, spec in _QUADRATURE_CASES:
+        strat = make_strategy(spec)
+        S = strat.support_max
+        worst = 0.0
+        for frac in _QUADRATURE_FRACTIONS:
+            x = frac * S
+            integral = adaptive_simpson(lambda t, s=strat: t * s.pdf(t), 0.0, x)
+            worst = max(worst, abs(strat.moment(x) - integral))
+        residual = worst / strat.moment(S)
+        checks.append(_check(
+            f"moment_vs_quadrature/{name}", residual < 1e-8, residual=residual, tolerance=1e-8,
         ))
     return checks
 
@@ -501,6 +524,7 @@ def run_verification_suite(seed: int = 20240405) -> dict:
     checks.extend(_worst_case_checks())
     checks.extend(_probe_checks(seed))
     checks.extend(_cdf_quadrature_checks())
+    checks.extend(_moment_quadrature_checks())
     rw_d, ra_d = abort_density_comparison(1.0)
     checks.append(_check(
         "discussion/endpoint_density_ordering", rw_d < ra_d,

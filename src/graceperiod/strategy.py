@@ -31,6 +31,12 @@ RA discrete classic   day pmf ``((B-1)/B)**(B-i) / (B*(1-(1-1/B)**B))``,
                       integer days ``i`` in 1..B (k=2 only)
 ====================  =====================================================
 
+Every closed-form density also has a closed-form partial first moment
+(``GracePeriodStrategy.moment``), which makes expected costs exact; near
+``x = 0`` the moments and the shifted-power cdf are summed as power series
+with positive terms (or log1p's alternating series), as their closed forms
+cancel there.
+
 A note on two superficially similar forms that are *not* valid densities
 and are used as negative controls by the verification suite: the k=2
 constrained requestor-wins density is ``ln((B+x)/B)``-shaped; the variant
@@ -211,16 +217,68 @@ class _Family(NamedTuple):
     """One closed-form density family, as functions of ``u = x/B``.
 
     ``pdf`` is the density in ``x`` and ``cdf`` its distribution function;
-    ``inverse`` maps uniforms to grace periods in closed form, and families
-    without one are inverted by Newton steps on the cdf.  ``params(k)``
-    precomputes the family's constants.
+    ``moment`` is the partial first moment ``m(u)``, with
+    ``integral_0^x t pdf(t) dt = B*m(x/B)``.  ``inverse`` maps uniforms to
+    grace periods in closed form, and families without one are inverted by
+    Newton steps on the cdf.  ``params(k)`` precomputes the family's
+    constants.
     """
 
     pdf: Callable
     cdf: Callable
+    moment: Callable | None = None
     inverse: Callable | None = None
     params: Callable = lambda k: {}
     mean_aware: bool = False  # built from the known mean mu (constrained)
+
+
+# Power series in v in [0, 1] whose j-th coefficient is at most 1/j!, cut
+# after this many terms: the first term left out is below 1e-19 of the sum.
+_SERIES_TERMS = 20
+# log1p's alternating series, for the rw_log moment below u = 1/8
+_LOG_SERIES_MAX_U = 0.125
+
+
+def _series(coefs, v, first=0):
+    """``sum(c * v**j for j, c in enumerate(coefs) if j >= first)`` by Horner's rule."""
+    acc = np.zeros_like(v) + coefs[-1]
+    for c in reversed(coefs[first:-1]):
+        acc *= v
+        acc += c
+    return acc * v**first
+
+
+def _binomials(m: int, n: int) -> list[float]:
+    """``C(m, j) / n**j`` for ``j`` up to ``min(m, _SERIES_TERMS)``: at most
+    ``1/j!`` for ``m <= n``, so a series in ``v = n*u`` of the kind above."""
+    out = [1.0]
+    for j in range(1, min(m, _SERIES_TERMS) + 1):
+        out.append(out[-1] * (m - j + 1) / (n * j))
+    return out
+
+
+def _power_params(k: int) -> dict:
+    # int_0^u t (1+t)**(k-2) dt = u**2 * sum_j C(k-2, j) u**j / (j+2), and
+    # (1+u)**(k-1) - 1 - (k-1)u = sum_{j>=2} C(k-1, j) u**j: positive terms
+    # only, so no cancellation at small u
+    n = k - 1
+    return {
+        "q": _q(k),
+        "moment": [c / (j + 2) for j, c in enumerate(_binomials(n - 1, n))],
+        "binomials": _binomials(n, n),
+    }
+
+
+# int_0^u t e**t dt = u**2 * sum_j u**j / (j! (j+2))
+_EXP_MOMENT = [1.0 / (math.factorial(j) * (j + 2)) for j in range(_SERIES_TERMS + 1)]
+# int_0^u t log1p(t) dt = u**2 * sum_{j>=1} (-u)**j / (-j (j+2))
+_LOG_MOMENT = [0.0] + [(-1.0) ** (j + 1) / (j * (j + 2)) for j in range(1, _SERIES_TERMS + 1)]
+
+
+def _rw_log_moment(u):
+    closed = 0.5 * (u * u - 1.0) * np.log1p(u) - 0.25 * u * u + 0.5 * u
+    small = u * u * _series(_LOG_MOMENT, u, 1)
+    return np.where(u < _LOG_SERIES_MAX_U, small, closed) / LN4_MINUS_1
 
 
 def _custom_pdf(u, k, B, p):
@@ -232,39 +290,49 @@ _FAMILIES = {
     "uniform": _Family(
         pdf=lambda u, k, B, p: np.full_like(u, (k - 1) / B),
         cdf=lambda u, k, B, p: (k - 1) * u,
+        moment=lambda u, k, B, p: 0.5 * (k - 1) * u * u,
         inverse=lambda u, k, B, p: B / (k - 1) * u,
     ),
     "rw_log": _Family(
         pdf=lambda u, k, B, p: np.log1p(u) / (B * LN4_MINUS_1),
         cdf=lambda u, k, B, p: ((1.0 + u) * np.log1p(u) - u) / LN4_MINUS_1,
+        moment=lambda u, k, B, p: _rw_log_moment(u),
         mean_aware=True,
     ),
     "rw_shifted_power": _Family(
-        pdf=lambda u, k, B, p: (k - 1) * ((1.0 + u) ** (k - 2) - 1.0) / (B * (p["q"] - 2.0)),
-        cdf=lambda u, k, B, p: ((1.0 + u) ** (k - 1) - 1.0 - (k - 1) * u) / (p["q"] - 2.0),
-        params=lambda k: {"q": _q(k)},
+        pdf=lambda u, k, B, p: (k - 1) * np.expm1((k - 2) * np.log1p(u)) / (B * (p["q"] - 2.0)),
+        cdf=lambda u, k, B, p: _series(p["binomials"], (k - 1) * u, 2) / (p["q"] - 2.0),
+        moment=lambda u, k, B, p: (
+            (k - 1) * u * u * _series(p["moment"], (k - 1) * u, 1) / (p["q"] - 2.0)
+        ),
+        params=_power_params,
         mean_aware=True,
     ),
     "rw_power": _Family(
         pdf=lambda u, k, B, p: (k - 1) * (1.0 + u) ** (k - 2) / (B * (p["q"] - 1.0)),
-        cdf=lambda u, k, B, p: ((1.0 + u) ** (k - 1) - 1.0) / (p["q"] - 1.0),
+        cdf=lambda u, k, B, p: np.expm1((k - 1) * np.log1p(u)) / (p["q"] - 1.0),
+        moment=lambda u, k, B, p: (
+            (k - 1) * u * u * _series(p["moment"], (k - 1) * u) / (p["q"] - 1.0)
+        ),
         inverse=lambda u, k, B, p: B * ((1.0 + u * (p["q"] - 1.0)) ** (1.0 / (k - 1)) - 1.0),
-        params=lambda k: {"q": _q(k)},
+        params=_power_params,
     ),
     "ra_exp": _Family(
         pdf=lambda u, k, B, p: np.exp(u) / (B * p["eps"]),
         cdf=lambda u, k, B, p: np.expm1(u) / p["eps"],
+        moment=lambda u, k, B, p: u * u * _series(_EXP_MOMENT, u) / p["eps"],
         inverse=lambda u, k, B, p: B * np.log1p(u * p["eps"]),
         params=lambda k: {"eps": _eps(k)},
     ),
     "ra_expm1": _Family(
         pdf=lambda u, k, B, p: (k - 1) * np.expm1(u) / (B * p["g"]),
         cdf=lambda u, k, B, p: (k - 1) * (np.expm1(u) - u) / p["g"],
+        moment=lambda u, k, B, p: (k - 1) * u * u * _series(_EXP_MOMENT, u, 1) / p["g"],
         params=lambda k: {"g": _g(k)},
         mean_aware=True,
     ),
     # a tabulated density (custom_continuous): piecewise-linear CDF table,
-    # inverted exactly
+    # inverted exactly; no closed-form moment
     "custom": _Family(
         pdf=_custom_pdf,
         cdf=lambda u, k, B, p: np.interp(u * B, p["mesh"], p["cum"]),
@@ -326,6 +394,16 @@ class GracePeriodStrategy:
             vals = self._cdf_inside(clamped / self.spec.B)
             vals = np.where(xs < 0.0, 0.0, vals)
         return float(vals[0]) if scalar else vals
+
+    def moment(self, x):
+        """Partial first moment ``integral_0^x t pdf(t) dt``; the mean past the support."""
+        moment = self.kind is StrategyKind.CONTINUOUS_PDF and _FAMILIES[self.family].moment
+        if not moment:
+            raise ValueError(f"the {self.family} strategy has no closed-form moment")
+        xs = np.asarray(x, dtype=float)
+        u = np.clip(np.atleast_1d(xs), 0.0, self.support_max) / self.spec.B
+        vals = self.spec.B * moment(u, self.spec.k, self.spec.B, self.params)
+        return float(vals[0]) if xs.ndim == 0 else vals
 
     def _pdf_inside(self, u):
         return _FAMILIES[self.family].pdf(u, self.spec.k, self.spec.B, self.params)

@@ -17,11 +17,13 @@ from graceperiod.costmodel import (
     ratio_profile,
     sorted_unique,
 )
+from graceperiod.quadrature import adaptive_simpson
 from graceperiod.strategy import (
     ConflictMode,
     StrategySpec,
     Variant,
     competitive_ratio,
+    custom_continuous,
     lagrange_corner,
     make_strategy,
 )
@@ -30,6 +32,16 @@ RW = ConflictMode.REQUESTOR_WINS
 RA = ConflictMode.REQUESTOR_ABORTS
 UNC = Variant.RANDOMIZED_UNCONSTRAINED
 CON = Variant.RANDOMIZED_CONSTRAINED
+COST_KS = (2, 3, 5, 10)
+
+
+def cost_cases(mode, k, B=100.0):
+    """The unconstrained, the mean-aware and the fallback strategy of ``(mode, k)``."""
+    return [
+        make_strategy(StrategySpec(mode, k, B, UNC)),
+        make_strategy(StrategySpec(mode, k, B, CON, mu=1e-3 * B)),
+        make_strategy(StrategySpec(mode, k, B, CON, mu=10.0 * B)),
+    ]
 
 
 class TestPointwise:
@@ -111,20 +123,52 @@ class TestExpectedCost:
         with pytest.raises(ValueError):
             expected_cost(strat, ConflictInstance(RW, 2, 50.0, 10.0))
 
-    def test_batch_matches_pointwise_quadrature(self):
-        specs = [
-            StrategySpec(RW, 2, 100.0, UNC),
-            StrategySpec(RW, 2, 100.0, CON, mu=10.0),
-            StrategySpec(RW, 4, 100.0, CON, mu=1.0),
-            StrategySpec(RA, 3, 100.0, UNC),
-            StrategySpec(RA, 3, 100.0, CON, mu=1.0),
-        ]
-        for spec in specs:
-            strat = make_strategy(spec)
-            ys = np.array([0.3, 0.5, 0.9, 1.3]) * strat.support_max
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("k", COST_KS)
+    def test_exact_costs_match_quadrature(self, mode, k):
+        # the closed-form costs against an independent integral: adaptive
+        # Simpson of conflict_cost * pdf over the aborting graces, plus the
+        # mass above y, which commits
+        B = 100.0
+        for strat in cost_cases(mode, k, B):
+            S = strat.support_max
+            ys = np.array([1e-6, 0.3, 1.0, 2.0]) * S
+            for y, cost in zip(ys, batch_expected_costs(strat, ys)):
+                cut = min(y, S)
+                head = adaptive_simpson(
+                    lambda x: conflict_cost(mode, k, B, x, y) * strat.pdf(x), 0.0, cut,
+                    rel_tol=1e-13, abs_tol=0.0,
+                )
+                tail = adaptive_simpson(strat.pdf, cut, S, rel_tol=1e-13, abs_tol=0.0)
+                assert cost == pytest.approx(head + (k - 1) * y * tail, rel=1e-9), (strat, y)
+                assert expected_cost(strat, ConflictInstance(mode, k, B, y)) == cost
+
+    def test_flat_past_the_support(self):
+        # every grace aborts once y >= S, even where the cdf at S is 1 +- an ulp
+        for mode in (RW, RA):
+            for k in COST_KS:
+                for strat in cost_cases(mode, k):
+                    S = strat.support_max
+                    costs = batch_expected_costs(strat, np.array([1.0, 1.5, 1e6]) * S)
+                    assert costs[0] == costs[1] == costs[2], strat
+
+    def test_cost_cases_cover_every_table_family(self):
+        families = {s.family for mode in (RW, RA) for k in COST_KS for s in cost_cases(mode, k)}
+        assert families == {
+            "uniform", "rw_log", "rw_shifted_power", "rw_power", "ra_exp", "ra_expm1"
+        }
+
+    def test_custom_mesh_matches_pointwise_quadrature(self):
+        # a tabulated density has no closed-form moment: batch_expected_costs
+        # sweeps a mesh, expected_cost integrates adaptively
+        for mode, k in ((RW, 2), (RA, 3)):
+            spec = StrategySpec(mode, k, 100.0, UNC)
+            S = spec.support_max
+            strat = custom_continuous(spec, lambda x: (1.0 + x / S) / (1.5 * S))
+            ys = np.array([0.3, 0.5, 0.9, 1.3]) * S
             batch = batch_expected_costs(strat, ys)
             for y, b in zip(ys, batch):
-                single = expected_cost(strat, ConflictInstance(spec.mode, spec.k, spec.B, y))
+                single = expected_cost(strat, ConflictInstance(mode, k, spec.B, y))
                 assert b == pytest.approx(single, rel=1e-7)
 
 

@@ -288,13 +288,29 @@ class TestDensityComparison:
             assert rw * B == pytest.approx(abort_density_comparison(1.0)[0], rel=1e-9)
 
 
+@pytest.fixture(scope="class")
+def report():
+    return run_verification_suite()
+
+
 class TestSuite:
-    def test_full_suite_passes(self):
-        report = run_verification_suite()
+    def test_full_suite_passes(self, report):
         assert report["passed"], report["failed"]
         assert report["n_checks"] >= 30
         assert report["n_failed"] == 0
         json.dumps(report)  # must be serializable
+
+    def test_closed_form_costs_leave_rounding_only(self, report):
+        checks = {c["name"]: c for c in report["checks"]}
+        lagrange = [c for name, c in checks.items() if name.startswith("lagrange/")]
+        assert len(lagrange) == 24
+        assert max(max(c["max_residual"], c["point_mass_residual"]) for c in lagrange) <= 1e-13
+        exact = [c for name, c in checks.items() if name.startswith("worst_case/") and "expected" in c]
+        assert len(exact) == 9
+        assert max(abs(c["value"] - c["expected"]) for c in exact) <= 1e-14
+        moments = [name for name in checks if name.startswith("moment_vs_quadrature/")]
+        assert len(moments) == 6
+        assert report["n_checks"] == 150
 
     def test_identity_corners_match_module(self):
         # the lagrange corners used throughout must agree with closed forms

@@ -124,6 +124,19 @@ class TestSameBitsAsRecursion:
         for f, a, b in integrals:
             assert_same_bits(f, a, b)
 
+    def test_moment_vs_quadrature_integrals(self, monkeypatch):
+        integrals = []
+
+        def recording(f, a, b, *args):
+            integrals.append((f, a, b))
+            return adaptive_simpson(f, a, b, *args)
+
+        monkeypatch.setattr(oracle, "adaptive_simpson", recording)
+        oracle._moment_quadrature_checks()
+        assert len(integrals) == 30
+        for f, a, b in integrals:
+            assert_same_bits(f, a, b)
+
     @pytest.mark.parametrize("mode", list(ConflictMode))
     def test_expected_cost_head_integrand(self, mode):
         for k in (2, 3, 5):

@@ -13,7 +13,7 @@ import pytest
 from graceperiod import simulator
 from graceperiod.adversary import KINDS, AdversaryModel, sample_length
 from graceperiod.costmodel import ConflictInstance, expected_cost, opt_cost
-from graceperiod.rng import stream
+from graceperiod.rng import stream, streams
 from graceperiod.simulator import (
     ConflictEvent,
     PolicyConfig,
@@ -157,13 +157,18 @@ class TestMicroTrace:
 
     def test_online_mean_extra_matches_closed_form(self, tmp_path):
         # one conflict, k = 2, y = 40 <= B: the uniform policy's expected
-        # extra equals 2y; check the Monte-Carlo mean over many policy seeds
+        # extra equals 2y; check the Monte-Carlo mean over many policy seeds,
+        # replayed at once: lane i draws from stream(config.seed, "mc", i)
         config = micro_trace_config(tmp_path, "10 0 2\n")
         sched = build_schedule(config)
-        extras = np.array([
-            run(config, sched, policy_stream=stream(config.seed, "mc", i)).sum_extra
-            for i in range(10_000)
-        ])
+        n = 10_000
+        [(_, _, cost)] = simulator._online_replay(
+            config, sched, streams(config.seed, "mc", n=n).uniform, n
+        )
+        extras = cost[0]
+        for i in (0, 4321, n - 1):  # each lane is that seed's single run
+            single = run(config, sched, policy_stream=stream(config.seed, "mc", i))
+            assert extras[i] == single.sum_extra
         stderr = extras.std(ddof=1) / math.sqrt(len(extras))
         assert abs(extras.mean() - 2.0 * 40.0) <= 3.0 * stderr
         offline = run_offline_baseline(config, sched)

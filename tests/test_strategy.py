@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graceperiod.oracle import lagrange_identity_check
+from graceperiod.quadrature import adaptive_simpson
 from graceperiod.rng import stream
 from graceperiod.strategy import (
     ConflictMode,
@@ -382,6 +383,70 @@ class TestQuantile:
         for mode, k, family in MEAN_AWARE:
             spec = StrategySpec(mode, k, 2000.0, CON, mu=100.0)
             assert make_strategy(spec) == mean_aware(mode, k, 2000.0)
+
+
+def shifted_power(k):
+    """The rw_shifted_power density at ``B = 1``, where ``x = u`` exactly."""
+    strat = make_strategy(StrategySpec(RW, k, 1.0, CON, mu=1e-4))
+    assert strat.family == "rw_shifted_power"
+    return strat
+
+
+class TestShiftedPowerSmallU:
+    @pytest.mark.parametrize("k", [3, 4, 5, 10, 100])
+    def test_cdf_matches_exact_arithmetic(self, k):
+        # written as (1+u)**(k-1) - 1 - (k-1)u, it is rounding noise below
+        # u ~ 1e-15: a relative error of 1e30 at u = 1e-30
+        strat = shifted_power(k)
+        q = Fraction(k, k - 1) ** (k - 1)
+        us = np.geomspace(1e-30, 1.0 / (k - 1), 121)
+        for u, got in zip(us.tolist(), strat.cdf(us).tolist()):
+            t = Fraction(u)
+            exact = ((1 + t) ** (k - 1) - 1 - (k - 1) * t) / (q - 2)
+            assert abs(Fraction(got) - exact) <= Fraction(1e-13) * exact, u
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 10, 100])
+    def test_quantile_monotone_and_inverse_near_zero(self, k):
+        strat = shifted_power(k)
+        x = strat.quantile(np.geomspace(5e-17, 5e-15, 401))  # around 5e-16
+        assert np.all(np.diff(x) > 0.0)
+        deep = np.geomspace(1e-30, 1e-10, 201)
+        assert np.allclose(strat.cdf(strat.quantile(deep)), deep, rtol=1e-12, atol=0.0)
+
+
+class TestMoment:
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("k", [2, 3, 10, 100])
+    def test_matches_quadrature(self, mode, k):
+        B = 100.0
+        for variant, mu in ((UNC, None), (CON, 1e-4 * B), (CON, 10.0 * B)):
+            strat = make_strategy(StrategySpec(mode, k, B, variant, mu=mu))
+            S = strat.support_max
+            # 0.125 S and its neighbours straddle rw_log's switch from series
+            xs = np.array([1e-9, 1e-3, 0.125 - 1e-12, 0.125, 0.125 + 1e-12, 0.6, 1.0]) * S
+            for x, m in zip(xs, strat.moment(xs)):
+                ref = adaptive_simpson(
+                    lambda t: t * strat.pdf(t), 0.0, x, rel_tol=1e-13, abs_tol=0.0
+                )
+                assert m == pytest.approx(ref, rel=1e-10), (strat.family, x / S)
+
+    def test_past_the_support_is_the_mean(self):
+        for mode, k in ((RW, 2), (RW, 4), (RA, 3)):
+            strat = make_strategy(StrategySpec(mode, k, 50.0, CON, mu=0.5))
+            S = strat.support_max
+            assert strat.moment(S) > 0.0
+            assert strat.moment(2.0 * S) == strat.moment(S)
+            assert list(strat.moment(np.array([-1.0, 0.0]))) == [0.0, 0.0]
+
+    def test_only_table_densities_have_one(self):
+        spec = StrategySpec(RW, 2, 10.0, UNC)
+        for strat in (
+            custom_continuous(spec, lambda x: 0.1),
+            make_strategy(StrategySpec(RW, 2, 10.0, Variant.DETERMINISTIC)),
+            make_strategy(StrategySpec(RA, 2, 10.0, Variant.DISCRETE_CLASSIC)),
+        ):
+            with pytest.raises(ValueError, match="no closed-form moment"):
+                strat.moment(1.0)
 
 
 class TestRegimesAndRatios:
