@@ -135,15 +135,27 @@ def worst_case_for_det(k: int, B: float) -> AdversaryModel:
     return AdversaryModel(kind="point_mass", mean=B / (k - 1), value=B / (k - 1))
 
 
+def _box_muller(model: AdversaryModel, loc: float, stream: Stream, n: int) -> np.ndarray:
+    """``n`` candidates ``loc + sigma*sqrt(-2 ln u1)*cos(2 pi u2)``, in place."""
+    out = stream.uniform_open_batch(n)
+    u2 = stream.uniform_open_batch(n)
+    np.log(out, out=out)
+    out *= -2.0
+    np.sqrt(out, out=out)
+    u2 *= 2.0 * math.pi
+    out *= np.cos(u2, out=u2)
+    out *= model.sigma
+    out += loc
+    return out
+
+
 def _sample_normal_truncated(model: AdversaryModel, stream: Stream, n: int) -> np.ndarray:
+    # every rejected slot is redrawn, in slot order, until all are accepted
     loc = _solve_truncated_normal_loc(model.mean, model.sigma)
-    out = np.empty(n)
-    pending = np.arange(n)
+    out = _box_muller(model, loc, stream, n)
+    pending = np.flatnonzero(out <= 0.0)
     while pending.size:
-        u1 = stream.uniform_open_batch(pending.size)
-        u2 = stream.uniform_open_batch(pending.size)
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-        cand = loc + model.sigma * z
+        cand = _box_muller(model, loc, stream, pending.size)
         ok = cand > 0.0
         out[pending[ok]] = cand[ok]
         pending = pending[~ok]
@@ -181,22 +193,29 @@ def sample_length(model: AdversaryModel, stream: Stream, n: int | None = None):
     kind = model.kind
     if kind == "point_mass":
         out = np.full(count, model.value)
-    elif kind == "exponential":
-        out = -model.mean * np.log(stream.uniform_open_batch(count))
-    elif kind == "uniform":
-        out = 2.0 * model.mean * stream.uniform_open_batch(count)
-    elif kind == "geometric":
-        p = 1.0 / model.mean
-        u = stream.uniform_open_batch(count)
-        out = np.floor(np.log(u) / math.log1p(-p)) + 1.0 if p < 1.0 else np.ones(count)
     elif kind == "normal_truncated":
         out = _sample_normal_truncated(model, stream, count)
-    elif kind == "poisson":  # table inversion (Devroye 1986, X.3): one uniform a length
-        lo, cdf = _zero_truncated_poisson_table(model.mean)
-        u = stream.uniform_open_batch(count)
-        out = (lo + np.searchsorted(cdf, u, side="right")).astype(float)
-    else:  # pragma: no cover
-        raise AssertionError(kind)
+    else:  # one uniform a length, transformed in place
+        out = stream.uniform_open_batch(count)
+        if kind == "exponential":
+            np.log(out, out=out)
+            out *= -model.mean
+        elif kind == "uniform":
+            out *= 2.0 * model.mean
+        elif kind == "geometric":
+            p = 1.0 / model.mean
+            if p < 1.0:
+                np.log(out, out=out)
+                out /= math.log1p(-p)
+                np.floor(out, out=out)
+                out += 1.0
+            else:
+                out.fill(1.0)
+        elif kind == "poisson":  # table inversion (Devroye 1986, X.3)
+            lo, cdf = _zero_truncated_poisson_table(model.mean)
+            np.add(np.searchsorted(cdf, out, side="right"), lo, out=out)
+        else:  # pragma: no cover
+            raise AssertionError(kind)
     return float(out[0]) if n is None else out
 
 
@@ -211,10 +230,11 @@ def remaining_time(model: AdversaryModel, stream: Stream, n: int | None = None):
     if model.is_point_mass:
         out = np.full(count, model.value)
         return float(out[0]) if n is None else out
-    r = np.atleast_1d(sample_length(model, stream, count))
+    out = sample_length(model, stream, count)
     u = stream.uniform_batch(count)
-    if model.kind in DISCRETE_KINDS:
-        out = r - np.floor(u * r)
-    else:
-        out = r * (1.0 - u)
+    if model.kind in DISCRETE_KINDS:  # r - floor(u*r)
+        u *= out
+        out -= np.floor(u, out=u)
+    else:  # r*(1 - u)
+        out *= np.subtract(1.0, u, out=u)
     return float(out[0]) if n is None else out

@@ -12,12 +12,20 @@ they fall back to the unconstrained form when the mean threshold fails),
 and OPT (offline optimum).  Length distributions share draws within a
 distribution so strategy columns are paired; every cell has its own
 sampling stream, so output is byte-reproducible per (config, seed).
+
+Memory: a distribution's remaining times ``ys`` and their optimum
+``min(ys, B)`` are drawn once, and one cost buffer serves every cell of the
+run; these are the only trials-length arrays.  A cell draws and scores
+``_BLOCK`` trials at a time (the streams are counter-based, so the draws
+equal one whole batch), then forms its residuals ``cost - ratio*opt`` in
+the same buffer and takes their standard deviation there.  The output is
+the same, bit for bit, as scoring every cell on whole arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +42,7 @@ WORST_CASE_DIST = "worst_case_det"
 CSV_HEADER = "distribution,strategy,trials,avg_cost,avg_opt,ratio,stderr"
 
 _K = 2  # two conflicting transactions
+_BLOCK = 16384  # trials drawn and scored at a time
 
 
 @dataclass(frozen=True)
@@ -109,39 +118,63 @@ _CELLS = {
 
 
 def _strategy_for(name: str, config: BenchConfig):
-    if name == "OPT":
-        return None
     mode, variant = _CELLS[name]
     mu = config.mu if variant is Variant.RANDOMIZED_CONSTRAINED else None
     return make_strategy(StrategySpec(mode, _K, config.B, variant, mu=mu))
 
 
-def _score(name: str, strategy, ys: np.ndarray, B: float, seed: int, dist: str, n: int):
-    opt = np.minimum(ys, B)  # (k-1)*y = y at k = 2
-    if name == "OPT":
-        return opt.copy(), opt
-    xs = strategy.sample_batch(stream(seed, "bench", dist, name), n)
-    return conflict_cost(strategy.spec.mode, _K, B, xs, ys), opt
+def _cell_costs(name: str, ys: np.ndarray, config: BenchConfig, dist: str,
+                out: np.ndarray) -> np.ndarray:
+    """A strategy cell's per-trial costs, written into ``out``.
+
+    The strategy draws and scores one block of trials at a time, so no
+    temporary is longer than ``_BLOCK``; its stream is counter-based, so the
+    draws equal one batch of ``len(ys)``.
+    """
+    strategy = _strategy_for(name, config)
+    draws = stream(config.seed, "bench", dist, name)
+    for lo in range(0, len(ys), _BLOCK):
+        hi = min(lo + _BLOCK, len(ys))
+        xs = strategy.sample_batch(draws, hi - lo)
+        out[lo:hi] = conflict_cost(strategy.spec.mode, _K, config.B, xs, ys[lo:hi])
+    return out
+
+
+def _std_in_place(resid: np.ndarray) -> float:
+    """``np.std(resid, ddof=1)`` to the bit, overwriting ``resid`` instead of
+    allocating a copy: the same sum, subtraction, square, sum and division."""
+    resid -= resid.sum() / resid.size
+    np.square(resid, out=resid)
+    return float(np.sqrt(resid.sum() / (resid.size - 1)))
+
+
+def _score_distribution(dist: str, config: BenchConfig, out: np.ndarray) -> list[TrialRecord]:
+    n = config.trials
+    ys = remaining_time(_length_model(dist, config), stream(config.seed, "bench", dist), n)
+    opt = np.minimum(ys, config.B)  # (k-1)*y = y at k = 2
+    avg_opt = float(np.mean(opt))
+    rows = []
+    for name in config.strategies:
+        costs = opt if name == "OPT" else _cell_costs(name, ys, config, dist, out)
+        avg_cost = float(np.mean(costs))
+        ratio = avg_cost / avg_opt
+        if n > 1:
+            # the residual costs - ratio*opt goes into out, a block at a time
+            for lo in range(0, n, _BLOCK):
+                hi = min(lo + _BLOCK, n)
+                np.subtract(costs[lo:hi], ratio * opt[lo:hi], out=out[lo:hi])
+            stderr = _std_in_place(out) / (avg_opt * math.sqrt(n))
+        else:
+            stderr = 0.0
+        rows.append(TrialRecord(dist, name, n, avg_cost, avg_opt, ratio, stderr))
+    return rows
 
 
 def run_bench(config: BenchConfig) -> list[TrialRecord]:
+    out = np.empty(config.trials)  # every cell's costs, then its residuals
     rows: list[TrialRecord] = []
-    n = config.trials
     for dist in config.distributions:
-        model = _length_model(dist, config)
-        ys = remaining_time(model, stream(config.seed, "bench", dist), n)
-        for name in config.strategies:
-            strategy = _strategy_for(name, config)
-            costs, opts = _score(name, strategy, ys, config.B, config.seed, dist, n)
-            avg_cost = float(np.mean(costs))
-            avg_opt = float(np.mean(opts))
-            ratio = avg_cost / avg_opt
-            if n > 1:
-                resid = costs - ratio * opts
-                stderr = float(np.std(resid, ddof=1) / (avg_opt * math.sqrt(n)))
-            else:
-                stderr = 0.0
-            rows.append(TrialRecord(dist, name, n, avg_cost, avg_opt, ratio, stderr))
+        rows += _score_distribution(dist, config, out)
     return rows
 
 

@@ -38,12 +38,18 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX_A)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+def _mix64_vec(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`mix64` of every element of ``z``, in ``out`` (a new array by
+    default, or ``z`` itself); ``z`` is left unmodified unless it is ``out``."""
+    tmp = np.right_shift(z, np.uint64(30))
+    out = np.bitwise_xor(z, tmp, out=out)
+    out *= np.uint64(_MIX_A)
+    np.right_shift(out, np.uint64(27), out=tmp)
+    out ^= tmp
+    out *= np.uint64(_MIX_B)
+    np.right_shift(out, np.uint64(31), out=tmp)
+    out ^= tmp
+    return out
 
 
 def derive_seed(seed: int, *tokens: int | str) -> int:
@@ -65,6 +71,12 @@ def derive_seed(seed: int, *tokens: int | str) -> int:
     return h
 
 
+def _to_unit(z: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each ``z`` as doubles; shifts ``z`` in place."""
+    z >>= np.uint64(11)
+    return z.astype(np.float64)
+
+
 class Stream:
     """One SplitMix64 stream.  Not thread-safe; use one per caller."""
 
@@ -82,18 +94,22 @@ class Stream:
         return (self.u64() >> 11) * _INV_2_53
 
     def u64_batch(self, n: int) -> np.ndarray:
-        counters = np.uint64(self._state) + np.uint64(GOLDEN) * np.arange(
-            1, n + 1, dtype=np.uint64
-        )
+        counters = np.arange(1, n + 1, dtype=np.uint64)
+        counters *= np.uint64(GOLDEN)
+        counters += np.uint64(self._state)
         self._state = (self._state + GOLDEN * n) & _MASK
-        return _mix64_vec(counters)
+        return _mix64_vec(counters, out=counters)
 
     def uniform_batch(self, n: int) -> np.ndarray:
-        return (self.u64_batch(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        out = _to_unit(self.u64_batch(n))
+        out *= _INV_2_53
+        return out
 
     def uniform_open_batch(self, n: int) -> np.ndarray:
-        mantissa = (self.u64_batch(n) >> np.uint64(11)).astype(np.float64)
-        return (mantissa + 0.5) * _INV_2_53
+        out = _to_unit(self.u64_batch(n))
+        out += 0.5
+        out *= _INV_2_53
+        return out
 
     def spawn(self, *tokens: int | str) -> "Stream":
         """Independent child stream; does not advance this stream."""
@@ -122,8 +138,10 @@ class Streams:
         """The next ``m`` uniform doubles in [0, 1) of every stream, shape ``(m, n)``."""
         counters = self._states + np.uint64(GOLDEN) * np.arange(1, m + 1, dtype=np.uint64)[:, None]
         if m:
-            self._states = counters[-1]
-        return (_mix64_vec(counters) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+            self._states = counters[-1].copy()
+        out = _to_unit(_mix64_vec(counters, out=counters))
+        out *= _INV_2_53
+        return out
 
 
 def streams(seed: int, *tokens: int | str, n: int) -> Streams:

@@ -35,7 +35,17 @@ Every closed-form density also has a closed-form partial first moment
 (``GracePeriodStrategy.moment``), which makes expected costs exact; near
 ``x = 0`` the moments and the shifted-power cdf are summed as power series
 with positive terms (or log1p's alternating series), as their closed forms
-cancel there.
+cancel there.  ``q`` and ``g`` are evaluated as ``exp((k-1)*log1p(1/(k-1)))``
+and as a positive series for ``(expm1(t) - t)/t``, ``t = 1/(k-1)``, so they
+hold to rounding at every ``k``.
+
+Sampling inverts the cdf: in closed form where one exists, else (``rw_log``,
+``rw_shifted_power``, ``ra_expm1``) by four Newton steps on ``sqrt(F)``.  Each
+step evaluates the family's shared transcendental once: ``log1p(u)`` for
+``rw_log``, ``expm1(u)`` for ``ra_expm1``, both read by the cdf and the pdf,
+and ``log1p(u)`` for the ``rw_shifted_power`` pdf (its cdf is a series).  The
+work goes into buffers allocated once per call and gives the same bits as
+evaluating the cdf and the pdf separately.
 
 A note on two superficially similar forms that are *not* valid densities
 and are used as negative controls by the verification suite: the k=2
@@ -64,6 +74,9 @@ from .rng import Stream
 LN4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
 
 _NEWTON_STEPS = 4  # three suffice; one more for margin
+# Power series in v in [0, 1] whose j-th coefficient is at most 1/j!, cut
+# after this many terms: the first term left out is below 1e-19 of the sum.
+_SERIES_TERMS = 20
 
 
 class ConflictMode(Enum):
@@ -139,7 +152,8 @@ class RatioReport:
 
 
 def _q(k: int) -> float:
-    return (k / (k - 1.0)) ** (k - 1)
+    # (k/(k-1))**(k-1) without rounding k/(k-1) first
+    return 2.0 if k == 2 else math.exp((k - 1) * math.log1p(1.0 / (k - 1)))
 
 
 def _eps(k: int) -> float:
@@ -147,8 +161,20 @@ def _eps(k: int) -> float:
     return math.e - 1.0 if k == 2 else math.expm1(1.0 / (k - 1))
 
 
+# (expm1(t) - t)/t = sum_{j>=0} t**(j+1) / (j+2)!
+_EXPM1_RATIO = [1.0 / math.factorial(j + 2) for j in range(_SERIES_TERMS + 1)]
+
+
 def _g(k: int) -> float:
-    return math.e - 2.0 if k == 2 else (k - 1) * _eps(k) - 1.0
+    # (k-1)*eps - 1 = (expm1(t) - t)/t at t = 1/(k-1), summed as a series with
+    # positive terms (the difference cancels as k grows)
+    if k == 2:
+        return math.e - 2.0
+    t = 1.0 / (k - 1)
+    acc = 0.0
+    for c in reversed(_EXPM1_RATIO):
+        acc = acc * t + c
+    return acc * t
 
 
 def det_threshold(k: int, B: float) -> float:
@@ -216,25 +242,25 @@ def lagrange_corner(mode: ConflictMode, k: int, B: float, constrained: bool) -> 
 class _Family(NamedTuple):
     """One closed-form density family, as functions of ``u = x/B``.
 
-    ``pdf`` is the density in ``x`` and ``cdf`` its distribution function;
-    ``moment`` is the partial first moment ``m(u)``, with
-    ``integral_0^x t pdf(t) dt = B*m(x/B)``.  ``inverse`` maps uniforms to
-    grace periods in closed form, and families without one are inverted by
-    Newton steps on the cdf.  ``params(k)`` precomputes the family's
-    constants.
+    ``pdf`` is the density in ``x`` and ``cdf`` its distribution function,
+    both called as ``(u, k, B, p, s)`` with ``s = shared(u)``; ``moment`` is
+    the partial first moment ``m(u)``, with ``integral_0^x t pdf(t) dt =
+    B*m(x/B)``.  ``inverse`` maps uniforms to grace periods in closed form,
+    and families without one are inverted by Newton steps on the cdf: their
+    ``shared`` is the one transcendental of ``u`` that pdf and cdf share, so
+    a Newton step evaluates it once, and their pdf and cdf take an ``out``
+    buffer.  ``params(k)`` precomputes the family's constants.
     """
 
     pdf: Callable
     cdf: Callable
+    shared: Callable = lambda u, out=None: None
     moment: Callable | None = None
     inverse: Callable | None = None
     params: Callable = lambda k: {}
     mean_aware: bool = False  # built from the known mean mu (constrained)
 
 
-# Power series in v in [0, 1] whose j-th coefficient is at most 1/j!, cut
-# after this many terms: the first term left out is below 1e-19 of the sum.
-_SERIES_TERMS = 20
 # log1p's alternating series, for the rw_log moment below u = 1/8
 _LOG_SERIES_MAX_U = 0.125
 
@@ -281,27 +307,64 @@ def _rw_log_moment(u):
     return np.where(u < _LOG_SERIES_MAX_U, small, closed) / LN4_MINUS_1
 
 
-def _custom_pdf(u, k, B, p):
+def _rw_log_cdf(u, k, B, p, s, out=None):
+    # ((1 + u) * log1p(u) - u) / (ln4 - 1), s = log1p(u)
+    out = np.add(u, 1.0, out=out)
+    out *= s
+    out -= u
+    out /= LN4_MINUS_1
+    return out
+
+
+def _rw_shifted_power_pdf(u, k, B, p, s, out=None):
+    # (k-1) * expm1((k-2) * log1p(u)) / (B(q-2)), s = log1p(u)
+    out = np.multiply(s, k - 2, out=out)
+    np.expm1(out, out=out)
+    out *= k - 1
+    out /= B * (p["q"] - 2.0)
+    return out
+
+
+def _ra_expm1_cdf(u, k, B, p, s, out=None):
+    # (k-1) * (expm1(u) - u) / g, s = expm1(u)
+    out = np.subtract(s, u, out=out)
+    out *= k - 1
+    out /= p["g"]
+    return out
+
+
+def _ra_expm1_pdf(u, k, B, p, s, out=None):
+    # (k-1) * expm1(u) / (B g), s = expm1(u)
+    out = np.multiply(s, k - 1, out=out)
+    out /= B * p["g"]
+    return out
+
+
+def _custom_pdf(u, k, B, p, s):
     f = p["pdf"]
     return np.asarray([f(v) for v in np.atleast_1d(u * B)], dtype=float)
 
 
 _FAMILIES = {
     "uniform": _Family(
-        pdf=lambda u, k, B, p: np.full_like(u, (k - 1) / B),
-        cdf=lambda u, k, B, p: (k - 1) * u,
+        pdf=lambda u, k, B, p, s: np.full_like(u, (k - 1) / B),
+        cdf=lambda u, k, B, p, s: (k - 1) * u,
         moment=lambda u, k, B, p: 0.5 * (k - 1) * u * u,
         inverse=lambda u, k, B, p: B / (k - 1) * u,
     ),
     "rw_log": _Family(
-        pdf=lambda u, k, B, p: np.log1p(u) / (B * LN4_MINUS_1),
-        cdf=lambda u, k, B, p: ((1.0 + u) * np.log1p(u) - u) / LN4_MINUS_1,
+        pdf=lambda u, k, B, p, s, out=None: np.divide(s, B * LN4_MINUS_1, out=out),
+        cdf=_rw_log_cdf,
+        shared=np.log1p,
         moment=lambda u, k, B, p: _rw_log_moment(u),
         mean_aware=True,
     ),
     "rw_shifted_power": _Family(
-        pdf=lambda u, k, B, p: (k - 1) * np.expm1((k - 2) * np.log1p(u)) / (B * (p["q"] - 2.0)),
-        cdf=lambda u, k, B, p: _series(p["binomials"], (k - 1) * u, 2) / (p["q"] - 2.0),
+        pdf=_rw_shifted_power_pdf,
+        cdf=lambda u, k, B, p, s, out=None: np.divide(
+            _series(p["binomials"], (k - 1) * u, 2), p["q"] - 2.0, out=out
+        ),
+        shared=np.log1p,
         moment=lambda u, k, B, p: (
             (k - 1) * u * u * _series(p["moment"], (k - 1) * u, 1) / (p["q"] - 2.0)
         ),
@@ -309,8 +372,8 @@ _FAMILIES = {
         mean_aware=True,
     ),
     "rw_power": _Family(
-        pdf=lambda u, k, B, p: (k - 1) * (1.0 + u) ** (k - 2) / (B * (p["q"] - 1.0)),
-        cdf=lambda u, k, B, p: np.expm1((k - 1) * np.log1p(u)) / (p["q"] - 1.0),
+        pdf=lambda u, k, B, p, s: (k - 1) * (1.0 + u) ** (k - 2) / (B * (p["q"] - 1.0)),
+        cdf=lambda u, k, B, p, s: np.expm1((k - 1) * np.log1p(u)) / (p["q"] - 1.0),
         moment=lambda u, k, B, p: (
             (k - 1) * u * u * _series(p["moment"], (k - 1) * u) / (p["q"] - 1.0)
         ),
@@ -318,15 +381,16 @@ _FAMILIES = {
         params=_power_params,
     ),
     "ra_exp": _Family(
-        pdf=lambda u, k, B, p: np.exp(u) / (B * p["eps"]),
-        cdf=lambda u, k, B, p: np.expm1(u) / p["eps"],
+        pdf=lambda u, k, B, p, s: np.exp(u) / (B * p["eps"]),
+        cdf=lambda u, k, B, p, s: np.expm1(u) / p["eps"],
         moment=lambda u, k, B, p: u * u * _series(_EXP_MOMENT, u) / p["eps"],
         inverse=lambda u, k, B, p: B * np.log1p(u * p["eps"]),
         params=lambda k: {"eps": _eps(k)},
     ),
     "ra_expm1": _Family(
-        pdf=lambda u, k, B, p: (k - 1) * np.expm1(u) / (B * p["g"]),
-        cdf=lambda u, k, B, p: (k - 1) * (np.expm1(u) - u) / p["g"],
+        pdf=_ra_expm1_pdf,
+        cdf=_ra_expm1_cdf,
+        shared=np.expm1,
         moment=lambda u, k, B, p: (k - 1) * u * u * _series(_EXP_MOMENT, u, 1) / p["g"],
         params=lambda k: {"g": _g(k)},
         mean_aware=True,
@@ -335,7 +399,7 @@ _FAMILIES = {
     # inverted exactly; no closed-form moment
     "custom": _Family(
         pdf=_custom_pdf,
-        cdf=lambda u, k, B, p: np.interp(u * B, p["mesh"], p["cum"]),
+        cdf=lambda u, k, B, p, s: np.interp(u * B, p["mesh"], p["cum"]),
         inverse=lambda u, k, B, p: np.interp(u, p["cum"], p["mesh"]),
     ),
 }
@@ -406,10 +470,12 @@ class GracePeriodStrategy:
         return float(vals[0]) if xs.ndim == 0 else vals
 
     def _pdf_inside(self, u):
-        return _FAMILIES[self.family].pdf(u, self.spec.k, self.spec.B, self.params)
+        row = _FAMILIES[self.family]
+        return row.pdf(u, self.spec.k, self.spec.B, self.params, row.shared(u))
 
     def _cdf_inside(self, u):
-        return _FAMILIES[self.family].cdf(u, self.spec.k, self.spec.B, self.params)
+        row = _FAMILIES[self.family]
+        return row.cdf(u, self.spec.k, self.spec.B, self.params, row.shared(u))
 
     def _pmf(self, i):
         arr = np.asarray(i, dtype=float)
@@ -471,19 +537,26 @@ class GracePeriodStrategy:
     def _invert_cdf(self, u: np.ndarray) -> np.ndarray:
         # The density vanishes linearly at 0, so sqrt(F) is nearly linear in
         # t = x/B: Newton on sqrt(F(t)) = sqrt(u) from the linear guess settles
-        # in three steps.  dF/dt = B * pdf, as _pdf_inside is a density in x.
-        B, top = self.spec.B, self.support_max / self.spec.B
+        # in three steps.  dF/dt = B * pdf, as the pdf is a density in x.  Each
+        # step evaluates the family's shared transcendental once, and all work
+        # goes into the buffers below.
+        row, k, B, p = _FAMILIES[self.family], self.spec.k, self.spec.B, self.params
+        top = self.support_max / B
         root_u = np.sqrt(u)
         t = root_u * top
+        s, root_f, step = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+        moving = np.empty(t.shape, dtype=bool)
         for _ in range(_NEWTON_STEPS):
-            root_f = self._cdf_inside(t)
+            row.shared(t, out=s)
+            row.cdf(t, k, B, p, s, out=root_f)
             np.maximum(root_f, 0.0, out=root_f)  # cancellation can dip below 0
             np.sqrt(root_f, out=root_f)
-            step = np.subtract(root_f, root_u)
+            np.subtract(root_f, root_u, out=step)
             step *= root_f
             step *= 2.0 / B
             # at t = 0 (u = 0) both F and the density vanish: no step
-            np.divide(step, self._pdf_inside(t), out=step, where=root_f > 0.0)
+            np.greater(root_f, 0.0, out=moving)
+            np.divide(step, row.pdf(t, k, B, p, s, out=s), out=step, where=moving)
             t -= step
             np.clip(t, 0.0, top, out=t)
         return np.multiply(t, B, out=t)

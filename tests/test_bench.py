@@ -1,13 +1,28 @@
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from graceperiod import cli
+from graceperiod.adversary import remaining_time
 from graceperiod.bench import (
     BenchConfig,
     CSV_HEADER,
     DISTRIBUTIONS,
+    STRATEGIES,
+    TrialRecord,
+    WORST_CASE_DIST,
+    _BLOCK,
+    _K,
+    _length_model,
+    _strategy_for,
     run_bench,
     rows_to_csv,
 )
+from graceperiod.costmodel import conflict_cost
+from graceperiod.rng import stream
 
 
 def small(**overrides):
@@ -84,3 +99,70 @@ def test_stderr_tracks_noise():
         cell = rows[(dist, "RRW")]
         assert 0.0 < cell.stderr < 0.05
         assert abs(cell.ratio - 2.0) < 6.0 * cell.stderr + 1e-3
+
+
+def reference_rows(config):
+    """Every cell scored on whole trials-length arrays, as ``run_bench`` did
+    before it drew and scored in blocks; kept here only as a reference."""
+    rows = []
+    n = config.trials
+    for dist in config.distributions:
+        ys = remaining_time(_length_model(dist, config), stream(config.seed, "bench", dist), n)
+        for name in config.strategies:
+            opts = np.minimum(ys, config.B)
+            if name == "OPT":
+                costs = opts.copy()
+            else:
+                strategy = _strategy_for(name, config)
+                xs = strategy.sample_batch(stream(config.seed, "bench", dist, name), n)
+                costs = conflict_cost(strategy.spec.mode, _K, config.B, xs, ys)
+            avg_cost = float(np.mean(costs))
+            avg_opt = float(np.mean(opts))
+            ratio = avg_cost / avg_opt
+            if n > 1:
+                resid = costs - ratio * opts
+                stderr = float(np.std(resid, ddof=1) / (avg_opt * math.sqrt(n)))
+            else:
+                stderr = 0.0
+            rows.append(TrialRecord(dist, name, n, avg_cost, avg_opt, ratio, stderr))
+    return rows
+
+
+@pytest.mark.parametrize("trials", [1, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_blocked_cells_equal_whole_array_reference(trials):
+    # == on the float fields is bit-identity up to the sign of zero, and
+    # the CSV text pins that too
+    config = small(trials=trials, distributions=DISTRIBUTIONS + (WORST_CASE_DIST,))
+    rows = run_bench(config)
+    ref = reference_rows(config)
+    assert [(r.distribution, r.strategy) for r in rows] == [
+        (d, s) for d in config.distributions for s in STRATEGIES
+    ]
+    assert rows == ref
+    assert rows_to_csv(rows) == rows_to_csv(ref)
+
+
+@pytest.mark.parametrize("seed,digest", [
+    ("1", "0971f403f16f240e925c794f0d2f7c15c971f399d12e9196b1c31952c5e6f793"),
+    ("7", "e23cb281cf110044b360433514a16e540d218ea7eaea55df374b98a3cf13e07f"),
+])
+def test_default_csv_digest(tmp_path, seed, digest):
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench-synthetic", "--seed", seed, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_default_run_memory_stays_bounded():
+    # trials-length arrays: the remaining times, their optimum and one cost
+    # buffer (3 x 0.8 MB at the default 100k trials); drawing the remaining
+    # times briefly holds two more, the draw counters and their mix
+    # temporary. Scoring the cells on whole arrays peaked at 9.7 MB.
+    config = BenchConfig(B=2000, mu=500)
+    run_bench(small(trials=10))  # fill the calibration caches first
+    tracemalloc.start()
+    try:
+        run_bench(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6

@@ -1,6 +1,6 @@
 import numpy as np
 
-from graceperiod.rng import Stream, derive_seed, mix64, stream, streams
+from graceperiod.rng import Stream, _mix64_vec, derive_seed, mix64, stream, streams
 
 
 def test_splitmix64_reference_vector():
@@ -25,6 +25,27 @@ def test_batch_matches_scalar_sequence():
     assert [int(x) for x in batch] == scalars
     # and the streams stay aligned afterwards
     assert a.u64() == b.u64()
+
+
+def test_vector_mix_leaves_its_input_unmodified():
+    z = np.array([0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    before = z.copy()
+    mixed = _mix64_vec(z)
+    assert np.array_equal(z, before)
+    assert [int(v) for v in mixed] == [mix64(int(v)) for v in before]
+    assert np.array_equal(_mix64_vec(z, out=z), mixed)  # in place on request
+
+
+def test_batches_do_not_share_memory_or_disturb_the_stream():
+    # u64_batch mixes its counters in place: each batch is a fresh array that
+    # later batches do not overwrite, and blocks continue one another
+    a, b = Stream(5), Stream(5)
+    first = a.u64_batch(64)
+    kept = first.copy()
+    second = a.u64_batch(64)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(np.concatenate([first, second]), b.u64_batch(128))
 
 
 def test_uniform_batch_matches_scalar():

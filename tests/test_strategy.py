@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -12,6 +13,8 @@ from graceperiod.oracle import lagrange_identity_check
 from graceperiod.quadrature import adaptive_simpson
 from graceperiod.rng import stream
 from graceperiod.strategy import (
+    _FAMILIES,
+    _NEWTON_STEPS,
     ConflictMode,
     GracePeriodStrategy,
     StrategyKind,
@@ -25,6 +28,7 @@ from graceperiod.strategy import (
     make_strategy,
     threshold_condition,
 )
+from graceperiod.strategy import _g, _q
 
 RW = ConflictMode.REQUESTOR_WINS
 RA = ConflictMode.REQUESTOR_ABORTS
@@ -383,6 +387,97 @@ class TestQuantile:
         for mode, k, family in MEAN_AWARE:
             spec = StrategySpec(mode, k, 2000.0, CON, mu=100.0)
             assert make_strategy(spec) == mean_aware(mode, k, 2000.0)
+
+
+def separate_newton_quantile(strat, u):
+    """``_invert_cdf`` as it was before its fused kernel: each step evaluates
+    the cdf and the pdf on their own, through ``_cdf_inside`` and
+    ``_pdf_inside``, with fresh arrays; kept here only as a reference."""
+    B, top = strat.spec.B, strat.support_max / strat.spec.B
+    root_u = np.sqrt(u)
+    t = root_u * top
+    for _ in range(_NEWTON_STEPS):
+        root_f = strat._cdf_inside(t)
+        np.maximum(root_f, 0.0, out=root_f)
+        np.sqrt(root_f, out=root_f)
+        step = np.subtract(root_f, root_u)
+        step *= root_f
+        step *= 2.0 / B
+        np.divide(step, strat._pdf_inside(t), out=step, where=root_f > 0.0)
+        t -= step
+        np.clip(t, 0.0, top, out=t)
+    return np.multiply(t, B, out=t)
+
+
+def newton_strategy(mode, k, B):
+    """The mean-aware density of ``(mode, k)``, built where its threshold
+    holds and rescaled to ``B`` like :func:`mean_aware`."""
+    strat = make_strategy(StrategySpec(mode, k, 100.0, CON, mu=0.5))
+    spec = StrategySpec(mode, k, B, CON, mu=0.005 * B)
+    return dataclasses.replace(strat, spec=spec, support_max=spec.support_max)
+
+
+# (mode, k) of every strategy inverted by Newton steps at k = 2, 3 and 10
+NEWTON_CASES = [(mode, k) for mode in (RW, RA) for k in (2, 3, 10)]
+NEWTON_U = np.concatenate([
+    [0.0, np.nextafter(1.0, 0.0)],
+    SMALLEST_UNIFORMS,
+    np.linspace(0.0, 1.0, 4097)[1:-1],
+    np.logspace(-15.0, -1.0, 57),
+    1.0 - np.logspace(-15.0, -1.0, 57),
+])
+
+
+class TestFusedNewton:
+    def test_cases_cover_every_newton_family(self):
+        newton = {name for name, row in _FAMILIES.items() if row.inverse is None}
+        families = {newton_strategy(mode, k, 1.0).family for mode, k in NEWTON_CASES}
+        assert families == newton == {"rw_log", "rw_shifted_power", "ra_expm1"}
+
+    @pytest.mark.parametrize("B", [1.0, 2000.0])
+    @pytest.mark.parametrize("mode,k", NEWTON_CASES)
+    def test_equals_separate_cdf_and_pdf_steps(self, mode, k, B):
+        strat = newton_strategy(mode, k, B)
+        fused = strat.quantile(NEWTON_U.copy())
+        assert fused.tobytes() == separate_newton_quantile(strat, NEWTON_U.copy()).tobytes()
+        assert fused[0] == 0.0
+
+    @pytest.mark.parametrize("mode,k", NEWTON_CASES)
+    def test_pdf_and_cdf_equal_their_closed_forms(self, mode, k):
+        # the evaluations from the shared transcendental, into buffers, give
+        # the bits of the plain closed-form expressions (B = 1, so x = u)
+        strat = newton_strategy(mode, k, 1.0)
+        u = np.linspace(0.0, strat.support_max, 1001)
+        if strat.family == "rw_log":
+            pdf = np.log1p(u) / LN4M1
+            cdf = ((1.0 + u) * np.log1p(u) - u) / LN4M1
+        elif strat.family == "ra_expm1":
+            pdf = (k - 1) * np.expm1(u) / _g(k)
+            cdf = (k - 1) * (np.expm1(u) - u) / _g(k)
+        else:  # its cdf is a power series, checked against exact arithmetic below
+            pdf = (k - 1) * np.expm1((k - 2) * np.log1p(u)) / (_q(k) - 2.0)
+            cdf = strat.cdf(u)
+        assert strat.pdf(u).tobytes() == pdf.tobytes()
+        assert strat.cdf(u).tobytes() == cdf.tobytes()
+
+
+class TestPowerAndExpConstants:
+    def test_k2_values_are_pinned(self):
+        assert _q(2) == 2.0
+        assert _g(2) == math.e - 2.0
+
+    @pytest.mark.parametrize("k", [3, 4, 10, 100, 10**4, 10**6])
+    def test_relative_error_at_rounding_level(self, k):
+        # q - 2 and g against 40-digit decimal arithmetic; the direct forms
+        # (k/(k-1))**(k-1) and (k-1)*expm1(1/(k-1)) - 1 drift to 2e-11 and
+        # 4e-11 at k = 1e6
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            t = decimal.Decimal(1) / (k - 1)
+            q = (1 + t) ** (k - 1)
+            g = (k - 1) * (t.exp() - 1) - 1
+            assert abs((decimal.Decimal(_q(k)) - q) / (q - 2)) < decimal.Decimal("1e-15")
+            assert abs((decimal.Decimal(_g(k)) - g) / g) < decimal.Decimal("1e-15")
 
 
 def shifted_power(k):
