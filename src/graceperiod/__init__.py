@@ -29,6 +29,7 @@ from .strategy import (
     det_threshold,
     lagrange_corner,
     make_strategy,
+    mean_threshold,
     threshold_condition,
 )
 
@@ -41,7 +42,7 @@ __all__ = [
     "competitive_ratio", "conflict_cost", "derive_seed",
     "det_competitive_ratio", "det_threshold", "expected_cost",
     "lagrange_corner", "lagrange_identity_check", "make_strategy",
-    "optimality_probe", "opt_cost", "ratio_profile",
+    "mean_threshold", "optimality_probe", "opt_cost", "ratio_profile",
     "remaining_time", "run_verification_suite", "sample_length", "stream",
     "streams", "threshold_condition", "verify_pdf", "worst_case_ratio",
     "worst_case_for_det",

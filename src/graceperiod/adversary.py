@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rng import Stream
+from .strategy import det_threshold
 
 KINDS = ("geometric", "normal_truncated", "uniform", "exponential", "poisson", "point_mass")
 DISCRETE_KINDS = frozenset({"geometric", "poisson"})
@@ -128,11 +129,8 @@ def worst_case_for_det(k: int, B: float) -> AdversaryModel:
     Under the tie-aborts rule this forces the deterministic strategy into
     its worst case, realizing ratio ``2 + 1/(k-1)``.
     """
-    if int(k) != k or k < 2:
-        raise ValueError(f"chain size k must be an integer >= 2, got {k}")
-    if not (B > 0.0 and math.isfinite(B)):
-        raise ValueError(f"abort cost B must be positive, got {B}")
-    return AdversaryModel(kind="point_mass", mean=B / (k - 1), value=B / (k - 1))
+    x0 = det_threshold(k, B)
+    return AdversaryModel(kind="point_mass", mean=x0, value=x0)
 
 
 def _box_muller(model: AdversaryModel, loc: float, stream: Stream, n: int) -> np.ndarray:

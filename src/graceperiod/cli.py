@@ -100,7 +100,7 @@ def _cmd_simulate(args) -> int:
         "offline": offline.to_json_dict(),
         "bound_check": check.to_json_dict(),
     }
-    if args.campaign_seeds and args.campaign_seeds > 1:
+    if args.campaign_seeds > 1:
         ratios, _, camp = simulator.throughput_campaign(
             config, args.campaign_seeds, schedule=schedule, offline=baseline
         )
@@ -120,13 +120,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_strategy_table(args) -> int:
-    mu = args.mu
     spec = StrategySpec(
         mode=ConflictMode(args.mode),
         k=args.k,
         B=args.B,
         variant=Variant(args.strategy_variant),
-        mu=mu,
+        mu=args.mu,
     )
     strat = make_strategy(spec)
     lines = ["x,pdf,cdf"]
@@ -142,6 +141,14 @@ def _cmd_strategy_table(args) -> int:
             lines.append(f"{x:.12g},{strat.pdf(x):.12g},{strat.cdf(x):.12g}")
     _emit("\r\n".join(lines) + "\r\n", args.out)
     return 0
+
+
+def count(text: str) -> int:
+    """An integer flag value of at least 1; argparse names the flag on error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="multi-thread conflict simulation (JSON)")
     p.add_argument("--config", required=True, help="JSON simulation config")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--campaign-seeds", type=int, default=1,
+    p.add_argument("--campaign-seeds", type=count, default=1,
                    help="extra online runs for the throughput bound")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_simulate)
@@ -184,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--B", type=float, required=True)
     p.add_argument("--mu", type=float)
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=count, default=101)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_strategy_table)
     return parser

@@ -15,10 +15,10 @@ The offline optimum with foresight is ``min((k-1)*y, B)``.
 Expected costs against a point adversary are exact to rounding: every
 closed-form density carries its distribution function ``F`` and partial
 first moment ``M``, and the cost is linear in them (see
-:func:`batch_expected_costs`).  Only tabulated ``custom`` densities are
-integrated numerically, by adaptive Simpson in :func:`expected_cost` and on
-a cumulative-trapezoid mesh in :func:`batch_expected_costs`, the mesh
-sweep that the oracle's optimality probe shares.
+:func:`batch_expected_costs`, of which :func:`expected_cost` is the one-point
+call).  Only ``custom`` densities, which carry a pdf alone, are integrated
+numerically, on the cumulative-trapezoid mesh sweep that the oracle's
+optimality probe shares.
 
 The discrete classic strategy is scored in integer days with the classic
 accounting (a strategy that commits on day ``i`` pays ``i-1+B`` when it
@@ -34,8 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_simpson, cumulative_trapezoid
-from .strategy import ConflictMode, GracePeriodStrategy, StrategyKind
+# unused here, but perfbench/probes.py patches costmodel.adaptive_simpson
+from .quadrature import adaptive_simpson  # noqa: F401
+from .quadrature import cumulative_trapezoid
+from .strategy import (
+    ConflictMode,
+    GracePeriodStrategy,
+    StrategyKind,
+    check_abort_cost,
+    check_chain_size,
+)
 
 _PROFILE_MESH = 32769  # base resolution of a custom density's batched cost profile
 
@@ -50,11 +58,8 @@ class ConflictInstance:
     y: float
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 2:
-            raise ValueError(f"chain size k must be an integer >= 2, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
-        if not (self.B > 0.0 and math.isfinite(self.B)):
-            raise ValueError(f"abort cost B must be positive, got {self.B}")
+        object.__setattr__(self, "k", check_chain_size(self.k))
+        object.__setattr__(self, "B", check_abort_cost(self.B))
         if not (self.y > 0.0 and math.isfinite(self.y)):
             raise ValueError(f"remaining time y must be positive, got {self.y}")
 
@@ -92,24 +97,10 @@ def _check_match(strategy: GracePeriodStrategy, instance: ConflictInstance):
 
 
 def expected_cost(strategy: GracePeriodStrategy, instance: ConflictInstance) -> float:
-    """Expected conflict cost of ``strategy`` against a point adversary.
-
-    Exact to rounding, as one point of :func:`batch_expected_costs`, for
-    every strategy but a ``custom`` density; that one is integrated by
-    adaptive Simpson quadrature with the integrand split at the
-    commit/abort branch point.
-    """
+    """Expected conflict cost of ``strategy`` against a point adversary: one
+    point of :func:`batch_expected_costs`."""
     _check_match(strategy, instance)
-    if strategy.family != "custom":
-        return float(batch_expected_costs(strategy, np.array([instance.y]))[0])
-    k, B, y = instance.k, instance.B, instance.y
-    cut = min(y, strategy.support_max)
-    # x <= cut <= y on the head, so every grace there aborts
-    head = adaptive_simpson(
-        lambda x: conflict_cost(instance.mode, k, B, x, y) * strategy.pdf(x), 0.0, cut
-    )
-    tail_mass = adaptive_simpson(strategy.pdf, cut, strategy.support_max)
-    return head + (k - 1) * y * tail_mass
+    return float(batch_expected_costs(strategy, np.array([instance.y]))[0])
 
 
 def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:

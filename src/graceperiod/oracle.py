@@ -30,7 +30,7 @@ from .strategy import (
     custom_continuous,
     lagrange_corner,
     make_strategy,
-    threshold_condition,
+    mean_threshold,
 )
 
 NORMALIZATION_TOL = 1e-6
@@ -115,11 +115,6 @@ def lagrange_identity_check(
     )
 
 
-def _ratio_at(strategy: GracePeriodStrategy, y: float) -> float:
-    cost = costmodel.batch_expected_costs(strategy, np.array([y]))[0]
-    return cost / min((strategy.spec.k - 1) * y, strategy.spec.B)
-
-
 def worst_case_ratio(
     strategy: GracePeriodStrategy, n_grid: int = 2000
 ) -> tuple[float, float]:
@@ -132,46 +127,41 @@ def worst_case_ratio(
     """
     S = strategy.support_max
     if strategy.kind is StrategyKind.DISCRETE_PMF:
-        B = int(strategy.spec.B)
-        ys = np.arange(1.0, B + 2.0)
-        ratios = [r for _, r in costmodel.ratio_profile(strategy, ys)]
-        idx = int(np.argmax(ratios))
-        return float(ratios[idx]), float(ys[idx])
-
-    if strategy.kind is StrategyKind.ATOM:
+        ys = np.arange(1.0, int(strategy.spec.B) + 2.0)
+    elif strategy.kind is StrategyKind.ATOM:
         x0 = strategy.params["x0"]
         ys = costmodel.sorted_unique(np.concatenate([
             np.linspace(S / n_grid, S, n_grid), [x0, 0.5 * x0, 1.5 * S]
         ]))
-        ratios = [r for _, r in costmodel.ratio_profile(strategy, ys)]
-        idx = int(np.argmax(ratios))
-        return float(ratios[idx]), float(ys[idx])
-
-    head = np.geomspace(S * 1e-6, S / n_grid, 32)
-    ys = costmodel.sorted_unique(
-        np.concatenate([head, np.linspace(S / n_grid, S, n_grid), [1.5 * S]])
-    )
-    ratios = np.asarray([r for _, r in costmodel.ratio_profile(strategy, ys)])
+    else:
+        head = np.geomspace(S * 1e-6, S / n_grid, 32)
+        ys = costmodel.sorted_unique(
+            np.concatenate([head, np.linspace(S / n_grid, S, n_grid), [1.5 * S]])
+        )
+    ratios = [r for _, r in costmodel.ratio_profile(strategy, ys)]
     idx = int(np.argmax(ratios))
     best, best_y = float(ratios[idx]), float(ys[idx])
 
-    if 0 < idx < len(ys) - 1 and ys[idx] < S:  # interior: refine
+    if strategy.kind is StrategyKind.CONTINUOUS_PDF and 0 < idx < len(ys) - 1 and ys[idx] < S:
+        def ratio_at(y):  # refine an interior argmax
+            return costmodel.ratio_profile(strategy, [y])[0][1]
+
         lo, hi = float(ys[idx - 1]), float(ys[idx + 1])
         inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = lo, hi
         c = b - inv_phi * (b - a)
         d = a + inv_phi * (b - a)
-        fc, fd = _ratio_at(strategy, c), _ratio_at(strategy, d)
+        fc, fd = ratio_at(c), ratio_at(d)
         tol_y = 1e-7 * max(1.0, S)
         while b - a > tol_y:
             if fc > fd:
                 b, d, fd = d, c, fc
                 c = b - inv_phi * (b - a)
-                fc = _ratio_at(strategy, c)
+                fc = ratio_at(c)
             else:
                 a, c, fc = c, d, fd
                 d = a + inv_phi * (b - a)
-                fd = _ratio_at(strategy, d)
+                fd = ratio_at(d)
         y_ref = c if fc > fd else d
         f_ref = max(fc, fd)
         if f_ref > best:
@@ -378,7 +368,7 @@ def _identity_checks() -> list[dict]:
                     point_mass_residual=res.point_mass_residual, tolerance=IDENTITY_TOL,
                 ))
 
-                mu = 0.5 * _constrained_mu_threshold(mode, k, B)
+                mu = 0.5 * mean_threshold(mode, k, B)
                 cspec = StrategySpec(mode, k, B, Variant.RANDOMIZED_CONSTRAINED, mu=mu)
                 cstrat = make_strategy(cspec)
                 lam = lagrange_corner(mode, k, B, constrained=True)
@@ -389,19 +379,6 @@ def _identity_checks() -> list[dict]:
                     point_mass_residual=res.point_mass_residual, tolerance=IDENTITY_TOL,
                 ))
     return checks
-
-
-def _constrained_mu_threshold(mode: ConflictMode, k: int, B: float) -> float:
-    """Largest mean for which the constrained form is selected."""
-    lo, hi = 0.0, 10.0 * B * k
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        spec = StrategySpec(mode, k, B, Variant.RANDOMIZED_CONSTRAINED, mu=mid)
-        if threshold_condition(spec):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _worst_case_checks() -> list[dict]:

@@ -61,6 +61,7 @@ from .strategy import (
     StrategyKind,
     StrategySpec,
     Variant,
+    check_abort_cost,
     make_strategy,
 )
 
@@ -85,8 +86,7 @@ class PolicyConfig:
     mu: float | None = None
 
     def __post_init__(self):
-        if not (self.B > 0.0 and math.isfinite(self.B)):
-            raise ValueError(f"policy abort cost B must be positive, got {self.B}")
+        object.__setattr__(self, "B", check_abort_cost(self.B))
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,28 @@ class SimConfig:
             raise ValueError(
                 f"cleanup_cost must be finite and >= 0, got {self.cleanup_cost}"
             )
-        if isinstance(self.chain_size, dict):
-            if not self.chain_size:
-                raise ValueError("chain size distribution is empty")
-            for k, w in self.chain_size.items():
-                if int(k) != k or k < 2 or not (w >= 0.0 and math.isfinite(w)):
-                    raise ValueError(f"bad chain_size entry {k}: {w}")
-            if not 0.0 < sum(self.chain_size.values()) < math.inf:
-                raise ValueError("chain_size weights must have a positive finite sum")
-        elif int(self.chain_size) != self.chain_size or self.chain_size < 2:
-            raise ValueError(f"chain size must be an integer >= 2, got {self.chain_size}")
+        size = self.chain_size
+        weights = size if isinstance(size, dict) else {size: 1.0}
+        # a NaN or infinite weight makes the sum fail too
+        if not 0.0 < sum(weights.values()) < math.inf or min(weights.values()) < 0.0:
+            raise ValueError(f"chain_size weights must be >= 0 with a positive finite sum: {size}")
+        p = self.policy
+        if p.variant is Variant.DISCRETE_CLASSIC and self.dynamic_b:
+            raise ValueError("policy.variant discrete_classic needs integer abort costs, and"
+                             " dynamic_b charges each conflict elapsed + cleanup_cost")
+        # the policy's spec at policy.B for every listed chain size; a policy
+        # that serves any chain size serves k = 2, so a failure there is the
+        # policy's own
+        for k in (2, *sorted(weights)):
+            try:
+                self.policy_spec(k, p.B)
+            except ValueError as exc:
+                where = f"policy.mu {p.mu}, mode {self.mode.value}" if k == 2 else f"chain_size {k}"
+                raise ValueError(f"policy.variant {p.variant.value} with {where}: {exc}") from exc
+
+    def policy_spec(self, k: int, B: float) -> StrategySpec:
+        """The policy's strategy spec for a conflict of chain size ``k`` and abort cost ``B``."""
+        return StrategySpec(self.mode, k, B, self.policy.variant, mu=self.policy.mu)
 
 
 @dataclass(frozen=True)
@@ -312,8 +324,10 @@ def _check_trace_entry(config, entry, t, thr, k, next_allowed) -> None:
     where = f"{config.trace_path}: entry {entry}"
     if not 0 <= thr < config.n_threads:
         raise TraceError(f"{where}: thread {thr} out of range")
-    if k < 2:
-        raise TraceError(f"{where}: chain size {k} below 2")
+    try:
+        config.policy_spec(k, config.policy.B)
+    except ValueError as exc:
+        raise TraceError(f"{where}: the policy cannot serve chain size {k}: {exc}") from exc
     if not 0.0 <= t < config.horizon:
         raise TraceError(f"{where}: time {t} outside [0, horizon)")
     if t < next_allowed[thr]:
@@ -397,14 +411,13 @@ def _online_replay(config: SimConfig, schedule: Schedule, draw, n: int):
     a replay of that stream alone, bit for bit.
     """
     _, _, k, y, b = schedule.columns
-    variant, mu = config.policy.variant, config.policy.mu
     strategies: dict[tuple[float, float], GracePeriodStrategy] = {}  # one per (k, B)
     step = max(1, _CHUNK_CELLS // n)
     hi = 0
     for key, same in groupby(zip(k.tolist(), b.tolist())):
         lo, hi = hi, hi + sum(1 for _ in same)
         if key not in strategies:
-            strategies[key] = make_strategy(StrategySpec(config.mode, *key, variant, mu=mu))
+            strategies[key] = make_strategy(config.policy_spec(*key))
         strat = strategies[key]
         for start in range(lo, hi, step):
             rows = slice(start, min(start + step, hi))

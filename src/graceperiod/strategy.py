@@ -39,13 +39,18 @@ cancel there.  ``q`` and ``g`` are evaluated as ``exp((k-1)*log1p(1/(k-1)))``
 and as a positive series for ``(expm1(t) - t)/t``, ``t = 1/(k-1)``, so they
 hold to rounding at every ``k``.
 
+The constrained (mean-aware) densities apply while the adversary mean stays
+below :func:`mean_threshold`, the one closed form of that bound.
+
 Sampling inverts the cdf: in closed form where one exists, else (``rw_log``,
 ``rw_shifted_power``, ``ra_expm1``) by four Newton steps on ``sqrt(F)``.  Each
 step evaluates the family's shared transcendental once: ``log1p(u)`` for
 ``rw_log``, ``expm1(u)`` for ``ra_expm1``, both read by the cdf and the pdf,
 and ``log1p(u)`` for the ``rw_shifted_power`` pdf (its cdf is a series).  The
 work goes into buffers allocated once per call and gives the same bits as
-evaluating the cdf and the pdf separately.
+evaluating the cdf and the pdf separately.  A ``custom`` density
+(:func:`custom_continuous`) has a pdf only: it is neither sampled nor
+integrated in closed form.
 
 A note on two superficially similar forms that are *not* valid densities
 and are used as negative controls by the verification suite: the k=2
@@ -68,7 +73,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import cumulative_trapezoid
 from .rng import Stream
 
 LN4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
@@ -97,6 +101,20 @@ class StrategyKind(Enum):
     DISCRETE_PMF = "discrete_pmf"
 
 
+def check_chain_size(k) -> int:
+    """``k`` as an int; a ValueError unless it is an integer ``>= 2``."""
+    if not (math.isfinite(k) and k == int(k) and k >= 2):
+        raise ValueError(f"chain size k must be an integer >= 2, got {k}")
+    return int(k)
+
+
+def check_abort_cost(B) -> float:
+    """``B`` as a float; a ValueError unless it is positive and finite."""
+    if not (B > 0.0 and math.isfinite(B)):
+        raise ValueError(f"abort cost B must be positive and finite, got {B}")
+    return float(B)
+
+
 @dataclass(frozen=True)
 class StrategySpec:
     """Resolution mode plus the parameters a strategy is built from.
@@ -117,12 +135,8 @@ class StrategySpec:
             raise ValueError(f"mode must be a ConflictMode, got {self.mode!r}")
         if not isinstance(self.variant, Variant):
             raise ValueError(f"variant must be a Variant, got {self.variant!r}")
-        if int(self.k) != self.k or self.k < 2:
-            raise ValueError(f"chain size k must be an integer >= 2, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
-        if not (self.B > 0.0 and math.isfinite(self.B)):
-            raise ValueError(f"abort cost B must be positive and finite, got {self.B}")
-        object.__setattr__(self, "B", float(self.B))
+        object.__setattr__(self, "k", check_chain_size(self.k))
+        object.__setattr__(self, "B", check_abort_cost(self.B))
         if self.mu is not None:
             if not (self.mu >= 0.0 and math.isfinite(self.mu)):
                 raise ValueError(f"mean mu must be nonnegative, got {self.mu}")
@@ -179,43 +193,41 @@ def _g(k: int) -> float:
 
 def det_threshold(k: int, B: float) -> float:
     """Optimal deterministic grace period ``B/(k-1)``."""
-    if int(k) != k or k < 2:
-        raise ValueError(f"chain size k must be an integer >= 2, got {k}")
-    if not (B > 0.0 and math.isfinite(B)):
-        raise ValueError(f"abort cost B must be positive and finite, got {B}")
-    return B / (k - 1)
+    return check_abort_cost(B) / (check_chain_size(k) - 1)
 
 
 def det_competitive_ratio(k: int) -> float:
     """Worst-case ratio ``2 + 1/(k-1)`` of the deterministic strategy."""
-    if int(k) != k or k < 2:
-        raise ValueError(f"chain size k must be an integer >= 2, got {k}")
-    return 2.0 + 1.0 / (k - 1)
+    return 2.0 + 1.0 / (check_chain_size(k) - 1)
 
 
-def threshold_condition(spec: StrategySpec, raw_ra_inequality: bool = False) -> bool:
-    """True iff the mean-aware density is optimal for ``(mode, k, B, mu)``.
+def mean_threshold(mode: ConflictMode, k: int, B: float) -> float:
+    """The largest adversary mean for which the mean-aware density is optimal.
 
-    The requestor-aborts test for ``k >= 3`` is stated in a simplified form
-    valid for ``B > 1`` (``mu/(B-1) < 2*g``); set ``raw_ra_inequality`` to
-    evaluate the unsimplified inequality ``(mu + 2*g)/B < 2*g`` instead. The
-    raw form is also used when ``B <= 1``, where the simplification is
-    meaningless.
+    Requestor wins: ``2B(ln4-1)`` at ``k = 2``, ``B(q-2)/((k-2)(q-1))`` above.
+    Requestor aborts: ``2B(e-2)/(e-1)`` at ``k = 2``, ``2g(B-1)`` above, which
+    no mean reaches when ``B <= 1``.
     """
+    if mode is ConflictMode.REQUESTOR_WINS:
+        if k == 2:
+            return 2.0 * B * LN4_MINUS_1
+        q = _q(k)
+        return B * (q - 2.0) / ((k - 2) * (q - 1.0))
+    if k == 2:
+        return 2.0 * B * (math.e - 2.0) / (math.e - 1.0)
+    return 2.0 * _g(k) * (B - 1.0)
+
+
+def threshold_condition(spec: StrategySpec) -> bool:
+    """True iff the mean-aware density is optimal for ``(mode, k, B, mu)``:
+    ``mu`` below :func:`mean_threshold`, or at it for requestor wins at
+    ``k >= 3``."""
     if spec.mu is None:
         raise ValueError("threshold_condition requires spec.mu")
-    mu, B, k = spec.mu, spec.B, spec.k
-    if spec.mode is ConflictMode.REQUESTOR_WINS:
-        if k == 2:
-            return mu / B < 2.0 * LN4_MINUS_1
-        q = _q(k)
-        return mu / B <= (q - 2.0) / ((k - 2) * (q - 1.0))
-    if k == 2:
-        return mu / B < 2.0 * (math.e - 2.0) / (math.e - 1.0)
-    g = _g(k)
-    if raw_ra_inequality or B <= 1.0:
-        return (mu + 2.0 * g) / B < 2.0 * g
-    return mu / (B - 1.0) < 2.0 * g
+    bound = mean_threshold(spec.mode, spec.k, spec.B)
+    if spec.mode is ConflictMode.REQUESTOR_WINS and spec.k >= 3:
+        return spec.mu <= bound
+    return spec.mu < bound
 
 
 def lagrange_corner(mode: ConflictMode, k: int, B: float, constrained: bool) -> tuple[float, float]:
@@ -242,8 +254,9 @@ def lagrange_corner(mode: ConflictMode, k: int, B: float, constrained: bool) -> 
 class _Family(NamedTuple):
     """One closed-form density family, as functions of ``u = x/B``.
 
-    ``pdf`` is the density in ``x`` and ``cdf`` its distribution function,
-    both called as ``(u, k, B, p, s)`` with ``s = shared(u)``; ``moment`` is
+    ``pdf`` is the density in ``x`` and ``cdf`` its distribution function
+    (``None`` for ``custom``), both called as ``(u, k, B, p, s)`` with
+    ``s = shared(u)``; ``moment`` is
     the partial first moment ``m(u)``, with ``integral_0^x t pdf(t) dt =
     B*m(x/B)``.  ``inverse`` maps uniforms to grace periods in closed form,
     and families without one are inverted by Newton steps on the cdf: their
@@ -253,7 +266,7 @@ class _Family(NamedTuple):
     """
 
     pdf: Callable
-    cdf: Callable
+    cdf: Callable | None
     shared: Callable = lambda u, out=None: None
     moment: Callable | None = None
     inverse: Callable | None = None
@@ -395,14 +408,14 @@ _FAMILIES = {
         params=lambda k: {"g": _g(k)},
         mean_aware=True,
     ),
-    # a tabulated density (custom_continuous): piecewise-linear CDF table,
-    # inverted exactly; no closed-form moment
-    "custom": _Family(
-        pdf=_custom_pdf,
-        cdf=lambda u, k, B, p, s: np.interp(u * B, p["mesh"], p["cum"]),
-        inverse=lambda u, k, B, p: np.interp(u, p["cum"], p["mesh"]),
-    ),
+    # an arbitrary density callable (custom_continuous): no distribution
+    # function, inverse or moment
+    "custom": _Family(pdf=_custom_pdf, cdf=None),
 }
+
+
+# the families that are not continuous densities
+_KINDS = {"atom": StrategyKind.ATOM, "discrete_classic": StrategyKind.DISCRETE_PMF}
 
 
 @dataclass(frozen=True)
@@ -411,15 +424,22 @@ class GracePeriodStrategy:
 
     ``family`` selects the closed form (a row of ``_FAMILIES`` for the
     continuous kind); ``params`` carries its precomputed constants.
-    ``kind`` distinguishes atoms, continuous densities on
-    ``[0, support_max]``, and the integer-day pmf of the discrete classic.
+    ``kind``, which follows from the family, distinguishes atoms, continuous
+    densities on ``[0, support_max]``, and the integer-day pmf of the
+    discrete classic.
     """
 
     spec: StrategySpec
-    kind: StrategyKind
     family: str
-    support_max: float
     params: dict = field(default_factory=dict)
+
+    @property
+    def kind(self) -> StrategyKind:
+        return _KINDS.get(self.family, StrategyKind.CONTINUOUS_PDF)
+
+    @property
+    def support_max(self) -> float:
+        return self.spec.support_max
 
     @property
     def mean_aware(self) -> bool:
@@ -444,8 +464,8 @@ class GracePeriodStrategy:
         return float(vals[0]) if scalar else vals
 
     def cdf(self, x):
-        if self.kind is StrategyKind.ATOM:
-            raise ValueError("atom strategies have no distribution function")
+        if self.kind is StrategyKind.ATOM or self.family == "custom":
+            raise ValueError(f"the {self.family} strategy has no distribution function")
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
@@ -524,8 +544,8 @@ class GracePeriodStrategy:
         Every sampler maps its draws through this one function, so a draw
         gives the same bits whichever sampler made it.
         """
-        if self.kind is StrategyKind.ATOM:
-            raise ValueError("atom strategies take no draws")
+        if self.kind is StrategyKind.ATOM or self.family == "custom":
+            raise ValueError(f"the {self.family} strategy takes no draws")
         if self.kind is StrategyKind.DISCRETE_PMF:
             days = np.searchsorted(self.params["cumulative"], u, side="right") + 1
             return days.astype(float)
@@ -588,18 +608,16 @@ def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
     plain uniform density applies).
     """
     mode, k, B = spec.mode, spec.k, spec.B
-    S = spec.support_max
 
     if spec.variant is Variant.DETERMINISTIC:
-        return GracePeriodStrategy(spec, StrategyKind.ATOM, "atom", S, {"x0": det_threshold(k, B)})
+        return GracePeriodStrategy(spec, "atom", {"x0": det_threshold(k, B)})
 
     if spec.variant is Variant.DISCRETE_CLASSIC:
         pmf = _discrete_classic_pmf(int(B))
         cumulative = np.cumsum(pmf)
         cumulative[-1] = 1.0
         return GracePeriodStrategy(
-            spec, StrategyKind.DISCRETE_PMF, "discrete_classic", float(B),
-            {"pmf": pmf, "cumulative": cumulative},
+            spec, "discrete_classic", {"pmf": pmf, "cumulative": cumulative}
         )
 
     constrained = spec.variant is Variant.RANDOMIZED_CONSTRAINED
@@ -610,24 +628,16 @@ def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
             family = "rw_power" if constrained and k >= 3 else "uniform"
     else:
         family = "ra_expm1" if constrained and threshold_condition(spec) else "ra_exp"
-    return GracePeriodStrategy(
-        spec, StrategyKind.CONTINUOUS_PDF, family, S, _FAMILIES[family].params(k)
-    )
+    return GracePeriodStrategy(spec, family, _FAMILIES[family].params(k))
 
 
-def custom_continuous(spec: StrategySpec, pdf, mesh_points: int = 16385) -> GracePeriodStrategy:
+def custom_continuous(spec: StrategySpec, pdf) -> GracePeriodStrategy:
     """Wrap an arbitrary density callable on ``[0, support_max]``.
 
-    Intended for verification controls and perturbation probes; the CDF is
-    tabulated by trapezoid accumulation on a uniform mesh.
+    Intended for verification controls and perturbation probes: it has a
+    ``pdf`` only, and expected costs integrate it on a mesh.
     """
-    S = spec.support_max
-    mesh = np.linspace(0.0, S, mesh_points)
-    vals = np.asarray([pdf(float(x)) for x in mesh], dtype=float)
-    return GracePeriodStrategy(
-        spec, StrategyKind.CONTINUOUS_PDF, "custom", S,
-        {"pdf": pdf, "mesh": mesh, "cum": cumulative_trapezoid(mesh, vals)},
-    )
+    return GracePeriodStrategy(spec, "custom", {"pdf": pdf})
 
 
 def competitive_ratio(spec: StrategySpec) -> RatioReport:

@@ -141,6 +141,16 @@ class TestSimulateCommand:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_campaign_seeds_below_one_rejected(self, tmp_path, capsys, value):
+        # -5 used to run no campaign and exit 0
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(SIM_CONFIG))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--campaign-seeds", value])
+        assert exc.value.code == 2
+        assert "--campaign-seeds" in capsys.readouterr().err
+
     def test_missing_field_reports_name(self, tmp_path, capsys):
         bad = dict(SIM_CONFIG)
         del bad["horizon"]
@@ -203,3 +213,13 @@ class TestStrategyTableCommand:
         assert rc == 0
         first = data.decode().split("\r\n")[1].split(",")
         assert first == ["0", "0", "0"]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_points_below_one_rejected(self, capsys, value):
+        # 0 used to print a header-only table and exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["strategy-table", "--mode", "requestor_wins",
+                  "--strategy-variant", "randomized_unconstrained",
+                  "--B", "100", "--points", value])
+        assert exc.value.code == 2
+        assert "--points" in capsys.readouterr().err

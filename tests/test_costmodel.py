@@ -159,8 +159,9 @@ class TestExpectedCost:
         }
 
     def test_custom_mesh_matches_pointwise_quadrature(self):
-        # a tabulated density has no closed-form moment: batch_expected_costs
-        # sweeps a mesh, expected_cost integrates adaptively
+        # a custom density has no closed-form moment: both cost functions
+        # sweep a mesh, checked against adaptive Simpson of conflict_cost * pdf
+        # over the aborting graces plus the mass above y, which commits
         for mode, k in ((RW, 2), (RA, 3)):
             spec = StrategySpec(mode, k, 100.0, UNC)
             S = spec.support_max
@@ -168,8 +169,14 @@ class TestExpectedCost:
             ys = np.array([0.3, 0.5, 0.9, 1.3]) * S
             batch = batch_expected_costs(strat, ys)
             for y, b in zip(ys, batch):
+                cut = min(y, S)
+                head = adaptive_simpson(
+                    lambda x: conflict_cost(mode, k, spec.B, x, y) * strat.pdf(x), 0.0, cut
+                )
+                tail = adaptive_simpson(strat.pdf, cut, S)
+                assert b == pytest.approx(head + (k - 1) * y * tail, rel=1e-7)
                 single = expected_cost(strat, ConflictInstance(mode, k, spec.B, y))
-                assert b == pytest.approx(single, rel=1e-7)
+                assert single == pytest.approx(b, rel=1e-9)
 
 
 class TestRatioProfile:

@@ -182,6 +182,15 @@ class TestMicroTrace:
         with pytest.raises(TraceError, match="chain size"):
             build_schedule(micro_trace_config(tmp_path, "10 0 1\n"))
 
+    def test_trace_chain_size_the_policy_cannot_serve_rejected(self, tmp_path):
+        # the discrete classic is defined at k = 2 only
+        config = micro_trace_config(
+            tmp_path, "10 0 2\n70 1 3\n", mode=RA,
+            policy=PolicyConfig(Variant.DISCRETE_CLASSIC, 100.0),
+        )
+        with pytest.raises(TraceError, match="entry 2: .*chain size 3"):
+            build_schedule(config)
+
 
 class TestRunInvariants:
     def test_determinism_bit_identical(self):
@@ -747,6 +756,35 @@ class TestConfigParsing:
     def test_all_zero_chain_weights_rejected(self):
         with pytest.raises(ValueError, match="chain_size"):
             config_from_dict(dict(CONFIG_DATA, chain_size={"2": 0.0, "3": 0.0}))
+
+    def test_discrete_classic_with_a_larger_chain_size_rejected(self):
+        data = dict(CONFIG_DATA, mode="requestor_aborts", chain_size={"2": 0.5, "3": 0.5},
+                    policy={"variant": "discrete_classic", "B": 100.0})
+        with pytest.raises(ValueError, match="policy.variant discrete_classic with chain_size 3"):
+            config_from_dict(data)
+        data["chain_size"] = {"2": 1.0}
+        assert config_from_dict(data).chain_size == {2: 1.0}
+
+    def test_constrained_policy_without_mu_rejected(self):
+        data = dict(CONFIG_DATA, policy={"variant": "randomized_constrained", "B": 100.0})
+        with pytest.raises(ValueError, match="policy.mu None.*requires a known mean mu"):
+            config_from_dict(data)
+
+    def test_deterministic_requestor_aborts_rejected(self):
+        # at rate 0 no conflict is ever drawn, and the config used to pass
+        data = dict(CONFIG_DATA, mode="requestor_aborts",
+                    policy={"variant": "deterministic", "B": 100.0},
+                    conflict_schedule={"kind": "random_rate", "rate": 0.0})
+        with pytest.raises(ValueError, match="policy.variant deterministic .*requestor_wins only"):
+            config_from_dict(data)
+
+    def test_discrete_classic_with_dynamic_b_rejected(self):
+        data = dict(CONFIG_DATA, mode="requestor_aborts", dynamic_b=True,
+                    policy={"variant": "discrete_classic", "B": 100.0})
+        with pytest.raises(ValueError, match="policy.variant discrete_classic .*dynamic_b"):
+            config_from_dict(data)
+        del data["dynamic_b"]
+        assert config_from_dict(data).policy.variant is Variant.DISCRETE_CLASSIC
 
     def test_nan_chain_weight_rejected(self):
         with pytest.raises(ValueError, match="chain_size"):

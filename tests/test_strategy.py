@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graceperiod.adversary import worst_case_for_det
+from graceperiod.costmodel import ConflictInstance
 from graceperiod.oracle import lagrange_identity_check
 from graceperiod.quadrature import adaptive_simpson
 from graceperiod.rng import stream
+from graceperiod.simulator import PolicyConfig
 from graceperiod.strategy import (
     _FAMILIES,
     _NEWTON_STEPS,
@@ -26,6 +29,7 @@ from graceperiod.strategy import (
     det_threshold,
     lagrange_corner,
     make_strategy,
+    mean_threshold,
     threshold_condition,
 )
 from graceperiod.strategy import _g, _q
@@ -104,16 +108,68 @@ class TestThresholdCondition:
 
     def test_requestor_aborts_general_simplified_vs_raw(self):
         g = 2 * (math.exp(0.5) - 1.0) - 1.0
-        spec = StrategySpec(RA, 3, 10.0, CON, mu=1.0)
-        assert threshold_condition(spec) is (1.0 / 9.0 < 2.0 * g)
-        # raw inequality: (mu + 2g)/B < 2g
-        assert threshold_condition(spec, raw_ra_inequality=True) is (
-            (1.0 + 2.0 * g) / 10.0 < 2.0 * g
-        )
+        for mu in (1.0, 0.99 * 18.0 * g, 1.01 * 18.0 * g, 50.0):
+            spec = StrategySpec(RA, 3, 10.0, CON, mu=mu)
+            simplified = mu / 9.0 < 2.0 * g
+            raw = (mu + 2.0 * g) / 10.0 < 2.0 * g
+            assert simplified is raw
+            assert threshold_condition(spec) is raw
+
+    def test_requestor_aborts_general_never_mean_aware_at_small_B(self):
+        # 2g(B-1) <= 0 when B <= 1, and no mean lies below it
+        for k in (3, 4, 10, 1000):
+            for B in (1e-3, 0.5, 1.0):
+                assert mean_threshold(RA, k, B) <= 0.0
+                for mu in (0.0, 1e-300, 1e-3, 1.0):
+                    spec = StrategySpec(RA, k, B, CON, mu=mu)
+                    assert threshold_condition(spec) is False
+                    assert make_strategy(spec).family == "ra_exp"
 
     def test_missing_mu_rejected(self):
         with pytest.raises(ValueError):
             threshold_condition(StrategySpec(RW, 2, 100.0, UNC))
+
+
+def reference_mean_threshold(mode, k, B):
+    """``mean_threshold`` in 50-digit decimal arithmetic, from its defining constants."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        k, B, e = D(k), D(B), D(1).exp()
+        if mode is RW:
+            if k == 2:
+                return 2 * B * (D(4).ln() - 1)
+            q = (k / (k - 1)) ** (k - 1)
+            return B * (q - 2) / ((k - 2) * (q - 1))
+        if k == 2:
+            return 2 * B * (e - 2) / (e - 1)
+        g = (k - 1) * ((1 / (k - 1)).exp() - 1) - 1
+        return 2 * g * (B - 1)
+
+
+class TestMeanThreshold:
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("k", [2, 3, 4, 10, 100, 10**4, 10**6, 10**7])
+    @pytest.mark.parametrize("B", [0.5, 1.0, 1.5, 10.0, 2000.0])
+    def test_matches_50_digit_arithmetic(self, mode, k, B):
+        got = mean_threshold(mode, k, B)
+        ref = reference_mean_threshold(mode, k, B)
+        if ref == 0:
+            assert got == 0.0
+        else:
+            assert abs((decimal.Decimal(got) - ref) / ref) <= decimal.Decimal("1e-15")
+
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_threshold_condition_compares_mu_with_it(self, mode, k):
+        B = 100.0
+        bound = mean_threshold(mode, k, B)
+        below, above = np.nextafter(bound, 0.0), np.nextafter(bound, math.inf)
+        assert threshold_condition(StrategySpec(mode, k, B, CON, mu=below))
+        assert not threshold_condition(StrategySpec(mode, k, B, CON, mu=above))
+        # at the bound itself only requestor wins at k >= 3 stays mean-aware
+        at = threshold_condition(StrategySpec(mode, k, B, CON, mu=bound))
+        assert at is (mode is RW and k >= 3)
 
 
 class TestMakeStrategy:
@@ -225,9 +281,7 @@ class TestReductionConsistency:
     def test_rw_power_kernel_at_k2_is_uniform(self):
         # the (1+x/B)^(k-2) family degenerates to the flat density at k = 2
         spec = StrategySpec(RW, 2, 50.0, UNC)
-        power = GracePeriodStrategy(
-            spec, StrategyKind.CONTINUOUS_PDF, "rw_power", 50.0, {"q": 2.0}
-        )
+        power = GracePeriodStrategy(spec, "rw_power", {"q": 2.0})
         xs = np.linspace(0.0, 50.0, 100)
         assert np.max(np.abs(power.pdf(xs) - 1.0 / 50.0)) < 1e-15
 
@@ -309,7 +363,7 @@ def mean_aware(mode, k, B):
     """
     strat = make_strategy(StrategySpec(mode, k, 100.0, CON, mu=5.0))
     spec = StrategySpec(mode, k, B, CON, mu=0.05 * B)
-    return dataclasses.replace(strat, spec=spec, support_max=spec.support_max)
+    return dataclasses.replace(strat, spec=spec)
 
 
 # dense grid plus log-spaced tails toward 0 and 1
@@ -374,14 +428,6 @@ class TestQuantile:
         assert strat.family == family
         assert_quantile_inverts_cdf(strat)
 
-    @pytest.mark.parametrize("B", [1e-3, 1e6])
-    def test_custom_table_inverse(self, B):
-        spec = StrategySpec(RW, 2, B, UNC)
-        # linear density that does not vanish at 0: (1 + x/B) / (1.5 B)
-        strat = custom_continuous(spec, lambda x: (1.0 + x / B) / (1.5 * B), mesh_points=2049)
-        assert strat.family == "custom"
-        assert_quantile_inverts_cdf(strat)
-
     def test_make_strategy_builds_each_family_at_moderate_B(self):
         # the rescaled strategies above are what make_strategy itself returns
         for mode, k, family in MEAN_AWARE:
@@ -414,7 +460,7 @@ def newton_strategy(mode, k, B):
     holds and rescaled to ``B`` like :func:`mean_aware`."""
     strat = make_strategy(StrategySpec(mode, k, 100.0, CON, mu=0.5))
     spec = StrategySpec(mode, k, B, CON, mu=0.005 * B)
-    return dataclasses.replace(strat, spec=spec, support_max=spec.support_max)
+    return dataclasses.replace(strat, spec=spec)
 
 
 # (mode, k) of every strategy inverted by Newton steps at k = 2, 3 and 10
@@ -430,7 +476,9 @@ NEWTON_U = np.concatenate([
 
 class TestFusedNewton:
     def test_cases_cover_every_newton_family(self):
-        newton = {name for name, row in _FAMILIES.items() if row.inverse is None}
+        newton = {
+            name for name, row in _FAMILIES.items() if row.inverse is None and row.cdf is not None
+        }
         families = {newton_strategy(mode, k, 1.0).family for mode, k in NEWTON_CASES}
         assert families == newton == {"rw_log", "rw_shifted_power", "ra_expm1"}
 
@@ -507,6 +555,74 @@ class TestShiftedPowerSmallU:
         assert np.all(np.diff(x) > 0.0)
         deep = np.geomspace(1e-30, 1e-10, 201)
         assert np.allclose(strat.cdf(strat.quantile(deep)), deep, rtol=1e-12, atol=0.0)
+
+
+class TestDerivedFields:
+    def test_kind_and_support_follow_the_family_and_spec(self):
+        names = [f.name for f in dataclasses.fields(GracePeriodStrategy)]
+        assert names == ["spec", "family", "params"]
+        cases = [
+            (StrategySpec(RW, 3, 10.0, Variant.DETERMINISTIC), StrategyKind.ATOM),
+            (StrategySpec(RA, 2, 10.0, Variant.DISCRETE_CLASSIC), StrategyKind.DISCRETE_PMF),
+            (StrategySpec(RA, 4, 10.0, UNC), StrategyKind.CONTINUOUS_PDF),
+        ]
+        for spec, kind in cases:
+            strat = make_strategy(spec)
+            assert strat.kind is kind
+            assert strat.support_max == spec.support_max
+        assert custom_continuous(cases[0][0], lambda x: 0.05).kind is StrategyKind.CONTINUOUS_PDF
+
+
+class TestCustomDensity:
+    def test_has_a_pdf_only(self):
+        spec = StrategySpec(RW, 2, 10.0, UNC)
+        strat = custom_continuous(spec, lambda x: 0.1)
+        assert strat.pdf(5.0) == 0.1
+        assert strat.pdf(11.0) == 0.0
+        calls = [
+            lambda: strat.cdf(1.0),
+            lambda: strat.quantile(np.array([0.5])),
+            lambda: strat.sample(stream(1)),
+            lambda: strat.sample_batch(stream(1), 4),
+            lambda: strat.moment(1.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="custom"):
+                call()
+
+
+NONFINITE = [math.inf, -math.inf, math.nan]
+
+
+class TestDomainChecks:
+    """Every entry point that takes a chain size or an abort cost rejects a
+    nonfinite one by name."""
+
+    @pytest.mark.parametrize("k", NONFINITE + [1, 2.5])
+    def test_chain_size(self, k):
+        calls = [
+            lambda: StrategySpec(RW, k, 10.0, UNC),
+            lambda: ConflictInstance(RW, k, 10.0, 1.0),
+            lambda: det_threshold(k, 10.0),
+            lambda: det_competitive_ratio(k),
+            lambda: worst_case_for_det(k, 10.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="chain size k must be an integer >= 2"):
+                call()
+
+    @pytest.mark.parametrize("B", NONFINITE + [0.0, -1.0])
+    def test_abort_cost(self, B):
+        calls = [
+            lambda: StrategySpec(RW, 2, B, UNC),
+            lambda: ConflictInstance(RW, 2, B, 1.0),
+            lambda: det_threshold(2, B),
+            lambda: worst_case_for_det(2, B),
+            lambda: PolicyConfig(UNC, B),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="abort cost B must be positive and finite"):
+                call()
 
 
 class TestMoment:
@@ -636,7 +752,7 @@ class TestRegimesAndRatios:
         for mode in (RW, RA):
             for k in (2, 3, 5):
                 for B in (10.0, 100.0):
-                    mu = 0.5 * _mu_threshold(mode, k, B)
+                    mu = 0.5 * mean_threshold(mode, k, B)
                     con = competitive_ratio(StrategySpec(mode, k, B, CON, mu=mu))
                     unc = competitive_ratio(StrategySpec(mode, k, B, UNC))
                     if mode is RW and k >= 3:
@@ -684,17 +800,6 @@ class TestRegimesAndRatios:
         assert report.theoretical_ratio == 1.0
         strat = make_strategy(StrategySpec(RW, 2, 100.0, CON, mu=0.0))
         assert strat.cdf(100.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def _mu_threshold(mode, k, B):
-    lo, hi = 0.0, 10.0 * B * k
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if threshold_condition(StrategySpec(mode, k, B, CON, mu=mid)):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @st.composite
