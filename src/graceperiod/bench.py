@@ -33,7 +33,7 @@ from .adversary import AdversaryModel, remaining_time, worst_case_for_det
 from .costmodel import conflict_cost
 from .rng import stream
 from .simulator import _integral
-from .strategy import ConflictMode, StrategySpec, Variant, make_strategy
+from .strategy import ConflictMode, StrategySpec, Variant, check_abort_cost, make_strategy
 
 DISTRIBUTIONS = ("geometric", "normal", "uniform", "exponential", "poisson")
 STRATEGIES = ("DET", "RRW", "RRW(mu)", "RRA", "RRA(mu)", "OPT")
@@ -64,6 +64,12 @@ class BenchConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"config field '{name}' must be a number, got {value!r}")
+        try:
+            check_abort_cost(self.B)
+        except ValueError as exc:
+            raise ValueError(f"config field 'B': {exc}") from exc
+        if not (self.mu > 0.0 and math.isfinite(self.mu)):
+            raise ValueError(f"config field 'mu' must be positive and finite, got {self.mu}")
         for name in ("distributions", "strategies"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import costmodel
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, cumulative_trapezoid
 from .rng import Stream
 from .strategy import (
     ConflictMode,
@@ -217,19 +217,82 @@ def _min_dual_objective(ys: np.ndarray, rs: np.ndarray, mu: float) -> float:
     return best
 
 
-def _raised_cosine(mesh: np.ndarray, center: float, width: float) -> np.ndarray:
-    """``1 + cos(pi * clip((mesh - center)/width, -1, 1))`` on a uniform mesh from 0.
+def _raised_cosine(mesh: np.ndarray, center: float, width: float) -> tuple[int, np.ndarray]:
+    """``1 + cos(pi * clip((mesh - center)/width, -1, 1))`` on its window of a uniform mesh from 0.
 
-    Evaluated on the window's cells only: past them ``1 + cos(±pi)`` is
-    exactly ``0.0``.  ``i ± r``, the floored center and half-width in cells,
-    leave out at most one inside cell per side; the one-cell margin adds it.
+    Returns ``(lo, bump)``, the values on ``mesh[lo : lo + len(bump)]``; past
+    them ``1 + cos(±pi)`` is exactly ``0.0``.  With ``i`` and ``r`` the
+    floored center and half-width in cells, every nonzero cell lies in
+    ``i - r .. i + r + 1``.  The cells just outside that range lie past the
+    bump's edge, but maybe only by a rounding error; the window takes one
+    more cell per side, a whole cell past the edge, so its end cells are
+    exactly ``0.0`` unless the mesh ends first.  Trapezoids over the window
+    thus count its edge cells.
     """
     cell = mesh[1]
     i, r = int(center / cell), int(width / cell)
-    win = slice(max(i - r - 1, 0), i + r + 2)
-    bump = np.zeros_like(mesh)
-    bump[win] = 1.0 + np.cos(math.pi * np.clip((mesh[win] - center) / width, -1.0, 1.0))
-    return bump
+    lo = max(i - r - 2, 0)
+    window = mesh[lo : i + r + 4]
+    return lo, 1.0 + np.cos(math.pi * np.clip((window - center) / width, -1.0, 1.0))
+
+
+def _probe_objectives(
+    strategy: GracePeriodStrategy, n_perturbations: int, stream: Stream
+) -> tuple[float, list[float]]:
+    """The strategy's objective and that of each bump mixture (``inf`` if skipped).
+
+    The mesh cost is linear in the density and a bump is zero off its
+    window, so a mixture ``((1-w)*base + (w/m)*bump) / z`` costs
+    ``((1-w)*C_base + (w/m)*C_bump) / z`` with ``z = (1-w)*mass(base) + w``:
+    ``C_base`` is swept once, and ``C_bump`` and the bump mass ``m`` come
+    from two cumulative sweeps over the bump's window, read at the adversary
+    points clipped to it (zero before the window, the whole bump after it).
+    Every temporary is window-sized or adversary-sized.
+    """
+    if strategy.kind is not StrategyKind.CONTINUOUS_PDF:
+        raise ValueError("the optimality probe applies to continuous strategies")
+    spec = strategy.spec
+    S = strategy.support_max
+    mu = spec.mu if strategy.mean_aware else None
+
+    mesh = np.linspace(0.0, S, 8193)
+    base_pdf = strategy.pdf(mesh)
+    base_pdf = base_pdf / np.trapezoid(base_pdf, mesh)
+    base_mass = np.trapezoid(base_pdf, mesh)
+    ys = np.linspace(S / 512, S, 512)
+    base_costs = costmodel.mesh_expected_costs(spec.mode, spec.k, spec.B, mesh, ys)(base_pdf)
+    commit = opts = (spec.k - 1) * ys  # the waiters' commit cost is also the optimum
+    half_dx = np.diff(mesh) * 0.5
+    abort = costmodel.conflict_cost(spec.mode, spec.k, spec.B, mesh, mesh)
+    idx = np.searchsorted(mesh, ys)
+
+    def objective(costs):
+        ratios = costs / opts
+        return float(ratios.max()) if mu is None else _min_dual_objective(ys, ratios, mu)
+
+    draws = stream.uniform_batch(3 * n_perturbations).reshape(n_perturbations, 3)
+    centers = draws[:, 0] * S
+    widths = (0.05 + 0.20 * draws[:, 1]) * S
+    weights = 0.05 + 0.30 * draws[:, 2]
+    objectives = []
+    for center, width, weight in zip(centers.tolist(), widths.tolist(), weights.tolist()):
+        lo, bump = _raised_cosine(mesh, center, width)
+        hi = lo + len(bump)
+        cum_mass = cumulative_trapezoid(mesh[lo:hi], bump, half_dx[lo : hi - 1])
+        bump_mass = cum_mass[-1]
+        if bump_mass <= 0.0:
+            objectives.append(math.inf)
+            continue
+        cum_abort = cumulative_trapezoid(mesh[lo:hi], bump * abort[lo:hi], half_dx[lo : hi - 1])
+        # mode="clip" reads the sweeps' start before the window, their end after it
+        at = idx - lo
+        mass_below = cum_mass.take(at, mode="clip")
+        bump_costs = cum_abort.take(at, mode="clip") + commit * (bump_mass - mass_below)
+        z = (1.0 - weight) * base_mass + weight
+        objectives.append(
+            objective(((1.0 - weight) * base_costs + (weight / bump_mass) * bump_costs) / z)
+        )
+    return objective(base_costs), objectives
 
 
 def optimality_probe(
@@ -245,40 +308,10 @@ def optimality_probe(
     adversaries for unconstrained strategies, or the best achievable dual
     objective ``min l1 + l2*mu`` over linear majorants of the ratio profile
     for mean-aware ones.  Fails when any perturbation improves the objective
-    by more than ``tol``.
+    by more than ``tol``.  Draws ``3 * n_perturbations`` uniforms.
     """
-    if strategy.kind is not StrategyKind.CONTINUOUS_PDF:
-        raise ValueError("the optimality probe applies to continuous strategies")
-    spec = strategy.spec
-    S = strategy.support_max
-    mu = spec.mu if strategy.mean_aware else None
-
-    mesh = np.linspace(0.0, S, 8193)
-    base_pdf = strategy.pdf(mesh)
-    base_pdf = base_pdf / np.trapezoid(base_pdf, mesh)
-    ys = np.linspace(S / 512, S, 512)
-    costs = costmodel.mesh_expected_costs(spec.mode, spec.k, spec.B, mesh, ys)
-    opts = (spec.k - 1) * ys
-
-    def objective(pdf_vals):
-        ratios = costs(pdf_vals) / opts
-        return float(np.max(ratios)) if mu is None else _min_dual_objective(ys, ratios, mu)
-
-    base_obj = objective(base_pdf)
-
-    best_obj = math.inf
-    for _ in range(n_perturbations):
-        center = stream.uniform() * S
-        width = (0.05 + 0.20 * stream.uniform()) * S
-        weight = 0.05 + 0.30 * stream.uniform()
-        bump = _raised_cosine(mesh, center, width)
-        bump_mass = np.trapezoid(bump, mesh)
-        if bump_mass <= 0.0:
-            continue
-        mixed = (1.0 - weight) * base_pdf + weight * bump / bump_mass
-        mixed = mixed / np.trapezoid(mixed, mesh)
-        best_obj = min(best_obj, objective(mixed))
-
+    base_obj, objectives = _probe_objectives(strategy, n_perturbations, stream)
+    best_obj = min(objectives, default=math.inf)
     improvement = base_obj - best_obj
     return ProbeResult(improvement <= tol, base_obj, best_obj, improvement)
 

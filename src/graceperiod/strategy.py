@@ -390,7 +390,7 @@ _FAMILIES = {
         moment=lambda u, k, B, p: (
             (k - 1) * u * u * _series(p["moment"], (k - 1) * u) / (p["q"] - 1.0)
         ),
-        inverse=lambda u, k, B, p: B * ((1.0 + u * (p["q"] - 1.0)) ** (1.0 / (k - 1)) - 1.0),
+        inverse=lambda u, k, B, p: B * np.expm1(np.log1p(u * (p["q"] - 1.0)) / (k - 1)),
         params=_power_params,
     ),
     "ra_exp": _Family(
@@ -530,13 +530,20 @@ class GracePeriodStrategy:
         """
         if self.kind is StrategyKind.ATOM:
             return self.params["x0"]
+        self._check_drawable()
         return float(self.quantile(np.array([stream.uniform()]))[0])
 
     def sample_batch(self, stream: Stream, n: int) -> np.ndarray:
         """``n`` grace periods; atoms repeat ``x0`` without consuming draws."""
         if self.kind is StrategyKind.ATOM:
             return np.full(n, self.params["x0"])
+        self._check_drawable()
         return self.quantile(stream.uniform_batch(n))
+
+    def _check_drawable(self):
+        """A ValueError, before any draw, unless :meth:`quantile` maps uniforms."""
+        if self.kind is StrategyKind.ATOM or self.family == "custom":
+            raise ValueError(f"the {self.family} strategy takes no draws")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Grace periods for uniforms ``u`` in [0, 1): the inverse CDF.
@@ -544,8 +551,7 @@ class GracePeriodStrategy:
         Every sampler maps its draws through this one function, so a draw
         gives the same bits whichever sampler made it.
         """
-        if self.kind is StrategyKind.ATOM or self.family == "custom":
-            raise ValueError(f"the {self.family} strategy takes no draws")
+        self._check_drawable()
         if self.kind is StrategyKind.DISCRETE_PMF:
             days = np.searchsorted(self.params["cumulative"], u, side="right") + 1
             return days.astype(float)

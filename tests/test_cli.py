@@ -68,6 +68,15 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--B", "-1"), ("--B", "inf"), ("--mu", "0"), ("--mu", "nan"),
+    ])
+    def test_out_of_range_flag_names_its_field(self, capsys, flag, value):
+        assert main(["bench-synthetic", "--trials", "10", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{flag[2:]}'"), err
+
+
 class TestSimulateCommand:
     def test_json_output_schema_and_determinism(self, tmp_path):
         cfg = tmp_path / "sim.json"

@@ -557,6 +557,17 @@ class TestShiftedPowerSmallU:
         assert np.allclose(strat.cdf(strat.quantile(deep)), deep, rtol=1e-12, atol=0.0)
 
 
+class TestPowerInverse:
+    @pytest.mark.parametrize("k", [3, 10, 10**5, 10**6, 10**7])
+    def test_quantile_inverts_cdf_to_rounding(self, k):
+        # B*((1 + u(q-1))**(1/(k-1)) - 1) was off by 2.7e-4 at k = 3 and 10
+        # and returned 0 from k = 1e5 on
+        strat = make_strategy(StrategySpec(RW, k, 100.0, CON, mu=1e6))
+        assert strat.family == "rw_power"
+        us = np.array([1e-12, 1e-6, 1e-3, 0.3, 0.9, 0.999999])
+        assert np.max(np.abs(strat.cdf(strat.quantile(us)) - us) / us) <= 1e-14
+
+
 class TestDerivedFields:
     def test_kind_and_support_follow_the_family_and_spec(self):
         names = [f.name for f in dataclasses.fields(GracePeriodStrategy)]
@@ -589,6 +600,15 @@ class TestCustomDensity:
         for call in calls:
             with pytest.raises(ValueError, match="custom"):
                 call()
+
+    def test_failed_draw_leaves_the_stream(self):
+        strat = custom_continuous(StrategySpec(RW, 2, 10.0, UNC), lambda x: 0.1)
+        s = stream(1)
+        before = s._state
+        for call in (lambda: strat.sample(s), lambda: strat.sample_batch(s, 4)):
+            with pytest.raises(ValueError, match="custom"):
+                call()
+            assert s._state == before
 
 
 NONFINITE = [math.inf, -math.inf, math.nan]
