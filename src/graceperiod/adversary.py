@@ -34,6 +34,7 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # (4.3 MB) at this cap; larger means are rejected rather than truncated.
 POISSON_MAX_MEAN = 1e9
 _POISSON_TAIL = 1e-16  # mass the table may leave out on each side
+_NORMAL_ROUND = 1 << 14  # candidate pairs drawn at a time: bounds the temporaries
 
 
 def _phi(z: float) -> float:
@@ -133,30 +134,32 @@ def worst_case_for_det(k: int, B: float) -> AdversaryModel:
     return AdversaryModel(kind="point_mass", mean=x0, value=x0)
 
 
-def _box_muller(model: AdversaryModel, loc: float, stream: Stream, n: int) -> np.ndarray:
-    """``n`` candidates ``loc + sigma*sqrt(-2 ln u1)*cos(2 pi u2)``, in place."""
-    out = stream.uniform_open_batch(n)
-    u2 = stream.uniform_open_batch(n)
-    np.log(out, out=out)
-    out *= -2.0
-    np.sqrt(out, out=out)
-    u2 *= 2.0 * math.pi
-    out *= np.cos(u2, out=u2)
-    out *= model.sigma
-    out += loc
-    return out
-
-
 def _sample_normal_truncated(model: AdversaryModel, stream: Stream, n: int) -> np.ndarray:
-    # every rejected slot is redrawn, in slot order, until all are accepted
+    """The first ``n`` positive candidates ``loc + sigma*sqrt(-2 ln u1)*cos(2 pi u2)``,
+    one per consecutive pair ``(u1, u2)`` of draws.
+
+    Each round draws two uniforms per length still missing (at most
+    ``_NORMAL_ROUND`` pairs), so no draw goes unused: any split of ``n`` into
+    blocks gives the same lengths and leaves the stream where ``n``
+    one-at-a-time draws would.
+    """
     loc = _solve_truncated_normal_loc(model.mean, model.sigma)
-    out = _box_muller(model, loc, stream, n)
-    pending = np.flatnonzero(out <= 0.0)
-    while pending.size:
-        cand = _box_muller(model, loc, stream, pending.size)
-        ok = cand > 0.0
-        out[pending[ok]] = cand[ok]
-        pending = pending[~ok]
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        m = min(n - filled, _NORMAL_ROUND)
+        pairs = stream.uniform_open_batch(2 * m).reshape(m, 2).T.copy()
+        cand, u2 = pairs  # contiguous rows, transformed in place
+        np.log(cand, out=cand)
+        cand *= -2.0
+        np.sqrt(cand, out=cand)
+        u2 *= 2.0 * math.pi
+        cand *= np.cos(u2, out=u2)
+        cand *= model.sigma
+        cand += loc
+        cand = cand[cand > 0.0]
+        out[filled:filled + cand.size] = cand
+        filled += cand.size
     return out
 
 
@@ -185,16 +188,16 @@ def _zero_truncated_poisson_table(mean: float) -> tuple[int, np.ndarray]:
     return lo, cdf
 
 
-def sample_length(model: AdversaryModel, stream: Stream, n: int | None = None):
-    """Transaction length draw(s); scalar when ``n`` is None."""
-    count = 1 if n is None else int(n)
+def sample_length(model: AdversaryModel, stream: Stream, n: int) -> np.ndarray:
+    """``n`` transaction lengths, in draw order: any split of ``n`` into blocks
+    draws the same lengths."""
     kind = model.kind
     if kind == "point_mass":
-        out = np.full(count, model.value)
+        out = np.full(n, model.value)
     elif kind == "normal_truncated":
-        out = _sample_normal_truncated(model, stream, count)
+        out = _sample_normal_truncated(model, stream, n)
     else:  # one uniform a length, transformed in place
-        out = stream.uniform_open_batch(count)
+        out = stream.uniform_open_batch(n)
         if kind == "exponential":
             np.log(out, out=out)
             out *= -model.mean
@@ -214,25 +217,23 @@ def sample_length(model: AdversaryModel, stream: Stream, n: int | None = None):
             np.add(np.searchsorted(cdf, out, side="right"), lo, out=out)
         else:  # pragma: no cover
             raise AssertionError(kind)
-    return float(out[0]) if n is None else out
+    return out
 
 
-def remaining_time(model: AdversaryModel, stream: Stream, n: int | None = None):
-    """Hidden remaining time(s) of an interrupted transaction.
+def remaining_time(model: AdversaryModel, stream: Stream, n: int) -> np.ndarray:
+    """Hidden remaining times of ``n`` interrupted transactions.
 
     Draws a length ``r`` and a uniform interrupt point ``i`` in ``[0, r)``
     and returns ``r - i`` (integer-valued for the discrete kinds).  Point
     masses return their pegged value directly.
     """
-    count = 1 if n is None else int(n)
     if model.is_point_mass:
-        out = np.full(count, model.value)
-        return float(out[0]) if n is None else out
-    out = sample_length(model, stream, count)
-    u = stream.uniform_batch(count)
+        return np.full(n, model.value)
+    out = sample_length(model, stream, n)
+    u = stream.uniform_batch(n)
     if model.kind in DISCRETE_KINDS:  # r - floor(u*r)
         u *= out
         out -= np.floor(u, out=u)
     else:  # r*(1 - u)
         out *= np.subtract(1.0, u, out=u)
-    return float(out[0]) if n is None else out
+    return out

@@ -32,7 +32,7 @@ import numpy as np
 from .adversary import AdversaryModel, remaining_time, worst_case_for_det
 from .costmodel import conflict_cost
 from .rng import stream
-from .simulator import _integral
+from .simulator import _integral, _real
 from .strategy import ConflictMode, StrategySpec, Variant, check_abort_cost, make_strategy
 
 DISTRIBUTIONS = ("geometric", "normal", "uniform", "exponential", "poisson")
@@ -47,27 +47,21 @@ _BLOCK = 16384  # trials drawn and scored at a time
 
 @dataclass(frozen=True)
 class BenchConfig:
-    B: float
-    mu: float
+    B: float = 2000.0
+    mu: float = 500.0
     trials: int = 100_000
     seed: int = 1
     distributions: tuple[str, ...] = DISTRIBUTIONS
     strategies: tuple[str, ...] = STRATEGIES
 
     def __post_init__(self):
-        for name in ("trials", "seed"):
+        casts = {"trials": _integral, "seed": _integral, "mu": _real,
+                 "B": lambda v: check_abort_cost(_real(v))}
+        for name, cast in casts.items():
             try:
-                object.__setattr__(self, name, _integral(getattr(self, name)))
+                object.__setattr__(self, name, cast(getattr(self, name)))
             except ValueError as exc:
                 raise ValueError(f"config field '{name}': {exc}") from exc
-        for name in ("B", "mu"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"config field '{name}' must be a number, got {value!r}")
-        try:
-            check_abort_cost(self.B)
-        except ValueError as exc:
-            raise ValueError(f"config field 'B': {exc}") from exc
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
             raise ValueError(f"config field 'mu' must be positive and finite, got {self.mu}")
         for name in ("distributions", "strategies"):

@@ -53,9 +53,12 @@ def _load_json(path: str) -> dict:
     resolved = _resolve_config_path(path)
     try:
         with open(resolved, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{resolved}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{resolved}: a config must be a JSON object")
+    return data
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -72,14 +75,10 @@ def _dump_json(doc: dict) -> str:
 
 def _cmd_bench(args) -> int:
     data = _load_json(args.config) if args.config else {}
-    merged = {
-        "B": args.B if args.B is not None else data.get("B", 2000.0),
-        "mu": args.mu if args.mu is not None else data.get("mu", 500.0),
-        "trials": args.trials if args.trials is not None else data.get("trials", 100_000),
-        "seed": args.seed if args.seed is not None else data.get("seed", 1),
-        "distributions": args.dist or data.get("distributions", bench.DISTRIBUTIONS),
-        "strategies": args.strategy or data.get("strategies", bench.STRATEGIES),
-    }
+    flags = {"B": args.B, "mu": args.mu, "trials": args.trials, "seed": args.seed,
+             "distributions": args.dist, "strategies": args.strategy}
+    merged = {key: data[key] for key in flags if key in data}  # other keys are ignored
+    merged.update((key, value) for key, value in flags.items() if value is not None)
     config = bench.BenchConfig(**merged)
     rows = bench.run_bench(config)
     _emit(bench.rows_to_csv(rows), args.out)

@@ -132,7 +132,7 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
         mesh = sorted_unique(
             np.concatenate([np.linspace(0.0, S, _PROFILE_MESH), np.clip(ys, 0.0, S)])
         )
-        return mesh_expected_costs(mode, k, B, mesh, ys)(strategy.pdf(mesh))
+        return mesh_expected_costs(mode, k, B, mesh, strategy.pdf(mesh), ys)[0]
 
     mass = np.where(ys < S, strategy.cdf(ys), 1.0)
     moment = strategy.moment(ys)
@@ -150,25 +150,25 @@ def sorted_unique(values) -> np.ndarray:
     return out[keep]
 
 
-def mesh_expected_costs(mode: ConflictMode, k: int, B: float, mesh, ys):
-    """Expected costs at ``ys`` of densities tabulated on ``mesh``, as ``pvals -> costs``.
+def mesh_expected_costs(mode: ConflictMode, k: int, B: float, mesh, pvals, ys):
+    """``(costs, mass)``: the expected costs at ``ys`` of the density tabulated
+    as ``pvals`` on ``mesh`` and zero off it, and its trapezoid mass.
 
-    Set up once per mesh, then one cumulative-trapezoid sweep per density of
-    the mass and of the abort-branch cost: graces up to ``y`` abort, the mass
-    above ``y`` commits.  ``ys`` past the mesh end abort with the whole mass.
+    Two cumulative-trapezoid sweeps, of the mass and of the abort-branch
+    cost: graces up to ``y`` abort, the mass above ``y`` commits.  ``ys``
+    before the mesh commit with the whole mass; ``ys`` past it abort with it.
     """
-    half_dx = np.diff(mesh) * 0.5
+    half_dx = mesh[1:] - mesh[:-1]  # np.diff's bits, without its call overhead
+    half_dx *= 0.5
+    idx = np.searchsorted(mesh, ys)  # read with mode="clip": past the mesh is its end
+    cum_mass = cumulative_trapezoid(mesh, pvals, half_dx)
+    mass = cum_mass[-1]
+    above = mass - cum_mass.take(idx, mode="clip")  # the mass that commits at each y
+    del cum_mass  # one mesh-sized sum alive at a time keeps the peak down
     abort = conflict_cost(mode, k, B, mesh, mesh)
-    idx = np.searchsorted(mesh, np.clip(ys, 0.0, mesh[-1]))
-    commit = (k - 1) * ys
-
-    def costs(pvals):
-        cum_mass = cumulative_trapezoid(mesh, pvals, half_dx)
-        above = cum_mass[-1] - cum_mass[idx]  # the mass that commits at each y
-        del cum_mass  # one mesh-sized sum alive at a time keeps the peak down
-        return cumulative_trapezoid(mesh, abort * pvals, half_dx)[idx] + commit * above
-
-    return costs
+    abort *= pvals
+    costs = cumulative_trapezoid(mesh, abort, half_dx).take(idx, mode="clip")
+    return costs + (k - 1) * ys * above, mass
 
 
 def ratio_profile(strategy: GracePeriodStrategy, y_grid) -> list[tuple[float, float]]:

@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import costmodel
-from .quadrature import adaptive_simpson, cumulative_trapezoid
-from .rng import Stream
+from .quadrature import adaptive_simpson
+from .rng import Stream, stream
 from .strategy import (
     ConflictMode,
     GracePeriodStrategy,
@@ -260,16 +260,17 @@ def _probe_objectives(
     base_pdf = base_pdf / np.trapezoid(base_pdf, mesh)
     base_mass = np.trapezoid(base_pdf, mesh)
     ys = np.linspace(S / 512, S, 512)
-    base_costs = costmodel.mesh_expected_costs(spec.mode, spec.k, spec.B, mesh, ys)(base_pdf)
-    commit = opts = (spec.k - 1) * ys  # the waiters' commit cost is also the optimum
-    half_dx = np.diff(mesh) * 0.5
-    abort = costmodel.conflict_cost(spec.mode, spec.k, spec.B, mesh, mesh)
-    idx = np.searchsorted(mesh, ys)
+    opts = (spec.k - 1) * ys  # the waiters' commit cost is also the optimum
+
+    def sweep(pvals, lo=0):  # (costs, mass) of a density on mesh[lo:], zero off it
+        window = mesh[lo : lo + len(pvals)]
+        return costmodel.mesh_expected_costs(spec.mode, spec.k, spec.B, window, pvals, ys)
 
     def objective(costs):
         ratios = costs / opts
         return float(ratios.max()) if mu is None else _min_dual_objective(ys, ratios, mu)
 
+    base_costs = sweep(base_pdf)[0]
     draws = stream.uniform_batch(3 * n_perturbations).reshape(n_perturbations, 3)
     centers = draws[:, 0] * S
     widths = (0.05 + 0.20 * draws[:, 1]) * S
@@ -277,17 +278,10 @@ def _probe_objectives(
     objectives = []
     for center, width, weight in zip(centers.tolist(), widths.tolist(), weights.tolist()):
         lo, bump = _raised_cosine(mesh, center, width)
-        hi = lo + len(bump)
-        cum_mass = cumulative_trapezoid(mesh[lo:hi], bump, half_dx[lo : hi - 1])
-        bump_mass = cum_mass[-1]
+        bump_costs, bump_mass = sweep(bump, lo)
         if bump_mass <= 0.0:
             objectives.append(math.inf)
             continue
-        cum_abort = cumulative_trapezoid(mesh[lo:hi], bump * abort[lo:hi], half_dx[lo : hi - 1])
-        # mode="clip" reads the sweeps' start before the window, their end after it
-        at = idx - lo
-        mass_below = cum_mass.take(at, mode="clip")
-        bump_costs = cum_abort.take(at, mode="clip") + commit * (bump_mass - mass_below)
         z = (1.0 - weight) * base_mass + weight
         objectives.append(
             objective(((1.0 - weight) * base_costs + (weight / bump_mass) * bump_costs) / z)
@@ -454,14 +448,14 @@ def _worst_case_checks() -> list[dict]:
 def _probe_checks(seed: int) -> list[dict]:
     checks = []
     rw = make_strategy(StrategySpec(_RW, 2, 100.0, Variant.RANDOMIZED_UNCONSTRAINED))
-    res = optimality_probe(rw, 200, Stream(seed).spawn("probe", "rw"))
+    res = optimality_probe(rw, 200, stream(seed, "probe", "rw"))
     checks.append(_check(
         "probe/rw_uniform_k2", res.passed,
         base_objective=res.base_objective, best_improvement=res.best_improvement,
         tolerance=PROBE_TOL,
     ))
     ra = make_strategy(StrategySpec(_RA, 2, 100.0, Variant.RANDOMIZED_UNCONSTRAINED))
-    res = optimality_probe(ra, 200, Stream(seed).spawn("probe", "ra"))
+    res = optimality_probe(ra, 200, stream(seed, "probe", "ra"))
     checks.append(_check(
         "probe/ra_exponential_k2", res.passed,
         base_objective=res.base_objective, best_improvement=res.best_improvement,
@@ -471,7 +465,7 @@ def _probe_checks(seed: int) -> list[dict]:
     B = 100.0
     spec = StrategySpec(_RW, 2, B, Variant.RANDOMIZED_UNCONSTRAINED)
     squeezed = custom_continuous(spec, lambda x: 2.0 / B if x <= B / 2.0 else 0.0)
-    res = optimality_probe(squeezed, 200, Stream(seed).spawn("probe", "control"))
+    res = optimality_probe(squeezed, 200, stream(seed, "probe", "control"))
     checks.append(_check(
         "probe/suboptimal_control_detected", not res.passed,
         base_objective=res.base_objective, best_improvement=res.best_improvement,

@@ -111,10 +111,6 @@ class Stream:
         out *= _INV_2_53
         return out
 
-    def spawn(self, *tokens: int | str) -> "Stream":
-        """Independent child stream; does not advance this stream."""
-        return Stream(derive_seed(self._state, *tokens))
-
 
 def stream(seed: int, *tokens: int | str) -> Stream:
     """Stream for ``seed`` scoped by label tokens."""

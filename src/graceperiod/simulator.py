@@ -242,11 +242,7 @@ def _draw_lengths(config: SimConfig, thread: int) -> tuple[np.ndarray, np.ndarra
     starts, lengths = [], []
     total = 0.0
     while total < horizon:
-        n = _block_size((horizon - total) / model.mean)
-        if model.kind == "normal_truncated":  # a batch would draw all u1 before all u2
-            block = np.array([sample_length(model, s) for _ in range(n)])
-        else:
-            block = sample_length(model, s, n)
+        block = sample_length(model, s, _block_size((horizon - total) / model.mean))
         acc = np.cumsum(np.concatenate(([total], block)))
         keep = min(int(np.searchsorted(acc[1:], horizon)) + 1, len(block))
         starts.append(acc[:keep])
@@ -661,58 +657,69 @@ def _integral(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    # JSON numbers only: 2 and 2.5 pass, true, "2" and [2] do not
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> SimConfig:
     """Build a SimConfig from parsed JSON, naming the offending field on error."""
 
-    def need(field_name, cast=None):
-        if field_name not in data:
-            raise ValueError(f"config field '{field_name}' is required")
-        value = data[field_name]
-        if cast is not None:
-            try:
-                return cast(value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"config field '{field_name}': {exc}") from exc
-        return value
+    def read(obj, key, cast, default=..., where=""):
+        # obj[key] through cast; default when absent, or null if default is None
+        if key not in obj or (default is None and obj[key] is None):
+            if default is ...:
+                raise ValueError(f"config field '{where}{key}' is required")
+            return default
+        try:
+            return cast(obj[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config field '{where}{key}': {exc}") from exc
 
-    try:
-        mode = ConflictMode(need("mode"))
-    except ValueError as exc:
-        raise ValueError(f"config field 'mode': {exc}") from exc
+    def section(key):
+        obj = read(data, key, lambda v: v)
+        if not isinstance(obj, dict):
+            raise ValueError(f"config field '{key}' must be an object")
+        return obj
 
-    pol = need("policy")
-    if not isinstance(pol, dict):
-        raise ValueError("config field 'policy' must be an object")
-    try:
-        policy = PolicyConfig(
-            variant=Variant(pol.get("variant", "randomized_unconstrained")),
-            B=float(pol["B"]),
-            mu=None if pol.get("mu") is None else float(pol["mu"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"config field 'policy.{exc.args[0]}' is required") from exc
-    except ValueError as exc:
-        raise ValueError(f"config field 'policy': {exc}") from exc
+    mode = read(data, "mode", ConflictMode)
 
-    lm = need("length_model")
-    if not isinstance(lm, dict):
-        raise ValueError("config field 'length_model' must be an object")
+    pol = section("policy")
+    policy = PolicyConfig(
+        variant=read(pol, "variant", Variant, Variant.RANDOMIZED_UNCONSTRAINED, "policy."),
+        B=read(pol, "B", lambda v: check_abort_cost(_real(v)), where="policy."),
+        mu=read(pol, "mu", _real, None, "policy."),
+    )
+
+    lm = section("length_model")
+    mean = read(lm, "mean", _real, 0.0, "length_model.")
+    sigma = read(lm, "sigma", _real, None, "length_model.")
+    value = read(lm, "value", _real, None, "length_model.")
     try:
-        length_model = AdversaryModel(
-            kind=lm.get("kind", "exponential"),
-            mean=float(lm.get("mean", 0.0)),
-            sigma=None if lm.get("sigma") is None else float(lm["sigma"]),
-            value=None if lm.get("value") is None else float(lm["value"]),
-        )
+        length_model = AdversaryModel(lm.get("kind", "exponential"), mean, sigma, value)
     except ValueError as exc:
         raise ValueError(f"config field 'length_model': {exc}") from exc
 
-    sched = need("conflict_schedule")
+    sched = section("conflict_schedule")
     rate, trace_path = None, None
-    if isinstance(sched, dict) and sched.get("kind") == "random_rate":
-        rate = float(sched.get("rate", 0.0))
-    elif isinstance(sched, dict) and sched.get("kind") == "trace":
-        trace_path = str(sched.get("path", ""))
+    if sched.get("kind") == "random_rate":
+        rate = read(sched, "rate", _real, 0.0, "conflict_schedule.")
+    elif sched.get("kind") == "trace":
+        trace_path = read(sched, "path", _text, where="conflict_schedule.")
     else:
         raise ValueError(
             "config field 'conflict_schedule' must be "
@@ -725,7 +732,7 @@ def config_from_dict(data: dict) -> SimConfig:
             keys = [_integral(float(k) if isinstance(k, str) else k) for k in chain]
             if len(set(keys)) < len(keys):
                 raise ValueError(f"a chain size appears twice in {list(chain)}")
-            chain = dict(zip(keys, map(float, chain.values())))
+            chain = dict(zip(keys, map(_real, chain.values())))
         else:
             chain = _integral(chain)
     except (TypeError, ValueError) as exc:
@@ -733,18 +740,18 @@ def config_from_dict(data: dict) -> SimConfig:
 
     try:
         return SimConfig(
-            n_threads=need("n_threads", _integral),
+            n_threads=read(data, "n_threads", _integral),
             mode=mode,
             policy=policy,
             length_model=length_model,
-            horizon=need("horizon", float),
-            seed=need("seed", _integral),
+            horizon=read(data, "horizon", _real),
+            seed=read(data, "seed", _integral),
             conflict_rate=rate,
             trace_path=trace_path,
             chain_size=chain,
-            cleanup_cost=float(data.get("cleanup_cost", 0.0)),
-            dynamic_b=bool(data.get("dynamic_b", False)),
-            doubling_backoff=bool(data.get("doubling_backoff", False)),
+            cleanup_cost=read(data, "cleanup_cost", _real, 0.0),
+            dynamic_b=read(data, "dynamic_b", _flag, False),
+            doubling_backoff=read(data, "doubling_backoff", _flag, False),
         )
     except ValueError as exc:
         raise ValueError(f"invalid simulation config: {exc}") from exc

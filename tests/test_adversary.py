@@ -7,6 +7,7 @@ import pytest
 
 from graceperiod import adversary
 from graceperiod.adversary import (
+    KINDS,
     POISSON_MAX_MEAN,
     AdversaryModel,
     remaining_time,
@@ -63,7 +64,7 @@ def test_discrete_kinds_are_integer_valued():
 
 def test_point_mass():
     model = AdversaryModel("point_mass", 42.0, value=42.0)
-    assert sample_length(model, stream(1)) == 42.0
+    assert np.array_equal(sample_length(model, stream(1), 3), [42.0] * 3)
     ys = remaining_time(model, stream(1), 100)
     assert np.all(ys == 42.0)
 
@@ -80,6 +81,38 @@ def test_reproducible_streams():
     a = sample_length(model, stream(19, "rep"), 5000)
     b = sample_length(model, stream(19, "rep"), 5000)
     assert np.array_equal(a, b)
+
+
+BLOCK_MODELS = [
+    AdversaryModel(kind, 40.0, value=40.0 if kind == "point_mass" else None)
+    for kind in KINDS
+] + [AdversaryModel("normal_truncated", 2.0, sigma=2.0)]  # about a third rejected
+
+
+@pytest.mark.parametrize("model", BLOCK_MODELS, ids=lambda m: f"{m.kind}-{m.mean:g}")
+def test_draws_do_not_depend_on_the_block_split(model):
+    whole, blocks, single = stream(24, "split"), stream(24, "split"), stream(24, "split")
+    xs = sample_length(model, whole, 1000)
+    by_block = np.concatenate([sample_length(model, blocks, n) for n in (1, 10, 333, 656)])
+    one_by_one = np.concatenate([sample_length(model, single, 1) for _ in range(1000)])
+    assert np.array_equal(xs, by_block) and np.array_equal(xs, one_by_one)
+    assert whole.u64() == blocks.u64() == single.u64()  # the streams stop at the same draw
+
+
+def test_round_cap_does_not_move_normal_draws(monkeypatch):
+    model = BLOCK_MODELS[-1]
+    s, capped = stream(26, "cap"), stream(26, "cap")
+    xs = sample_length(model, s, 1000)
+    monkeypatch.setattr(adversary, "_NORMAL_ROUND", 7)
+    assert np.array_equal(xs, sample_length(model, capped, 1000))
+    assert s.u64() == capped.u64()
+
+
+def test_zero_draws_leave_the_stream():
+    for model in BLOCK_MODELS:
+        s = stream(25, "empty")
+        assert sample_length(model, s, 0).shape == remaining_time(model, s, 0).shape == (0,)
+        assert s.u64() == stream(25, "empty").u64()
 
 
 def test_extreme_sigma_rejected():
@@ -119,7 +152,7 @@ class TestZeroTruncatedPoisson:
         ref.u64_batch(1000)
         assert s.u64() == ref.u64()
         for _ in range(5):
-            sample_length(model, s)
+            sample_length(model, s, 1)
         ref.u64_batch(5)
         assert s.u64() == ref.u64()
 
@@ -189,9 +222,9 @@ def test_calibration_solved_once_per_model(monkeypatch):
     monkeypatch.setattr(adversary, "_solve_zero_truncated_poisson_rate",
                         lambda mean: rate_solves.append(mean) or solve_rate(mean))
     s = stream(23, "memo")
-    for _ in range(500):  # scalar draws; build_schedule draws normal_truncated lengths so
-        sample_length(AdversaryModel("normal_truncated", 37.0), s)
-        sample_length(AdversaryModel("poisson", 37.0), s)
+    for _ in range(500):  # one length a call: the calibration is not redone
+        sample_length(AdversaryModel("normal_truncated", 37.0), s, 1)
+        sample_length(AdversaryModel("poisson", 37.0), s, 1)
     assert [solver.cache_info().misses for solver in cached] == [1, 1]
     assert [solver.cache_info().hits for solver in cached] == [499, 499]
     assert rate_solves == [37.0]

@@ -143,8 +143,8 @@ def test_blocked_cells_equal_whole_array_reference(trials):
 
 
 @pytest.mark.parametrize("seed,digest", [
-    ("1", "0971f403f16f240e925c794f0d2f7c15c971f399d12e9196b1c31952c5e6f793"),
-    ("7", "e23cb281cf110044b360433514a16e540d218ea7eaea55df374b98a3cf13e07f"),
+    ("1", "50cd2bf15a6467ac1357beee3784d65fe5f6ce48800a2477cff1cb4bf0db617d"),
+    ("7", "74880282b4cbfc442a2db6878e41ff796349402368fa750f20cd47e5835b288f"),
 ])
 def test_default_csv_digest(tmp_path, seed, digest):
     out = tmp_path / "bench.csv"

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from graceperiod.cli import main
+from graceperiod.simulator import config_from_dict
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -19,6 +21,29 @@ SIM_CONFIG = {
     "horizon": 500.0,
     "seed": 17,
 }
+
+
+# each config field the simulate parser once took wrongly: a bool read from a
+# string or a number, a list or a string in a float field (a TypeError, or a
+# message without the field), true read as 1.0, a missing or null trace path
+BAD_SIM_FIELDS = [
+    ("dynamic_b", {"dynamic_b": "false"}),
+    ("dynamic_b", {"dynamic_b": 2}),
+    ("doubling_backoff", {"doubling_backoff": "no"}),
+    ("conflict_schedule.rate", {"conflict_schedule": {"kind": "random_rate", "rate": [0.2]}}),
+    ("conflict_schedule.rate", {"conflict_schedule": {"kind": "random_rate", "rate": "x"}}),
+    ("conflict_schedule.path", {"conflict_schedule": {"kind": "trace"}}),
+    ("conflict_schedule.path", {"conflict_schedule": {"kind": "trace", "path": None}}),
+    ("policy.B", {"policy": {"variant": "randomized_unconstrained", "B": [100.0]}}),
+    ("policy.B", {"policy": {"variant": "randomized_unconstrained", "B": True}}),
+    ("length_model.mean", {"length_model": {"kind": "exponential", "mean": [20.0]}}),
+    ("length_model.sigma",
+     {"length_model": {"kind": "normal_truncated", "mean": 20.0, "sigma": [5.0]}}),
+    ("cleanup_cost", {"cleanup_cost": [1.0]}),
+    ("cleanup_cost", {"cleanup_cost": "abc"}),
+    ("cleanup_cost", {"cleanup_cost": True}),
+    ("horizon", {"horizon": True}),
+]
 
 
 def run_to_file(args, out):
@@ -159,6 +184,36 @@ class TestSimulateCommand:
             main(["simulate", "--config", str(cfg), "--campaign-seeds", value])
         assert exc.value.code == 2
         assert "--campaign-seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,overrides", BAD_SIM_FIELDS,
+                             ids=[json.dumps(o) for _, o in BAD_SIM_FIELDS])
+    def test_bad_config_field_is_named(self, tmp_path, capsys, field, overrides):
+        data = dict(SIM_CONFIG, **overrides)
+        with pytest.raises(ValueError, match=re.escape(f"config field '{field}'")):
+            config_from_dict(data)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(cfg)]) == 2  # any other error propagates
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"config field '{field}'" in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "bench-synthetic"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, command):
+        # a JSON list used to fail with an AttributeError or a TypeError
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1]")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "a config must be a JSON object" in capsys.readouterr().err
+
+    def test_null_optional_fields_and_bool_flags_accepted(self):
+        config = config_from_dict(dict(
+            SIM_CONFIG, dynamic_b=False, doubling_backoff=True,
+            policy={"variant": "randomized_unconstrained", "B": 100, "mu": None},
+            length_model={"kind": "normal_truncated", "mean": 20, "sigma": None, "value": None},
+        ))
+        assert config.policy.mu is None and config.length_model.sigma == 5.0
+        assert config.dynamic_b is False and config.doubling_backoff is True
 
     def test_missing_field_reports_name(self, tmp_path, capsys):
         bad = dict(SIM_CONFIG)

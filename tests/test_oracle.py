@@ -275,21 +275,21 @@ class TestProbeByLinearity:
     ])
     def test_probe_matches_reference(self, name, strat, seed):
         assert strat.family == ("custom" if name == "control" else name)
-        got = optimality_probe(strat, 200, stream(seed).spawn("probe", name))
+        got = optimality_probe(strat, 200, stream(seed, "probe", name))
         ref, ref_objectives = reference_optimality_probe(
-            strat, 200, stream(seed).spawn("probe", name)
+            strat, 200, stream(seed, "probe", name)
         )
         assert got.base_objective == ref.base_objective
         assert got.passed is ref.passed is (name != "control")
         # every perturbation, not only the best one
-        _, objectives = _probe_objectives(strat, 200, stream(seed).spawn("probe", name))
+        _, objectives = _probe_objectives(strat, 200, stream(seed, "probe", name))
         assert min(objectives) == got.best_perturbed_objective
         assert len(objectives) == len(ref_objectives) == 200
         np.testing.assert_allclose(objectives, ref_objectives, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 200])
     def test_draws_three_uniforms_per_perturbation(self, n):
-        probed, scalar = stream(3).spawn("probe", "rw"), stream(3).spawn("probe", "rw")
+        probed, scalar = stream(3, "probe", "rw"), stream(3, "probe", "rw")
         optimality_probe(make_strategy(StrategySpec(RW, 2, 100.0, UNC)), n, probed)
         for _ in range(3 * n):
             scalar.uniform()

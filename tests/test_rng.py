@@ -95,9 +95,7 @@ def test_derive_seed_separates_labels():
     assert derive_seed(1, "alpha", 7) == derive_seed(1, "alpha", 7)
 
 
-def test_stream_helper_and_spawn():
+def test_stream_helper():
     assert stream(5, "x").u64() == stream(5, "x").u64()
-    parent = Stream(5)
-    child1 = parent.spawn("a")
-    child2 = parent.spawn("a")
-    assert child1.u64() == child2.u64()
+    assert stream(5, "a").u64() == Stream(derive_seed(5, "a")).u64()
+    assert stream(5).u64() == Stream(5).u64()

@@ -429,7 +429,7 @@ def reference_build_schedule(config):
         s = stream(config.seed, "rho", thread)
         rs, ss, total = [], [], 0.0
         while total < config.horizon:
-            r = sample_length(config.length_model, s)
+            r = float(sample_length(config.length_model, s, 1)[0])
             rs.append(r)
             ss.append(total)
             total += r
