@@ -18,7 +18,7 @@ first moment ``M``, and the cost is linear in them (see
 :func:`batch_expected_costs`, of which :func:`expected_cost` is the one-point
 call).  Only ``custom`` densities, which carry a pdf alone, are integrated
 numerically, on the cumulative-trapezoid mesh sweep that the oracle's
-optimality probe shares.
+optimality probe shares for its base density.
 
 The discrete classic strategy is scored in integer days with the classic
 accounting (a strategy that commits on day ``i`` pays ``i-1+B`` when it
@@ -106,12 +106,11 @@ def expected_cost(strategy: GracePeriodStrategy, instance: ConflictInstance) -> 
 def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     """Expected costs for many adversary points in one pass.
 
-    A closed-form density with distribution ``F`` and partial first moment
-    ``M(y) = integral_0^y x p(x) dx`` costs ``(k-1)y(1-F) + B*F + k*M``
-    (requestor wins) or ``(k-1)y(1-F) + (k-1)(B*F + M)`` (requestor aborts):
-    graces up to ``y`` abort, the rest commit, and past the support
-    ``F = 1`` and ``M`` is the mean.  Atoms and the day pmf are exact too; a
-    ``custom`` density is swept on a cumulative-trapezoid mesh.
+    A closed-form density is costed by :func:`moment_costs` from its
+    distribution ``F`` and partial first moment
+    ``M(y) = integral_0^y x p(x) dx``; past the support ``F = 1`` and ``M``
+    is the mean.  Atoms and the day pmf are exact too; a ``custom`` density
+    is swept on a cumulative-trapezoid mesh.
     """
     ys = np.asarray(ys, dtype=float)
     mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.spec.B
@@ -135,11 +134,17 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
         return mesh_expected_costs(mode, k, B, mesh, strategy.pdf(mesh), ys)[0]
 
     mass = np.where(ys < S, strategy.cdf(ys), 1.0)
-    moment = strategy.moment(ys)
-    commit = (k - 1) * ys * (1.0 - mass)
+    return moment_costs(mode, k, B, ys, mass, strategy.moment(ys))
+
+
+def moment_costs(mode: ConflictMode, k: int, B: float, ys, below, moment, total=1.0):
+    """Expected costs at ``ys`` of a density of mass ``total`` whose mass and
+    first moment up to each ``y`` are ``below`` and ``moment``: graces up to
+    ``y`` abort, the rest commit.  The arguments broadcast."""
+    commit = (k - 1) * ys * (total - below)
     if mode is ConflictMode.REQUESTOR_WINS:
-        return commit + B * mass + k * moment
-    return commit + (k - 1) * (B * mass + moment)
+        return commit + B * below + k * moment
+    return commit + (k - 1) * (B * below + moment)
 
 
 def sorted_unique(values) -> np.ndarray:

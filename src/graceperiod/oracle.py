@@ -38,6 +38,7 @@ DENSITY_FLOOR = -1e-12
 IDENTITY_TOL = 1e-9
 WORST_CASE_TOL = 1e-9
 PROBE_TOL = 1e-4
+_PROBE_BLOCK = 16  # bump mixtures costed at once; bounds the (block, 512) temporaries
 _EXACT_PMF_MAX_B = 12
 
 
@@ -217,37 +218,41 @@ def _min_dual_objective(ys: np.ndarray, rs: np.ndarray, mu: float) -> float:
     return best
 
 
-def _raised_cosine(mesh: np.ndarray, center: float, width: float) -> tuple[int, np.ndarray]:
-    """``1 + cos(pi * clip((mesh - center)/width, -1, 1))`` on its window of a uniform mesh from 0.
+def _bump_costs(mode: ConflictMode, k: int, B: float, S: float, centers, widths, ys):
+    """``(costs, mass)`` of the raised cosine ``1 + cos(pi*(x-c)/w)`` on
+    ``[max(c-w, 0), min(c+w, S)]`` at each adversary point ``y``, exactly.
 
-    Returns ``(lo, bump)``, the values on ``mesh[lo : lo + len(bump)]``; past
-    them ``1 + cos(±pi)`` is exactly ``0.0``.  With ``i`` and ``r`` the
-    floored center and half-width in cells, every nonzero cell lies in
-    ``i - r .. i + r + 1``.  The cells just outside that range lie past the
-    bump's edge, but maybe only by a rounding error; the window takes one
-    more cell per side, a whole cell past the edge, so its end cells are
-    exactly ``0.0`` unless the mesh ends first.  Trapezoids over the window
-    thus count its edge cells.
+    With ``a = pi/w``, the mass and first moment of the bump up to ``x`` are
+    differences of ``F(x) = x + sin(a(x-c))/a`` and
+    ``M(x) = x^2/2 + x*sin(a(x-c))/a + cos(a(x-c))/a^2``, read at ``y``
+    clipped to the bump.  ``centers``, ``widths`` and ``ys`` broadcast.
     """
-    cell = mesh[1]
-    i, r = int(center / cell), int(width / cell)
-    lo = max(i - r - 2, 0)
-    window = mesh[lo : i + r + 4]
-    return lo, 1.0 + np.cos(math.pi * np.clip((window - center) / width, -1.0, 1.0))
+    a = np.pi / widths
+    lo = np.maximum(centers - widths, 0.0)
+    hi = np.minimum(centers + widths, S)
+
+    def antiderivatives(x):
+        t = a * (x - centers)
+        sin_a = np.sin(t) / a
+        return x + sin_a, 0.5 * x * x + x * sin_a + np.cos(t) / (a * a)
+
+    f_lo, m_lo = antiderivatives(lo)
+    f_y, m_y = antiderivatives(np.clip(ys, lo, hi))
+    mass = antiderivatives(hi)[0] - f_lo
+    return costmodel.moment_costs(mode, k, B, ys, f_y - f_lo, m_y - m_lo, mass), mass
 
 
 def _probe_objectives(
     strategy: GracePeriodStrategy, n_perturbations: int, stream: Stream
 ) -> tuple[float, list[float]]:
-    """The strategy's objective and that of each bump mixture (``inf`` if skipped).
+    """The strategy's objective and that of each bump mixture.
 
-    The mesh cost is linear in the density and a bump is zero off its
-    window, so a mixture ``((1-w)*base + (w/m)*bump) / z`` costs
-    ``((1-w)*C_base + (w/m)*C_bump) / z`` with ``z = (1-w)*mass(base) + w``:
-    ``C_base`` is swept once, and ``C_bump`` and the bump mass ``m`` come
-    from two cumulative sweeps over the bump's window, read at the adversary
-    points clipped to it (zero before the window, the whole bump after it).
-    Every temporary is window-sized or adversary-sized.
+    The cost is linear in the density, so a mixture
+    ``((1-w)*base + (w/m)*bump) / z`` costs
+    ``((1-w)*C_base + (w/m)*C_bump) / z`` with ``z = (1-w)*mass(base) + w``.
+    ``C_base`` is swept once on a trapezoid mesh; ``C_bump`` and the bump
+    mass ``m`` are closed forms (:func:`_bump_costs`), ``_PROBE_BLOCK``
+    perturbations at a time.
     """
     if strategy.kind is not StrategyKind.CONTINUOUS_PDF:
         raise ValueError("the optimality probe applies to continuous strategies")
@@ -258,35 +263,29 @@ def _probe_objectives(
     mesh = np.linspace(0.0, S, 8193)
     base_pdf = strategy.pdf(mesh)
     base_pdf = base_pdf / np.trapezoid(base_pdf, mesh)
-    base_mass = np.trapezoid(base_pdf, mesh)
     ys = np.linspace(S / 512, S, 512)
     opts = (spec.k - 1) * ys  # the waiters' commit cost is also the optimum
 
-    def sweep(pvals, lo=0):  # (costs, mass) of a density on mesh[lo:], zero off it
-        window = mesh[lo : lo + len(pvals)]
-        return costmodel.mesh_expected_costs(spec.mode, spec.k, spec.B, window, pvals, ys)
+    def objectives(costs):  # one per row
+        ratios = np.atleast_2d(costs / opts)
+        if mu is None:
+            return ratios.max(axis=1).tolist()
+        return [_min_dual_objective(ys, row, mu) for row in ratios]
 
-    def objective(costs):
-        ratios = costs / opts
-        return float(ratios.max()) if mu is None else _min_dual_objective(ys, ratios, mu)
-
-    base_costs = sweep(base_pdf)[0]
+    base_costs, base_mass = costmodel.mesh_expected_costs(
+        spec.mode, spec.k, spec.B, mesh, base_pdf, ys
+    )
     draws = stream.uniform_batch(3 * n_perturbations).reshape(n_perturbations, 3)
-    centers = draws[:, 0] * S
-    widths = (0.05 + 0.20 * draws[:, 1]) * S
-    weights = 0.05 + 0.30 * draws[:, 2]
-    objectives = []
-    for center, width, weight in zip(centers.tolist(), widths.tolist(), weights.tolist()):
-        lo, bump = _raised_cosine(mesh, center, width)
-        bump_costs, bump_mass = sweep(bump, lo)
-        if bump_mass <= 0.0:
-            objectives.append(math.inf)
-            continue
+    centers = draws[:, :1] * S
+    widths = (0.05 + 0.20 * draws[:, 1:2]) * S
+    weights = 0.05 + 0.30 * draws[:, 2:]
+    out: list[float] = []
+    for i in range(0, n_perturbations, _PROBE_BLOCK):
+        c, w, weight = (col[i : i + _PROBE_BLOCK] for col in (centers, widths, weights))
+        bump_costs, bump_mass = _bump_costs(spec.mode, spec.k, spec.B, S, c, w, ys)
         z = (1.0 - weight) * base_mass + weight
-        objectives.append(
-            objective(((1.0 - weight) * base_costs + (weight / bump_mass) * bump_costs) / z)
-        )
-    return objective(base_costs), objectives
+        out += objectives(((1.0 - weight) * base_costs + (weight / bump_mass) * bump_costs) / z)
+    return objectives(base_costs)[0], out
 
 
 def optimality_probe(
@@ -297,12 +296,12 @@ def optimality_probe(
 ) -> ProbeResult:
     """Smoke-test of optimality: no bump perturbation may beat the strategy.
 
-    Mixes the density with random raised-cosine bumps (renormalized on a
-    shared mesh) and compares objectives: the worst-case ratio over point
-    adversaries for unconstrained strategies, or the best achievable dual
-    objective ``min l1 + l2*mu`` over linear majorants of the ratio profile
-    for mean-aware ones.  Fails when any perturbation improves the objective
-    by more than ``tol``.  Draws ``3 * n_perturbations`` uniforms.
+    Mixes the density (costed on a trapezoid mesh) with random raised-cosine
+    bumps (costed exactly) and compares objectives: the worst-case ratio over
+    point adversaries for unconstrained strategies, or the best achievable
+    dual objective ``min l1 + l2*mu`` over linear majorants of the ratio
+    profile for mean-aware ones.  Fails when any perturbation improves the
+    objective by more than ``tol``.  Draws ``3 * n_perturbations`` uniforms.
     """
     base_obj, objectives = _probe_objectives(strategy, n_perturbations, stream)
     best_obj = min(objectives, default=math.inf)
@@ -486,37 +485,27 @@ _QUADRATURE_CASES = [
 _QUADRATURE_FRACTIONS = (0.125, 0.375, 0.625, 0.875, 1.0)
 
 
-def _cdf_quadrature_checks() -> list[dict]:
-    checks = []
+def _quadrature_checks() -> list[dict]:
+    """Each family's closed-form cdf, then the partial moments the expected
+    costs rest on, against quadrature."""
+    cdf_checks, moment_checks = [], []
     for name, spec in _QUADRATURE_CASES:
         strat = make_strategy(spec)
         S = strat.support_max
-        worst = 0.0
+        cdf_worst = moment_worst = 0.0
         for frac in _QUADRATURE_FRACTIONS:
             x = frac * S
-            worst = max(worst, abs(strat.cdf(x) - adaptive_simpson(strat.pdf, 0.0, x)))
-        checks.append(_check(
-            f"cdf_vs_quadrature/{name}", worst < 1e-8, residual=worst, tolerance=1e-8,
-        ))
-    return checks
-
-
-def _moment_quadrature_checks() -> list[dict]:
-    """The closed-form partial moments the expected costs rest on, against quadrature."""
-    checks = []
-    for name, spec in _QUADRATURE_CASES:
-        strat = make_strategy(spec)
-        S = strat.support_max
-        worst = 0.0
-        for frac in _QUADRATURE_FRACTIONS:
-            x = frac * S
+            cdf_worst = max(cdf_worst, abs(strat.cdf(x) - adaptive_simpson(strat.pdf, 0.0, x)))
             integral = adaptive_simpson(lambda t, s=strat: t * s.pdf(t), 0.0, x)
-            worst = max(worst, abs(strat.moment(x) - integral))
-        residual = worst / strat.moment(S)
-        checks.append(_check(
+            moment_worst = max(moment_worst, abs(strat.moment(x) - integral))
+        cdf_checks.append(_check(
+            f"cdf_vs_quadrature/{name}", cdf_worst < 1e-8, residual=cdf_worst, tolerance=1e-8,
+        ))
+        residual = moment_worst / strat.moment(S)
+        moment_checks.append(_check(
             f"moment_vs_quadrature/{name}", residual < 1e-8, residual=residual, tolerance=1e-8,
         ))
-    return checks
+    return cdf_checks + moment_checks
 
 
 def run_verification_suite(seed: int = 20240405) -> dict:
@@ -527,8 +516,7 @@ def run_verification_suite(seed: int = 20240405) -> dict:
     checks.extend(_identity_checks())
     checks.extend(_worst_case_checks())
     checks.extend(_probe_checks(seed))
-    checks.extend(_cdf_quadrature_checks())
-    checks.extend(_moment_quadrature_checks())
+    checks.extend(_quadrature_checks())
     rw_d, ra_d = abort_density_comparison(1.0)
     checks.append(_check(
         "discussion/endpoint_density_ordering", rw_d < ra_d,

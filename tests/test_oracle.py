@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from graceperiod.costmodel import conflict_cost, ratio_profile
 from graceperiod.oracle import (
     ProbeResult,
     _min_dual_objective,
+    _bump_costs,
     _probe_objectives,
-    _raised_cosine,
     abort_density_comparison,
     lagrange_identity_check,
     optimality_probe,
@@ -22,6 +23,7 @@ from graceperiod.oracle import (
 def costmodel_ratio(strategy, y):
     [(_, r)] = ratio_profile(strategy, [y])
     return r
+from graceperiod.quadrature import adaptive_simpson
 from graceperiod.rng import stream
 from graceperiod.strategy import (
     ConflictMode,
@@ -241,29 +243,52 @@ _SQUEEZED = custom_continuous(
 
 
 class TestProbeByLinearity:
-    """Costing each bump mixture by linearity on the bump's window matches the
-    full-width probe to rounding, on the same draws."""
+    """Each bump mixture is costed as ``((1-w)*C_base + (w/m)*C_bump)/z`` with a
+    closed-form bump; it matches a full-width, renormalized mesh probe to that
+    mesh's own error, on the same draws."""
 
-    def test_windowed_bump_is_the_full_width_bump(self):
-        rng = np.random.default_rng(11)
-        for S in (100.0, 2000.0 / 3.0):  # 10 000 pairs in all
-            mesh = np.linspace(0.0, S, 8193)
-            centers = rng.uniform(0.0, S, 5000)
-            # from under one cell to wider than the support, so windows hang
-            # over either end
-            widths = S * np.exp(rng.uniform(math.log(1e-5), math.log(1.5), 5000))
-            for lo in range(0, 5000, 100):  # full widths 100 pairs at a time
-                c, w = centers[lo : lo + 100, None], widths[lo : lo + 100, None]
-                full = 1.0 + np.cos(math.pi * np.clip((mesh - c) / w, -1.0, 1.0))
-                for row, ci, wi in zip(full, c[:, 0].tolist(), w[:, 0].tolist()):
-                    start, bump = _raised_cosine(mesh, ci, wi)
-                    stop = start + len(bump)
-                    assert np.array_equal(bump, row[start:stop]), (S, ci, wi)
-                    assert not row[:start].any() and not row[stop:].any(), (S, ci, wi)
-                    if start > 0:
-                        assert bump[0] == 0.0, (S, ci, wi)
-                    if stop < len(mesh):
-                        assert bump[-1] == 0.0, (S, ci, wi)
+    def test_bump_costs_match_quadrature(self):
+        rng = np.random.default_rng(13)
+        S = 100.0
+        n = 1200  # 200 per (mode, k)
+        centers = rng.uniform(0.0, S, n)
+        # from a twentieth of the probe's narrowest bump to wider than the
+        # support, so windows hang over 0, over S, or both
+        widths = S * np.exp(rng.uniform(math.log(0.0025), math.log(1.5), n))
+        ys = rng.uniform(0.0, S, n)
+        assert (centers < widths).sum() > 100 and (centers + widths > S).sum() > 100
+        assert ((centers < widths) & (centers + widths > S)).sum() > 50
+        combos = [(mode, k) for mode in (RW, RA) for k in (2, 3, 10)]
+        for i, (c, w, y) in enumerate(zip(centers.tolist(), widths.tolist(), ys.tolist())):
+            mode, k = combos[i % len(combos)]
+            costs, mass = _bump_costs(mode, k, 100.0, S, c, w, y)
+            lo, hi = max(c - w, 0.0), min(c + w, S)
+            x_y = min(max(y, lo), hi)
+
+            def bump(x, c=c, w=w):
+                return 1.0 + np.cos(math.pi * (x - c) / w)
+
+            def abort(x, mode=mode, k=k, bump=bump):
+                return conflict_cost(mode, k, 100.0, x, x) * bump(x)
+
+            def quad(f, a, b):  # split at y and at the bump's ends
+                return adaptive_simpson(f, a, b, rel_tol=1e-13)
+
+            below, above = quad(bump, lo, x_y), quad(bump, x_y, hi)
+            ref = quad(abort, lo, x_y) + (k - 1) * y * above
+            assert abs(mass - (below + above)) <= 1e-10 * (below + above), (c, w, y)
+            assert abs(costs - ref) <= 1e-10 * ref, (mode, k, c, w, y)
+
+    @pytest.mark.parametrize("S", [1e-3, 100.0, 2000.0 / 3.0, 1e6])
+    def test_edge_draws_have_positive_mass(self, S):
+        # the probe's draws put c in [0, S) and w in [0.05 S, 0.25 S]; at the
+        # extreme uniforms the bump still has mass, so no mixture divides by 0
+        extremes = np.array([0.0, 1.0 - 2.0**-53])
+        centers = extremes[:, None] * S
+        widths = (0.05 + 0.20 * extremes[None, :]) * S
+        assert centers[-1, 0] < S
+        _, mass = _bump_costs(RW, 2, 100.0, S, centers, widths, S)
+        assert mass.shape == (2, 2) and (mass > 0.0).all(), mass
 
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("name, strat", [
@@ -285,7 +310,23 @@ class TestProbeByLinearity:
         _, objectives = _probe_objectives(strat, 200, stream(seed, "probe", name))
         assert min(objectives) == got.best_perturbed_objective
         assert len(objectives) == len(ref_objectives) == 200
-        np.testing.assert_allclose(objectives, ref_objectives, rtol=1e-12, atol=0.0)
+        # the reference costs each bump on an 8193-point trapezoid mesh, whose
+        # O(h^2) error (measured up to 1.9e-6 here) sets the tolerance;
+        # test_bump_costs_match_quadrature holds the closed form to 1e-10
+        np.testing.assert_allclose(objectives, ref_objectives, rtol=1e-5, atol=0.0)
+
+    def test_probe_peak_memory(self):
+        # _PROBE_BLOCK rows of 512 points at a time; one (200, 512) block
+        # peaks near 6 MB
+        strat = make_strategy(StrategySpec(RW, 2, 100.0, UNC))
+        s = stream(3, "probe", "rw")
+        tracemalloc.start()
+        try:
+            optimality_probe(strat, 200, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, peak
 
     @pytest.mark.parametrize("n", [1, 200])
     def test_draws_three_uniforms_per_perturbation(self, n):

@@ -111,7 +111,7 @@ class TestSameBitsAsRecursion:
         for f, a, b in integrals:
             assert_same_bits(f, a, b)
 
-    def test_cdf_vs_quadrature_integrals(self, monkeypatch):
+    def test_quadrature_check_integrals(self, monkeypatch):
         integrals = []
 
         def recording(f, a, b, *args):
@@ -119,21 +119,8 @@ class TestSameBitsAsRecursion:
             return adaptive_simpson(f, a, b, *args)
 
         monkeypatch.setattr(oracle, "adaptive_simpson", recording)
-        oracle._cdf_quadrature_checks()
-        assert len(integrals) == 30
-        for f, a, b in integrals:
-            assert_same_bits(f, a, b)
-
-    def test_moment_vs_quadrature_integrals(self, monkeypatch):
-        integrals = []
-
-        def recording(f, a, b, *args):
-            integrals.append((f, a, b))
-            return adaptive_simpson(f, a, b, *args)
-
-        monkeypatch.setattr(oracle, "adaptive_simpson", recording)
-        oracle._moment_quadrature_checks()
-        assert len(integrals) == 30
+        oracle._quadrature_checks()
+        assert len(integrals) == 60  # a cdf and a moment integral per case and fraction
         for f, a, b in integrals:
             assert_same_bits(f, a, b)
 
