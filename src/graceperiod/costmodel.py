@@ -16,9 +16,8 @@ Expected costs against a point adversary are exact to rounding: every
 closed-form density carries its distribution function ``F`` and partial
 first moment ``M``, and the cost is linear in them (see
 :func:`batch_expected_costs`, of which :func:`expected_cost` is the one-point
-call).  Only ``custom`` densities, which carry a pdf alone, are integrated
-numerically, on the cumulative-trapezoid mesh sweep that the oracle's
-optimality probe shares for its base density.
+call).  A ``custom`` density carries a pdf alone and is not costed: its
+``cdf`` raises a ValueError.
 
 The discrete classic strategy is scored in integer days with the classic
 accounting (a strategy that commits on day ``i`` pays ``i-1+B`` when it
@@ -36,7 +35,6 @@ import numpy as np
 
 # unused here, but perfbench/probes.py patches costmodel.adaptive_simpson
 from .quadrature import adaptive_simpson  # noqa: F401
-from .quadrature import cumulative_trapezoid
 from .strategy import (
     ConflictMode,
     GracePeriodStrategy,
@@ -44,8 +42,6 @@ from .strategy import (
     check_abort_cost,
     check_chain_size,
 )
-
-_PROFILE_MESH = 32769  # base resolution of a custom density's batched cost profile
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     distribution ``F`` and partial first moment
     ``M(y) = integral_0^y x p(x) dx``; past the support ``F = 1`` and ``M``
     is the mean.  Atoms and the day pmf are exact too; a ``custom`` density
-    is swept on a cumulative-trapezoid mesh.
+    raises a ValueError, as it has no distribution function.
     """
     ys = np.asarray(ys, dtype=float)
     mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.spec.B
@@ -126,12 +122,6 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
         mass_prefix = np.concatenate([[0.0], np.cumsum(pmf)])
         idx = np.clip(np.floor(ys).astype(int), 0, len(pmf))
         return abort_prefix[idx] + ys * (1.0 - mass_prefix[idx])
-
-    if strategy.family == "custom":
-        mesh = sorted_unique(
-            np.concatenate([np.linspace(0.0, S, _PROFILE_MESH), np.clip(ys, 0.0, S)])
-        )
-        return mesh_expected_costs(mode, k, B, mesh, strategy.pdf(mesh), ys)[0]
 
     mass = np.where(ys < S, strategy.cdf(ys), 1.0)
     return moment_costs(mode, k, B, ys, mass, strategy.moment(ys))
@@ -153,27 +143,6 @@ def sorted_unique(values) -> np.ndarray:
     keep = np.ones(len(out), dtype=bool)
     keep[1:] = out[1:] != out[:-1]
     return out[keep]
-
-
-def mesh_expected_costs(mode: ConflictMode, k: int, B: float, mesh, pvals, ys):
-    """``(costs, mass)``: the expected costs at ``ys`` of the density tabulated
-    as ``pvals`` on ``mesh`` and zero off it, and its trapezoid mass.
-
-    Two cumulative-trapezoid sweeps, of the mass and of the abort-branch
-    cost: graces up to ``y`` abort, the mass above ``y`` commits.  ``ys``
-    before the mesh commit with the whole mass; ``ys`` past it abort with it.
-    """
-    half_dx = mesh[1:] - mesh[:-1]  # np.diff's bits, without its call overhead
-    half_dx *= 0.5
-    idx = np.searchsorted(mesh, ys)  # read with mode="clip": past the mesh is its end
-    cum_mass = cumulative_trapezoid(mesh, pvals, half_dx)
-    mass = cum_mass[-1]
-    above = mass - cum_mass.take(idx, mode="clip")  # the mass that commits at each y
-    del cum_mass  # one mesh-sized sum alive at a time keeps the peak down
-    abort = conflict_cost(mode, k, B, mesh, mesh)
-    abort *= pvals
-    costs = cumulative_trapezoid(mesh, abort, half_dx).take(idx, mode="clip")
-    return costs + (k - 1) * ys * above, mass
 
 
 def ratio_profile(strategy: GracePeriodStrategy, y_grid) -> list[tuple[float, float]]:

@@ -1,11 +1,9 @@
-"""Adaptive Simpson quadrature and cumulative trapezoid sums.
+"""Adaptive Simpson quadrature.
 
 The verification oracles in this package check closed-form densities and
 costs against numerical integration, so the integrator must be independent
 of those closed forms.  Intervals are subdivided until the Richardson
 estimate of the local error satisfies ``|dI| <= max(abs_tol, rel_tol*|I|)``.
-Tabulated densities and batched cost sweeps accumulate on a fixed mesh with
-:func:`cumulative_trapezoid` instead.
 """
 
 from __future__ import annotations
@@ -84,14 +82,3 @@ def adaptive_simpson(
         total += v
     return total
 
-
-def cumulative_trapezoid(x: np.ndarray, f: np.ndarray, half_dx=None) -> np.ndarray:
-    """Trapezoid integrals of ``f`` over ``[x[0], x[i]]`` for every ``i``, built in place.
-
-    A sweep of many ``f`` on one ``x`` passes ``half_dx = np.diff(x) * 0.5``.
-    """
-    out = np.zeros(len(f))
-    np.add(f[1:], f[:-1], out=out[1:])
-    out[1:] *= np.diff(x) * 0.5 if half_dx is None else half_dx
-    np.cumsum(out[1:], out=out[1:])
-    return out

@@ -50,7 +50,7 @@ and ``log1p(u)`` for the ``rw_shifted_power`` pdf (its cdf is a series).  The
 work goes into buffers allocated once per call and gives the same bits as
 evaluating the cdf and the pdf separately.  A ``custom`` density
 (:func:`custom_continuous`) has a pdf only: it is neither sampled nor
-integrated in closed form.
+costed.
 
 A note on two superficially similar forms that are *not* valid densities
 and are used as negative controls by the verification suite: the k=2
@@ -76,6 +76,9 @@ import numpy as np
 from .rng import Stream
 
 LN4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
+# The discrete classic tabulates its pmf and cdf over the days 1..B: 16 MB
+# at this cap; larger abort costs are rejected rather than allocated.
+DISCRETE_CLASSIC_MAX_B = 1e6
 
 _NEWTON_STEPS = 4  # three suffice; one more for margin
 # Power series in v in [0, 1] whose j-th coefficient is at most 1/j!, cut
@@ -148,8 +151,11 @@ class StrategySpec:
         if self.variant is Variant.DISCRETE_CLASSIC:
             if self.mode is not ConflictMode.REQUESTOR_ABORTS or self.k != 2:
                 raise ValueError("discrete_classic is defined for requestor_aborts with k = 2")
-            if self.B != int(self.B) or self.B < 1:
-                raise ValueError("discrete_classic needs an integer abort cost B >= 1")
+            if not (self.B == int(self.B) and 1 <= self.B <= DISCRETE_CLASSIC_MAX_B):
+                raise ValueError(
+                    f"discrete_classic needs an integer abort cost 1 <= B <= "
+                    f"{DISCRETE_CLASSIC_MAX_B:g} (it tabulates every day), got B = {self.B}"
+                )
 
     @property
     def support_max(self) -> float:
@@ -640,8 +646,9 @@ def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
 def custom_continuous(spec: StrategySpec, pdf) -> GracePeriodStrategy:
     """Wrap an arbitrary density callable on ``[0, support_max]``.
 
-    Intended for verification controls and perturbation probes: it has a
-    ``pdf`` only, and expected costs integrate it on a mesh.
+    Intended for verification controls: it has a ``pdf`` only, for
+    :func:`~graceperiod.oracle.verify_pdf`; its ``cdf``, and so its expected
+    costs, raise a ValueError.
     """
     return GracePeriodStrategy(spec, "custom", {"pdf": pdf})
 

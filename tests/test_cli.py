@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from graceperiod import strategy as strategy_module
 from graceperiod.cli import main
 from graceperiod.simulator import config_from_dict
 
@@ -277,6 +278,15 @@ class TestStrategyTableCommand:
         assert rc == 0
         first = data.decode().split("\r\n")[1].split(",")
         assert first == ["0", "0", "0"]
+
+    def test_discrete_classic_abort_cost_is_bounded(self, capsys, monkeypatch):
+        # 1e10 days used to ask for two 80 GB tables; now the spec is refused
+        monkeypatch.setattr(strategy_module, "_discrete_classic_pmf", None)
+        rc = main(["strategy-table", "--mode", "requestor_aborts",
+                   "--strategy-variant", "discrete_classic", "--B", "1e10"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1 <= B <= 1e+06" in err, err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_points_below_one_rejected(self, capsys, value):

@@ -158,25 +158,14 @@ class TestExpectedCost:
             "uniform", "rw_log", "rw_shifted_power", "rw_power", "ra_exp", "ra_expm1"
         }
 
-    def test_custom_mesh_matches_pointwise_quadrature(self):
-        # a custom density has no closed-form moment: both cost functions
-        # sweep a mesh, checked against adaptive Simpson of conflict_cost * pdf
-        # over the aborting graces plus the mass above y, which commits
-        for mode, k in ((RW, 2), (RA, 3)):
-            spec = StrategySpec(mode, k, 100.0, UNC)
-            S = spec.support_max
-            strat = custom_continuous(spec, lambda x: (1.0 + x / S) / (1.5 * S))
-            ys = np.array([0.3, 0.5, 0.9, 1.3]) * S
-            batch = batch_expected_costs(strat, ys)
-            for y, b in zip(ys, batch):
-                cut = min(y, S)
-                head = adaptive_simpson(
-                    lambda x: conflict_cost(mode, k, spec.B, x, y) * strat.pdf(x), 0.0, cut
-                )
-                tail = adaptive_simpson(strat.pdf, cut, S)
-                assert b == pytest.approx(head + (k - 1) * y * tail, rel=1e-7)
-                single = expected_cost(strat, ConflictInstance(mode, k, spec.B, y))
-                assert single == pytest.approx(b, rel=1e-9)
+    def test_custom_density_is_not_costed(self):
+        # a custom density carries a pdf alone, so it has no exact cost
+        spec = StrategySpec(RW, 2, 100.0, UNC)
+        strat = custom_continuous(spec, lambda x: 0.01)
+        with pytest.raises(ValueError, match="custom"):
+            batch_expected_costs(strat, np.array([10.0, 50.0]))
+        with pytest.raises(ValueError, match="custom"):
+            expected_cost(strat, ConflictInstance(RW, 2, 100.0, 10.0))
 
 
 class TestRatioProfile:

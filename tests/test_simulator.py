@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from graceperiod import simulator
+from graceperiod import strategy as strategy_module
 from graceperiod.adversary import KINDS, AdversaryModel, sample_length
 from graceperiod.costmodel import ConflictInstance, expected_cost, opt_cost
 from graceperiod.rng import stream, streams
@@ -777,6 +778,15 @@ class TestConfigParsing:
                     conflict_schedule={"kind": "random_rate", "rate": 0.0})
         with pytest.raises(ValueError, match="policy.variant deterministic .*requestor_wins only"):
             config_from_dict(data)
+
+    def test_discrete_classic_abort_cost_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(strategy_module, "_discrete_classic_pmf", None)
+        data = dict(CONFIG_DATA, mode="requestor_aborts",
+                    policy={"variant": "discrete_classic", "B": 1e10})
+        with pytest.raises(ValueError, match="policy.variant discrete_classic .*B <= 1e\\+06"):
+            config_from_dict(data)
+        data["policy"] = {"variant": "discrete_classic", "B": 10000.0}
+        assert config_from_dict(data).policy.B == 10000.0
 
     def test_discrete_classic_with_dynamic_b_rejected(self):
         data = dict(CONFIG_DATA, mode="requestor_aborts", dynamic_b=True,

@@ -18,6 +18,7 @@ from graceperiod.simulator import PolicyConfig
 from graceperiod.strategy import (
     _FAMILIES,
     _NEWTON_STEPS,
+    DISCRETE_CLASSIC_MAX_B,
     ConflictMode,
     GracePeriodStrategy,
     StrategyKind,
@@ -257,6 +258,10 @@ class TestMakeStrategy:
             StrategySpec(RA, 3, 100.0, Variant.DISCRETE_CLASSIC)
         with pytest.raises(ValueError):
             StrategySpec(RA, 2, 100.5, Variant.DISCRETE_CLASSIC)
+        # its day tables hold B entries each, so B is capped
+        assert StrategySpec(RA, 2, DISCRETE_CLASSIC_MAX_B, Variant.DISCRETE_CLASSIC).B == 1e6
+        with pytest.raises(ValueError, match="1 <= B <= 1e\\+06"):
+            StrategySpec(RA, 2, DISCRETE_CLASSIC_MAX_B + 1.0, Variant.DISCRETE_CLASSIC)
         with pytest.raises(ValueError):
             StrategySpec(RW, 2, 100.0, CON)  # constrained without mu
         with pytest.raises(ValueError):
