@@ -15,6 +15,7 @@ from .oracle import (
     run_verification_suite,
     verify_pdf,
     worst_case_ratio,
+    yao_lower_bound,
 )
 from .rng import Stream, Streams, derive_seed, stream, streams
 from .strategy import (
@@ -45,5 +46,5 @@ __all__ = [
     "mean_threshold", "optimality_probe", "opt_cost", "ratio_profile",
     "remaining_time", "run_verification_suite", "sample_length", "stream",
     "streams", "threshold_condition", "verify_pdf", "worst_case_ratio",
-    "worst_case_for_det",
+    "worst_case_for_det", "yao_lower_bound",
 ]

@@ -23,6 +23,8 @@ import os
 import sys
 from importlib import resources
 
+import numpy as np
+
 from . import bench, oracle, simulator
 from .strategy import (
     ConflictMode,
@@ -130,14 +132,14 @@ def _cmd_strategy_table(args) -> int:
     lines = ["x,pdf,cdf"]
     if strat.kind is StrategyKind.ATOM:
         lines.append(f"{strat.params['x0']:.12g},1,atom")
-    elif strat.kind is StrategyKind.DISCRETE_PMF:
-        for i in range(1, int(spec.B) + 1):
-            lines.append(f"{i},{strat.pdf(i):.12g},{strat.cdf(i):.12g}")
-    else:
+    else:  # one array pdf and cdf, at the days of the pmf or n points on the support
         n = args.points
-        for j in range(n):
-            x = strat.support_max * j / (n - 1) if n > 1 else 0.0
-            lines.append(f"{x:.12g},{strat.pdf(x):.12g},{strat.cdf(x):.12g}")
+        if strat.kind is StrategyKind.DISCRETE_PMF:
+            xs = np.arange(1.0, spec.B + 1.0)
+        else:
+            xs = strat.support_max * np.arange(n) / max(n - 1, 1)
+        rows = zip(xs.tolist(), strat.pdf(xs).tolist(), strat.cdf(xs).tolist())
+        lines += [f"{x:.12g},{p:.12g},{c:.12g}" for x, p, c in rows]
     _emit("\r\n".join(lines) + "\r\n", args.out)
     return 0
 
@@ -178,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the numerical verification suite")
-    p.add_argument("--seed", type=int, help="probe stream seed")
+    p.add_argument("--seed", type=int,
+                   help="echoed in the report; no check depends on it")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify)
 

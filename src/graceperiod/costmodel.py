@@ -102,11 +102,13 @@ def expected_cost(strategy: GracePeriodStrategy, instance: ConflictInstance) -> 
 def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     """Expected costs for many adversary points in one pass.
 
-    A closed-form density is costed by :func:`moment_costs` from its
-    distribution ``F`` and partial first moment
-    ``M(y) = integral_0^y x p(x) dx``; past the support ``F = 1`` and ``M``
-    is the mean.  Atoms and the day pmf are exact too; a ``custom`` density
-    raises a ValueError, as it has no distribution function.
+    A closed-form density is costed from its distribution ``F`` and partial
+    first moment ``M(y) = integral_0^y x p(x) dx``: graces up to ``y`` abort
+    and the rest commit, so the cost is ``(k-1)y(1-F) + B*F + k*M``
+    (requestor wins) or ``(k-1)y(1-F) + (k-1)(B*F + M)`` (requestor aborts).
+    Past the support ``F = 1`` and ``M`` is the mean.  Atoms and the day pmf
+    are exact too; a ``custom`` density raises a ValueError, as it has no
+    distribution function.
     """
     ys = np.asarray(ys, dtype=float)
     mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.spec.B
@@ -123,15 +125,9 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
         idx = np.clip(np.floor(ys).astype(int), 0, len(pmf))
         return abort_prefix[idx] + ys * (1.0 - mass_prefix[idx])
 
-    mass = np.where(ys < S, strategy.cdf(ys), 1.0)
-    return moment_costs(mode, k, B, ys, mass, strategy.moment(ys))
-
-
-def moment_costs(mode: ConflictMode, k: int, B: float, ys, below, moment, total=1.0):
-    """Expected costs at ``ys`` of a density of mass ``total`` whose mass and
-    first moment up to each ``y`` are ``below`` and ``moment``: graces up to
-    ``y`` abort, the rest commit.  The arguments broadcast."""
-    commit = (k - 1) * ys * (total - below)
+    below = np.where(ys < S, strategy.cdf(ys), 1.0)
+    moment = strategy.moment(ys)
+    commit = (k - 1) * ys * (1.0 - below)
     if mode is ConflictMode.REQUESTOR_WINS:
         return commit + B * below + k * moment
     return commit + (k - 1) * (B * below + moment)

@@ -40,7 +40,11 @@ and as a positive series for ``(expm1(t) - t)/t``, ``t = 1/(k-1)``, so they
 hold to rounding at every ``k``.
 
 The constrained (mean-aware) densities apply while the adversary mean stays
-below :func:`mean_threshold`, the one closed form of that bound.
+below :func:`mean_threshold`, the one closed form of that bound.  They are
+optimal among densities on ``[0, B/(k-1)]`` only, a cap that is part of the
+model: waiting longer does better against an adversary of mean ``mu`` (a
+fine-grid linear program gives 1.089945 with waits up to ``2B/(k-1)``, against
+the capped 1.129435, at requestor wins, ``k = 2``, ``B = 100``, ``mu = 10``).
 
 Sampling inverts the cdf: in closed form where one exists, else (``rw_log``,
 ``rw_shifted_power``, ``ra_expm1``) by four Newton steps on ``sqrt(F)``.  Each
@@ -657,7 +661,11 @@ def competitive_ratio(spec: StrategySpec) -> RatioReport:
     """Theoretical worst-case ratio for the regime ``spec`` resolves to.
 
     Constrained ratios are the dual objective ``lambda1 + lambda2*mu`` at
-    the binding corner; a zero mean therefore degenerates to ratio 1.
+    the binding corner; a zero mean therefore degenerates to ratio 1.  They
+    are optimal among densities on ``[0, B/(k-1)]`` only: against an
+    adversary of mean ``mu``, longer waits can do better.  The unconstrained
+    ratios of the equalizing densities meet
+    :func:`graceperiod.oracle.yao_lower_bound`, a bound on every strategy.
     """
     if spec.variant is Variant.DETERMINISTIC:
         return RatioReport(det_competitive_ratio(spec.k), "unconstrained", False)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -236,7 +237,47 @@ class TestVerifyCommand:
         assert report["passed"] and report["n_checks"] >= 30
 
 
+# sha256 of strategy-table outputs: the discrete classic at B = 1000 and one
+# density of each continuous family at the default 101 points
+PINNED_TABLES = [
+    ("discrete_classic",
+     ["--mode", "requestor_aborts", "--strategy-variant", "discrete_classic", "--B", "1000"],
+     "48cd52971f67e8965f30359a12f56a9fe7895e5d17007af3899b43bf10305284"),
+    ("uniform",
+     ["--mode", "requestor_wins", "--strategy-variant", "randomized_unconstrained",
+      "--B", "100"],
+     "a773bab17498fe22762313b6c11e34199b5712912f44ee597f8070ad97338838"),
+    ("rw_log",
+     ["--mode", "requestor_wins", "--strategy-variant", "randomized_constrained",
+      "--B", "100", "--mu", "10"],
+     "33eb9073f4e900db38584c1c6c69c67e883688fc9c557e9d406a4e6af4b588de"),
+    ("rw_shifted_power",
+     ["--mode", "requestor_wins", "--strategy-variant", "randomized_constrained",
+      "--k", "3", "--B", "100", "--mu", "10"],
+     "5773c106bb3851e66f6a9366b4fdfe59299fd4722950d0ffb78c2123c064b9cd"),
+    ("rw_power",
+     ["--mode", "requestor_wins", "--strategy-variant", "randomized_constrained",
+      "--k", "4", "--B", "100", "--mu", "1000"],
+     "4c84055f186a3a22ecd20e501a95c0ed701d9eccb3984572d9a7919854e44640"),
+    ("ra_exp",
+     ["--mode", "requestor_aborts", "--strategy-variant", "randomized_unconstrained",
+      "--B", "100"],
+     "00981268ef34ec59f2e9551a8667d2addd9b399a3b5ab4d2e41d85da79b7a3de"),
+    ("ra_expm1",
+     ["--mode", "requestor_aborts", "--strategy-variant", "randomized_constrained",
+      "--B", "100", "--mu", "10"],
+     "c68121ef89f9158e6d9dc3f111f6710e6a56b04ccbfd0654c2dfdd0fed398ef3"),
+]
+
+
 class TestStrategyTableCommand:
+    @pytest.mark.parametrize("family, args, digest", PINNED_TABLES,
+                             ids=[family for family, _, _ in PINNED_TABLES])
+    def test_table_bytes_are_pinned(self, tmp_path, family, args, digest):
+        rc, data = run_to_file(["strategy-table", *args, "--points", "101"], tmp_path / "t.csv")
+        assert rc == 0
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_uniform_three_points(self, tmp_path):
         rc, data = run_to_file(
             ["strategy-table", "--mode", "requestor_wins",

@@ -1,31 +1,23 @@
 import json
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from graceperiod.costmodel import conflict_cost, ratio_profile
+from graceperiod import oracle
 from graceperiod.oracle import (
-    ProbeResult,
-    _min_dual_objective,
-    _bump_costs,
-    _probe_objectives,
+    _adversary_costs,
+    _deterministic_certificate_checks,
+    _equalizer,
     abort_density_comparison,
     lagrange_identity_check,
     optimality_probe,
     run_verification_suite,
     verify_pdf,
     worst_case_ratio,
+    yao_lower_bound,
 )
-
-
-def costmodel_ratio(strategy, y):
-    [(_, r)] = ratio_profile(strategy, [y])
-    return r
-from graceperiod.quadrature import adaptive_simpson
-from graceperiod.rng import stream
 from graceperiod.strategy import (
     ConflictMode,
     StrategySpec,
@@ -163,205 +155,93 @@ class TestWorstCaseRatio:
         assert ratio == pytest.approx(CLASSIC_UNDER_RW_RATIO, rel=0.0, abs=1e-9)
 
 
-class TestOptimalityProbe:
-    def test_rw_uniform_passes(self):
-        strat = make_strategy(StrategySpec(RW, 2, 100.0, UNC))
-        assert optimality_probe(strat, 200, stream(5, "p1"))
+class TestYaoCertificate:
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 100, 10**4, 10**5, 10**7])
+    def test_bound_is_the_theoretical_ratio(self, mode, k):
+        # the certified specs: the uniform density at RW k = 2, rw_power above
+        # (the constrained fallback), ra_exp in every case
+        spec = _equalizer(mode, k, 100.0).spec
+        expected = competitive_ratio(spec).theoretical_ratio
+        assert abs(yao_lower_bound(mode, k) - expected) <= 1e-12 * expected
 
-    def test_ra_exponential_passes(self):
-        strat = make_strategy(StrategySpec(RA, 2, 100.0, UNC))
-        assert optimality_probe(strat, 200, stream(5, "p2"))
+    def test_bound_closed_forms(self):
+        assert yao_lower_bound(RW, 2) == pytest.approx(2.0, rel=1e-15)
+        assert yao_lower_bound(RW, 3) == pytest.approx(1.8, rel=1e-15)
+        assert yao_lower_bound(RA, 2) == pytest.approx(math.e / (math.e - 1.0), rel=1e-15)
+        # as the chain grows, RW tends to e/(e-1) and RA to k - 1/2
+        assert yao_lower_bound(RW, 10**7) == pytest.approx(math.e / (math.e - 1.0), rel=1e-6)
+        assert yao_lower_bound(RA, 10**7) == pytest.approx(10**7 - 0.5, rel=1e-12)
+        with pytest.raises(ValueError):
+            yao_lower_bound(RW, 1)
 
-    def test_constrained_passes(self):
-        strat = make_strategy(StrategySpec(RA, 2, 100.0, CON, mu=10.0))
-        assert optimality_probe(strat, 200, stream(5, "p3"))
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 10**4, 10**7])
+    @pytest.mark.parametrize("B", [1.0, 100.0, 1e6])
+    def test_equalizers_are_certified(self, mode, k, B):
+        res = optimality_probe(_equalizer(mode, k, B))
+        assert res.passed
+        assert abs(res.worst_case - res.bound) <= 1e-12 * res.bound
+        assert res.flatness <= 1e-9
+        assert abs(res.adversary_ratio - res.bound) <= 1e-9 * res.bound
 
-    def test_suboptimal_control_fails(self):
-        res = optimality_probe(CLASSIC_UNDER_RW, 200, stream(5, "p4"))
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("k", [2, 3, 10, 10**4])
+    def test_adversary_cost_is_flat(self, mode, k):
+        # every grace period on [0, S] costs Yao's adversary abort(0): B under
+        # requestor wins, (k-1)B under requestor aborts
+        B = 100.0
+        xs = np.linspace(0.0, B / (k - 1), 65)
+        costs, opt = _adversary_costs(mode, k, B, xs)
+        flat = B if mode is RW else (k - 1) * B
+        np.testing.assert_allclose(costs, flat, rtol=1e-12, atol=0.0)
+        assert flat / opt == pytest.approx(yao_lower_bound(mode, k), rel=1e-12)
+
+    def test_uniform_at_k3_is_detected(self):
+        res = optimality_probe(make_strategy(StrategySpec(RW, 3, 100.0, UNC)))
         assert not res.passed
-        assert res.base_objective > 2.0  # ratio above two is what gets improved
+        assert res.worst_case == pytest.approx(2.0, rel=1e-6)
+        assert res.bound == pytest.approx(1.8, rel=1e-15)
+        # the adversary itself is sound: the density is what fails
+        assert res.flatness <= 1e-9
+
+    def test_classic_under_rw_is_detected(self):
+        res = optimality_probe(CLASSIC_UNDER_RW)
+        assert not res.passed
+        assert res.worst_case == pytest.approx(CLASSIC_UNDER_RW_RATIO, rel=0.0, abs=1e-9)
+        assert res.bound == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("spec", [
+        StrategySpec(RW, 2, 100.0, Variant.DETERMINISTIC),
+        StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC),
+        StrategySpec(RW, 2, 100.0, CON, mu=10.0),
+        StrategySpec(RA, 3, 100.0, CON, mu=1.0),
+    ], ids=["atom", "day_pmf", "rw_log", "ra_expm1"])
+    def test_refuses_what_it_cannot_certify(self, spec):
+        with pytest.raises(ValueError, match="unconstrained densities"):
+            optimality_probe(make_strategy(spec))
 
     def test_custom_density_is_refused(self):
-        # a pdf alone has no exact cost; the probe refuses it before drawing
+        # a pdf alone has no exact cost
         strat = custom_continuous(StrategySpec(RW, 2, 100.0, UNC), lambda x: 0.01)
         with pytest.raises(ValueError, match="custom"):
             worst_case_ratio(strat)
-        s = stream(5, "p5")
-        before = s._state
         with pytest.raises(ValueError, match="custom"):
-            optimality_probe(strat, 200, s)
-        assert s._state == before
+            optimality_probe(strat)
 
-    @pytest.mark.parametrize("family, spec", [
-        ("uniform", StrategySpec(RW, 2, 100.0, UNC)),
-        ("ra_exp", StrategySpec(RA, 2, 100.0, UNC)),
-        ("ra_exp", StrategySpec(RA, 3, 100.0, UNC)),
-        ("ra_exp", StrategySpec(RA, 10, 100.0, UNC)),
-        ("rw_log", StrategySpec(RW, 2, 100.0, CON, mu=10.0)),
-        ("ra_expm1", StrategySpec(RA, 2, 100.0, CON, mu=10.0)),
-        ("ra_expm1", StrategySpec(RA, 3, 100.0, CON, mu=1.0)),
-        ("rw_shifted_power", StrategySpec(RW, 4, 100.0, CON, mu=1.0)),
-        ("rw_shifted_power", StrategySpec(RW, 10, 100.0, CON, mu=1.0)),
-        ("rw_power", StrategySpec(RW, 4, 100.0, CON, mu=1000.0)),
-        ("rw_power", StrategySpec(RW, 10, 100.0, CON, mu=1000.0)),
-    ])
-    def test_base_objective_is_the_theoretical_ratio(self, family, spec):
-        # the base density is costed exactly, so its objective is the
-        # paper's ratio to rounding at every k, whatever grid the ys fall on
-        strat = make_strategy(spec)
-        assert strat.family == family
-        res = optimality_probe(strat, 0, stream(1))
-        assert res.base_objective == pytest.approx(
-            competitive_ratio(spec).theoretical_ratio, rel=0.0, abs=1e-12
-        )
+    def test_deterministic_threshold_is_the_grid_minimum(self):
+        checks = _deterministic_certificate_checks()
+        assert [c["name"] for c in checks] == [f"certificate/det_k{k}" for k in (2, 3, 5, 10)]
+        for k, c in zip((2, 3, 5, 10), checks):
+            assert c["passed"], c
+            assert c["argmin"] == pytest.approx(100.0 / (k - 1), rel=1e-12)
+            assert c["value"] == pytest.approx(2.0 + 1.0 / (k - 1), rel=1e-12)
 
-    def test_atom_rejected(self):
-        with pytest.raises(ValueError):
-            optimality_probe(
-                make_strategy(StrategySpec(RW, 2, 100.0, Variant.DETERMINISTIC)),
-                10, stream(1),
-            )
-
-
-def reference_optimality_probe(strategy, n_perturbations, stream, tol=1e-4):
-    """The probe loop with a full-width bump, renormalized and swept per perturbation.
-
-    Returns the probe result and each perturbation's objective (``inf`` if
-    skipped), which ``optimality_probe`` must match to rounding.
-    """
-    spec, S = strategy.spec, strategy.support_max
-    k = spec.k
-    mu = spec.mu if strategy.mean_aware else None
-
-    def cumulative(f):
-        return np.concatenate([[0.0], np.cumsum(np.diff(mesh) * 0.5 * (f[1:] + f[:-1]))])
-
-    def objective(pdf_vals):
-        cum_mass = cumulative(pdf_vals)
-        cum_abort = cumulative(conflict_cost(spec.mode, k, spec.B, mesh, mesh) * pdf_vals)
-        idx = np.searchsorted(mesh, np.clip(ys, 0.0, mesh[-1]))
-        costs = cum_abort[idx] + (k - 1) * ys * (cum_mass[-1] - cum_mass[idx])
-        ratios = costs / ((k - 1) * ys)
-        return float(np.max(ratios)) if mu is None else _min_dual_objective(ys, ratios, mu)
-
-    mesh = np.linspace(0.0, S, 8193)
-    base_pdf = strategy.pdf(mesh)
-    base_pdf = base_pdf / np.trapezoid(base_pdf, mesh)
-    ys = np.linspace(S / 512, S, 512)
-    base_obj = objective(base_pdf)
-    objectives = []
-    for _ in range(n_perturbations):
-        center = stream.uniform() * S
-        width = (0.05 + 0.20 * stream.uniform()) * S
-        weight = 0.05 + 0.30 * stream.uniform()
-        bump = 1.0 + np.cos(math.pi * np.clip((mesh - center) / width, -1.0, 1.0))
-        bump_mass = np.trapezoid(bump, mesh)
-        if bump_mass <= 0.0:
-            objectives.append(math.inf)
-            continue
-        mixed = (1.0 - weight) * base_pdf + weight * bump / bump_mass
-        mixed = mixed / np.trapezoid(mixed, mesh)
-        objectives.append(objective(mixed))
-    best_obj = min(objectives, default=math.inf)
-    improvement = base_obj - best_obj
-    return ProbeResult(improvement <= tol, base_obj, best_obj, improvement), objectives
-
-
-class TestProbeByLinearity:
-    """Each bump mixture is costed as ``(1-w)*C_base + (w/m)*C_bump`` with an
-    exact base and a closed-form bump; it matches a full-width, renormalized
-    mesh probe to that mesh's own error, on the same draws."""
-
-    def test_bump_costs_match_quadrature(self):
-        rng = np.random.default_rng(13)
-        S = 100.0
-        n = 1200  # 200 per (mode, k)
-        centers = rng.uniform(0.0, S, n)
-        # from a twentieth of the probe's narrowest bump to wider than the
-        # support, so windows hang over 0, over S, or both
-        widths = S * np.exp(rng.uniform(math.log(0.0025), math.log(1.5), n))
-        ys = rng.uniform(0.0, S, n)
-        assert (centers < widths).sum() > 100 and (centers + widths > S).sum() > 100
-        assert ((centers < widths) & (centers + widths > S)).sum() > 50
-        combos = [(mode, k) for mode in (RW, RA) for k in (2, 3, 10)]
-        for i, (c, w, y) in enumerate(zip(centers.tolist(), widths.tolist(), ys.tolist())):
-            mode, k = combos[i % len(combos)]
-            costs, mass = _bump_costs(mode, k, 100.0, S, c, w, y)
-            lo, hi = max(c - w, 0.0), min(c + w, S)
-            x_y = min(max(y, lo), hi)
-
-            def bump(x, c=c, w=w):
-                return 1.0 + np.cos(math.pi * (x - c) / w)
-
-            def abort(x, mode=mode, k=k, bump=bump):
-                return conflict_cost(mode, k, 100.0, x, x) * bump(x)
-
-            def quad(f, a, b):  # split at y and at the bump's ends
-                return adaptive_simpson(f, a, b, rel_tol=1e-13)
-
-            below, above = quad(bump, lo, x_y), quad(bump, x_y, hi)
-            ref = quad(abort, lo, x_y) + (k - 1) * y * above
-            assert abs(mass - (below + above)) <= 1e-10 * (below + above), (c, w, y)
-            assert abs(costs - ref) <= 1e-10 * ref, (mode, k, c, w, y)
-
-    @pytest.mark.parametrize("S", [1e-3, 100.0, 2000.0 / 3.0, 1e6])
-    def test_edge_draws_have_positive_mass(self, S):
-        # the probe's draws put c in [0, S) and w in [0.05 S, 0.25 S]; at the
-        # extreme uniforms the bump still has mass, so no mixture divides by 0
-        extremes = np.array([0.0, 1.0 - 2.0**-53])
-        centers = extremes[:, None] * S
-        widths = (0.05 + 0.20 * extremes[None, :]) * S
-        assert centers[-1, 0] < S
-        _, mass = _bump_costs(RW, 2, 100.0, S, centers, widths, S)
-        assert mass.shape == (2, 2) and (mass > 0.0).all(), mass
-
-    @pytest.mark.parametrize("seed", [1, 7])
-    @pytest.mark.parametrize("name, strat", [
-        ("uniform", make_strategy(StrategySpec(RW, 2, 100.0, UNC))),
-        ("ra_exp", make_strategy(StrategySpec(RA, 2, 100.0, UNC))),
-        ("rw_log", make_strategy(StrategySpec(RW, 2, 100.0, CON, mu=10.0))),
-        ("ra_expm1", make_strategy(StrategySpec(RA, 3, 100.0, CON, mu=1.0))),
-        ("control", CLASSIC_UNDER_RW),
-    ])
-    def test_probe_matches_reference(self, name, strat, seed):
-        # the reference reads its mesh one cell late at a y off the nodes,
-        # 0.8% off at k = 4, so these families stay at k <= 3; the base
-        # objective is held exactly by test_base_objective_is_the_theoretical_ratio
-        assert strat.family == ("ra_exp" if name == "control" else name)
-        got = optimality_probe(strat, 200, stream(seed, "probe", name))
-        ref, ref_objectives = reference_optimality_probe(
-            strat, 200, stream(seed, "probe", name)
-        )
-        assert got.passed is ref.passed is (name != "control")
-        # every perturbation, not only the best one
-        _, objectives = _probe_objectives(strat, 200, stream(seed, "probe", name))
-        assert min(objectives) == got.best_perturbed_objective
-        assert len(objectives) == len(ref_objectives) == 200
-        # the reference costs each mixture on an 8193-point trapezoid mesh,
-        # whose O(h^2) error (measured up to 1.9e-6 here) sets the tolerance;
-        # test_bump_costs_match_quadrature holds the closed form to 1e-10
-        np.testing.assert_allclose(objectives, ref_objectives, rtol=1e-5, atol=0.0)
-
-    def test_probe_peak_memory(self):
-        # _PROBE_BLOCK rows of 512 points at a time; one (200, 512) block
-        # peaks near 6 MB
-        strat = make_strategy(StrategySpec(RW, 2, 100.0, UNC))
-        s = stream(3, "probe", "rw")
-        tracemalloc.start()
-        try:
-            optimality_probe(strat, 200, s)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1 << 20, peak
-
-    @pytest.mark.parametrize("n", [1, 200])
-    def test_draws_three_uniforms_per_perturbation(self, n):
-        probed, scalar = stream(3, "probe", "rw"), stream(3, "probe", "rw")
-        optimality_probe(make_strategy(StrategySpec(RW, 2, 100.0, UNC)), n, probed)
-        for _ in range(3 * n):
-            scalar.uniform()
-        assert probed.uniform() == scalar.uniform()
+    def test_deterministic_certificate_detects_a_shifted_threshold(self, monkeypatch):
+        # with the threshold moved off B/(k-1), the grid minimum no longer
+        # sits at it
+        monkeypatch.setattr(oracle, "det_threshold", lambda k, B: 1.01 * B / (k - 1))
+        assert not any(c["passed"] for c in _deterministic_certificate_checks())
 
 
 class TestDensityComparison:
@@ -397,11 +277,33 @@ class TestSuite:
         assert len(lagrange) == 24
         assert max(max(c["max_residual"], c["point_mass_residual"]) for c in lagrange) <= 1e-13
         exact = [c for name, c in checks.items() if name.startswith("worst_case/") and "expected" in c]
-        assert len(exact) == 9
+        assert len(exact) == 7
         assert max(abs(c["value"] - c["expected"]) for c in exact) <= 1e-14
         moments = [name for name in checks if name.startswith("moment_vs_quadrature/")]
         assert len(moments) == 6
-        assert report["n_checks"] == 150
+        assert report["n_checks"] == 159
+
+    def test_certificates_hold_and_controls_are_detected(self, report):
+        checks = {c["name"]: c for c in report["checks"]}
+        certified = [
+            f"certificate/{tag}_k{k}" for tag in ("rw", "ra", "det") for k in (2, 3, 5, 10)
+        ]
+        for name in certified:
+            assert checks[name]["passed"] and checks[name]["residual"] <= 1e-12, checks[name]
+        controls = [name for name in checks if name.startswith("certificate/control_")]
+        assert controls == [
+            "certificate/control_rw_uniform_k3_detected",
+            "certificate/control_classic_under_rw_detected",
+        ]
+        for name in controls:
+            assert checks[name]["passed"] and checks[name]["residual"] > 0.05, checks[name]
+        # the certificates absorbed the requestor-aborts worst-case scans
+        assert not any(name.startswith("worst_case/ra_general") for name in checks)
+
+    def test_report_does_not_depend_on_seed(self, report):
+        other = run_verification_suite(seed=7)
+        assert other["seed"] == 7
+        assert {**other, "seed": None} == {**report, "seed": None}
 
     def test_identity_corners_match_module(self):
         # the lagrange corners used throughout must agree with closed forms
