@@ -130,9 +130,10 @@ def worst_case_ratio(
     """Max of the ratio profile over point adversaries, with its argmax.
 
     Continuous strategies scan a dense grid on the support (plus one point
-    beyond it, where the offline optimum is pinned at ``B``) and refine an
-    interior grid argmax on finer grids; the discrete classic scans integer
-    days; atoms are evaluated exactly on and beyond their jump.
+    beyond it, where the offline optimum is pinned at ``B``), refine an
+    interior grid argmax on finer grids, and add the exact limit as ``y -> 0+``,
+    ``1 + abort(0) * pdf(0) / (k-1)``, with argmax 0; the discrete classic
+    scans integer days; atoms are evaluated exactly on and beyond their jump.
     """
     S = strategy.support_max
     if strategy.kind is StrategyKind.DISCRETE_PMF:
@@ -143,10 +144,7 @@ def worst_case_ratio(
             np.linspace(S / n_grid, S, n_grid), [x0, 0.5 * x0, 1.5 * S]
         ]))
     else:
-        head = np.geomspace(S * 1e-6, S / n_grid, 32)
-        ys = costmodel.sorted_unique(
-            np.concatenate([head, np.linspace(S / n_grid, S, n_grid), [1.5 * S]])
-        )
+        ys = np.append(np.linspace(S / n_grid, S, n_grid), 1.5 * S)
     ratios = [r for _, r in costmodel.ratio_profile(strategy, ys)]
     idx = int(np.argmax(ratios))
     best, best_y = float(ratios[idx]), float(ys[idx])
@@ -162,6 +160,11 @@ def worst_case_ratio(
             lo, hi = float(zs[max(j - 1, 0)]), float(zs[min(j + 1, _REFINE_POINTS - 1)])
         if rs[j] > best:
             best, best_y = rs[j], float(zs[j])
+    if strategy.kind is StrategyKind.CONTINUOUS_PDF:
+        mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.spec.B
+        limit = 1.0 + costmodel.conflict_cost(mode, k, B, 0.0, 0.0) * strategy.pdf(0.0) / (k - 1)
+        if limit > best:
+            best, best_y = limit, 0.0
     return best, best_y
 
 
@@ -297,21 +300,12 @@ def _negative_control_checks() -> list[dict]:
     )]
 
 
-def _equalizer(mode: ConflictMode, k: int, B: float) -> GracePeriodStrategy:
-    """The unconstrained density that equalizes the ratio profile: under
-    requestor wins at ``k >= 3`` the power form, reached as the constrained
-    fallback (the unconstrained variant resolves to the uniform density)."""
-    if mode is _RW and k >= 3:
-        return make_strategy(StrategySpec(mode, k, B, Variant.RANDOMIZED_CONSTRAINED, mu=10.0 * B))
-    return make_strategy(StrategySpec(mode, k, B, Variant.RANDOMIZED_UNCONSTRAINED))
-
-
 def _identity_checks() -> list[dict]:
     checks = []
     for mode, tag in _MODES:
         for k in (2, 3, 5):
             for B in (10.0, 100.0):
-                strat = _equalizer(mode, k, B)
+                strat = make_strategy(StrategySpec(mode, k, B, Variant.RANDOMIZED_UNCONSTRAINED))
                 lam = lagrange_corner(mode, k, B, constrained=False)
                 res = lagrange_identity_check(strat, *lam)
                 checks.append(_check(
@@ -362,16 +356,19 @@ def _worst_case_checks() -> list[dict]:
 
 
 def _certificate_checks() -> list[dict]:
-    unc = Variant.RANDOMIZED_UNCONSTRAINED
-    ra = make_strategy(StrategySpec(_RA, 2, 100.0, unc))
+    def unc(mode, k):
+        return StrategySpec(mode, k, 100.0, Variant.RANDOMIZED_UNCONSTRAINED)
+
     cases = [
-        (f"{tag}_k{k}", _equalizer(mode, k, 100.0), True)
+        (f"{tag}_k{k}", make_strategy(unc(mode, k)), True)
         for mode, tag in _MODES for k in (2, 3, 5, 10)
-    ] + [  # controls: the uniform density at RW k = 3 (ratio 2 against 1.8), and
-        # the classic ski-rental density judged under RW (1 + 2/(e-1) against 2)
-        ("control_rw_uniform_k3_detected", make_strategy(StrategySpec(_RW, 3, 100.0, unc)), False),
-        ("control_classic_under_rw_detected", replace(ra, spec=StrategySpec(_RW, 2, 100.0, unc)),
-         False),
+    ] + [  # controls, each a density judged at a spec it was not built for: the
+        # uniform density at RW k = 3 (ratio 2 against 1.8), and the classic
+        # ski-rental density under RW (1 + 2/(e-1) against 2)
+        ("control_rw_uniform_k3_detected",
+         replace(make_strategy(unc(_RW, 2)), spec=unc(_RW, 3)), False),
+        ("control_classic_under_rw_detected",
+         replace(make_strategy(unc(_RA, 2)), spec=unc(_RW, 2)), False),
     ]
     checks = []
     for name, strat, optimal in cases:
@@ -409,7 +406,7 @@ _QUADRATURE_CASES = [
     ("rw_uniform", StrategySpec(_RW, 2, 100.0, Variant.RANDOMIZED_UNCONSTRAINED)),
     ("rw_log", StrategySpec(_RW, 2, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=10.0)),
     ("rw_shifted_power", StrategySpec(_RW, 4, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=1.0)),
-    ("rw_power", StrategySpec(_RW, 4, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=1000.0)),
+    ("rw_power", StrategySpec(_RW, 4, 100.0, Variant.RANDOMIZED_UNCONSTRAINED)),
     ("ra_exp", StrategySpec(_RA, 3, 100.0, Variant.RANDOMIZED_UNCONSTRAINED)),
     ("ra_expm1", StrategySpec(_RA, 3, 100.0, Variant.RANDOMIZED_CONSTRAINED, mu=1.0)),
 ]

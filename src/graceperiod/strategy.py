@@ -17,12 +17,12 @@ Closed forms implemented here (``q = (k/(k-1))**(k-1)``,
 
 ====================  =====================================================
 deterministic (RW)    atom at ``B/(k-1)``; worst-case ratio ``2 + 1/(k-1)``
-RW unconstrained      uniform ``(k-1)/B`` on ``[0, B/(k-1)]``; ratio 2
+RW unconstrained      ``(k-1)*(1+u)**(k-2) / (B*(q-1))``, the uniform ``1/B``
+                      at k=2; ratio ``q/(q-1)`` (2 at k=2)
 RW constrained k=2    ``ln((B+x)/B) / (B*(ln4 - 1))``;
                       ratio ``1 + mu/(2B(ln4-1))``
 RW constrained k>=3   ``(k-1)*((1+u)**(k-2) - 1) / (B*(q-2))``;
                       ratio ``1 + mu*(k-2)/(2B(q-2))``
-RW fallback k>=3      ``(k-1)*(1+u)**(k-2) / (B*(q-1))``; ratio ``q/(q-1)``
 RA unconstrained      ``e**u / (B*eps)``; ratio ``(1+eps)/eps``
                       (``e/(e-1)`` at k=2)
 RA constrained        ``(k-1)*(e**u - 1) / (B*g)``;
@@ -601,12 +601,10 @@ class GracePeriodStrategy:
 
     def lagrange_corner(self) -> tuple[float, float]:
         """Corner ``(lambda1, lambda2)`` matching this strategy's regime, for the
-        equalizing closed-form densities (the uniform one only at ``k = 2``)."""
-        k = self.spec.k
-        no_corner = ("atom", "discrete_classic", "custom") + (("uniform",) if k >= 3 else ())
-        if self.family in no_corner:
-            raise ValueError(f"the {self.family} density at k = {k} has no equalizing corner")
-        return lagrange_corner(self.spec.mode, k, self.spec.B, self.mean_aware)
+        equalizing closed-form densities."""
+        if self.family in ("atom", "discrete_classic", "custom"):
+            raise ValueError(f"the {self.family} strategy has no equalizing corner")
+        return lagrange_corner(self.spec.mode, self.spec.k, self.spec.B, self.mean_aware)
 
 
 def _discrete_classic_pmf(B: int) -> np.ndarray:
@@ -618,10 +616,9 @@ def _discrete_classic_pmf(B: int) -> np.ndarray:
 def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
     """Build the optimal strategy for ``spec``.
 
-    A constrained spec whose threshold condition fails falls back to the
-    matching unconstrained form (for requestor-wins chains of three or more
-    that fallback is the ``(1+x/B)**(k-2)`` power density; without a mean the
-    plain uniform density applies).
+    The unconstrained requestor-wins density is the uniform one at ``k = 2``
+    and the ``(1+x/B)**(k-2)`` power density above.  A constrained spec whose
+    threshold condition fails falls back to the unconstrained density.
     """
     mode, k, B = spec.mode, spec.k, spec.B
 
@@ -641,7 +638,7 @@ def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
         if constrained and threshold_condition(spec):
             family = "rw_log" if k == 2 else "rw_shifted_power"
         else:
-            family = "rw_power" if constrained and k >= 3 else "uniform"
+            family = "uniform" if k == 2 else "rw_power"
     else:
         family = "ra_expm1" if constrained and threshold_condition(spec) else "ra_exp"
     return GracePeriodStrategy(spec, family, _FAMILIES[family].params(k))
@@ -664,8 +661,8 @@ def competitive_ratio(spec: StrategySpec) -> RatioReport:
     the binding corner; a zero mean therefore degenerates to ratio 1.  They
     are optimal among densities on ``[0, B/(k-1)]`` only: against an
     adversary of mean ``mu``, longer waits can do better.  The unconstrained
-    ratios of the equalizing densities meet
-    :func:`graceperiod.oracle.yao_lower_bound`, a bound on every strategy.
+    randomized ratios meet :func:`graceperiod.oracle.yao_lower_bound`, a
+    bound on every strategy.
     """
     if spec.variant is Variant.DETERMINISTIC:
         return RatioReport(det_competitive_ratio(spec.k), "unconstrained", False)
@@ -675,9 +672,6 @@ def competitive_ratio(spec: StrategySpec) -> RatioReport:
 
     strategy = make_strategy(spec)
     holds = spec.mu is not None and threshold_condition(spec)
-    if strategy.family == "uniform":
-        # it equalizes only at k = 2; its sup is 2 (as y -> 0) at every k
-        return RatioReport(2.0, "unconstrained", holds)
     lam1, lam2 = strategy.lagrange_corner()
     if strategy.mean_aware:
         return RatioReport(lam1 + lam2 * spec.mu, "constrained", True)

@@ -196,7 +196,8 @@ class TestRatioProfile:
         strat = make_strategy(StrategySpec(RW, 3, 100.0, UNC))
         [(_, r1), (_, r2)] = ratio_profile(strat, [80.0, 200.0])
         assert r1 == pytest.approx(r2, rel=1e-9)  # always-abort plateau
-        assert r1 == pytest.approx((3 * 3 - 2) / (2 * 3 - 2), rel=1e-6)
+        # at the corner q/(q-1), q = (3/2)**2
+        assert r1 == pytest.approx(1.8, rel=1e-12)
 
     def test_nonpositive_grid_rejected(self):
         strat = make_strategy(StrategySpec(RW, 2, 100.0, UNC))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from graceperiod import oracle
+from graceperiod.costmodel import conflict_cost
 from graceperiod.oracle import (
     _adversary_costs,
     _deterministic_certificate_checks,
-    _equalizer,
     abort_density_comparison,
     lagrange_identity_check,
     optimality_probe,
@@ -39,6 +40,11 @@ CLASSIC_UNDER_RW = replace(
     make_strategy(StrategySpec(RA, 2, 100.0, UNC)), spec=StrategySpec(RW, 2, 100.0, UNC)
 )
 CLASSIC_UNDER_RW_RATIO = 1.0 + 2.0 / (math.e - 1.0)
+# the uniform density judged at requestor wins k = 3: its ratio tends to 2 as
+# y -> 0, against the optimum 1.8
+UNIFORM_AT_K3 = replace(
+    make_strategy(StrategySpec(RW, 2, 100.0, UNC)), spec=StrategySpec(RW, 3, 100.0, UNC)
+)
 
 
 class TestVerifyPdf:
@@ -140,11 +146,7 @@ class TestWorstCaseRatio:
                     StrategySpec(RA, k, B, UNC),
                     StrategySpec(RW, k, B, Variant.DETERMINISTIC),
                 ]
-                if k >= 3:
-                    specs.append(StrategySpec(RW, k, B, CON, mu=100.0 * B))
                 for spec in specs:
-                    from graceperiod.strategy import competitive_ratio
-
                     strat = make_strategy(spec)
                     bound = competitive_ratio(spec).theoretical_ratio
                     ratio, _ = worst_case_ratio(strat, n_grid=500)
@@ -154,14 +156,33 @@ class TestWorstCaseRatio:
         ratio, _ = worst_case_ratio(CLASSIC_UNDER_RW)
         assert ratio == pytest.approx(CLASSIC_UNDER_RW_RATIO, rel=0.0, abs=1e-9)
 
+    def test_supremum_at_zero_is_exact(self):
+        # the uniform density's profile falls from its limit 2 as y -> 0+
+        assert worst_case_ratio(UNIFORM_AT_K3) == (2.0, 0.0)
+
+    def test_limit_at_zero_stays_within_the_corner_ratio(self):
+        # 1 + abort(0) pdf(0)/(k-1): the corner itself for the unconstrained
+        # equalizers, 1 for the mean-aware densities, which vanish at 0
+        families = set()
+        for mode, variant, k, B, mu in itertools.product(
+            (RW, RA), (UNC, CON), (2, 3, 5, 10), (1.0, 100.0), (1.0, 20.0, 500.0)
+        ):
+            spec = StrategySpec(mode, k, B, variant, mu=mu)
+            strat = make_strategy(spec)
+            families.add(strat.family)
+            limit = 1.0 + conflict_cost(mode, k, B, 0.0, 0.0) * strat.pdf(0.0) / (k - 1)
+            assert limit <= competitive_ratio(spec).theoretical_ratio + 1e-12, spec
+        assert families == {
+            "uniform", "rw_log", "rw_shifted_power", "rw_power", "ra_exp", "ra_expm1"
+        }
+
 
 class TestYaoCertificate:
     @pytest.mark.parametrize("mode", [RW, RA])
     @pytest.mark.parametrize("k", [2, 3, 5, 10, 100, 10**4, 10**5, 10**7])
     def test_bound_is_the_theoretical_ratio(self, mode, k):
-        # the certified specs: the uniform density at RW k = 2, rw_power above
-        # (the constrained fallback), ra_exp in every case
-        spec = _equalizer(mode, k, 100.0).spec
+        # the uniform density at RW k = 2, rw_power above, ra_exp in every case
+        spec = StrategySpec(mode, k, 100.0, UNC)
         expected = competitive_ratio(spec).theoretical_ratio
         assert abs(yao_lower_bound(mode, k) - expected) <= 1e-12 * expected
 
@@ -176,14 +197,17 @@ class TestYaoCertificate:
             yao_lower_bound(RW, 1)
 
     @pytest.mark.parametrize("mode", [RW, RA])
-    @pytest.mark.parametrize("k", [2, 3, 5, 10, 10**4, 10**7])
+    @pytest.mark.parametrize("k", [2, 3, 10, 10**3, 10**5, 10**7])
     @pytest.mark.parametrize("B", [1.0, 100.0, 1e6])
-    def test_equalizers_are_certified(self, mode, k, B):
-        res = optimality_probe(_equalizer(mode, k, B))
+    def test_every_unconstrained_spec_is_certified(self, mode, k, B):
+        spec = StrategySpec(mode, k, B, UNC)
+        res = optimality_probe(make_strategy(spec))
         assert res.passed
         assert abs(res.worst_case - res.bound) <= 1e-12 * res.bound
         assert res.flatness <= 1e-9
         assert abs(res.adversary_ratio - res.bound) <= 1e-9 * res.bound
+        ratio = competitive_ratio(spec).theoretical_ratio
+        assert abs(ratio - yao_lower_bound(mode, k)) <= 1e-12 * ratio
 
     @pytest.mark.parametrize("mode", [RW, RA])
     @pytest.mark.parametrize("k", [2, 3, 10, 10**4])
@@ -198,9 +222,9 @@ class TestYaoCertificate:
         assert flat / opt == pytest.approx(yao_lower_bound(mode, k), rel=1e-12)
 
     def test_uniform_at_k3_is_detected(self):
-        res = optimality_probe(make_strategy(StrategySpec(RW, 3, 100.0, UNC)))
+        res = optimality_probe(UNIFORM_AT_K3)
         assert not res.passed
-        assert res.worst_case == pytest.approx(2.0, rel=1e-6)
+        assert res.worst_case == 2.0
         assert res.bound == pytest.approx(1.8, rel=1e-15)
         # the adversary itself is sound: the density is what fails
         assert res.flatness <= 1e-9

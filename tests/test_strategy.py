@@ -182,10 +182,12 @@ class TestMakeStrategy:
         assert strat.pdf(101.0) == 0.0
         assert strat.cdf(100.0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_rw_uniform_general_k_support(self):
+    def test_rw_power_general_k_support(self):
         strat = make_strategy(StrategySpec(RW, 5, 100.0, UNC))
+        assert strat.family == "rw_power"
         assert strat.support_max == 25.0
-        assert strat.pdf(10.0) == pytest.approx(4.0 / 100.0)
+        q = (5.0 / 4.0) ** 4
+        assert strat.pdf(10.0) == pytest.approx(4.0 * 1.1**3 / (100.0 * (q - 1.0)), rel=1e-14)
 
     def test_rw_constrained_k2_closed_form(self):
         strat = make_strategy(StrategySpec(RW, 2, 100.0, CON, mu=10.0))
@@ -200,8 +202,14 @@ class TestMakeStrategy:
     def test_rw_constrained_falls_back_when_threshold_fails(self):
         strat = make_strategy(StrategySpec(RW, 2, 200.0, CON, mu=500.0))
         assert strat.family == "uniform"
-        strat = make_strategy(StrategySpec(RW, 4, 200.0, CON, mu=500.0))
-        assert strat.family == "rw_power"
+        # past the threshold, one density per chain size serves both variants
+        for k in (3, 4, 10, 1000):
+            for B in (1.0, 200.0):
+                mu = 2.0 * mean_threshold(RW, k, B)
+                con = make_strategy(StrategySpec(RW, k, B, CON, mu=mu))
+                unc = make_strategy(StrategySpec(RW, k, B, UNC))
+                assert unc.family == "rw_power"
+                assert (con.family, con.params) == (unc.family, unc.params)
 
     def test_rw_constrained_k3_vanishes_at_zero_and_rises(self):
         strat = make_strategy(StrategySpec(RW, 3, 100.0, CON, mu=5.0))
@@ -394,7 +402,7 @@ MEAN_AWARE = [
 # constrained requestor-wins spec of k >= 3 falls back to rw_power
 EXACT_INVERSE = [
     (RW, 2, UNC, "uniform"),
-    (RW, 5, UNC, "uniform"),
+    (RW, 5, UNC, "rw_power"),
     (RA, 2, UNC, "ra_exp"),
     (RA, 3, UNC, "ra_exp"),
     (RA, 7, UNC, "ra_exp"),
@@ -688,7 +696,9 @@ class TestMoment:
 class TestRegimesAndRatios:
     def test_unconstrained_ratio_values(self):
         assert competitive_ratio(StrategySpec(RW, 2, 100.0, UNC)).theoretical_ratio == 2.0
-        assert competitive_ratio(StrategySpec(RW, 7, 100.0, UNC)).theoretical_ratio == 2.0
+        q = (7.0 / 6.0) ** 6
+        got = competitive_ratio(StrategySpec(RW, 7, 100.0, UNC)).theoretical_ratio
+        assert got == pytest.approx(q / (q - 1.0), rel=1e-14)
         got = competitive_ratio(StrategySpec(RA, 2, 100.0, UNC)).theoretical_ratio
         assert got == pytest.approx(1.581977, abs=1e-6)
         got = competitive_ratio(StrategySpec(RA, 3, 100.0, UNC)).theoretical_ratio
@@ -770,8 +780,7 @@ class TestRegimesAndRatios:
         assert {family for family, *_ in checked} == {
             "uniform", "rw_log", "rw_shifted_power", "rw_power", "ra_exp", "ra_expm1"
         }
-        assert refused == {("atom", False), ("atom", True), ("uniform", True),
-                           ("discrete_classic", False)}
+        assert refused == {("atom", False), ("atom", True), ("discrete_classic", False)}
 
     def test_regime_ordering_below_threshold(self):
         for mode in (RW, RA):
@@ -780,14 +789,8 @@ class TestRegimesAndRatios:
                     mu = 0.5 * mean_threshold(mode, k, B)
                     con = competitive_ratio(StrategySpec(mode, k, B, CON, mu=mu))
                     unc = competitive_ratio(StrategySpec(mode, k, B, UNC))
-                    if mode is RW and k >= 3:
-                        unc_val = competitive_ratio(
-                            StrategySpec(mode, k, B, CON, mu=1e12)
-                        ).theoretical_ratio
-                    else:
-                        unc_val = unc.theoretical_ratio
                     assert con.regime == "constrained"
-                    assert con.theoretical_ratio < unc_val
+                    assert con.theoretical_ratio < unc.theoretical_ratio
 
     def test_ratios_coincide_at_the_crossing_mean(self):
         # mu* where the constrained corner objective meets the unconstrained corner
