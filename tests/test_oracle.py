@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 from dataclasses import replace
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 
 from graceperiod import oracle
-from graceperiod.costmodel import conflict_cost
 from graceperiod.oracle import (
     _adversary_costs,
     _deterministic_certificate_checks,
@@ -136,21 +134,35 @@ class TestWorstCaseRatio:
             e1 = math.exp(1.0 / (k - 1))
             assert ratio == pytest.approx(e1 / (e1 - 1.0), abs=1e-4)
 
-    def test_grid_of_unconstrained_strategies_respects_theory(self):
-        # every unconstrained strategy in the grid stays within its claimed
-        # worst-case ratio
+    def test_grid_of_strategies_respects_theory(self):
+        # every strategy in the grid stays within its claimed worst-case
+        # ratio; a point adversary at y has mean y, so a mean-aware density's
+        # worst point sits at the support's end, where its dual objective is
+        # lambda1 + lambda2 * S
+        families = set()
         for k in (2, 3, 5, 10):
             for B in (10.0, 200.0, 2000.0):
                 specs = [
                     StrategySpec(RW, k, B, UNC),
                     StrategySpec(RA, k, B, UNC),
                     StrategySpec(RW, k, B, Variant.DETERMINISTIC),
+                ] + [
+                    StrategySpec(mode, k, B, CON, mu=f * B)
+                    for mode in (RW, RA)
+                    for f in (0.1, 1.0, 100.0)
                 ]
                 for spec in specs:
                     strat = make_strategy(spec)
+                    families.add(strat.family)
                     bound = competitive_ratio(spec).theoretical_ratio
+                    if strat.mean_aware:
+                        lam1, lam2 = strat.lagrange_corner()
+                        bound = lam1 + lam2 * strat.support_max
                     ratio, _ = worst_case_ratio(strat, n_grid=500)
-                    assert ratio <= bound + 1e-4, (spec, ratio, bound)
+                    assert ratio <= bound * (1.0 + 1e-12), (spec, ratio, bound)
+        assert families == {
+            "uniform", "rw_log", "rw_shifted_power", "rw_power", "ra_exp", "ra_expm1", "atom"
+        }
 
     def test_suboptimal_strategy_exceeds_two(self):
         ratio, _ = worst_case_ratio(CLASSIC_UNDER_RW)
@@ -159,22 +171,6 @@ class TestWorstCaseRatio:
     def test_supremum_at_zero_is_exact(self):
         # the uniform density's profile falls from its limit 2 as y -> 0+
         assert worst_case_ratio(UNIFORM_AT_K3) == (2.0, 0.0)
-
-    def test_limit_at_zero_stays_within_the_corner_ratio(self):
-        # 1 + abort(0) pdf(0)/(k-1): the corner itself for the unconstrained
-        # equalizers, 1 for the mean-aware densities, which vanish at 0
-        families = set()
-        for mode, variant, k, B, mu in itertools.product(
-            (RW, RA), (UNC, CON), (2, 3, 5, 10), (1.0, 100.0), (1.0, 20.0, 500.0)
-        ):
-            spec = StrategySpec(mode, k, B, variant, mu=mu)
-            strat = make_strategy(spec)
-            families.add(strat.family)
-            limit = 1.0 + conflict_cost(mode, k, B, 0.0, 0.0) * strat.pdf(0.0) / (k - 1)
-            assert limit <= competitive_ratio(spec).theoretical_ratio + 1e-12, spec
-        assert families == {
-            "uniform", "rw_log", "rw_shifted_power", "rw_power", "ra_exp", "ra_expm1"
-        }
 
 
 class TestYaoCertificate:
@@ -197,7 +193,7 @@ class TestYaoCertificate:
             yao_lower_bound(RW, 1)
 
     @pytest.mark.parametrize("mode", [RW, RA])
-    @pytest.mark.parametrize("k", [2, 3, 10, 10**3, 10**5, 10**7])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 10**3, 10**4, 10**5, 10**7])
     @pytest.mark.parametrize("B", [1.0, 100.0, 1e6])
     def test_every_unconstrained_spec_is_certified(self, mode, k, B):
         spec = StrategySpec(mode, k, B, UNC)
