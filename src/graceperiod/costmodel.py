@@ -16,8 +16,7 @@ Expected costs against a point adversary are exact to rounding: every
 closed-form density carries its distribution function ``F`` and partial
 first moment ``M``, and the cost is linear in them (see
 :func:`batch_expected_costs`, of which :func:`expected_cost` is the one-point
-call).  A ``custom`` density carries a pdf alone and is not costed: its
-``cdf`` raises a ValueError.
+call).
 
 The discrete classic strategy is scored in integer days with the classic
 accounting (a strategy that commits on day ``i`` pays ``i-1+B`` when it
@@ -107,8 +106,7 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     and the rest commit, so the cost is ``(k-1)y(1-F) + B*F + k*M``
     (requestor wins) or ``(k-1)y(1-F) + (k-1)(B*F + M)`` (requestor aborts).
     Past the support ``F = 1`` and ``M`` is the mean.  Atoms and the day pmf
-    are exact too; a ``custom`` density raises a ValueError, as it has no
-    distribution function.
+    are exact too.
     """
     ys = np.asarray(ys, dtype=float)
     mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.spec.B

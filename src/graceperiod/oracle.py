@@ -172,8 +172,8 @@ def abort_density_comparison(B: float) -> tuple[float, float]:
     """Endpoint densities at ``x = B`` of the two k=2 mean-aware strategies.
 
     Returns ``(ln2/(B(ln4-1)), (e-1)/(B(e-2)))`` evaluated through the
-    strategy objects and asserts the requestor-wins value is the smaller
-    one (it grants the full grace less often).
+    strategy objects; the requestor-wins value should be the smaller one (it
+    grants the full grace less often), which verify checks.
     """
     rw = make_strategy(
         StrategySpec(ConflictMode.REQUESTOR_WINS, 2, B, Variant.RANDOMIZED_CONSTRAINED, mu=0.0)
@@ -181,13 +181,7 @@ def abort_density_comparison(B: float) -> tuple[float, float]:
     ra = make_strategy(
         StrategySpec(ConflictMode.REQUESTOR_ABORTS, 2, B, Variant.RANDOMIZED_CONSTRAINED, mu=0.0)
     )
-    rw_at_b, ra_at_b = rw.pdf(B), ra.pdf(B)
-    if not rw_at_b < ra_at_b:
-        raise AssertionError(
-            f"expected requestor-wins endpoint density below requestor-aborts, "
-            f"got {rw_at_b} >= {ra_at_b}"
-        )
-    return rw_at_b, ra_at_b
+    return rw.pdf(B), ra.pdf(B)
 
 
 # -- optimality certificate (Yao's principle) ---------------------------
@@ -234,9 +228,8 @@ def optimality_probe(strategy: GracePeriodStrategy) -> Certificate:
     Passes when the adversary's cost is flat at 8 grace periods spread over
     ``[0, B/(k-1)]`` and its ratio is the bound, both to ``ADVERSARY_TOL``,
     and the strategy's :func:`worst_case_ratio` is the bound to
-    ``CERTIFICATE_TOL``, relative.  Atoms, the day pmf, the mean-aware
-    densities (optimal only under their mean) and ``custom`` densities (no
-    exact cost) raise a ValueError.
+    ``CERTIFICATE_TOL``, relative.  Atoms, the day pmf and the mean-aware
+    densities (optimal only under their mean) raise a ValueError.
     """
     if strategy.kind is not StrategyKind.CONTINUOUS_PDF or strategy.mean_aware:
         raise ValueError(

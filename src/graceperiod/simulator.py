@@ -46,7 +46,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import chain, groupby
 
@@ -190,20 +190,8 @@ class SimMetrics:
     global_ratio: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_transactions": self.n_transactions,
-            "transactions_committed": self.transactions_committed,
-            "n_conflicts": self.n_conflicts,
-            "commit_branches": self.commit_branches,
-            "abort_branches": self.abort_branches,
-            "sum_rho": self.sum_rho,
-            "sum_extra": self.sum_extra,
-            "sum_gamma": self.sum_gamma,
-            "waste": self.waste,
-            "attempts_hist": {str(a): c for a, c in sorted(self.attempts_hist.items())},
-            "schedule_digest": self.schedule_digest,
-            "global_ratio": self.global_ratio,
-        }
+        hist = {str(a): c for a, c in sorted(self.attempts_hist.items())}
+        return {**asdict(self), "attempts_hist": hist}
 
 
 @dataclass(frozen=True)
@@ -216,10 +204,7 @@ class BoundCheck:
     n_seeds: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs, "rhs": self.rhs, "stderr": self.stderr,
-            "margin": self.margin, "passed": self.passed, "n_seeds": self.n_seeds,
-        }
+        return asdict(self)
 
 
 # -- schedule construction ------------------------------------------------
@@ -690,22 +675,34 @@ def config_from_dict(data: dict) -> SimConfig:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config field '{where}{key}': {exc}") from exc
 
-    def section(key):
+    def known(obj, keys, where=""):
+        # a key no reader below looks at, such as a misspelled one
+        for key in obj:
+            if key not in keys:
+                raise ValueError(f"config field '{where}{key}' is not a known field")
+
+    def section(key, keys=None):
         obj = read(data, key, lambda v: v)
         if not isinstance(obj, dict):
             raise ValueError(f"config field '{key}' must be an object")
+        if keys is not None:
+            known(obj, keys, f"{key}.")
         return obj
 
+    known(data, (
+        "n_threads", "mode", "policy", "length_model", "conflict_schedule", "chain_size",
+        "cleanup_cost", "dynamic_b", "doubling_backoff", "horizon", "seed",
+    ))
     mode = read(data, "mode", ConflictMode)
 
-    pol = section("policy")
+    pol = section("policy", ("variant", "B", "mu"))
     policy = PolicyConfig(
         variant=read(pol, "variant", Variant, Variant.RANDOMIZED_UNCONSTRAINED, "policy."),
         B=read(pol, "B", lambda v: check_abort_cost(_real(v)), where="policy."),
         mu=read(pol, "mu", _real, None, "policy."),
     )
 
-    lm = section("length_model")
+    lm = section("length_model", ("kind", "mean", "sigma", "value"))
     mean = read(lm, "mean", _real, 0.0, "length_model.")
     sigma = read(lm, "sigma", _real, None, "length_model.")
     value = read(lm, "value", _real, None, "length_model.")
@@ -717,8 +714,10 @@ def config_from_dict(data: dict) -> SimConfig:
     sched = section("conflict_schedule")
     rate, trace_path = None, None
     if sched.get("kind") == "random_rate":
+        known(sched, ("kind", "rate"), "conflict_schedule.")
         rate = read(sched, "rate", _real, 0.0, "conflict_schedule.")
     elif sched.get("kind") == "trace":
+        known(sched, ("kind", "path"), "conflict_schedule.")
         trace_path = read(sched, "path", _text, where="conflict_schedule.")
     else:
         raise ValueError(

@@ -39,12 +39,14 @@ cancel there.  ``q`` and ``g`` are evaluated as ``exp((k-1)*log1p(1/(k-1)))``
 and as a positive series for ``(expm1(t) - t)/t``, ``t = 1/(k-1)``, so they
 hold to rounding at every ``k``.
 
-The constrained (mean-aware) densities apply while the adversary mean stays
-below :func:`mean_threshold`, the one closed form of that bound.  They are
-optimal among densities on ``[0, B/(k-1)]`` only, a cap that is part of the
-model: waiting longer does better against an adversary of mean ``mu`` (a
-fine-grid linear program gives 1.089945 with waits up to ``2B/(k-1)``, against
-the capped 1.129435, at requestor wins, ``k = 2``, ``B = 100``, ``mu = 10``).
+Each density is one row of ``_FAMILIES`` with its cdf, partial moment and
+dual corner ``(lambda1, lambda2)``.  The constrained (mean-aware) densities
+apply while the adversary mean stays below :func:`mean_threshold`, derived
+from the two corners.  They are optimal among densities on ``[0, B/(k-1)]``
+only, a cap that is part of the model: waiting longer does better against an
+adversary of mean ``mu`` (a fine-grid linear program gives 1.089945 with
+waits up to ``2B/(k-1)``, against the capped 1.129435, at requestor wins,
+``k = 2``, ``B = 100``, ``mu = 10``).
 
 Sampling inverts the cdf: in closed form where one exists, else (``rw_log``,
 ``rw_shifted_power``, ``ra_expm1``) by four Newton steps on ``sqrt(F)``.  Each
@@ -52,9 +54,9 @@ step evaluates the family's shared transcendental once: ``log1p(u)`` for
 ``rw_log``, ``expm1(u)`` for ``ra_expm1``, both read by the cdf and the pdf,
 and ``log1p(u)`` for the ``rw_shifted_power`` pdf (its cdf is a series).  The
 work goes into buffers allocated once per call and gives the same bits as
-evaluating the cdf and the pdf separately.  A ``custom`` density
-(:func:`custom_continuous`) has a pdf only: it is neither sampled nor
-costed.
+evaluating the cdf and the pdf separately.  :func:`custom_continuous`
+wraps any density callable for verification controls; it has a pdf only
+and is neither sampled nor costed.
 
 A note on two superficially similar forms that are *not* valid densities
 and are used as negative controls by the verification suite: the k=2
@@ -212,32 +214,24 @@ def det_competitive_ratio(k: int) -> float:
 
 
 def mean_threshold(mode: ConflictMode, k: int, B: float) -> float:
-    """The largest adversary mean for which the mean-aware density is optimal.
+    """The adversary mean below which the mean-aware density does better: where
+    its objective ``1 + lambda2*mu`` crosses the unconstrained ratio
+    ``lambda1`` (the switch point of constrained ski rental).
 
-    Requestor wins: ``2B(ln4-1)`` at ``k = 2``, ``B(q-2)/((k-2)(q-1))`` above.
-    Requestor aborts: ``2B(e-2)/(e-1)`` at ``k = 2``, ``2g(B-1)`` above, which
-    no mean reaches when ``B <= 1``.
+    ``(lambda1_unc - 1)/lambda2_con`` is ``2B(ln4-1)`` at RW ``k = 2``,
+    ``2B(q-2)/((k-2)(q-1))`` at RW ``k >= 3`` and ``2Bg/((k-1)eps)`` at RA.
     """
-    if mode is ConflictMode.REQUESTOR_WINS:
-        if k == 2:
-            return 2.0 * B * LN4_MINUS_1
-        q = _q(k)
-        return B * (q - 2.0) / ((k - 2) * (q - 1.0))
-    if k == 2:
-        return 2.0 * B * (math.e - 2.0) / (math.e - 1.0)
-    return 2.0 * _g(k) * (B - 1.0)
+    unconstrained, _ = lagrange_corner(mode, k, B, False)
+    one, slope = lagrange_corner(mode, k, B, True)
+    return (unconstrained - one) / slope
 
 
 def threshold_condition(spec: StrategySpec) -> bool:
-    """True iff the mean-aware density is optimal for ``(mode, k, B, mu)``:
-    ``mu`` below :func:`mean_threshold`, or at it for requestor wins at
-    ``k >= 3``."""
+    """True iff the mean-aware density is chosen for ``(mode, k, B, mu)``:
+    ``mu`` below :func:`mean_threshold`."""
     if spec.mu is None:
         raise ValueError("threshold_condition requires spec.mu")
-    bound = mean_threshold(spec.mode, spec.k, spec.B)
-    if spec.mode is ConflictMode.REQUESTOR_WINS and spec.k >= 3:
-        return spec.mu <= bound
-    return spec.mu < bound
+    return spec.mu < mean_threshold(spec.mode, spec.k, spec.B)
 
 
 def lagrange_corner(mode: ConflictMode, k: int, B: float, constrained: bool) -> tuple[float, float]:
@@ -248,37 +242,31 @@ def lagrange_corner(mode: ConflictMode, k: int, B: float, constrained: bool) -> 
     identity ``Cost(p, y)/((k-1)*y) = lambda1 + lambda2*y`` holds for the
     matching density on the whole support.
     """
-    if mode is ConflictMode.REQUESTOR_WINS:
-        if k == 2:
-            return (1.0, 1.0 / (2.0 * B * LN4_MINUS_1)) if constrained else (2.0, 0.0)
-        q = _q(k)
-        if constrained:
-            return 1.0, (k - 2) / (2.0 * B * (q - 2.0))
-        return q / (q - 1.0), 0.0
-    eps = _eps(k)
-    if constrained:
-        return 1.0, (k - 1) / (2.0 * B * _g(k))
-    return (1.0 + eps) / eps, 0.0
+    k, B = check_chain_size(k), check_abort_cost(B)
+    row = _FAMILIES[_RESOLVE[mode, constrained][k > 2]]
+    return row.corner(k, B, row.params(k))
 
 
 class _Family(NamedTuple):
     """One closed-form density family, as functions of ``u = x/B``.
 
-    ``pdf`` is the density in ``x`` and ``cdf`` its distribution function
-    (``None`` for ``custom``), both called as ``(u, k, B, p, s)`` with
-    ``s = shared(u)``; ``moment`` is
+    ``pdf`` is the density in ``x`` and ``cdf`` its distribution function,
+    both called as ``(u, k, B, p, s)`` with ``s = shared(u)``; ``moment`` is
     the partial first moment ``m(u)``, with ``integral_0^x t pdf(t) dt =
-    B*m(x/B)``.  ``inverse`` maps uniforms to grace periods in closed form,
-    and families without one are inverted by Newton steps on the cdf: their
-    ``shared`` is the one transcendental of ``u`` that pdf and cdf share, so
-    a Newton step evaluates it once, and their pdf and cdf take an ``out``
-    buffer.  ``params(k)`` precomputes the family's constants.
+    B*m(x/B)``, and ``corner(k, B, p)`` the dual corner ``(lambda1,
+    lambda2)`` at which the density meets the cost identity of
+    :func:`lagrange_corner`.  ``inverse`` maps uniforms to grace periods in
+    closed form, and families without one are inverted by Newton steps on
+    the cdf: their ``shared`` is the one transcendental of ``u`` that pdf
+    and cdf share, so a Newton step evaluates it once, and their pdf and cdf
+    take an ``out`` buffer.  ``params(k)`` precomputes the family's constants.
     """
 
     pdf: Callable
-    cdf: Callable | None
+    cdf: Callable
+    moment: Callable
+    corner: Callable
     shared: Callable = lambda u, out=None: None
-    moment: Callable | None = None
     inverse: Callable | None = None
     params: Callable = lambda k: {}
     mean_aware: bool = False  # built from the known mean mu (constrained)
@@ -363,16 +351,12 @@ def _ra_expm1_pdf(u, k, B, p, s, out=None):
     return out
 
 
-def _custom_pdf(u, k, B, p, s):
-    f = p["pdf"]
-    return np.asarray([f(v) for v in np.atleast_1d(u * B)], dtype=float)
-
-
 _FAMILIES = {
     "uniform": _Family(
         pdf=lambda u, k, B, p, s: np.full_like(u, (k - 1) / B),
         cdf=lambda u, k, B, p, s: (k - 1) * u,
         moment=lambda u, k, B, p: 0.5 * (k - 1) * u * u,
+        corner=lambda k, B, p: (2.0, 0.0),  # equalizing at k = 2 only
         inverse=lambda u, k, B, p: B / (k - 1) * u,
     ),
     "rw_log": _Family(
@@ -380,6 +364,7 @@ _FAMILIES = {
         cdf=_rw_log_cdf,
         shared=np.log1p,
         moment=lambda u, k, B, p: _rw_log_moment(u),
+        corner=lambda k, B, p: (1.0, 1.0 / (2.0 * B * LN4_MINUS_1)),
         mean_aware=True,
     ),
     "rw_shifted_power": _Family(
@@ -391,6 +376,7 @@ _FAMILIES = {
         moment=lambda u, k, B, p: (
             (k - 1) * u * u * _series(p["moment"], (k - 1) * u, 1) / (p["q"] - 2.0)
         ),
+        corner=lambda k, B, p: (1.0, (k - 2) / (2.0 * B * (p["q"] - 2.0))),
         params=_power_params,
         mean_aware=True,
     ),
@@ -400,6 +386,7 @@ _FAMILIES = {
         moment=lambda u, k, B, p: (
             (k - 1) * u * u * _series(p["moment"], (k - 1) * u) / (p["q"] - 1.0)
         ),
+        corner=lambda k, B, p: (p["q"] / (p["q"] - 1.0), 0.0),
         inverse=lambda u, k, B, p: B * np.expm1(np.log1p(u * (p["q"] - 1.0)) / (k - 1)),
         params=_power_params,
     ),
@@ -407,6 +394,7 @@ _FAMILIES = {
         pdf=lambda u, k, B, p, s: np.exp(u) / (B * p["eps"]),
         cdf=lambda u, k, B, p, s: np.expm1(u) / p["eps"],
         moment=lambda u, k, B, p: u * u * _series(_EXP_MOMENT, u) / p["eps"],
+        corner=lambda k, B, p: ((1.0 + p["eps"]) / p["eps"], 0.0),
         inverse=lambda u, k, B, p: B * np.log1p(u * p["eps"]),
         params=lambda k: {"eps": _eps(k)},
     ),
@@ -415,12 +403,19 @@ _FAMILIES = {
         cdf=_ra_expm1_cdf,
         shared=np.expm1,
         moment=lambda u, k, B, p: (k - 1) * u * u * _series(_EXP_MOMENT, u, 1) / p["g"],
+        corner=lambda k, B, p: (1.0, (k - 1) / (2.0 * B * p["g"])),
         params=lambda k: {"g": _g(k)},
         mean_aware=True,
     ),
-    # an arbitrary density callable (custom_continuous): no distribution
-    # function, inverse or moment
-    "custom": _Family(pdf=_custom_pdf, cdf=None),
+}
+
+# the row a randomized spec resolves to, by (mode, mean-aware), at k = 2 and
+# at k >= 3
+_RESOLVE = {
+    (ConflictMode.REQUESTOR_WINS, False): ("uniform", "rw_power"),
+    (ConflictMode.REQUESTOR_WINS, True): ("rw_log", "rw_shifted_power"),
+    (ConflictMode.REQUESTOR_ABORTS, False): ("ra_exp", "ra_exp"),
+    (ConflictMode.REQUESTOR_ABORTS, True): ("ra_expm1", "ra_expm1"),
 }
 
 
@@ -474,7 +469,7 @@ class GracePeriodStrategy:
         return float(vals[0]) if scalar else vals
 
     def cdf(self, x):
-        if self.kind is StrategyKind.ATOM or self.family == "custom":
+        if self.kind is StrategyKind.ATOM:
             raise ValueError(f"the {self.family} strategy has no distribution function")
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
@@ -491,11 +486,11 @@ class GracePeriodStrategy:
 
     def moment(self, x):
         """Partial first moment ``integral_0^x t pdf(t) dt``; the mean past the support."""
-        moment = self.kind is StrategyKind.CONTINUOUS_PDF and _FAMILIES[self.family].moment
-        if not moment:
+        if self.kind is not StrategyKind.CONTINUOUS_PDF:
             raise ValueError(f"the {self.family} strategy has no closed-form moment")
         xs = np.asarray(x, dtype=float)
         u = np.clip(np.atleast_1d(xs), 0.0, self.support_max) / self.spec.B
+        moment = _FAMILIES[self.family].moment
         vals = self.spec.B * moment(u, self.spec.k, self.spec.B, self.params)
         return float(vals[0]) if xs.ndim == 0 else vals
 
@@ -552,7 +547,7 @@ class GracePeriodStrategy:
 
     def _check_drawable(self):
         """A ValueError, before any draw, unless :meth:`quantile` maps uniforms."""
-        if self.kind is StrategyKind.ATOM or self.family == "custom":
+        if self.kind is StrategyKind.ATOM:
             raise ValueError(f"the {self.family} strategy takes no draws")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
@@ -602,9 +597,9 @@ class GracePeriodStrategy:
     def lagrange_corner(self) -> tuple[float, float]:
         """Corner ``(lambda1, lambda2)`` matching this strategy's regime, for the
         equalizing closed-form densities."""
-        if self.family in ("atom", "discrete_classic", "custom"):
+        if self.kind is not StrategyKind.CONTINUOUS_PDF:
             raise ValueError(f"the {self.family} strategy has no equalizing corner")
-        return lagrange_corner(self.spec.mode, self.spec.k, self.spec.B, self.mean_aware)
+        return _FAMILIES[self.family].corner(self.spec.k, self.spec.B, self.params)
 
 
 def _discrete_classic_pmf(B: int) -> np.ndarray:
@@ -633,25 +628,32 @@ def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
             spec, "discrete_classic", {"pmf": pmf, "cumulative": cumulative}
         )
 
-    constrained = spec.variant is Variant.RANDOMIZED_CONSTRAINED
-    if mode is ConflictMode.REQUESTOR_WINS:
-        if constrained and threshold_condition(spec):
-            family = "rw_log" if k == 2 else "rw_shifted_power"
-        else:
-            family = "uniform" if k == 2 else "rw_power"
-    else:
-        family = "ra_expm1" if constrained and threshold_condition(spec) else "ra_exp"
+    mean_aware = spec.variant is Variant.RANDOMIZED_CONSTRAINED and threshold_condition(spec)
+    family = _RESOLVE[mode, mean_aware][k > 2]
     return GracePeriodStrategy(spec, family, _FAMILIES[family].params(k))
 
 
-def custom_continuous(spec: StrategySpec, pdf) -> GracePeriodStrategy:
-    """Wrap an arbitrary density callable on ``[0, support_max]``.
+class PdfOnly(NamedTuple):
+    """A density callable on ``[0, support_max]`` and nothing more: what
+    :func:`~graceperiod.oracle.verify_pdf` reads.  It is not a strategy."""
 
-    Intended for verification controls: it has a ``pdf`` only, for
-    :func:`~graceperiod.oracle.verify_pdf`; its ``cdf``, and so its expected
-    costs, raise a ValueError.
-    """
-    return GracePeriodStrategy(spec, "custom", {"pdf": pdf})
+    support_max: float
+    density: Callable[[float], float]
+    kind = StrategyKind.CONTINUOUS_PDF
+
+    def pdf(self, x):
+        """``density`` at each ``x`` on the support, 0 off it."""
+        xs = np.asarray(x, dtype=float)
+        vals = np.array([
+            self.density(v) if 0.0 <= v <= self.support_max else 0.0
+            for v in np.atleast_1d(xs).tolist()
+        ])
+        return float(vals[0]) if xs.ndim == 0 else vals
+
+
+def custom_continuous(spec: StrategySpec, pdf) -> PdfOnly:
+    """Wrap a density callable on ``spec``'s support, for verification controls."""
+    return PdfOnly(spec.support_max, pdf)
 
 
 def competitive_ratio(spec: StrategySpec) -> RatioReport:

@@ -23,7 +23,6 @@ from graceperiod.strategy import (
     StrategySpec,
     Variant,
     competitive_ratio,
-    custom_continuous,
     lagrange_corner,
     make_strategy,
 )
@@ -157,15 +156,6 @@ class TestExpectedCost:
         assert families == {
             "uniform", "rw_log", "rw_shifted_power", "rw_power", "ra_exp", "ra_expm1"
         }
-
-    def test_custom_density_is_not_costed(self):
-        # a custom density carries a pdf alone, so it has no exact cost
-        spec = StrategySpec(RW, 2, 100.0, UNC)
-        strat = custom_continuous(spec, lambda x: 0.01)
-        with pytest.raises(ValueError, match="custom"):
-            batch_expected_costs(strat, np.array([10.0, 50.0]))
-        with pytest.raises(ValueError, match="custom"):
-            expected_cost(strat, ConflictInstance(RW, 2, 100.0, 10.0))
 
 
 class TestRatioProfile:

@@ -241,14 +241,6 @@ class TestYaoCertificate:
         with pytest.raises(ValueError, match="unconstrained densities"):
             optimality_probe(make_strategy(spec))
 
-    def test_custom_density_is_refused(self):
-        # a pdf alone has no exact cost
-        strat = custom_continuous(StrategySpec(RW, 2, 100.0, UNC), lambda x: 0.01)
-        with pytest.raises(ValueError, match="custom"):
-            worst_case_ratio(strat)
-        with pytest.raises(ValueError, match="custom"):
-            optimality_probe(strat)
-
     def test_deterministic_threshold_is_the_grid_minimum(self):
         checks = _deterministic_certificate_checks()
         assert [c["name"] for c in checks] == [f"certificate/det_k{k}" for k in (2, 3, 5, 10)]
@@ -277,6 +269,21 @@ class TestDensityComparison:
             rw, ra = abort_density_comparison(B)
             assert rw < ra
             assert rw * B == pytest.approx(abort_density_comparison(1.0)[0], rel=1e-9)
+
+    def test_reversed_order_is_reported_not_raised(self, monkeypatch):
+        # swap the modes of the two mu = 0 specs, which only this comparison
+        # builds: the pair comes back reversed, and verify reports the failed
+        # check instead of stopping without a report
+        real = oracle.make_strategy
+        other = {RW: RA, RA: RW}
+        monkeypatch.setattr(oracle, "make_strategy", lambda spec: real(
+            replace(spec, mode=other[spec.mode]) if spec.mu == 0.0 else spec
+        ))
+        rw, ra = abort_density_comparison(1.0)
+        assert rw > ra
+        report = run_verification_suite()
+        assert report["failed"] == ["discussion/endpoint_density_ordering"]
+        assert not report["passed"]
 
 
 @pytest.fixture(scope="class")

@@ -719,6 +719,23 @@ class TestConfigParsing:
                 "horizon": 10.0, "seed": 1,
             })
 
+    @pytest.mark.parametrize("field, data", [
+        ("doubling_backof", dict(CONFIG_DATA, doubling_backof=True)),
+        ("policy.Bee", dict(CONFIG_DATA, policy={
+            "variant": "randomized_unconstrained", "B": 100.0, "Bee": 100.0})),
+        ("length_model.meen", dict(CONFIG_DATA, length_model={
+            "kind": "exponential", "mean": 20.0, "meen": 20.0})),
+        # each schedule kind reads its own fields only
+        ("conflict_schedule.path", dict(CONFIG_DATA, conflict_schedule={
+            "kind": "random_rate", "rate": 0.1, "path": "t.txt"})),
+        ("conflict_schedule.rate", dict(CONFIG_DATA, conflict_schedule={
+            "kind": "trace", "path": "t.txt", "rate": 0.1})),
+    ], ids=["top", "policy", "length_model", "random_rate", "trace"])
+    def test_unknown_field_rejected(self, field, data):
+        # a misspelled key used to parse, and its setting was silently dropped
+        with pytest.raises(ValueError, match=f"config field '{field}' is not a known field"):
+            config_from_dict(data)
+
     def test_infinite_rate_rejected(self):
         # an infinite rate never advances the conflict clock
         with pytest.raises(ValueError, match="conflict_rate"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from graceperiod.adversary import worst_case_for_det
 from graceperiod.costmodel import ConflictInstance
-from graceperiod.oracle import lagrange_identity_check
+from graceperiod.oracle import lagrange_identity_check, verify_pdf
 from graceperiod.quadrature import adaptive_simpson
 from graceperiod.rng import stream
 from graceperiod.simulator import PolicyConfig
@@ -97,10 +97,13 @@ class TestThresholdCondition:
         assert threshold_condition(spec) is False
 
     def test_requestor_wins_k3(self):
-        # (q-2)/((k-2)(q-1)) = 0.2 at k = 3
+        # 2(q-2)/((k-2)(q-1)) = 0.4 at k = 3; mu = 30 is mean-aware (ratio 1.6)
         assert threshold_condition(StrategySpec(RW, 3, 100.0, CON, mu=10.0)) is True
-        assert threshold_condition(StrategySpec(RW, 3, 100.0, CON, mu=20.0)) is True
-        assert threshold_condition(StrategySpec(RW, 3, 100.0, CON, mu=20.001)) is False
+        assert threshold_condition(StrategySpec(RW, 3, 100.0, CON, mu=30.0)) is True
+        assert threshold_condition(StrategySpec(RW, 3, 100.0, CON, mu=39.999)) is True
+        assert threshold_condition(StrategySpec(RW, 3, 100.0, CON, mu=40.0)) is False
+        ratio = competitive_ratio(StrategySpec(RW, 3, 100.0, CON, mu=30.0)).theoretical_ratio
+        assert ratio == pytest.approx(1.6, rel=1e-15)
 
     def test_requestor_aborts_k2(self):
         lim = 2.0 * (math.e - 2.0) / (math.e - 1.0)
@@ -108,23 +111,30 @@ class TestThresholdCondition:
         assert not threshold_condition(StrategySpec(RA, 2, 100.0, CON, mu=100.0 * lim * 1.001))
 
     def test_requestor_aborts_general_simplified_vs_raw(self):
-        g = 2 * (math.exp(0.5) - 1.0) - 1.0
-        for mu in (1.0, 0.99 * 18.0 * g, 1.01 * 18.0 * g, 50.0):
+        # raw: the mean-aware objective 1 + mu(k-1)/(2Bg) below the
+        # unconstrained (1+eps)/eps; simplified: mu below 2Bg/((k-1)eps)
+        eps = math.exp(0.5) - 1.0
+        g = 2.0 * eps - 1.0
+        bound = 10.0 * g / eps
+        for mu in (1.0, 0.99 * bound, 1.01 * bound, 50.0):
             spec = StrategySpec(RA, 3, 10.0, CON, mu=mu)
-            simplified = mu / 9.0 < 2.0 * g
-            raw = (mu + 2.0 * g) / 10.0 < 2.0 * g
+            simplified = mu < bound
+            raw = 1.0 + mu * 2.0 / (20.0 * g) < (1.0 + eps) / eps
             assert simplified is raw
             assert threshold_condition(spec) is raw
 
-    def test_requestor_aborts_general_never_mean_aware_at_small_B(self):
-        # 2g(B-1) <= 0 when B <= 1, and no mean lies below it
+    def test_requestor_aborts_general_mean_aware_at_small_B(self):
+        # the threshold is proportional to B, so a small enough mean qualifies
+        # at every B
         for k in (3, 4, 10, 1000):
             for B in (1e-3, 0.5, 1.0):
-                assert mean_threshold(RA, k, B) <= 0.0
-                for mu in (0.0, 1e-300, 1e-3, 1.0):
-                    spec = StrategySpec(RA, k, B, CON, mu=mu)
-                    assert threshold_condition(spec) is False
-                    assert make_strategy(spec).family == "ra_exp"
+                bound = mean_threshold(RA, k, B)
+                assert bound > 0.0
+                for mu, family in ((0.5 * bound, "ra_expm1"), (2.0 * bound, "ra_exp")):
+                    assert make_strategy(StrategySpec(RA, k, B, CON, mu=mu)).family == family
+        # the fine-grid LP's value at requestor aborts, k = 3, B = 1, mu = 0.3
+        ratio = competitive_ratio(StrategySpec(RA, 3, 1.0, CON, mu=0.3)).theoretical_ratio
+        assert ratio == pytest.approx(2.008598, abs=1e-6)
 
     def test_missing_mu_rejected(self):
         with pytest.raises(ValueError):
@@ -132,20 +142,20 @@ class TestThresholdCondition:
 
 
 def reference_mean_threshold(mode, k, B):
-    """``mean_threshold`` in 50-digit decimal arithmetic, from its defining constants."""
+    """The crossing of the mean-aware objective with the unconstrained ratio,
+    in 50-digit decimal arithmetic, from its defining constants."""
     D = decimal.Decimal
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        k, B, e = D(k), D(B), D(1).exp()
+        k, B = D(k), D(B)
         if mode is RW:
             if k == 2:
                 return 2 * B * (D(4).ln() - 1)
             q = (k / (k - 1)) ** (k - 1)
-            return B * (q - 2) / ((k - 2) * (q - 1))
-        if k == 2:
-            return 2 * B * (e - 2) / (e - 1)
-        g = (k - 1) * ((1 / (k - 1)).exp() - 1) - 1
-        return 2 * g * (B - 1)
+            return 2 * B * (q - 2) / ((k - 2) * (q - 1))
+        eps = (1 / (k - 1)).exp() - 1
+        g = (k - 1) * eps - 1
+        return 2 * B * g / ((k - 1) * eps)
 
 
 class TestMeanThreshold:
@@ -155,10 +165,33 @@ class TestMeanThreshold:
     def test_matches_50_digit_arithmetic(self, mode, k, B):
         got = mean_threshold(mode, k, B)
         ref = reference_mean_threshold(mode, k, B)
-        if ref == 0:
-            assert got == 0.0
-        else:
-            assert abs((decimal.Decimal(got) - ref) / ref) <= decimal.Decimal("1e-15")
+        assert abs((decimal.Decimal(got) - ref) / ref) <= decimal.Decimal("1e-15")
+
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 10**4, 10**7])
+    def test_proportional_to_B(self, mode, k):
+        # the model has no unit of scale: scaling B scales the threshold
+        for B in (0.5, 1.0, 100.0):
+            for c in (1e-3, 0.5, 7.0, 1e4):
+                assert mean_threshold(mode, k, c * B) == pytest.approx(
+                    c * mean_threshold(mode, k, B), rel=1e-15, abs=0.0
+                )
+
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 10, 100, 10**4])
+    @pytest.mark.parametrize("B", [0.5, 1.0, 100.0, 2000.0])
+    def test_ratio_is_the_smaller_objective(self, mode, k, B):
+        # a constrained spec resolves to whichever of the mean-aware objective
+        # and the unconstrained ratio is smaller, so it never does worse
+        lam1, _ = lagrange_corner(mode, k, B, constrained=False)
+        one, lam2 = lagrange_corner(mode, k, B, constrained=True)
+        unconstrained = competitive_ratio(StrategySpec(mode, k, B, UNC)).theoretical_ratio
+        assert unconstrained == lam1
+        bound = mean_threshold(mode, k, B)
+        for mu in (0.1 * bound, 0.5 * bound, 0.9 * bound, 1.1 * bound, 2.0 * bound):
+            got = competitive_ratio(StrategySpec(mode, k, B, CON, mu=mu)).theoretical_ratio
+            assert got == min(one + lam2 * mu, lam1), mu / bound
+            assert got <= unconstrained
 
     @pytest.mark.parametrize("mode", [RW, RA])
     @pytest.mark.parametrize("k", [2, 3, 10])
@@ -168,9 +201,8 @@ class TestMeanThreshold:
         below, above = np.nextafter(bound, 0.0), np.nextafter(bound, math.inf)
         assert threshold_condition(StrategySpec(mode, k, B, CON, mu=below))
         assert not threshold_condition(StrategySpec(mode, k, B, CON, mu=above))
-        # at the bound itself only requestor wins at k >= 3 stays mean-aware
-        at = threshold_condition(StrategySpec(mode, k, B, CON, mu=bound))
-        assert at is (mode is RW and k >= 3)
+        # at the bound both objectives agree, and the unconstrained density serves
+        assert not threshold_condition(StrategySpec(mode, k, B, CON, mu=bound))
 
 
 class TestMakeStrategy:
@@ -490,7 +522,7 @@ NEWTON_U = np.concatenate([
 class TestFusedNewton:
     def test_cases_cover_every_newton_family(self):
         newton = {
-            name for name, row in _FAMILIES.items() if row.inverse is None and row.cdf is not None
+            name for name, row in _FAMILIES.items() if row.inverse is None
         }
         families = {newton_strategy(mode, k, 1.0).family for mode, k in NEWTON_CASES}
         assert families == newton == {"rw_log", "rw_shifted_power", "ra_expm1"}
@@ -599,29 +631,19 @@ class TestDerivedFields:
 
 class TestCustomDensity:
     def test_has_a_pdf_only(self):
-        spec = StrategySpec(RW, 2, 10.0, UNC)
-        strat = custom_continuous(spec, lambda x: 0.1)
-        assert strat.pdf(5.0) == 0.1
-        assert strat.pdf(11.0) == 0.0
-        calls = [
-            lambda: strat.cdf(1.0),
-            lambda: strat.quantile(np.array([0.5])),
-            lambda: strat.sample(stream(1)),
-            lambda: strat.sample_batch(stream(1), 4),
-            lambda: strat.moment(1.0),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="custom"):
-                call()
-
-    def test_failed_draw_leaves_the_stream(self):
-        strat = custom_continuous(StrategySpec(RW, 2, 10.0, UNC), lambda x: 0.1)
-        s = stream(1)
-        before = s._state
-        for call in (lambda: strat.sample(s), lambda: strat.sample_batch(s, 4)):
-            with pytest.raises(ValueError, match="custom"):
-                call()
-            assert s._state == before
+        # a density callable for verify_pdf, not a strategy: nothing draws
+        # from it or costs it
+        spec = StrategySpec(RW, 3, 10.0, UNC)
+        strat = custom_continuous(spec, lambda x: 0.2)
+        assert not isinstance(strat, GracePeriodStrategy)
+        assert (strat.kind, strat.support_max) == (StrategyKind.CONTINUOUS_PDF, 5.0)
+        assert strat.pdf(2.5) == 0.2
+        assert strat.pdf(-1e-9) == strat.pdf(5.000001) == 0.0
+        assert list(strat.pdf(np.array([-1.0, 0.0, 5.0, 6.0]))) == [0.0, 0.2, 0.2, 0.0]
+        for name in ("cdf", "moment", "quantile", "sample_batch", "lagrange_corner"):
+            assert not hasattr(strat, name)
+        res = verify_pdf(strat)
+        assert res.passed and res.normalization_error < 1e-12
 
 
 NONFINITE = [math.inf, -math.inf, math.nan]
@@ -639,6 +661,8 @@ class TestDomainChecks:
             lambda: det_threshold(k, 10.0),
             lambda: det_competitive_ratio(k),
             lambda: worst_case_for_det(k, 10.0),
+            lambda: lagrange_corner(RA, k, 10.0, constrained=True),
+            lambda: mean_threshold(RW, k, 10.0),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="chain size k must be an integer >= 2"):
@@ -652,6 +676,8 @@ class TestDomainChecks:
             lambda: det_threshold(2, B),
             lambda: worst_case_for_det(2, B),
             lambda: PolicyConfig(UNC, B),
+            lambda: lagrange_corner(RW, 3, B, constrained=False),
+            lambda: mean_threshold(RA, 2, B),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="abort cost B must be positive and finite"):
@@ -683,9 +709,7 @@ class TestMoment:
             assert list(strat.moment(np.array([-1.0, 0.0]))) == [0.0, 0.0]
 
     def test_only_table_densities_have_one(self):
-        spec = StrategySpec(RW, 2, 10.0, UNC)
         for strat in (
-            custom_continuous(spec, lambda x: 0.1),
             make_strategy(StrategySpec(RW, 2, 10.0, Variant.DETERMINISTIC)),
             make_strategy(StrategySpec(RA, 2, 10.0, Variant.DISCRETE_CLASSIC)),
         ):
