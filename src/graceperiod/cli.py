@@ -131,7 +131,7 @@ def _cmd_strategy_table(args) -> int:
     strat = make_strategy(spec)
     lines = ["x,pdf,cdf"]
     if strat.kind is StrategyKind.ATOM:
-        lines.append(f"{strat.params['x0']:.12g},1,atom")
+        lines.append(f"{strat.support_max:.12g},1,atom")
     else:  # one array pdf and cdf, at the days of the pmf or n points on the support
         n = args.points
         if strat.kind is StrategyKind.DISCRETE_PMF:

@@ -113,7 +113,7 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     S = strategy.support_max
 
     if strategy.kind is StrategyKind.ATOM:
-        return conflict_cost(mode, k, B, strategy.params["x0"], ys)
+        return conflict_cost(mode, k, B, S, ys)
 
     if strategy.kind is StrategyKind.DISCRETE_PMF:
         pmf = strategy.params["pmf"]
@@ -129,14 +129,6 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     if mode is ConflictMode.REQUESTOR_WINS:
         return commit + B * below + k * moment
     return commit + (k - 1) * (B * below + moment)
-
-
-def sorted_unique(values) -> np.ndarray:
-    """``np.unique(values)`` without the ``numpy.ma`` import of its first call."""
-    out = np.sort(values)
-    keep = np.ones(len(out), dtype=bool)
-    keep[1:] = out[1:] != out[:-1]
-    return out[keep]
 
 
 def ratio_profile(strategy: GracePeriodStrategy, y_grid) -> list[tuple[float, float]]:

@@ -139,10 +139,8 @@ def worst_case_ratio(
     if strategy.kind is StrategyKind.DISCRETE_PMF:
         ys = np.arange(1.0, int(strategy.spec.B) + 2.0)
     elif strategy.kind is StrategyKind.ATOM:
-        x0 = strategy.params["x0"]
-        ys = costmodel.sorted_unique(np.concatenate([
-            np.linspace(S / n_grid, S, n_grid), [x0, 0.5 * x0, 1.5 * S]
-        ]))
+        # the ratio ties at S and 1.5S, and argmax takes S first
+        ys = np.append(np.linspace(S / n_grid, S, n_grid), [0.5 * S, 1.5 * S])
     else:
         ys = np.append(np.linspace(S / n_grid, S, n_grid), 1.5 * S)
     ratios = [r for _, r in costmodel.ratio_profile(strategy, ys)]

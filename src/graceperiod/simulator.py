@@ -19,7 +19,10 @@ or ``(k-1)*(x + B)`` (requestor aborts).  Aborted receivers restart
 immediately, retaining their commit cost; multiplicative backoff doubles
 their abort cost per retry.  Start-to-commit times are accounted through
 the amortization identity ``sum(Gamma) = sum(rho) + sum(conflict extras)``,
-which the totals satisfy exactly.
+which the totals satisfy exactly.  A ``discrete_classic`` day ``i`` is the
+grace ``x = i``, so its abort costs ``i + B``, where :mod:`costmodel` uses
+the classic ``i - 1 + B``: a conflict here costs ``P(day <= y)`` more in
+expectation (worst ratio 1.58737 against the optimum 1.57737 at ``B = 100``).
 
 Scheduling assumptions: requestors are synthetic waiters charged only for
 delay (so a requestor is never re-conflicted as a receiver and chains stay
@@ -62,6 +65,7 @@ from .strategy import (
     StrategySpec,
     Variant,
     check_abort_cost,
+    check_chain_size,
     make_strategy,
 )
 
@@ -404,7 +408,7 @@ def _online_replay(config: SimConfig, schedule: Schedule, draw, n: int):
             rows = slice(start, min(start + step, hi))
             m = rows.stop - rows.start
             if strat.kind is StrategyKind.ATOM:
-                x = np.full((m, n), strat.params["x0"])
+                x = np.full((m, n), strat.support_max)
             else:
                 x = strat.quantile(draw(m))
             spec = strat.spec
@@ -478,15 +482,18 @@ def run_offline_baseline(config: SimConfig, schedule: Schedule | None = None) ->
     return _tally(config, schedule, commit, np.where(commit, wait, b))
 
 
-def _bound_check(ratios: np.ndarray, waste: float, n_sigma: float) -> BoundCheck:
+N_SIGMA = 3.0  # the bound check's margin, in standard errors of the seed average
+
+
+def _bound_check(ratios: np.ndarray, waste: float) -> BoundCheck:
     lhs = float(np.mean(ratios))
     stderr = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
     rhs = (2.0 * waste + 1.0) / (waste + 1.0)
-    margin = n_sigma * stderr
+    margin = N_SIGMA * stderr
     return BoundCheck(lhs, rhs, stderr, margin, lhs <= rhs + margin, len(ratios))
 
 
-def throughput_bound_check(online: SimMetrics, offline: SimMetrics, n_sigma=3.0) -> BoundCheck:
+def throughput_bound_check(online: SimMetrics, offline: SimMetrics) -> BoundCheck:
     """Check ``sum Gamma_online / sum Gamma_offline <= (2w+1)/(w+1)`` for one run.
 
     ``w`` is the offline run's waste.  One run has no standard error, so the
@@ -494,7 +501,7 @@ def throughput_bound_check(online: SimMetrics, offline: SimMetrics, n_sigma=3.0)
     """
     if online.schedule_digest != offline.schedule_digest:
         raise ValueError("bound check requires online and offline runs of one schedule")
-    return _bound_check(np.array([online.sum_gamma / offline.sum_gamma]), offline.waste, n_sigma)
+    return _bound_check(np.array([online.sum_gamma / offline.sum_gamma]), offline.waste)
 
 
 def _schedule_and_offline(
@@ -529,7 +536,6 @@ def simulate_pair(
 def throughput_campaign(
     config: SimConfig,
     n_seeds: int,
-    n_sigma: float = 3.0,
     schedule: Schedule | None = None,
     offline: SimMetrics | None = None,
 ) -> tuple[np.ndarray, SimMetrics, BoundCheck]:
@@ -549,7 +555,7 @@ def throughput_campaign(
         for row in extra:  # in event order, as a run of one seed sums them
             sum_extra += row
     ratios = (schedule.sum_rho + sum_extra) / offline.sum_gamma
-    return ratios, offline, _bound_check(ratios, offline.waste, n_sigma)
+    return ratios, offline, _bound_check(ratios, offline.waste)
 
 
 # -- progress under multiplicative backoff ---------------------------------
@@ -559,8 +565,9 @@ def throughput_campaign(
 class ProgressResult:
     bound_attempts: int
     doubling_threshold: int
-    empirical_probability: float
-    stderr: float
+    probability: float  # exact commit probability within bound_attempts
+    empirical_probability: float  # commit fraction of the sampled trials
+    stderr: float  # its standard error, sqrt(p(1-p)/n_trials) at the exact p
     doubling_assert_ok: bool
     passed: bool
     n_trials: int
@@ -573,60 +580,44 @@ def progress_check(
     B: float,
     n_trials: int = 1000,
     seed: int = 0,
-    n_sigma: float = 3.0,
 ) -> ProgressResult:
-    """Empirical commit probability within the doubling-backoff bound.
+    """Commit probability within the doubling-backoff bound, exact and sampled.
 
     A tracked transaction with running time ``y`` suffers exactly ``gamma``
-    conflicts per attempt; each conflict draws a uniform grace period on
-    ``[0, B_t/(k-1)]`` and aborts the attempt unless the grace exceeds the
-    full remaining time (the adversary interrupts at the start, ties abort).
-    Every abort doubles ``B_t``.  The claimed bound is commit within
-    ``ceil(log2(y) + log2(gamma) + log2(k) - log2(B) + 2)`` attempts with
-    probability at least one half; after one fewer doubling the abort cost
-    must already satisfy ``B_t >= 2*k*y*gamma``, which is asserted in every
-    trial that aborts that often.
+    conflicts per attempt; each draws a uniform grace period on ``[0,
+    B_a/(k-1)]`` and aborts the attempt unless the grace exceeds ``y`` (the
+    adversary interrupts at the start, ties abort).  Each abort doubles the
+    abort cost, ``B_a = B*2**(a-1)``, so attempt ``a`` survives with ``s_a =
+    max(0, 1 - (k-1)y/B_a)**gamma``.  The claim: commit within ``N =
+    ceil(log2(y) + log2(gamma) + log2(k) - log2(B) + 2)`` attempts with
+    probability ``1 - prod_{a<=N}(1 - s_a) >= 1/2``, and after one fewer
+    doubling ``B_a >= 2*k*y*gamma``.  ``passed`` reads the exact probability.
+    As a sampled check, the streams ``"progress", i`` replay ``n_trials``
+    trials in lockstep, one ``(gamma, n_trials)`` block per attempt.
     """
-    if gamma < 0 or int(gamma) != gamma:
+    if not (y > 0.0 and math.isfinite(y)):
+        raise ValueError(f"remaining time y must be positive and finite, got {y}")
+    if not (gamma >= 0 and float(gamma).is_integer()):
         raise ValueError(f"gamma must be a nonnegative integer, got {gamma}")
-    raw = (
-        math.log2(y) + math.log2(max(gamma, 1)) + math.log2(k) - math.log2(B)
-    )
+    if not (n_trials >= 1 and float(n_trials).is_integer()):
+        raise ValueError(f"n_trials must be an integer >= 1, got {n_trials}")
+    k, B, gamma, n_trials = check_chain_size(k), check_abort_cost(B), int(gamma), int(n_trials)
+    raw = math.log2(y) + math.log2(max(gamma, 1)) + math.log2(k) - math.log2(B)
     bound = max(1, math.ceil(raw + 2.0))
     doubling_threshold = max(0, math.ceil(raw + 1.0))
-    if gamma == 0:
-        return ProgressResult(bound, doubling_threshold, 1.0, 0.0, True, True, n_trials)
-
-    attempt_cap = bound + 64
-    successes = 0
-    doubling_ok = True
-    for trial in range(n_trials):
-        s = stream(seed, "progress", trial)
-        b_t = B
-        aborts = 0
-        committed_at = None
-        for attempt in range(1, attempt_cap + 1):
-            survived = True
-            for _ in range(gamma):
-                x = s.uniform() * (b_t / (k - 1))
-                if x <= y:
-                    survived = False
-                    break
-            if survived:
-                committed_at = attempt
-                break
-            aborts += 1
-            b_t *= 2.0
-            if aborts == doubling_threshold and b_t < 2.0 * k * y * gamma:
-                doubling_ok = False
-        if committed_at is not None and committed_at <= bound:
-            successes += 1
-
-    p_hat = successes / n_trials
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_trials)
-    passed = p_hat >= 0.5 - n_sigma * stderr and doubling_ok
+    miss = 1.0  # every attempt so far aborted
+    lanes = streams(seed, "progress", n=n_trials)
+    committed = np.zeros(n_trials, dtype=bool)
+    for a in range(bound):
+        b_a = B * 2.0**a
+        miss *= 1.0 - max(0.0, 1.0 - (k - 1) * y / b_a) ** gamma
+        committed |= np.all(lanes.uniform(gamma) * (b_a / (k - 1)) > y, axis=0)
+    probability = 1.0 - miss
+    doubling_ok = doubling_threshold == 0 or B * 2.0**doubling_threshold >= 2.0 * k * y * gamma
+    stderr = math.sqrt(probability * (1.0 - probability) / n_trials)
     return ProgressResult(
-        bound, doubling_threshold, p_hat, stderr, doubling_ok, passed, n_trials
+        bound, doubling_threshold, probability, float(np.mean(committed)), stderr,
+        doubling_ok, probability >= 0.5 and doubling_ok, n_trials,
     )
 
 
@@ -703,11 +694,15 @@ def config_from_dict(data: dict) -> SimConfig:
     )
 
     lm = section("length_model", ("kind", "mean", "sigma", "value"))
+    kind = lm.get("kind", "exponential")
     mean = read(lm, "mean", _real, 0.0, "length_model.")
     sigma = read(lm, "sigma", _real, None, "length_model.")
     value = read(lm, "value", _real, None, "length_model.")
+    for key, reader in (("sigma", "normal_truncated"), ("value", "point_mass")):
+        if lm.get(key) is not None and kind != reader:
+            raise ValueError(f"config field 'length_model.{key}' is read by kind {reader} only")
     try:
-        length_model = AdversaryModel(lm.get("kind", "exponential"), mean, sigma, value)
+        length_model = AdversaryModel(kind, mean, sigma, value)
     except ValueError as exc:
         raise ValueError(f"config field 'length_model': {exc}") from exc
 

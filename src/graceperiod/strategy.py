@@ -429,9 +429,9 @@ class GracePeriodStrategy:
 
     ``family`` selects the closed form (a row of ``_FAMILIES`` for the
     continuous kind); ``params`` carries its precomputed constants.
-    ``kind``, which follows from the family, distinguishes atoms, continuous
-    densities on ``[0, support_max]``, and the integer-day pmf of the
-    discrete classic.
+    ``kind``, which follows from the family, distinguishes atoms (the point
+    ``support_max``), continuous densities on ``[0, support_max]``, and the
+    integer-day pmf of the discrete classic.
     """
 
     spec: StrategySpec
@@ -534,29 +534,24 @@ class GracePeriodStrategy:
         strategies consume exactly one draw.
         """
         if self.kind is StrategyKind.ATOM:
-            return self.params["x0"]
-        self._check_drawable()
+            return self.support_max
         return float(self.quantile(np.array([stream.uniform()]))[0])
 
     def sample_batch(self, stream: Stream, n: int) -> np.ndarray:
-        """``n`` grace periods; atoms repeat ``x0`` without consuming draws."""
+        """``n`` grace periods; atoms repeat their point without consuming draws."""
         if self.kind is StrategyKind.ATOM:
-            return np.full(n, self.params["x0"])
-        self._check_drawable()
+            return np.full(n, self.support_max)
         return self.quantile(stream.uniform_batch(n))
-
-    def _check_drawable(self):
-        """A ValueError, before any draw, unless :meth:`quantile` maps uniforms."""
-        if self.kind is StrategyKind.ATOM:
-            raise ValueError(f"the {self.family} strategy takes no draws")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Grace periods for uniforms ``u`` in [0, 1): the inverse CDF.
 
         Every sampler maps its draws through this one function, so a draw
-        gives the same bits whichever sampler made it.
+        gives the same bits whichever sampler made it.  An atom takes no
+        draws and has none.
         """
-        self._check_drawable()
+        if self.kind is StrategyKind.ATOM:
+            raise ValueError(f"the {self.family} strategy takes no draws")
         if self.kind is StrategyKind.DISCRETE_PMF:
             days = np.searchsorted(self.params["cumulative"], u, side="right") + 1
             return days.astype(float)
@@ -618,7 +613,7 @@ def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
     mode, k, B = spec.mode, spec.k, spec.B
 
     if spec.variant is Variant.DETERMINISTIC:
-        return GracePeriodStrategy(spec, "atom", {"x0": det_threshold(k, B)})
+        return GracePeriodStrategy(spec, "atom")  # the point support_max = B/(k-1)
 
     if spec.variant is Variant.DISCRETE_CLASSIC:
         pmf = _discrete_classic_pmf(int(B))

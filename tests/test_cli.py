@@ -41,6 +41,9 @@ BAD_SIM_FIELDS = [
     ("length_model.mean", {"length_model": {"kind": "exponential", "mean": [20.0]}}),
     ("length_model.sigma",
      {"length_model": {"kind": "normal_truncated", "mean": 20.0, "sigma": [5.0]}}),
+    # a field the kind does not read
+    ("length_model.sigma", {"length_model": {"kind": "exponential", "mean": 20.0, "sigma": 5}}),
+    ("length_model.value", {"length_model": {"kind": "uniform", "mean": 20.0, "value": 3.0}}),
     ("cleanup_cost", {"cleanup_cost": [1.0]}),
     ("cleanup_cost", {"cleanup_cost": "abc"}),
     ("cleanup_cost", {"cleanup_cost": True}),
@@ -215,6 +218,10 @@ class TestSimulateCommand:
             length_model={"kind": "normal_truncated", "mean": 20, "sigma": None, "value": None},
         ))
         assert config.policy.mu is None and config.length_model.sigma == 5.0
+        for kind in ("exponential", "point_mass"):  # null is unset for every kind
+            config_from_dict(dict(
+                SIM_CONFIG, length_model={"kind": kind, "mean": 20, "sigma": None, "value": None}
+            ))
         assert config.dynamic_b is False and config.doubling_backoff is True
 
     def test_missing_field_reports_name(self, tmp_path, capsys):

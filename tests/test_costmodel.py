@@ -15,7 +15,6 @@ from graceperiod.costmodel import (
     expected_cost,
     opt_cost,
     ratio_profile,
-    sorted_unique,
 )
 from graceperiod.quadrature import adaptive_simpson
 from graceperiod.strategy import (
@@ -249,18 +248,7 @@ class TestLagrangeIdentity:
                 assert numeric == pytest.approx(strat.pdf(x), rel=1e-5)
 
 
-class TestSortedUnique:
-    def test_equals_np_unique_with_duplicates(self):
-        rng = np.random.default_rng(3)
-        for n in (0, 1, 2, 7, 1000):
-            for pool in (3, 50, 10_000):
-                values = rng.integers(0, pool, n) * 0.25 - 1.0
-                got = sorted_unique(values)
-                assert got.dtype == np.unique(values).dtype
-                assert np.array_equal(got, np.unique(values))
-        grid = np.concatenate([np.linspace(0.0, 1.0, 2001), np.linspace(0.0, 1.0, 11), [-0.0]])
-        assert np.array_equal(sorted_unique(grid), np.unique(grid))
-
+class TestRatioScans:
     def test_ratio_scans_do_not_import_numpy_ma(self):
         # np.unique's first call imports numpy.ma, ~15 ms on every cold verify
         script = (

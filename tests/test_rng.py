@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 
 from graceperiod.rng import Stream, _mix64_vec, derive_seed, mix64, stream, streams
@@ -99,3 +102,42 @@ def test_stream_helper():
     assert stream(5, "x").u64() == stream(5, "x").u64()
     assert stream(5, "a").u64() == Stream(derive_seed(5, "a")).u64()
     assert stream(5).u64() == Stream(5).u64()
+
+
+# The scalar samplers: kept as references for the tests and as patch targets
+# of the perf probes, and called nowhere else in the package.
+SCALAR_SAMPLERS = {("Stream", "uniform"), ("GracePeriodStrategy", "sample")}
+SRC = Path(__file__).resolve().parent.parent / "src" / "graceperiod"
+
+
+def scalar_draws(source: str) -> list[tuple[int, str, tuple[str, ...]]]:
+    """``(line, attr, scope)`` of each zero-argument ``.uniform()`` or
+    ``.u64()`` call and each ``.sample(`` call in ``source``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr, bare = node.func.attr, not node.args and not node.keywords
+            if (attr in ("uniform", "u64") and bare) or attr == "sample":
+                found.append((node.lineno, attr, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_scalar_draw_guard_sees_calls():
+    source = "def f(s, t):\n    s.uniform()\n    s.u64()\n    t.sample(s)\n    s.uniform(3)\n"
+    assert [attr for _, attr, _ in scalar_draws(source)] == ["uniform", "u64", "sample"]
+
+
+def test_no_scalar_draw_in_src():
+    exempt = []
+    for path in sorted(SRC.glob("*.py")):
+        for line, attr, scope in scalar_draws(path.read_text(encoding="utf-8")):
+            assert scope[:2] in SCALAR_SAMPLERS, f"{path.name}:{line}: scalar .{attr}() in {scope}"
+            exempt.append(scope[:2])
+    assert set(exempt) == SCALAR_SAMPLERS  # both exemptions still name a draw

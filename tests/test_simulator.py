@@ -3,6 +3,7 @@ import json
 import math
 import time
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate
 from dataclasses import replace
 from importlib import resources
@@ -13,8 +14,8 @@ import pytest
 from graceperiod import simulator
 from graceperiod import strategy as strategy_module
 from graceperiod.adversary import KINDS, AdversaryModel, sample_length
-from graceperiod.costmodel import ConflictInstance, expected_cost, opt_cost
-from graceperiod.rng import stream, streams
+from graceperiod.costmodel import ConflictInstance, batch_expected_costs, expected_cost, opt_cost
+from graceperiod.rng import Stream, stream, streams
 from graceperiod.simulator import (
     ConflictEvent,
     PolicyConfig,
@@ -37,6 +38,7 @@ from graceperiod.strategy import (
     StrategyKind,
     StrategySpec,
     Variant,
+    competitive_ratio,
     make_strategy,
 )
 
@@ -174,6 +176,33 @@ class TestMicroTrace:
         assert abs(extras.mean() - 2.0 * 40.0) <= 3.0 * stderr
         offline = run_offline_baseline(config, sched)
         assert extras.mean() <= 2.0 * offline.sum_extra + 3.0 * stderr
+
+    def test_discrete_classic_abort_costs_one_day_more_than_costmodel(self):
+        # The replay grants day i as the grace x = i, so an abort costs i + B;
+        # costmodel's classic accounting charges i - 1 + B.  Each conflict
+        # therefore costs exactly P(day <= y) more in expectation, and the
+        # worst per-conflict ratio exceeds competitive_ratio by cdf(B)/B.
+        B = 100.0
+        config = base_config(mode=RA, policy=PolicyConfig(Variant.DISCRETE_CLASSIC, B))
+        strat = make_strategy(config.policy_spec(2, B))
+        pmf, cum = strat.params["pmf"], strat.params["cumulative"]
+        ys = np.arange(0.5, 130.0, 0.5)
+        events = tuple(ConflictEvent(float(i), 0, 2, y, i, 0.0, B) for i, y in enumerate(ys))
+        sched = Schedule(events, ((1.0,),), 1, 1, 1.0, "")
+        # one lane per day: each lane's uniform maps to its own day
+        day_uniforms = np.broadcast_to(cum - 0.5 * pmf, (len(ys), len(pmf)))
+        chunks = list(simulator._online_replay(
+            config, sched, lambda m: day_uniforms[:m], len(pmf)
+        ))
+        assert all(np.array_equal(row, np.arange(1.0, B + 1.0)) for _, x, _ in chunks for row in x)
+        simulated = np.concatenate([cost for _, _, cost in chunks]) @ pmf
+        scored = batch_expected_costs(strat, ys)
+        assert np.allclose(simulated, scored + strat.cdf(ys), rtol=1e-12, atol=0.0)
+        worst = float(np.max(simulated / np.minimum(ys, B)))
+        optimum = competitive_ratio(config.policy_spec(2, B)).theoretical_ratio
+        assert worst == pytest.approx(1.587367530085604, abs=1e-12)
+        assert optimum == pytest.approx(1.5773675300856045, abs=1e-12)
+        assert worst - optimum == pytest.approx(1.0 / B, abs=1e-12)
 
     def test_trace_bad_fields_rejected(self, tmp_path):
         with pytest.raises(TraceError, match="expected"):
@@ -315,6 +344,7 @@ class TestThroughputBound:
     def test_campaign_bound_holds(self):
         ratios, offline, check = throughput_campaign(base_config(), 400)
         assert check.passed
+        assert simulator.N_SIGMA == 3.0 and check.margin == 3.0 * check.stderr
         assert check.lhs < 2.0
         assert check.rhs < 2.0
         assert 0 < offline.waste
@@ -649,10 +679,92 @@ class TestScalarReference:
         assert drawing_events(atom, build_schedule(atom)) == 0
 
 
+def exact_progress(y, gamma, k, B, attempts) -> Fraction:
+    """``1 - prod_{a<=N}(1 - s_a)`` in rational arithmetic."""
+    miss = Fraction(1)
+    for a in range(attempts):
+        t = (k - 1) * Fraction(y) / (Fraction(B) * 2**a)
+        miss *= 1 - max(Fraction(0), 1 - t) ** gamma
+    return 1 - miss
+
+
+def reference_progress_commits(y, gamma, k, B, n_trials, seed, attempts) -> np.ndarray:
+    """Per trial, whether it commits within ``attempts``: each trial draws
+    ``gamma`` scalar uniforms of its own stream at every attempt."""
+    commits = []
+    for trial in range(n_trials):
+        s = stream(seed, "progress", trial)
+        ok = False
+        for a in range(attempts):
+            graces = [s.uniform() * (B * 2.0**a / (k - 1)) for _ in range(gamma)]
+            ok = ok or all(x > y for x in graces)
+        commits.append(ok)
+    return np.array(commits)
+
+
+# (y, gamma, k, B): the acceptance case, k >= 3, B not a power of two,
+# gamma = 0, and a bound of one attempt
+PROGRESS_CASES = [
+    (64.0, 4, 2, 1.0), (64.0, 4, 3, 1.0), (10.0, 3, 5, 3.7), (64.0, 0, 2, 1.0),
+    (1000.0, 7, 4, 0.3), (0.01, 2, 2, 100.0), (123.456, 9, 7, 0.77),
+]
+
+
 class TestProgress:
     def test_gamma_zero_commits_first_attempt(self):
         res = progress_check(y=64.0, gamma=0, k=2, B=1.0, n_trials=10, seed=1)
+        assert res.probability == 1.0
         assert res.empirical_probability == 1.0 and res.passed
+
+    def test_acceptance_case_is_exact(self):
+        res = progress_check(y=64.0, gamma=4, k=2, B=1.0)
+        assert exact_progress(64.0, 4, 2, 1.0, 11) == Fraction(1033166997151, 1099511627776)
+        assert res.probability == 0.9396599099554805
+
+    @pytest.mark.parametrize("case", PROGRESS_CASES)
+    def test_probability_matches_rational_arithmetic(self, case):
+        res = progress_check(*case, n_trials=1)
+        exact = float(exact_progress(*case, res.bound_attempts))
+        assert abs(res.probability - exact) <= 1e-15 * exact
+        assert res.passed == (res.probability >= 0.5 and res.doubling_assert_ok)
+
+    @pytest.mark.parametrize("case", PROGRESS_CASES)
+    def test_sampled_probability_within_4_sigma(self, case):
+        for seed in (1, 2, 606):
+            res = progress_check(*case, n_trials=2000, seed=seed)
+            assert abs(res.empirical_probability - res.probability) <= 4.0 * res.stderr, seed
+
+    def test_lockstep_trials_equal_scalar_stream_replay(self):
+        for y, gamma, k, B in PROGRESS_CASES:
+            res = progress_check(y, gamma, k, B, n_trials=40, seed=9)
+            commits = reference_progress_commits(y, gamma, k, B, 40, 9, res.bound_attempts)
+            assert res.empirical_probability == float(np.mean(commits))
+
+    def test_no_scalar_draws(self, monkeypatch):
+        def scalar(self):
+            raise AssertionError("scalar draw")
+
+        monkeypatch.setattr(Stream, "u64", scalar)
+        monkeypatch.setattr(Stream, "uniform", scalar)
+        assert progress_check(64.0, 4, 2, 1.0).passed
+
+    def test_doubling_assert_is_the_identity(self):
+        for y, gamma, k, B in PROGRESS_CASES:
+            res = progress_check(y, gamma, k, B, n_trials=1)
+            t = res.doubling_threshold
+            assert res.doubling_assert_ok == (t == 0 or B * 2.0**t >= 2.0 * k * y * gamma)
+
+    @pytest.mark.parametrize("arg, bad", [
+        ("y", 0.0), ("y", -1.0), ("y", math.inf), ("y", math.nan),
+        ("k", 1), ("k", 2.5), ("B", 0.0), ("B", math.inf),
+        ("n_trials", 0), ("n_trials", 2.5), ("n_trials", math.inf),
+        ("gamma", -1), ("gamma", 1.5), ("gamma", math.inf), ("gamma", math.nan),
+    ])
+    def test_bad_arguments_rejected(self, arg, bad):
+        args = dict(y=64.0, gamma=4, k=2, B=1.0, n_trials=10)
+        args[arg] = bad
+        with pytest.raises(ValueError, match=rf"\b{arg}\b"):
+            progress_check(**args)
 
     def test_reference_parameters(self):
         res = progress_check(y=64.0, gamma=4, k=2, B=1.0, n_trials=1000, seed=2)

@@ -85,6 +85,17 @@ class TestDeterministic:
             strat.pdf(10.0)
         with pytest.raises(ValueError):
             strat.cdf(10.0)
+        with pytest.raises(ValueError, match="takes no draws"):
+            strat.quantile(np.array([0.5]))
+
+    def test_atom_point_is_support_max(self):
+        # the atom carries no params: its point is det_threshold = B/(k-1)
+        for k in (2, 3, 7, 100, 10_000):
+            for B in (0.1, 1.0, 3.7, 100.0, 1e6):
+                strat = make_strategy(StrategySpec(RW, k, B, Variant.DETERMINISTIC))
+                assert strat.params == {}
+                assert strat.support_max == det_threshold(k, B)
+                assert np.array_equal(strat.sample_batch(stream(1), 3), np.full(3, det_threshold(k, B)))
 
 
 class TestThresholdCondition:
