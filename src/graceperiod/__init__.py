@@ -13,6 +13,7 @@ from .oracle import (
     lagrange_identity_check,
     optimality_probe,
     run_verification_suite,
+    verify_density,
     verify_pdf,
     worst_case_ratio,
     yao_lower_bound,
@@ -45,6 +46,6 @@ __all__ = [
     "lagrange_corner", "lagrange_identity_check", "make_strategy",
     "mean_threshold", "optimality_probe", "opt_cost", "ratio_profile",
     "remaining_time", "run_verification_suite", "sample_length", "stream",
-    "streams", "threshold_condition", "verify_pdf", "worst_case_ratio",
-    "worst_case_for_det", "yao_lower_bound",
+    "streams", "threshold_condition", "verify_density", "verify_pdf",
+    "worst_case_ratio", "worst_case_for_det", "yao_lower_bound",
 ]

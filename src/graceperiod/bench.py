@@ -25,7 +25,7 @@ the same, bit for bit, as scoring every cell on whole arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,22 +64,30 @@ class BenchConfig:
                 raise ValueError(f"config field '{name}': {exc}") from exc
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
             raise ValueError(f"config field 'mu' must be positive and finite, got {self.mu}")
-        for name in ("distributions", "strategies"):
+        if self.trials < 1:
+            raise ValueError(f"config field 'trials' must be >= 1, got {self.trials}")
+        for name, what, allowed in (
+            ("distributions", "distribution", DISTRIBUTIONS + (WORST_CASE_DIST,)),
+            ("strategies", "strategy", STRATEGIES),
+        ):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"config field '{name}' must be a list, got {value!r}")
             object.__setattr__(self, name, tuple(value))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        for d in self.distributions:
-            if d not in DISTRIBUTIONS and d != WORST_CASE_DIST:
-                raise ValueError(
-                    f"unknown distribution {d!r}; expected one of "
-                    f"{DISTRIBUTIONS + (WORST_CASE_DIST,)}"
-                )
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
+            for v in value:
+                if v not in allowed:
+                    raise ValueError(
+                        f"config field '{name}': unknown {what} {v!r}; expected one of {allowed}"
+                    )
+
+
+def config_from_dict(data: dict) -> BenchConfig:
+    """Build a BenchConfig from parsed JSON; a key it has no field for is an error."""
+    known = [f.name for f in fields(BenchConfig)]
+    for key in data:
+        if key not in known:
+            raise ValueError(f"config field '{key}' is not a known field")
+    return BenchConfig(**data)
 
 
 @dataclass(frozen=True)

@@ -79,9 +79,8 @@ def _cmd_bench(args) -> int:
     data = _load_json(args.config) if args.config else {}
     flags = {"B": args.B, "mu": args.mu, "trials": args.trials, "seed": args.seed,
              "distributions": args.dist, "strategies": args.strategy}
-    merged = {key: data[key] for key in flags if key in data}  # other keys are ignored
-    merged.update((key, value) for key, value in flags.items() if value is not None)
-    config = bench.BenchConfig(**merged)
+    merged = {**data, **{key: value for key, value in flags.items() if value is not None}}
+    config = bench.config_from_dict(merged)
     rows = bench.run_bench(config)
     _emit(bench.rows_to_csv(rows), args.out)
     return 0

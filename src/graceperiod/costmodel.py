@@ -131,15 +131,20 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     return commit + (k - 1) * (B * below + moment)
 
 
-def ratio_profile(strategy: GracePeriodStrategy, y_grid) -> list[tuple[float, float]]:
-    """``(y, expected_cost/opt_cost)`` over a grid of point adversaries.
+def batch_ratios(strategy: GracePeriodStrategy, ys) -> np.ndarray:
+    """``expected_cost/opt_cost`` at each point adversary in ``ys``.
 
     Past the support the strategy aborts with certainty and the ratio is
     normalized by ``opt = B``.
     """
-    ys = np.asarray(y_grid, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     if np.any(ys <= 0.0):
         raise ValueError("adversary grid must be strictly positive")
     costs = batch_expected_costs(strategy, ys)
-    opts = np.minimum((strategy.spec.k - 1) * ys, strategy.spec.B)
-    return list(zip(ys.tolist(), (costs / opts).tolist()))
+    return costs / np.minimum((strategy.spec.k - 1) * ys, strategy.spec.B)
+
+
+def ratio_profile(strategy: GracePeriodStrategy, y_grid) -> list[tuple[float, float]]:
+    """``(y, ratio)`` pairs of :func:`batch_ratios` over a grid."""
+    ys = np.asarray(y_grid, dtype=float)
+    return list(zip(ys.tolist(), batch_ratios(strategy, ys).tolist()))

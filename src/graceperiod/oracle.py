@@ -31,7 +31,6 @@ from .strategy import (
     StrategySpec,
     Variant,
     check_chain_size,
-    custom_continuous,
     det_competitive_ratio,
     det_threshold,
     lagrange_corner,
@@ -46,6 +45,8 @@ WORST_CASE_TOL = 1e-9
 ADVERSARY_TOL = 1e-9  # the adversary's flat cost and its ratio, by quadrature
 CERTIFICATE_TOL = 1e-12  # a closed-form worst case against the closed-form bound
 _EXACT_PMF_MAX_B = 12
+_PDF_GRID = 10_000  # points of the nonnegativity scan
+_IDENTITY_POINTS = 1000  # interior points of the cost identity
 _REFINE_POINTS = 257  # per worst-case refinement grid
 _RW = ConflictMode.REQUESTOR_WINS
 _RA = ConflictMode.REQUESTOR_ABORTS
@@ -75,8 +76,19 @@ class Certificate:
     flatness: float  # max over x of |E_pi[cost(x)] / E_pi[cost(0)] - 1|
 
 
-def verify_pdf(strategy: GracePeriodStrategy, n_grid: int = 10_000) -> PdfCheck:
-    """Check normalization (quadrature) and nonnegativity (grid scan)."""
+def verify_density(pdf, support_max: float) -> PdfCheck:
+    """Check a density on ``[0, support_max]``: normalization by adaptive
+    Simpson, nonnegativity on a grid.  ``pdf`` maps an array of points to an
+    array of values."""
+    total = adaptive_simpson(pdf, 0.0, support_max)
+    min_density = float(np.min(pdf(np.linspace(0.0, support_max, _PDF_GRID))))
+    err = abs(total - 1.0)
+    ok = err < NORMALIZATION_TOL and min_density > DENSITY_FLOOR and math.isfinite(err)
+    return PdfCheck(err, min_density, ok)
+
+
+def verify_pdf(strategy: GracePeriodStrategy) -> PdfCheck:
+    """Check a strategy's pmf exactly or its density by :func:`verify_density`."""
     if strategy.kind is StrategyKind.ATOM:
         raise ValueError("atom strategies carry no density to verify")
     if strategy.kind is StrategyKind.DISCRETE_PMF:
@@ -88,19 +100,13 @@ def verify_pdf(strategy: GracePeriodStrategy, n_grid: int = 10_000) -> PdfCheck:
             err = abs(float(np.sum(strategy.params["pmf"])) - 1.0)
         min_density = float(np.min(strategy.params["pmf"]))
         return PdfCheck(err, min_density, err < NORMALIZATION_TOL and min_density > DENSITY_FLOOR)
-    total = adaptive_simpson(strategy.pdf, 0.0, strategy.support_max)
-    grid = np.linspace(0.0, strategy.support_max, n_grid)
-    min_density = float(np.min(strategy.pdf(grid)))
-    err = abs(total - 1.0)
-    ok = err < NORMALIZATION_TOL and min_density > DENSITY_FLOOR and math.isfinite(err)
-    return PdfCheck(err, min_density, ok)
+    return verify_density(strategy.pdf, strategy.support_max)
 
 
 def lagrange_identity_check(
     strategy: GracePeriodStrategy,
     lam1: float,
     lam2: float,
-    n_points: int = 1000,
 ) -> IdentityCheck:
     """Residuals of the dual cost identity along the support.
 
@@ -110,7 +116,7 @@ def lagrange_identity_check(
     """
     S = strategy.support_max
     k = strategy.spec.k
-    ys = np.linspace(S / n_points, S, n_points)
+    ys = np.linspace(S / _IDENTITY_POINTS, S, _IDENTITY_POINTS)
     costs = costmodel.batch_expected_costs(strategy, ys)
     line = lam1 + lam2 * ys
     max_residual = float(np.max(np.abs(costs / ((k - 1) * ys) - line) / line))
@@ -143,7 +149,7 @@ def worst_case_ratio(
         ys = np.append(np.linspace(S / n_grid, S, n_grid), [0.5 * S, 1.5 * S])
     else:
         ys = np.append(np.linspace(S / n_grid, S, n_grid), 1.5 * S)
-    ratios = [r for _, r in costmodel.ratio_profile(strategy, ys)]
+    ratios = costmodel.batch_ratios(strategy, ys)
     idx = int(np.argmax(ratios))
     best, best_y = float(ratios[idx]), float(ys[idx])
 
@@ -153,11 +159,11 @@ def worst_case_ratio(
         lo, hi = float(ys[idx - 1]), float(ys[idx + 1])
         for _ in range(2):
             zs = np.linspace(lo, hi, _REFINE_POINTS)
-            rs = [r for _, r in costmodel.ratio_profile(strategy, zs)]
+            rs = costmodel.batch_ratios(strategy, zs)
             j = int(np.argmax(rs))
             lo, hi = float(zs[max(j - 1, 0)]), float(zs[min(j + 1, _REFINE_POINTS - 1)])
         if rs[j] > best:
-            best, best_y = rs[j], float(zs[j])
+            best, best_y = float(rs[j]), float(zs[j])
     if strategy.kind is StrategyKind.CONTINUOUS_PDF:
         mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.spec.B
         limit = 1.0 + costmodel.conflict_cost(mode, k, B, 0.0, 0.0) * strategy.pdf(0.0) / (k - 1)
@@ -278,12 +284,11 @@ def _normalization_checks() -> list[dict]:
 
 
 def _negative_control_checks() -> list[dict]:
-    # ln((B+x)/x) in place of ln((B+x)/B): integrates to 1 + ln(B)/(ln4-1).
+    # ln((B+x)/x) in place of ln((B+x)/B): it integrates to ln4/(ln4-1) at
+    # every B, as the integral of ln((B+x)/x) over [0, B] is 2B ln2.
     B = 10.0
     c = B * (2.0 * math.log(2.0) - 1.0)
-    spec = StrategySpec(_RW, 2, B, Variant.RANDOMIZED_UNCONSTRAINED)
-    wrong = custom_continuous(spec, lambda x: math.log((B + x) / max(x, 1e-12)) / c)
-    res = verify_pdf(wrong)
+    res = verify_density(lambda x: np.log((B + x) / np.maximum(x, 1e-12)) / c, B)
     return [_check(
         "negative_control/wrong_form_rw_constrained_detected", not res.passed,
         residual=res.normalization_error, tolerance=NORMALIZATION_TOL,

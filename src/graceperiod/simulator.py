@@ -126,6 +126,8 @@ class SimConfig:
             raise ValueError(
                 f"cleanup_cost must be finite and >= 0, got {self.cleanup_cost}"
             )
+        if self.cleanup_cost and not self.dynamic_b:
+            raise ValueError(f"cleanup_cost is read by dynamic_b only, got {self.cleanup_cost}")
         size = self.chain_size
         weights = size if isinstance(size, dict) else {size: 1.0}
         # a NaN or infinite weight makes the sum fail too
@@ -278,7 +280,8 @@ def _candidate_blocks(config: SimConfig):
 
 def parse_trace(path: str) -> list[tuple[float, int, int]]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which no number parses
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -626,8 +629,8 @@ def progress_check(
 
 def _integral(value) -> int:
     # JSON numbers only: 3 and 3.0 pass, 1.7, true and "3" do not
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        math.isfinite(value) and value == int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
     ):
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
@@ -637,7 +640,10 @@ def _real(value) -> float:
     # JSON numbers only: 2 and 2.5 pass, true, "2" and [2] do not
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range reads as 1e400 does
+        return math.inf if value > 0 else -math.inf
 
 
 def _flag(value) -> bool:

@@ -54,15 +54,14 @@ step evaluates the family's shared transcendental once: ``log1p(u)`` for
 ``rw_log``, ``expm1(u)`` for ``ra_expm1``, both read by the cdf and the pdf,
 and ``log1p(u)`` for the ``rw_shifted_power`` pdf (its cdf is a series).  The
 work goes into buffers allocated once per call and gives the same bits as
-evaluating the cdf and the pdf separately.  :func:`custom_continuous`
-wraps any density callable for verification controls; it has a pdf only
-and is neither sampled nor costed.
+evaluating the cdf and the pdf separately.
 
-A note on two superficially similar forms that are *not* valid densities
-and are used as negative controls by the verification suite: the k=2
+A note on a superficially similar form that is *not* a valid density and
+is used as a negative control by the verification suite: the k=2
 constrained requestor-wins density is ``ln((B+x)/B)``-shaped; the variant
-``ln((B+x)/x)/(B(ln4-1))`` integrates to ``1 + ln(B)/(ln4-1)`` on ``[0,B]``
-and only normalizes at ``B = 1``.
+``ln((B+x)/x)/(B(ln4-1))`` integrates to ``ln4/(ln4-1)`` on ``[0,B]`` at
+every ``B`` (the integral of ``ln((B+x)/x)`` is ``2B ln2``), so it never
+normalizes.
 
 Strategies are immutable after construction and safe to share across
 threads.  Sampling always takes an explicit per-caller stream.
@@ -111,9 +110,9 @@ class StrategyKind(Enum):
 
 
 def check_chain_size(k) -> int:
-    """``k`` as an int; a ValueError unless it is an integer ``>= 2``."""
-    if not (math.isfinite(k) and k == int(k) and k >= 2):
-        raise ValueError(f"chain size k must be an integer >= 2, got {k}")
+    """``k`` as an int; a ValueError unless it is an integer in ``[2, 2**53)``."""
+    if not (2 <= k < 2**53 and k == int(k)):
+        raise ValueError(f"chain size k must be an integer >= 2 and below 2**53, got {k}")
     return int(k)
 
 
@@ -587,15 +586,6 @@ class GracePeriodStrategy:
             np.clip(t, 0.0, top, out=t)
         return np.multiply(t, B, out=t)
 
-    # -- theory ---------------------------------------------------------
-
-    def lagrange_corner(self) -> tuple[float, float]:
-        """Corner ``(lambda1, lambda2)`` matching this strategy's regime, for the
-        equalizing closed-form densities."""
-        if self.kind is not StrategyKind.CONTINUOUS_PDF:
-            raise ValueError(f"the {self.family} strategy has no equalizing corner")
-        return _FAMILIES[self.family].corner(self.spec.k, self.spec.B, self.params)
-
 
 def _discrete_classic_pmf(B: int) -> np.ndarray:
     i = np.arange(1, B + 1, dtype=float)
@@ -628,29 +618,6 @@ def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
     return GracePeriodStrategy(spec, family, _FAMILIES[family].params(k))
 
 
-class PdfOnly(NamedTuple):
-    """A density callable on ``[0, support_max]`` and nothing more: what
-    :func:`~graceperiod.oracle.verify_pdf` reads.  It is not a strategy."""
-
-    support_max: float
-    density: Callable[[float], float]
-    kind = StrategyKind.CONTINUOUS_PDF
-
-    def pdf(self, x):
-        """``density`` at each ``x`` on the support, 0 off it."""
-        xs = np.asarray(x, dtype=float)
-        vals = np.array([
-            self.density(v) if 0.0 <= v <= self.support_max else 0.0
-            for v in np.atleast_1d(xs).tolist()
-        ])
-        return float(vals[0]) if xs.ndim == 0 else vals
-
-
-def custom_continuous(spec: StrategySpec, pdf) -> PdfOnly:
-    """Wrap a density callable on ``spec``'s support, for verification controls."""
-    return PdfOnly(spec.support_max, pdf)
-
-
 def competitive_ratio(spec: StrategySpec) -> RatioReport:
     """Theoretical worst-case ratio for the regime ``spec`` resolves to.
 
@@ -669,7 +636,7 @@ def competitive_ratio(spec: StrategySpec) -> RatioReport:
 
     strategy = make_strategy(spec)
     holds = spec.mu is not None and threshold_condition(spec)
-    lam1, lam2 = strategy.lagrange_corner()
+    lam1, lam2 = lagrange_corner(spec.mode, spec.k, spec.B, strategy.mean_aware)
     if strategy.mean_aware:
         return RatioReport(lam1 + lam2 * spec.mu, "constrained", True)
     return RatioReport(lam1, "unconstrained", holds)

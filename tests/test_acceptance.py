@@ -25,6 +25,7 @@ from graceperiod import bench, simulator
 from graceperiod.cli import main
 from graceperiod.oracle import (
     lagrange_identity_check,
+    verify_density,
     verify_pdf,
     worst_case_ratio,
 )
@@ -34,7 +35,6 @@ from graceperiod.strategy import (
     StrategySpec,
     Variant,
     competitive_ratio,
-    custom_continuous,
     lagrange_corner,
     make_strategy,
     threshold_condition,
@@ -138,7 +138,7 @@ def test_criterion_2_lagrange_identity_suite():
                 spec = StrategySpec(mode, k, B, CON, mu=mu)
                 strat = make_strategy(spec)
                 lam1, lam2 = lagrange_corner(mode, k, B, constrained=True)
-                res = lagrange_identity_check(strat, lam1, lam2, n_points=1000)
+                res = lagrange_identity_check(strat, lam1, lam2)
                 gate.check(
                     f"{tag} k={k} B={B:g} identity residual", res.passed,
                     f"max {res.max_residual:.2e}, point-mass {res.point_mass_residual:.2e}",
@@ -197,11 +197,7 @@ def test_criterion_3_normalization_suite():
                f"worst min = {worst_min:.2e}")
 
     B = 10.0
-    wrong = custom_continuous(
-        StrategySpec(RW, 2, B, UNC),
-        lambda x: math.log((B + x) / max(x, 1e-12)) / (B * LN4M1),
-    )
-    res = verify_pdf(wrong)
+    res = verify_density(lambda x: np.log((B + x) / np.maximum(x, 1e-12)) / (B * LN4M1), B)
     gate.check("injected wrong-form density is detected", not res.passed,
                f"err {res.normalization_error:.2e}")
     gate.finish()

@@ -79,6 +79,13 @@ class TestBenchCommand:
         assert rc == 0
         assert ",800," in data.decode()  # flag wins over file
 
+    def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
+        # a misspelled key used to be ignored: "trails" ran the default 100000 trials
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"trails": 10, "trials": 10}))
+        assert main(["bench-synthetic", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config field 'trails' is not a known field\n"
+
     def test_unknown_distribution_is_an_error(self, tmp_path, capsys):
         rc = main(["bench-synthetic", "--dist", "zipf", "--trials", "10"])
         assert rc == 2

@@ -13,6 +13,7 @@ from graceperiod.oracle import (
     lagrange_identity_check,
     optimality_probe,
     run_verification_suite,
+    verify_density,
     verify_pdf,
     worst_case_ratio,
     yao_lower_bound,
@@ -22,7 +23,6 @@ from graceperiod.strategy import (
     StrategySpec,
     Variant,
     competitive_ratio,
-    custom_continuous,
     lagrange_corner,
     make_strategy,
 )
@@ -62,18 +62,32 @@ class TestVerifyPdf:
         res = verify_pdf(make_strategy(StrategySpec(RA, 5, 100.0, CON, mu=5.0)))
         assert res.passed and res.normalization_error < 1e-6
 
-    def test_wrong_form_detected(self):
-        B = 10.0
+    @staticmethod
+    def wrong_form(B):
         c = B * (2.0 * math.log(2.0) - 1.0)
-        wrong = custom_continuous(
-            StrategySpec(RW, 2, B, UNC),
-            lambda x: math.log((B + x) / max(x, 1e-12)) / c,
-        )
-        res = verify_pdf(wrong)
+        return verify_density(lambda x: np.log((B + x) / np.maximum(x, 1e-12)) / c, B)
+
+    def test_wrong_form_detected(self):
+        res = self.wrong_form(10.0)
         assert not res.passed
-        # the malformed form integrates to 1 + ln(B)/(ln4-1) on [0, B], so the
+        # the malformed form integrates to ln4/(ln4-1) on [0, B], so the
         # residual is gross, far beyond any quadrature wobble near x = 0
         assert res.normalization_error > 1.0
+
+    @pytest.mark.parametrize("B", [1.0, 10.0, 1000.0])
+    def test_wrong_form_residual_is_one_over_ln4_minus_1(self, B):
+        # the integral of ln((B+x)/x) over [0, B] is 2B ln2 at every B, so
+        # the form never normalizes: it misses 1 by 1/(ln4-1)
+        expected = 1.0 / (2.0 * math.log(2.0) - 1.0)
+        assert self.wrong_form(B).normalization_error == pytest.approx(expected, rel=1e-9)
+
+    def test_density_on_arrays(self):
+        res = verify_density(lambda x: np.full_like(x, 0.2), 5.0)
+        assert res.passed and res.normalization_error < 1e-12 and res.min_density == 0.2
+        # normalized, but negative below x = 0.5
+        res = verify_density(lambda x: 0.2 + 0.1 * (x - 2.5), 5.0)
+        assert res.normalization_error < 1e-12
+        assert not res.passed and res.min_density == pytest.approx(-0.05)
 
     def test_atom_rejected(self):
         with pytest.raises(ValueError):
@@ -156,7 +170,7 @@ class TestWorstCaseRatio:
                     families.add(strat.family)
                     bound = competitive_ratio(spec).theoretical_ratio
                     if strat.mean_aware:
-                        lam1, lam2 = strat.lagrange_corner()
+                        lam1, lam2 = lagrange_corner(spec.mode, k, B, True)
                         bound = lam1 + lam2 * strat.support_max
                     ratio, _ = worst_case_ratio(strat, n_grid=500)
                     assert ratio <= bound * (1.0 + 1e-12), (spec, ratio, bound)

@@ -212,6 +212,18 @@ class TestMicroTrace:
         with pytest.raises(TraceError, match="chain size"):
             build_schedule(micro_trace_config(tmp_path, "10 0 1\n"))
 
+    def test_trace_bytes_that_are_not_utf8_rejected_by_line(self, tmp_path):
+        # they used to raise a UnicodeDecodeError that named no line
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"# \xff in a comment\n10 0 2\n20 \xff 2\n")
+        with pytest.raises(TraceError, match=r"bytes.txt:3: .*'\\udcff'"):
+            parse_trace(str(path))
+
+    def test_trace_chain_size_past_the_float_range_rejected(self, tmp_path):
+        # an OverflowError used to escape the chain-size check
+        with pytest.raises(TraceError, match="entry 1: .*chain size k must be an integer"):
+            build_schedule(micro_trace_config(tmp_path, f"10 0 {10**400}\n"))
+
     def test_trace_chain_size_the_policy_cannot_serve_rejected(self, tmp_path):
         # the discrete classic is defined at k = 2 only
         config = micro_trace_config(
@@ -862,6 +874,22 @@ class TestConfigParsing:
     def test_nan_cleanup_cost_rejected(self):
         with pytest.raises(ValueError, match="cleanup_cost"):
             config_from_dict(dict(CONFIG_DATA, cleanup_cost=float("nan")))
+
+    def test_cleanup_cost_needs_dynamic_b(self):
+        # it used to parse and go unread: every abort cost stayed policy.B
+        with pytest.raises(ValueError, match="cleanup_cost is read by dynamic_b only"):
+            config_from_dict(dict(CONFIG_DATA, cleanup_cost=50.0))
+        assert config_from_dict(dict(CONFIG_DATA, cleanup_cost=0.0)).cleanup_cost == 0.0
+        dynamic = config_from_dict(dict(CONFIG_DATA, cleanup_cost=50.0, dynamic_b=True))
+        assert dynamic.cleanup_cost == 50.0
+
+    def test_integer_past_the_float_range(self):
+        # 10**400 raised an OverflowError that named no field
+        with pytest.raises(ValueError, match="horizon must be positive, got -inf"):
+            config_from_dict(dict(CONFIG_DATA, horizon=-10**400))
+        with pytest.raises(ValueError, match="chain size k must be an integer >= 2"):
+            config_from_dict(dict(CONFIG_DATA, chain_size=10**400))
+        assert config_from_dict(dict(CONFIG_DATA, seed=10**400)).seed == 10**400
 
     def test_fractional_seed_rejected(self):
         # 1.7 used to run silently as seed 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from graceperiod.adversary import worst_case_for_det
 from graceperiod.costmodel import ConflictInstance
-from graceperiod.oracle import lagrange_identity_check, verify_pdf
+from graceperiod.oracle import lagrange_identity_check
 from graceperiod.quadrature import adaptive_simpson
 from graceperiod.rng import stream
 from graceperiod.simulator import PolicyConfig
@@ -25,7 +25,6 @@ from graceperiod.strategy import (
     StrategySpec,
     Variant,
     competitive_ratio,
-    custom_continuous,
     det_competitive_ratio,
     det_threshold,
     lagrange_corner,
@@ -637,24 +636,6 @@ class TestDerivedFields:
             strat = make_strategy(spec)
             assert strat.kind is kind
             assert strat.support_max == spec.support_max
-        assert custom_continuous(cases[0][0], lambda x: 0.05).kind is StrategyKind.CONTINUOUS_PDF
-
-
-class TestCustomDensity:
-    def test_has_a_pdf_only(self):
-        # a density callable for verify_pdf, not a strategy: nothing draws
-        # from it or costs it
-        spec = StrategySpec(RW, 3, 10.0, UNC)
-        strat = custom_continuous(spec, lambda x: 0.2)
-        assert not isinstance(strat, GracePeriodStrategy)
-        assert (strat.kind, strat.support_max) == (StrategyKind.CONTINUOUS_PDF, 5.0)
-        assert strat.pdf(2.5) == 0.2
-        assert strat.pdf(-1e-9) == strat.pdf(5.000001) == 0.0
-        assert list(strat.pdf(np.array([-1.0, 0.0, 5.0, 6.0]))) == [0.0, 0.2, 0.2, 0.0]
-        for name in ("cdf", "moment", "quantile", "sample_batch", "lagrange_corner"):
-            assert not hasattr(strat, name)
-        res = verify_pdf(strat)
-        assert res.passed and res.normalization_error < 1e-12
 
 
 NONFINITE = [math.inf, -math.inf, math.nan]
@@ -802,12 +783,10 @@ class TestRegimesAndRatios:
                 strategy = make_strategy(StrategySpec(mode, k, B, variant, mu=mu))
             except ValueError:
                 continue  # no such strategy
-            try:
-                corner = strategy.lagrange_corner()
-            except ValueError as exc:
-                assert "no equalizing corner" in str(exc)
+            if strategy.kind is not StrategyKind.CONTINUOUS_PDF:
                 refused.add((strategy.family, k >= 3))
                 continue
+            corner = lagrange_corner(mode, k, B, strategy.mean_aware)
             key = (strategy.family, mode, k, B, mu if strategy.mean_aware else None)
             if key not in checked:
                 checked.add(key)
