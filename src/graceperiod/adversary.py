@@ -34,7 +34,7 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # (4.3 MB) at this cap; larger means are rejected rather than truncated.
 POISSON_MAX_MEAN = 1e9
 _POISSON_TAIL = 1e-16  # mass the table may leave out on each side
-_NORMAL_ROUND = 1 << 14  # candidate pairs drawn at a time: bounds the temporaries
+_ROUND = 1 << 14  # draws (normal candidate pairs) taken at a time: bounds the temporaries
 
 
 def _phi(z: float) -> float:
@@ -139,7 +139,7 @@ def _sample_normal_truncated(model: AdversaryModel, stream: Stream, n: int) -> n
     one per consecutive pair ``(u1, u2)`` of draws.
 
     Each round draws two uniforms per length still missing (at most
-    ``_NORMAL_ROUND`` pairs), so no draw goes unused: any split of ``n`` into
+    ``_ROUND`` pairs), so no draw goes unused: any split of ``n`` into
     blocks gives the same lengths and leaves the stream where ``n``
     one-at-a-time draws would.
     """
@@ -147,7 +147,7 @@ def _sample_normal_truncated(model: AdversaryModel, stream: Stream, n: int) -> n
     out = np.empty(n)
     filled = 0
     while filled < n:
-        m = min(n - filled, _NORMAL_ROUND)
+        m = min(n - filled, _ROUND)
         pairs = stream.uniform_open_batch(2 * m).reshape(m, 2).T.copy()
         cand, u2 = pairs  # contiguous rows, transformed in place
         np.log(cand, out=cand)
@@ -225,15 +225,18 @@ def remaining_time(model: AdversaryModel, stream: Stream, n: int) -> np.ndarray:
 
     Draws a length ``r`` and a uniform interrupt point ``i`` in ``[0, r)``
     and returns ``r - i`` (integer-valued for the discrete kinds).  Point
-    masses return their pegged value directly.
+    masses return their pegged value directly.  The interrupt points follow
+    the lengths in the stream, drawn ``_ROUND`` at a time.
     """
     if model.is_point_mass:
         return np.full(n, model.value)
     out = sample_length(model, stream, n)
-    u = stream.uniform_batch(n)
-    if model.kind in DISCRETE_KINDS:  # r - floor(u*r)
-        u *= out
-        out -= np.floor(u, out=u)
-    else:  # r*(1 - u)
-        out *= np.subtract(1.0, u, out=u)
+    for lo in range(0, n, _ROUND):
+        r = out[lo:lo + _ROUND]  # a view: the remaining times replace the lengths
+        u = stream.uniform_batch(r.size)
+        if model.kind in DISCRETE_KINDS:  # r - floor(u*r)
+            u *= r
+            r -= np.floor(u, out=u)
+        else:  # r*(1 - u)
+            r *= np.subtract(1.0, u, out=u)
     return out

@@ -27,7 +27,7 @@ convention under which its expected cost equals
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +55,7 @@ class ConflictInstance:
     def __post_init__(self):
         object.__setattr__(self, "k", check_chain_size(self.k))
         object.__setattr__(self, "B", check_abort_cost(self.B))
-        if not (self.y > 0.0 and math.isfinite(self.y)):
+        if not 0.0 < self.y <= sys.float_info.max:  # an int past the float range too
             raise ValueError(f"remaining time y must be positive, got {self.y}")
 
 

@@ -49,12 +49,14 @@ waits up to ``2B/(k-1)``, against the capped 1.129435, at requestor wins,
 ``k = 2``, ``B = 100``, ``mu = 10``).
 
 Sampling inverts the cdf: in closed form where one exists, else (``rw_log``,
-``rw_shifted_power``, ``ra_expm1``) by four Newton steps on ``sqrt(F)``.  Each
-step evaluates the family's shared transcendental once: ``log1p(u)`` for
-``rw_log``, ``expm1(u)`` for ``ra_expm1``, both read by the cdf and the pdf,
-and ``log1p(u)`` for the ``rw_shifted_power`` pdf (its cdf is a series).  The
-work goes into buffers allocated once per call and gives the same bits as
-evaluating the cdf and the pdf separately.
+``rw_shifted_power``, ``ra_expm1``) from a table built on first use per
+``(family, k)``, as in PINV (Derflinger, Hormann and Leydold 2010).  It maps
+``w = sqrt(u)`` to ``x/B``, which does not depend on ``B``, by a polynomial
+of degree 5 on each of 256 equal panels in ``w``, through the panel's
+Chebyshev-Lobatto points, whose values Newton steps on ``sqrt(F)`` solve
+once.  The density vanishes linearly at 0, so ``x/B`` is analytic in ``w``;
+panel 0 has no constant term, so ``quantile(0) == 0`` and small draws keep
+their relative accuracy.  A draw costs a Horner sum, no transcendental.
 
 A note on a superficially similar form that is *not* a valid density and
 is used as a negative control by the verification suite: the k=2
@@ -70,10 +72,12 @@ threads.  Sampling always takes an explicit per-caller stream.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -85,7 +89,6 @@ LN4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
 # at this cap; larger abort costs are rejected rather than allocated.
 DISCRETE_CLASSIC_MAX_B = 1e6
 
-_NEWTON_STEPS = 4  # three suffice; one more for margin
 # Power series in v in [0, 1] whose j-th coefficient is at most 1/j!, cut
 # after this many terms: the first term left out is below 1e-19 of the sum.
 _SERIES_TERMS = 20
@@ -118,7 +121,7 @@ def check_chain_size(k) -> int:
 
 def check_abort_cost(B) -> float:
     """``B`` as a float; a ValueError unless it is positive and finite."""
-    if not (B > 0.0 and math.isfinite(B)):
+    if not 0.0 < B <= sys.float_info.max:  # an int past the float range too
         raise ValueError(f"abort cost B must be positive and finite, got {B}")
     return float(B)
 
@@ -146,7 +149,7 @@ class StrategySpec:
         object.__setattr__(self, "k", check_chain_size(self.k))
         object.__setattr__(self, "B", check_abort_cost(self.B))
         if self.mu is not None:
-            if not (self.mu >= 0.0 and math.isfinite(self.mu)):
+            if not 0.0 <= self.mu <= sys.float_info.max:
                 raise ValueError(f"mean mu must be nonnegative, got {self.mu}")
             object.__setattr__(self, "mu", float(self.mu))
         if self.variant is Variant.RANDOMIZED_CONSTRAINED and self.mu is None:
@@ -250,29 +253,27 @@ class _Family(NamedTuple):
     """One closed-form density family, as functions of ``u = x/B``.
 
     ``pdf`` is the density in ``x`` and ``cdf`` its distribution function,
-    both called as ``(u, k, B, p, s)`` with ``s = shared(u)``; ``moment`` is
-    the partial first moment ``m(u)``, with ``integral_0^x t pdf(t) dt =
-    B*m(x/B)``, and ``corner(k, B, p)`` the dual corner ``(lambda1,
-    lambda2)`` at which the density meets the cost identity of
-    :func:`lagrange_corner`.  ``inverse`` maps uniforms to grace periods in
-    closed form, and families without one are inverted by Newton steps on
-    the cdf: their ``shared`` is the one transcendental of ``u`` that pdf
-    and cdf share, so a Newton step evaluates it once, and their pdf and cdf
-    take an ``out`` buffer.  ``params(k)`` precomputes the family's constants.
+    both called as ``(u, k, B, p)``; ``moment`` is the partial first moment
+    ``m(u)``, with ``integral_0^x t pdf(t) dt = B*m(x/B)``, and
+    ``corner(k, B, p)`` the dual corner ``(lambda1, lambda2)`` at which the
+    density meets the cost identity of :func:`lagrange_corner`.  ``inverse``
+    maps uniforms to grace periods, in closed form or from the family's
+    table (:func:`_tabulated_inverse`).  ``params(k)`` precomputes the
+    family's constants.
     """
 
     pdf: Callable
     cdf: Callable
     moment: Callable
     corner: Callable
-    shared: Callable = lambda u, out=None: None
-    inverse: Callable | None = None
+    inverse: Callable
     params: Callable = lambda k: {}
     mean_aware: bool = False  # built from the known mean mu (constrained)
 
 
-# log1p's alternating series, for the rw_log moment below u = 1/8
-_LOG_SERIES_MAX_U = 0.125
+# below this u the rw_log cdf and moment and the ra_expm1 cdf, whose closed
+# forms cancel, are summed as series (log1p's alternating one for rw_log)
+_SMALL_U = 0.125
 
 
 def _series(coefs, v, first=0):
@@ -309,79 +310,117 @@ def _power_params(k: int) -> dict:
 _EXP_MOMENT = [1.0 / (math.factorial(j) * (j + 2)) for j in range(_SERIES_TERMS + 1)]
 # int_0^u t log1p(t) dt = u**2 * sum_{j>=1} (-u)**j / (-j (j+2))
 _LOG_MOMENT = [0.0] + [(-1.0) ** (j + 1) / (j * (j + 2)) for j in range(1, _SERIES_TERMS + 1)]
+# (1+u) log1p(u) - u = u**2 * sum_j (-u)**j / ((j+1) (j+2))
+_LOG_CDF = [(-1.0) ** j / ((j + 1) * (j + 2)) for j in range(_SERIES_TERMS + 1)]
+
+
+def _below_cut(closed, u, coefs, first=0):
+    """``closed`` with its entries at ``u < _SMALL_U`` set, in place, to ``u**2 * series``."""
+    small = u < _SMALL_U
+    if small.any():
+        v = u[small]
+        closed[small] = v * v * _series(coefs, v, first)
+    return closed
 
 
 def _rw_log_moment(u):
     closed = 0.5 * (u * u - 1.0) * np.log1p(u) - 0.25 * u * u + 0.5 * u
-    small = u * u * _series(_LOG_MOMENT, u, 1)
-    return np.where(u < _LOG_SERIES_MAX_U, small, closed) / LN4_MINUS_1
+    return _below_cut(closed, u, _LOG_MOMENT, 1) / LN4_MINUS_1
 
 
-def _rw_log_cdf(u, k, B, p, s, out=None):
-    # ((1 + u) * log1p(u) - u) / (ln4 - 1), s = log1p(u)
-    out = np.add(u, 1.0, out=out)
-    out *= s
-    out -= u
-    out /= LN4_MINUS_1
-    return out
+def _rw_log_cdf(u):
+    return _below_cut((1.0 + u) * np.log1p(u) - u, u, _LOG_CDF) / LN4_MINUS_1
 
 
-def _rw_shifted_power_pdf(u, k, B, p, s, out=None):
-    # (k-1) * expm1((k-2) * log1p(u)) / (B(q-2)), s = log1p(u)
-    out = np.multiply(s, k - 2, out=out)
-    np.expm1(out, out=out)
-    out *= k - 1
-    out /= B * (p["q"] - 2.0)
-    return out
+def _ra_expm1_cdf(u, k, p):
+    # expm1(u) - u = u**2 * sum_j u**j / (j+2)!
+    return (k - 1) * _below_cut(np.expm1(u) - u, u, _EXPM1_RATIO) / p["g"]
 
 
-def _ra_expm1_cdf(u, k, B, p, s, out=None):
-    # (k-1) * (expm1(u) - u) / g, s = expm1(u)
-    out = np.subtract(s, u, out=out)
-    out *= k - 1
-    out /= p["g"]
-    return out
+# The inverse cdf of a family without a closed form, tabulated per k in w =
+# sqrt(u) as the module docstring says: to under 2e-15 absolute in u.
+_PANELS = 256
+_DEGREE = 5
+_LOBATTO = np.array([0.5 - 0.5 * math.cos(math.pi * i / _DEGREE) for i in range(_DEGREE + 1)])
 
 
-def _ra_expm1_pdf(u, k, B, p, s, out=None):
-    # (k-1) * expm1(u) / (B g), s = expm1(u)
-    out = np.multiply(s, k - 1, out=out)
-    out /= B * p["g"]
-    return out
+@lru_cache(maxsize=64)
+def _inverse_table(family: str, k: int) -> np.ndarray:
+    """Coefficients ``c`` of the inverse cdf on panel ``j``: ``x/B = sum_i
+    c[i, j] * s**i``, where ``w = sqrt(u) = (j + s)/_PANELS``.
+
+    Newton steps on ``sqrt(F(t)) = w``, nearly linear in ``t = x/B``, solve
+    the node values from the linear guess in three steps; eight leave
+    margin (``dF/dt`` is the density at ``B = 1``; at ``t = 0`` both vanish
+    and no step is taken).  Their divided differences turn into powers of
+    ``s``; the node ``s = 0`` comes first, so ``c[0, 0] = 0`` exactly.
+    """
+    row = _FAMILIES[family]
+    p, top = row.params(k), 1.0 / (k - 1)
+    w = (np.arange(_PANELS)[:, None] + _LOBATTO) / _PANELS
+    dd = w * top
+    for _ in range(8):
+        root_f = np.sqrt(row.cdf(dd, k, 1.0, p))
+        step = np.zeros_like(dd)
+        np.divide(2.0 * root_f * (root_f - w), row.pdf(dd, k, 1.0, p), out=step, where=root_f > 0.0)
+        dd = np.clip(dd - step, 0.0, top)
+    for m in range(1, _DEGREE + 1):
+        dd[:, m:] = (dd[:, m:] - dd[:, m - 1:-1]) / (_LOBATTO[m:] - _LOBATTO[:-m])
+    c = np.zeros((_DEGREE + 1, _PANELS))
+    for m in range(_DEGREE, -1, -1):  # c <- c * (s - s_m) + dd_m
+        c[1:], c[0] = c[:-1] - _LOBATTO[m] * c[1:], dd[:, m] - _LOBATTO[m] * c[0]
+    c.flags.writeable = False  # shared by every caller of the cache
+    return c
+
+
+def _tabulated_inverse(family: str, u, k, B, p):
+    """Grace periods for uniforms ``u``: a Horner sum on the panel of each
+    ``sqrt(u)``, scaled by ``B`` and kept on the support."""
+    c = _inverse_table(family, k)
+    s = np.sqrt(u)
+    s *= _PANELS
+    j = np.minimum(s.astype(np.intp), _PANELS - 1)  # u = 1 ends the last panel
+    s -= j
+    x = c[-1].take(j, mode="clip")  # j is in range; "clip" is numpy's faster take
+    for row in c[-2::-1]:
+        x *= s
+        x += row.take(j, mode="clip")
+    x *= B
+    return np.clip(x, 0.0, B / (k - 1), out=x)
 
 
 _FAMILIES = {
     "uniform": _Family(
-        pdf=lambda u, k, B, p, s: np.full_like(u, (k - 1) / B),
-        cdf=lambda u, k, B, p, s: (k - 1) * u,
+        pdf=lambda u, k, B, p: np.full_like(u, (k - 1) / B),
+        cdf=lambda u, k, B, p: (k - 1) * u,
         moment=lambda u, k, B, p: 0.5 * (k - 1) * u * u,
         corner=lambda k, B, p: (2.0, 0.0),  # equalizing at k = 2 only
         inverse=lambda u, k, B, p: B / (k - 1) * u,
     ),
     "rw_log": _Family(
-        pdf=lambda u, k, B, p, s, out=None: np.divide(s, B * LN4_MINUS_1, out=out),
-        cdf=_rw_log_cdf,
-        shared=np.log1p,
+        pdf=lambda u, k, B, p: np.log1p(u) / (B * LN4_MINUS_1),
+        cdf=lambda u, k, B, p: _rw_log_cdf(u),
         moment=lambda u, k, B, p: _rw_log_moment(u),
         corner=lambda k, B, p: (1.0, 1.0 / (2.0 * B * LN4_MINUS_1)),
+        inverse=partial(_tabulated_inverse, "rw_log"),
         mean_aware=True,
     ),
     "rw_shifted_power": _Family(
-        pdf=_rw_shifted_power_pdf,
-        cdf=lambda u, k, B, p, s, out=None: np.divide(
-            _series(p["binomials"], (k - 1) * u, 2), p["q"] - 2.0, out=out
+        pdf=lambda u, k, B, p: (
+            (k - 1) * np.expm1((k - 2) * np.log1p(u)) / (B * (p["q"] - 2.0))
         ),
-        shared=np.log1p,
+        cdf=lambda u, k, B, p: _series(p["binomials"], (k - 1) * u, 2) / (p["q"] - 2.0),
         moment=lambda u, k, B, p: (
             (k - 1) * u * u * _series(p["moment"], (k - 1) * u, 1) / (p["q"] - 2.0)
         ),
         corner=lambda k, B, p: (1.0, (k - 2) / (2.0 * B * (p["q"] - 2.0))),
+        inverse=partial(_tabulated_inverse, "rw_shifted_power"),
         params=_power_params,
         mean_aware=True,
     ),
     "rw_power": _Family(
-        pdf=lambda u, k, B, p, s: (k - 1) * (1.0 + u) ** (k - 2) / (B * (p["q"] - 1.0)),
-        cdf=lambda u, k, B, p, s: np.expm1((k - 1) * np.log1p(u)) / (p["q"] - 1.0),
+        pdf=lambda u, k, B, p: (k - 1) * (1.0 + u) ** (k - 2) / (B * (p["q"] - 1.0)),
+        cdf=lambda u, k, B, p: np.expm1((k - 1) * np.log1p(u)) / (p["q"] - 1.0),
         moment=lambda u, k, B, p: (
             (k - 1) * u * u * _series(p["moment"], (k - 1) * u) / (p["q"] - 1.0)
         ),
@@ -390,19 +429,19 @@ _FAMILIES = {
         params=_power_params,
     ),
     "ra_exp": _Family(
-        pdf=lambda u, k, B, p, s: np.exp(u) / (B * p["eps"]),
-        cdf=lambda u, k, B, p, s: np.expm1(u) / p["eps"],
+        pdf=lambda u, k, B, p: np.exp(u) / (B * p["eps"]),
+        cdf=lambda u, k, B, p: np.expm1(u) / p["eps"],
         moment=lambda u, k, B, p: u * u * _series(_EXP_MOMENT, u) / p["eps"],
         corner=lambda k, B, p: ((1.0 + p["eps"]) / p["eps"], 0.0),
         inverse=lambda u, k, B, p: B * np.log1p(u * p["eps"]),
         params=lambda k: {"eps": _eps(k)},
     ),
     "ra_expm1": _Family(
-        pdf=_ra_expm1_pdf,
-        cdf=_ra_expm1_cdf,
-        shared=np.expm1,
+        pdf=lambda u, k, B, p: (k - 1) * np.expm1(u) / (B * p["g"]),
+        cdf=lambda u, k, B, p: _ra_expm1_cdf(u, k, p),
         moment=lambda u, k, B, p: (k - 1) * u * u * _series(_EXP_MOMENT, u, 1) / p["g"],
         corner=lambda k, B, p: (1.0, (k - 1) / (2.0 * B * p["g"])),
+        inverse=partial(_tabulated_inverse, "ra_expm1"),
         params=lambda k: {"g": _g(k)},
         mean_aware=True,
     ),
@@ -494,12 +533,10 @@ class GracePeriodStrategy:
         return float(vals[0]) if xs.ndim == 0 else vals
 
     def _pdf_inside(self, u):
-        row = _FAMILIES[self.family]
-        return row.pdf(u, self.spec.k, self.spec.B, self.params, row.shared(u))
+        return _FAMILIES[self.family].pdf(u, self.spec.k, self.spec.B, self.params)
 
     def _cdf_inside(self, u):
-        row = _FAMILIES[self.family]
-        return row.cdf(u, self.spec.k, self.spec.B, self.params, row.shared(u))
+        return _FAMILIES[self.family].cdf(u, self.spec.k, self.spec.B, self.params)
 
     def _pmf(self, i):
         arr = np.asarray(i, dtype=float)
@@ -554,37 +591,7 @@ class GracePeriodStrategy:
         if self.kind is StrategyKind.DISCRETE_PMF:
             days = np.searchsorted(self.params["cumulative"], u, side="right") + 1
             return days.astype(float)
-        inverse = _FAMILIES[self.family].inverse
-        if inverse is None:
-            return self._invert_cdf(u)
-        return inverse(u, self.spec.k, self.spec.B, self.params)
-
-    def _invert_cdf(self, u: np.ndarray) -> np.ndarray:
-        # The density vanishes linearly at 0, so sqrt(F) is nearly linear in
-        # t = x/B: Newton on sqrt(F(t)) = sqrt(u) from the linear guess settles
-        # in three steps.  dF/dt = B * pdf, as the pdf is a density in x.  Each
-        # step evaluates the family's shared transcendental once, and all work
-        # goes into the buffers below.
-        row, k, B, p = _FAMILIES[self.family], self.spec.k, self.spec.B, self.params
-        top = self.support_max / B
-        root_u = np.sqrt(u)
-        t = root_u * top
-        s, root_f, step = np.empty_like(t), np.empty_like(t), np.empty_like(t)
-        moving = np.empty(t.shape, dtype=bool)
-        for _ in range(_NEWTON_STEPS):
-            row.shared(t, out=s)
-            row.cdf(t, k, B, p, s, out=root_f)
-            np.maximum(root_f, 0.0, out=root_f)  # cancellation can dip below 0
-            np.sqrt(root_f, out=root_f)
-            np.subtract(root_f, root_u, out=step)
-            step *= root_f
-            step *= 2.0 / B
-            # at t = 0 (u = 0) both F and the density vanish: no step
-            np.greater(root_f, 0.0, out=moving)
-            np.divide(step, row.pdf(t, k, B, p, s, out=s), out=step, where=moving)
-            t -= step
-            np.clip(t, 0.0, top, out=t)
-        return np.multiply(t, B, out=t)
+        return _FAMILIES[self.family].inverse(u, self.spec.k, self.spec.B, self.params)
 
 
 def _discrete_classic_pmf(B: int) -> np.ndarray:

@@ -103,9 +103,22 @@ def test_round_cap_does_not_move_normal_draws(monkeypatch):
     model = BLOCK_MODELS[-1]
     s, capped = stream(26, "cap"), stream(26, "cap")
     xs = sample_length(model, s, 1000)
-    monkeypatch.setattr(adversary, "_NORMAL_ROUND", 7)
+    monkeypatch.setattr(adversary, "_ROUND", 7)
     assert np.array_equal(xs, sample_length(model, capped, 1000))
     assert s.u64() == capped.u64()
+
+
+@pytest.mark.parametrize("model", BLOCK_MODELS, ids=lambda m: m.kind)
+def test_round_cap_does_not_move_remaining_times(model, monkeypatch):
+    # the reference draws every interrupt point in one batch after the lengths
+    ref, capped = stream(27, "rem"), stream(27, "rem")
+    r = sample_length(model, ref, 1000)
+    if not model.is_point_mass:
+        u = ref.uniform_batch(1000)
+        r = r - np.floor(u * r) if model.kind in adversary.DISCRETE_KINDS else r * (1.0 - u)
+    monkeypatch.setattr(adversary, "_ROUND", 7)
+    assert np.array_equal(remaining_time(model, capped, 1000), r)
+    assert ref.u64() == capped.u64()
 
 
 def test_zero_draws_leave_the_stream():

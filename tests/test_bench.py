@@ -143,8 +143,8 @@ def test_blocked_cells_equal_whole_array_reference(trials):
 
 
 @pytest.mark.parametrize("seed,digest", [
-    ("1", "50cd2bf15a6467ac1357beee3784d65fe5f6ce48800a2477cff1cb4bf0db617d"),
-    ("7", "74880282b4cbfc442a2db6878e41ff796349402368fa750f20cd47e5835b288f"),
+    ("1", "72b5adc8deebd5f62972803f0ab9f328f7cbf46a438f0d6119da6a311502808b"),
+    ("7", "eb4a2b501a9ef4ad5f58b3345dbf5469267555264564a833ff337751e5fbd3f2"),
 ])
 def test_default_csv_digest(tmp_path, seed, digest):
     out = tmp_path / "bench.csv"
@@ -154,9 +154,10 @@ def test_default_csv_digest(tmp_path, seed, digest):
 
 def test_default_run_memory_stays_bounded():
     # trials-length arrays: the remaining times, their optimum and one cost
-    # buffer (3 x 0.8 MB at the default 100k trials); drawing the remaining
-    # times briefly holds two more, the draw counters and their mix
-    # temporary. Scoring the cells on whole arrays peaked at 9.7 MB.
+    # buffer (3 x 0.8 MB at the default 100k trials); drawing the lengths
+    # briefly holds two more, the draw counters and their mix temporary, and
+    # the interrupt points come a block at a time. Scoring the cells on whole
+    # arrays peaked at 9.7 MB.
     config = BenchConfig(B=2000, mu=500)
     run_bench(small(trials=10))  # fill the calibration caches first
     tracemalloc.start()

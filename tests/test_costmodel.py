@@ -63,6 +63,9 @@ class TestPointwise:
             ConflictInstance(RW, 2, -1.0, 10.0)
         with pytest.raises(ValueError):
             ConflictInstance(RW, 1, 100.0, 10.0)
+        for y in (math.inf, math.nan, 10**400):  # an int past the float range too
+            with pytest.raises(ValueError, match="remaining time y must be positive"):
+                ConflictInstance(RW, 2, 10.0, y)
 
 
 class TestOptCost:

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -17,7 +18,6 @@ from graceperiod.rng import stream
 from graceperiod.simulator import PolicyConfig
 from graceperiod.strategy import (
     _FAMILIES,
-    _NEWTON_STEPS,
     DISCRETE_CLASSIC_MAX_B,
     ConflictMode,
     GracePeriodStrategy,
@@ -32,7 +32,7 @@ from graceperiod.strategy import (
     mean_threshold,
     threshold_condition,
 )
-from graceperiod.strategy import _g, _q
+from graceperiod.strategy import _g, _inverse_table, _q
 
 RW = ConflictMode.REQUESTOR_WINS
 RA = ConflictMode.REQUESTOR_ABORTS
@@ -409,16 +409,9 @@ def reference_bisection_quantile(strat, u):
 
 
 def mean_aware(mode, k, B):
-    """The constrained density of ``(mode, k)`` at abort cost ``B``.
-
-    ``make_strategy`` falls back to the unconstrained form where the mean
-    threshold fails (always for requestor-aborts chains of three or more at
-    ``B <= 1``), so build it at ``B = 100`` and rescale: its parameters
-    depend on ``k`` only.
-    """
-    strat = make_strategy(StrategySpec(mode, k, 100.0, CON, mu=5.0))
-    spec = StrategySpec(mode, k, B, CON, mu=0.05 * B)
-    return dataclasses.replace(strat, spec=spec)
+    """The constrained density of ``(mode, k)`` at abort cost ``B``: a zero
+    mean lies below every mean threshold."""
+    return make_strategy(StrategySpec(mode, k, B, CON, mu=0.0))
 
 
 # dense grid plus log-spaced tails toward 0 and 1
@@ -429,6 +422,8 @@ U_GRID = np.unique(np.concatenate([
 ]))
 SMALLEST_UNIFORMS = 2.0 ** -53 * np.arange(1, 65)  # the stream's first steps above 0
 
+# the chain sizes every tabulated inverse is checked at, up to 1e7
+TABLE_K = (2, 3, 10, 100, 10**4, 10**7)
 MEAN_AWARE = [
     (RW, 2, "rw_log"),
     (RW, 3, "rw_shifted_power"),
@@ -437,7 +432,8 @@ MEAN_AWARE = [
     (RA, 2, "ra_expm1"),
     (RA, 3, "ra_expm1"),
     (RA, 7, "ra_expm1"),
-]
+] + [(RW, k, "rw_shifted_power") for k in TABLE_K[2:]] + [(RA, k, "ra_expm1") for k in TABLE_K[2:]]
+TABLE_CASES = [case for case in MEAN_AWARE if case[1] in TABLE_K]
 
 
 # the rows with a closed-form inverse; mu = 10 B fails every threshold, so a
@@ -484,23 +480,50 @@ class TestQuantile:
         assert_quantile_inverts_cdf(strat)
 
     def test_make_strategy_builds_each_family_at_moderate_B(self):
-        # the rescaled strategies above are what make_strategy itself returns
+        # a positive mean below the threshold resolves as the zero mean does
         for mode, k, family in MEAN_AWARE:
-            spec = StrategySpec(mode, k, 2000.0, CON, mu=100.0)
-            assert make_strategy(spec) == mean_aware(mode, k, 2000.0)
+            mu = 0.5 * mean_threshold(mode, k, 2000.0)
+            assert make_strategy(StrategySpec(mode, k, 2000.0, CON, mu=mu)).family == family
 
 
-def separate_newton_quantile(strat, u):
-    """``_invert_cdf`` as it was before its fused kernel: each step evaluates
-    the cdf and the pdf on their own, through ``_cdf_inside`` and
-    ``_pdf_inside``, with fresh arrays; kept here only as a reference."""
+def exact_cdf(family, k, t):
+    """The cdf of ``family`` at ``t = x/B``, in the current decimal context."""
+    n = k - 1
+    if family == "rw_log":
+        return ((1 + t) * (1 + t).ln() - t) / (2 * decimal.Decimal(2).ln() - 1)
+    if family == "rw_shifted_power":
+        q = (decimal.Decimal(k) / n) ** n
+        return ((1 + t) ** n - 1 - n * t) / (q - 2)
+    g = n * ((1 / decimal.Decimal(n)).exp() - 1) - 1
+    return n * (t.exp() - 1 - t) / g
+
+
+@functools.lru_cache(maxsize=None)
+def exact_quantile(family, k, u):
+    """``t = x/B`` with ``F(t) = u``: 120 halvings of ``[0, 1/(k-1)]`` in
+    80-digit arithmetic, to 1e-36 of the support."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        target = decimal.Decimal(u)
+        lo, hi = decimal.Decimal(0), 1 / decimal.Decimal(k - 1)
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if exact_cdf(family, k, mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def reference_newton_quantile(strat, u):
+    """The per-draw inverse the tables replaced: four Newton steps on
+    ``sqrt(F)`` from the linear guess, through ``_cdf_inside`` and
+    ``_pdf_inside``; kept here only as a reference."""
     B, top = strat.spec.B, strat.support_max / strat.spec.B
     root_u = np.sqrt(u)
     t = root_u * top
-    for _ in range(_NEWTON_STEPS):
-        root_f = strat._cdf_inside(t)
-        np.maximum(root_f, 0.0, out=root_f)
-        np.sqrt(root_f, out=root_f)
+    for _ in range(4):
+        root_f = np.sqrt(strat._cdf_inside(t))
         step = np.subtract(root_f, root_u)
         step *= root_f
         step *= 2.0 / B
@@ -510,58 +533,102 @@ def separate_newton_quantile(strat, u):
     return np.multiply(t, B, out=t)
 
 
-def newton_strategy(mode, k, B):
-    """The mean-aware density of ``(mode, k)``, built where its threshold
-    holds and rescaled to ``B`` like :func:`mean_aware`."""
-    strat = make_strategy(StrategySpec(mode, k, 100.0, CON, mu=0.5))
-    spec = StrategySpec(mode, k, B, CON, mu=0.005 * B)
-    return dataclasses.replace(strat, spec=spec)
-
-
-# (mode, k) of every strategy inverted by Newton steps at k = 2, 3 and 10
-NEWTON_CASES = [(mode, k) for mode in (RW, RA) for k in (2, 3, 10)]
+# from 1e-30 up to 1 - 1e-15
+TABLE_U = np.concatenate([
+    np.geomspace(1e-30, 1e-3, 10), [0.1, 0.5, 0.9], 1.0 - np.geomspace(1e-15, 1e-3, 4),
+])
 NEWTON_U = np.concatenate([
     [0.0, np.nextafter(1.0, 0.0)],
     SMALLEST_UNIFORMS,
     np.linspace(0.0, 1.0, 4097)[1:-1],
-    np.logspace(-15.0, -1.0, 57),
+    np.logspace(-30.0, -1.0, 88),
     1.0 - np.logspace(-15.0, -1.0, 57),
 ])
 
 
-class TestFusedNewton:
-    def test_cases_cover_every_newton_family(self):
-        newton = {
-            name for name, row in _FAMILIES.items() if row.inverse is None
+class TestTabulatedInverse:
+    def test_tables_serve_exactly_the_mean_aware_rows(self):
+        tabulated = {
+            name for name, row in _FAMILIES.items() if isinstance(row.inverse, functools.partial)
         }
-        families = {newton_strategy(mode, k, 1.0).family for mode, k in NEWTON_CASES}
-        assert families == newton == {"rw_log", "rw_shifted_power", "ra_expm1"}
+        mean_aware_rows = {name for name, row in _FAMILIES.items() if row.mean_aware}
+        assert tabulated == mean_aware_rows == {family for _, _, family in MEAN_AWARE}
+
+    @pytest.mark.parametrize("B", [1e-3, 1.0, 2000.0, 1e6])
+    @pytest.mark.parametrize("mode,k,family", TABLE_CASES)
+    def test_relative_error_against_exact_arithmetic(self, mode, k, family, B):
+        strat = mean_aware(mode, k, B)
+        x = strat.quantile(TABLE_U)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            for got, u in zip(x.tolist(), TABLE_U.tolist()):
+                t = exact_quantile(family, k, u)
+                err = abs(decimal.Decimal(got) / decimal.Decimal(B) - t)
+                assert err <= decimal.Decimal("1e-12") * t, u
+
+    @pytest.mark.parametrize("B", [1e-3, 1.0, 2000.0, 1e6])
+    @pytest.mark.parametrize("mode,k,family", TABLE_CASES)
+    def test_monotone_on_the_support(self, mode, k, family, B):
+        strat = mean_aware(mode, k, B)
+        x = strat.quantile(np.sort(np.concatenate([U_GRID, TABLE_U])))
+        assert np.all(np.diff(x) >= 0.0)
+        assert x[0] == 0.0 and x[-1] <= strat.support_max
 
     @pytest.mark.parametrize("B", [1.0, 2000.0])
-    @pytest.mark.parametrize("mode,k", NEWTON_CASES)
-    def test_equals_separate_cdf_and_pdf_steps(self, mode, k, B):
-        strat = newton_strategy(mode, k, B)
-        fused = strat.quantile(NEWTON_U.copy())
-        assert fused.tobytes() == separate_newton_quantile(strat, NEWTON_U.copy()).tobytes()
-        assert fused[0] == 0.0
+    @pytest.mark.parametrize("mode,k,family", TABLE_CASES)
+    def test_agrees_with_the_newton_reference(self, mode, k, family, B):
+        # both invert to rounding: 64 ulps apart at most, and 0 at the same draws
+        strat = mean_aware(mode, k, B)
+        x, ref = strat.quantile(NEWTON_U), reference_newton_quantile(strat, NEWTON_U.copy())
+        assert np.array_equal(x == 0.0, ref == 0.0)
+        assert np.all(np.abs(x - ref) <= 64 * np.finfo(float).eps * ref)
 
-    @pytest.mark.parametrize("mode,k", NEWTON_CASES)
+    def test_built_on_first_draw_only(self):
+        _inverse_table.cache_clear()
+        strat = make_strategy(StrategySpec(RA, 3, 100.0, CON, mu=1.0))
+        strat.pdf(np.linspace(0.0, 50.0, 11)), strat.cdf(25.0), strat.moment(25.0)
+        assert _inverse_table.cache_info().currsize == 0
+        strat.quantile(np.array([0.5]))
+        assert _inverse_table.cache_info().currsize == 1
+
+    def test_cache_stays_bounded(self):
+        maxsize = _inverse_table.cache_info().maxsize
+        for k in range(3, maxsize + 13):
+            _inverse_table("ra_expm1", k)
+        assert _inverse_table.cache_info().currsize == maxsize
+
+
+class TestSmallUSeries:
+    @pytest.mark.parametrize("mode,k", [(RW, 2), (RW, 3), (RW, 10), (RA, 2), (RA, 3), (RA, 10)])
     def test_pdf_and_cdf_equal_their_closed_forms(self, mode, k):
-        # the evaluations from the shared transcendental, into buffers, give
-        # the bits of the plain closed-form expressions (B = 1, so x = u)
-        strat = newton_strategy(mode, k, 1.0)
+        # at B = 1, so x = u; the rw_log and ra_expm1 cdfs keep their closed
+        # forms from u = 1/8 on, and are series below it, as the
+        # rw_shifted_power cdf is everywhere (see TestShiftedPowerSmallU)
+        strat = mean_aware(mode, k, 1.0)
         u = np.linspace(0.0, strat.support_max, 1001)
+        closed = u >= 0.125
         if strat.family == "rw_log":
             pdf = np.log1p(u) / LN4M1
             cdf = ((1.0 + u) * np.log1p(u) - u) / LN4M1
         elif strat.family == "ra_expm1":
             pdf = (k - 1) * np.expm1(u) / _g(k)
             cdf = (k - 1) * (np.expm1(u) - u) / _g(k)
-        else:  # its cdf is a power series, checked against exact arithmetic below
+        else:
             pdf = (k - 1) * np.expm1((k - 2) * np.log1p(u)) / (_q(k) - 2.0)
             cdf = strat.cdf(u)
         assert strat.pdf(u).tobytes() == pdf.tobytes()
-        assert strat.cdf(u).tobytes() == cdf.tobytes()
+        assert strat.cdf(u)[closed].tobytes() == cdf[closed].tobytes()
+
+    @pytest.mark.parametrize("mode,k", [(RW, 2), (RA, 2), (RA, 3), (RA, 10), (RA, 10**7)])
+    def test_cdf_matches_exact_arithmetic(self, mode, k):
+        # the closed forms cancel: 4.8e-5 relative at u = 1e-12, k = 2
+        strat = mean_aware(mode, k, 1.0)
+        us = np.geomspace(1e-30, strat.support_max, 121)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            for u, got in zip(us.tolist(), strat.cdf(us).tolist()):
+                exact = exact_cdf(strat.family, k, decimal.Decimal(u))
+                assert abs(decimal.Decimal(got) - exact) <= decimal.Decimal("1e-14") * exact, u
 
 
 class TestPowerAndExpConstants:
@@ -660,7 +727,7 @@ class TestDomainChecks:
             with pytest.raises(ValueError, match="chain size k must be an integer >= 2"):
                 call()
 
-    @pytest.mark.parametrize("B", NONFINITE + [0.0, -1.0])
+    @pytest.mark.parametrize("B", NONFINITE + [0.0, -1.0, 10**400])  # an int past the float range
     def test_abort_cost(self, B):
         calls = [
             lambda: StrategySpec(RW, 2, B, UNC),
@@ -674,6 +741,12 @@ class TestDomainChecks:
         for call in calls:
             with pytest.raises(ValueError, match="abort cost B must be positive and finite"):
                 call()
+
+
+    @pytest.mark.parametrize("mu", NONFINITE + [-1.0, 10**400])
+    def test_mean(self, mu):
+        with pytest.raises(ValueError, match="mean mu must be nonnegative"):
+            StrategySpec(RW, 2, 10.0, CON, mu=mu)
 
 
 class TestMoment:
