@@ -19,10 +19,11 @@ first moment ``M``, and the cost is linear in them (see
 call).
 
 The discrete classic strategy is scored in integer days with the classic
-accounting (a strategy that commits on day ``i`` pays ``i-1+B`` when it
-fires the abort, i.e. the grace actually granted is ``i-1``); that is the
-convention under which its expected cost equals
-``min(D, B) / (1 - (1-1/B)**B)`` for every integer horizon ``D``.
+accounting of :func:`day_abort_cost`, which the simulator charges too (a
+strategy that commits on day ``i`` pays ``i-1+B`` when it fires the abort,
+i.e. the grace actually granted is ``i-1``); that is the convention under
+which its expected cost equals ``min(D, B) / (1 - (1-1/B)**B)`` for every
+integer horizon ``D``.
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ def conflict_cost(mode: ConflictMode, k: int, B: float, x, y):
     return np.where(commit, (k - 1) * y, abort)
 
 
+def day_abort_cost(days, B: float):
+    """``i - 1 + B``: a discrete-classic abort on day ``i`` (which commits iff ``y < i``)."""
+    return days - 1.0 + B
+
+
 def _check_match(strategy: GracePeriodStrategy, instance: ConflictInstance):
     s = strategy.spec
     if s.mode is not instance.mode or s.k != instance.k or s.B != instance.B:
@@ -118,7 +124,7 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     if strategy.kind is StrategyKind.DISCRETE_PMF:
         pmf = strategy.params["pmf"]
         days = np.arange(1, len(pmf) + 1, dtype=float)
-        abort_prefix = np.concatenate([[0.0], np.cumsum(pmf * (days - 1.0 + B))])
+        abort_prefix = np.concatenate([[0.0], np.cumsum(pmf * day_abort_cost(days, B))])
         mass_prefix = np.concatenate([[0.0], np.cumsum(pmf)])
         idx = np.clip(np.floor(ys).astype(int), 0, len(pmf))
         return abort_prefix[idx] + ys * (1.0 - mass_prefix[idx])

@@ -123,11 +123,8 @@ def lagrange_identity_check(
     beyond = costmodel.batch_expected_costs(strategy, np.array([2.0 * S]))[0]
     target = lam1 + lam2 * S
     point_mass_residual = abs(beyond / strategy.spec.B - target) / target
-    return IdentityCheck(
-        max_residual,
-        point_mass_residual,
-        max_residual < IDENTITY_TOL and point_mass_residual < IDENTITY_TOL,
-    )
+    passed = max_residual < IDENTITY_TOL and point_mass_residual < IDENTITY_TOL
+    return IdentityCheck(max_residual, point_mass_residual, passed)
 
 
 def worst_case_ratio(
@@ -179,12 +176,8 @@ def abort_density_comparison(B: float) -> tuple[float, float]:
     strategy objects; the requestor-wins value should be the smaller one (it
     grants the full grace less often), which verify checks.
     """
-    rw = make_strategy(
-        StrategySpec(ConflictMode.REQUESTOR_WINS, 2, B, Variant.RANDOMIZED_CONSTRAINED, mu=0.0)
-    )
-    ra = make_strategy(
-        StrategySpec(ConflictMode.REQUESTOR_ABORTS, 2, B, Variant.RANDOMIZED_CONSTRAINED, mu=0.0)
-    )
+    rw, ra = (make_strategy(StrategySpec(mode, 2, B, Variant.RANDOMIZED_CONSTRAINED, mu=0.0))
+              for mode in (_RW, _RA))
     return rw.pdf(B), ra.pdf(B)
 
 
@@ -219,8 +212,7 @@ def _adversary_costs(mode: ConflictMode, k: int, B: float, xs: np.ndarray):
     def tail(y):
         return np.exp(-k * np.log1p(y / B)) if mode is _RW else np.exp(-y / B)
 
-    steps = [adaptive_simpson(tail, a, b) for a, b in zip(xs[:-1].tolist(), xs[1:].tolist())]
-    integrals = np.concatenate([[0.0], np.cumsum(steps)])
+    integrals = np.concatenate([[0.0], np.cumsum(adaptive_simpson(tail, xs[:-1], xs[1:]))])
     g = tail(xs)
     costs = (k - 1) * (integrals - xs * g) + costmodel.conflict_cost(mode, k, B, xs, xs) * g
     return costs, (k - 1) * integrals[-1]
@@ -301,25 +293,16 @@ def _identity_checks() -> list[dict]:
     for mode, tag in _MODES:
         for k in (2, 3, 5):
             for B in (10.0, 100.0):
-                strat = make_strategy(StrategySpec(mode, k, B, Variant.RANDOMIZED_UNCONSTRAINED))
-                lam = lagrange_corner(mode, k, B, constrained=False)
-                res = lagrange_identity_check(strat, *lam)
-                checks.append(_check(
-                    f"lagrange/{tag}_unconstrained_k{k}_B{B:g}", res.passed,
-                    max_residual=res.max_residual,
-                    point_mass_residual=res.point_mass_residual, tolerance=IDENTITY_TOL,
-                ))
-
-                mu = 0.5 * mean_threshold(mode, k, B)
-                cspec = StrategySpec(mode, k, B, Variant.RANDOMIZED_CONSTRAINED, mu=mu)
-                cstrat = make_strategy(cspec)
-                lam = lagrange_corner(mode, k, B, constrained=True)
-                res = lagrange_identity_check(cstrat, *lam)
-                checks.append(_check(
-                    f"lagrange/{tag}_constrained_k{k}_B{B:g}", res.passed,
-                    max_residual=res.max_residual,
-                    point_mass_residual=res.point_mass_residual, tolerance=IDENTITY_TOL,
-                ))
+                for variant in (Variant.RANDOMIZED_UNCONSTRAINED, Variant.RANDOMIZED_CONSTRAINED):
+                    constrained = variant is Variant.RANDOMIZED_CONSTRAINED
+                    mu = 0.5 * mean_threshold(mode, k, B) if constrained else None
+                    strat = make_strategy(StrategySpec(mode, k, B, variant, mu=mu))
+                    res = lagrange_identity_check(strat, *lagrange_corner(mode, k, B, constrained))
+                    checks.append(_check(
+                        f"lagrange/{tag}_{variant.value.removeprefix('randomized_')}_k{k}_B{B:g}",
+                        res.passed, max_residual=res.max_residual,
+                        point_mass_residual=res.point_mass_residual, tolerance=IDENTITY_TOL,
+                    ))
     return checks
 
 
@@ -416,12 +399,10 @@ def _quadrature_checks() -> list[dict]:
     for name, spec in _QUADRATURE_CASES:
         strat = make_strategy(spec)
         S = strat.support_max
-        cdf_worst = moment_worst = 0.0
-        for frac in _QUADRATURE_FRACTIONS:
-            x = frac * S
-            cdf_worst = max(cdf_worst, abs(strat.cdf(x) - adaptive_simpson(strat.pdf, 0.0, x)))
-            integral = adaptive_simpson(lambda t, s=strat: t * s.pdf(t), 0.0, x)
-            moment_worst = max(moment_worst, abs(strat.moment(x) - integral))
+        xs = np.multiply(_QUADRATURE_FRACTIONS, S)
+        cdf_worst = float(np.max(np.abs(strat.cdf(xs) - adaptive_simpson(strat.pdf, 0.0, xs))))
+        integrals = adaptive_simpson(lambda t, s=strat: t * s.pdf(t), 0.0, xs)
+        moment_worst = float(np.max(np.abs(strat.moment(xs) - integrals)))
         cdf_checks.append(_check(
             f"cdf_vs_quadrature/{name}", cdf_worst < 1e-8, residual=cdf_worst, tolerance=1e-8,
         ))
@@ -437,14 +418,10 @@ def run_verification_suite(seed: int = 20240405) -> dict:
 
     ``seed`` is echoed in the report; no check draws from it.
     """
-    checks: list[dict] = []
-    checks.extend(_normalization_checks())
-    checks.extend(_negative_control_checks())
-    checks.extend(_identity_checks())
-    checks.extend(_worst_case_checks())
-    checks.extend(_certificate_checks())
-    checks.extend(_deterministic_certificate_checks())
-    checks.extend(_quadrature_checks())
+    groups = (_normalization_checks, _negative_control_checks, _identity_checks,
+              _worst_case_checks, _certificate_checks, _deterministic_certificate_checks,
+              _quadrature_checks)
+    checks = [check for group in groups for check in group()]
     rw_d, ra_d = abort_density_comparison(1.0)
     checks.append(_check(
         "discussion/endpoint_density_ordering", rw_d < ra_d,

@@ -17,68 +17,83 @@ DEFAULT_ABS_TOL = 1e-12
 _MAX_DEPTH = 60
 _INITIAL_PANELS = 8
 # A level holds every interval still refining, so memory grows with their
-# count; past this bound (the verify suite needs at most 38) the integrand
-# does not converge, as when it is NaN on a whole stretch.
+# count; past this bound per integral (the verify suite needs at most 38)
+# the integrand does not converge, as when it is NaN on a whole stretch.
 _MAX_INTERVALS = 1 << 16
 
 
 def adaptive_simpson(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    a,
+    b,
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
-) -> float:
+) -> float | np.ndarray:
     """Integrate ``f`` over [a, b] by adaptive Simpson subdivision.
 
-    ``f`` maps an array of nodes to their values, elementwise.  The interval
-    starts from a fixed panel split so features down to a few percent of the
-    interval width cannot hide between stencil points.  Each subdivision
-    level calls ``f`` once, on the new nodes of every interval still
-    refining; the values are then added back up the tree of splits, so the
-    result is the float of the depth-first recursion.
+    ``f`` maps an array of nodes to their values, elementwise.  Float bounds
+    give a float; array bounds give one integral per interval (broadcast),
+    each the float of its own call, bit for bit.  Each interval starts from
+    a fixed panel split so features down to a few percent of its width
+    cannot hide between stencil points.  Each subdivision level calls ``f``
+    once, on the new nodes of every interval still refining; the values are
+    then added back up the tree of splits, so each result is the float of
+    the depth-first recursion.  ``a > b`` negates; ``a == b`` gives 0.0 and
+    evaluates ``f`` at none of its nodes.
     """
-    if a == b:
-        return 0.0
-    if a > b:
-        return -adaptive_simpson(f, b, a, rel_tol, abs_tol)
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):  # floats skip the masks' ~5 us
+        if a >= b:
+            return 0.0 if a == b else -adaptive_simpson(f, b, a, rel_tol, abs_tol)
+        return float(_integrate(f, np.array([a], float), np.array([b], float), rel_tol, abs_tol)[0])
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    live = a != b
+    sums = np.zeros(live.shape)
+    if live.any():
+        sums[live] = _integrate(f, np.minimum(a, b)[live], np.maximum(a, b)[live], rel_tol, abs_tol)
+    np.negative(sums, out=sums, where=a > b)
+    return float(sums) if sums.ndim == 0 else sums
 
-    edges = [a + (b - a) * i / _INITIAL_PANELS for i in range(_INITIAL_PANELS + 1)]
-    edges[-1] = b
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    fe = f(np.concatenate([edges, 0.5 * (lo + hi)]))
-    fa, fb, fm = fe[:_INITIAL_PANELS], fe[1 : _INITIAL_PANELS + 1], fe[_INITIAL_PANELS + 1 :]
+
+def _integrate(f, a: np.ndarray, b: np.ndarray, rel_tol: float, abs_tol: float) -> np.ndarray:
+    """The integrals over ``a < b``, elementwise, in one level-synchronous pass."""
+    n = len(a)
+    edges = a[:, None] + (b - a)[:, None] * np.arange(_INITIAL_PANELS + 1.0) / _INITIAL_PANELS
+    edges[:, -1] = b
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    m = 0.5 * (lo + hi)
+    # one call for the panels' nodes and those of the first level
+    fe = f(np.concatenate([edges.ravel(), 0.5 * (lo + m), m, 0.5 * (m + hi)]))
+    flm, fm, frm = fe[edges.size :].reshape(3, -1)
+    fe = fe[: edges.size].reshape(edges.shape)
+    fa, fb = fe[:, :-1].ravel(), fe[:, 1:].ravel()
     whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
     tol = abs_tol / _INITIAL_PANELS
     levels = []  # (value, split) of each level's intervals, coarse to fine
     for depth in range(_MAX_DEPTH, -1, -1):
-        m = 0.5 * (lo + hi)
-        flm, frm = np.split(f(np.concatenate([0.5 * (lo + m), 0.5 * (m + hi)])), 2)
         left = (m - lo) / 6.0 * (fa + 4.0 * flm + fm)
         right = (hi - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        split = ~(np.abs(delta) <= 15.0 * np.maximum(tol, rel_tol * np.abs(left + right)))
+        total = left + right
+        delta = total - whole
+        split = ~(np.abs(delta) <= 15.0 * np.maximum(tol, rel_tol * np.abs(total)))
         split &= depth > 0
         # Richardson correction: Simpson error shrinks 16x per halving.
-        levels.append((left + right + delta / 15.0, split))
-        if not split.any():
+        levels.append((total + delta / 15.0, split))
+        cols = split.nonzero()[0]
+        if not len(cols):
             break
         # the children: each split interval's left half, then its right half
-        lo, hi, fa, fm, fb, whole = (
-            np.stack([first[split], second[split]], axis=1).ravel()
-            for first, second in ((lo, m), (m, hi), (fa, fm), (flm, frm), (fm, fb), (left, right))
-        )
+        pairs = np.array([[lo, m], [m, hi], [fa, fm], [flm, frm], [fm, fb], [left, right]])
+        lo, hi, fa, fm, fb, whole = pairs[:, :, cols].transpose(0, 2, 1).reshape(6, -1)
+        if len(lo) > _MAX_INTERVALS * n:
+            raise RuntimeError(f"adaptive Simpson: over {_MAX_INTERVALS} intervals per integral")
+        m = 0.5 * (lo + hi)
+        flm, frm = f(np.concatenate([0.5 * (lo + m), 0.5 * (m + hi)])).reshape(2, -1)
         tol = 0.5 * tol
-        if len(lo) > _MAX_INTERVALS:
-            raise RuntimeError(f"adaptive Simpson: over {_MAX_INTERVALS} intervals refining")
 
     sums = levels.pop()[0]
     while levels:
         value, split = levels.pop()
         value[split] = sums[0::2] + sums[1::2]
         sums = value
-    total = 0.0
-    for v in sums.tolist():
-        total += v
-    return total
-
+    # each integral adds its panels in order, as a running float sum would
+    return np.add.accumulate(sums.reshape(n, _INITIAL_PANELS), axis=1)[:, -1] + 0.0

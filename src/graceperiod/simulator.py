@@ -19,10 +19,9 @@ or ``(k-1)*(x + B)`` (requestor aborts).  Aborted receivers restart
 immediately, retaining their commit cost; multiplicative backoff doubles
 their abort cost per retry.  Start-to-commit times are accounted through
 the amortization identity ``sum(Gamma) = sum(rho) + sum(conflict extras)``,
-which the totals satisfy exactly.  A ``discrete_classic`` day ``i`` is the
-grace ``x = i``, so its abort costs ``i + B``, where :mod:`costmodel` uses
-the classic ``i - 1 + B``: a conflict here costs ``P(day <= y)`` more in
-expectation (worst ratio 1.58737 against the optimum 1.57737 at ``B = 100``).
+which the totals satisfy exactly.  A ``discrete_classic`` day ``i`` commits
+iff ``y < i`` and otherwise aborts at :func:`costmodel.day_abort_cost`,
+``i - 1 + B``, the accounting its expected costs use.
 
 Scheduling assumptions: requestors are synthetic waiters charged only for
 delay (so a requestor is never re-conflicted as a receiver and chains stay
@@ -56,7 +55,7 @@ from itertools import chain, groupby
 import numpy as np
 
 from .adversary import AdversaryModel, sample_length
-from .costmodel import conflict_cost
+from .costmodel import conflict_cost, day_abort_cost
 from .rng import Stream, stream, streams
 from .strategy import (
     ConflictMode,
@@ -414,8 +413,11 @@ def _online_replay(config: SimConfig, schedule: Schedule, draw, n: int):
                 x = np.full((m, n), strat.support_max)
             else:
                 x = strat.quantile(draw(m))
-            spec = strat.spec
-            yield rows, x, conflict_cost(config.mode, spec.k, spec.B, x, y[rows, None])
+            spec, ys = strat.spec, y[rows, None]
+            if strat.kind is StrategyKind.DISCRETE_PMF:  # k = 2: a commit costs y
+                yield rows, x, np.where(ys < x, ys, day_abort_cost(x, spec.B))
+            else:
+                yield rows, x, conflict_cost(config.mode, spec.k, spec.B, x, ys)
 
 
 def _tally(config: SimConfig, schedule: Schedule, commit, extra) -> SimMetrics:

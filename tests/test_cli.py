@@ -250,6 +250,15 @@ class TestVerifyCommand:
         jsonschema.validate(report, schema)
         assert report["passed"] and report["n_checks"] >= 30
 
+    # the report's bytes: every residual the quadrature and the closed forms give
+    @pytest.mark.parametrize("seed,digest", [
+        ("1", "088ac0f0cf3022f80436fe43d8b04142cfea0c2506fe4ad1ce023d8821e5d128"),
+        ("7", "42cc3197359070bcf70f46cbd23f61292583e9462a9c584def6a2164d4162797"),
+    ])
+    def test_report_digest(self, capsys, seed, digest):
+        assert main(["verify", "--seed", seed]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 # sha256 of strategy-table outputs: the discrete classic at B = 1000 and one
 # density of each continuous family at the default 101 points

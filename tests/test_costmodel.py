@@ -144,6 +144,29 @@ class TestExpectedCost:
                 assert cost == pytest.approx(head + (k - 1) * y * tail, rel=1e-9), (strat, y)
                 assert expected_cost(strat, ConflictInstance(mode, k, B, y)) == cost
 
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("k", [100, 10**4, 10**7])
+    @pytest.mark.parametrize("B", [1e-3, 1.0, 2000.0, 1e6])
+    def test_exact_costs_match_quadrature_at_extreme_k(self, mode, k, B):
+        # the same reference in one batched pass per piece: conflict_cost * pdf
+        # over the aborting graces [0, min(y, S)], and the mass above, which
+        # commits.  At k = 1e7, (1+u)**(k-2) carries ~1e-9 of rounding, so the
+        # integrals run at the default rel_tol (worst gap 2.4e-10, rw_power, y = 0.01 S).
+        for variant, mu in ((UNC, None), (CON, 0.0)):
+            strat = make_strategy(StrategySpec(mode, k, B, variant, mu=mu))
+            assert strat.mean_aware is (variant is CON)
+            S = strat.support_max
+            ys = np.array([1e-6, 0.01, 0.3, 0.99, 1.0, 2.0]) * S
+            cuts = np.minimum(ys, S)
+            head = adaptive_simpson(
+                lambda x: conflict_cost(mode, k, B, x, x) * strat.pdf(x), 0.0, cuts, abs_tol=0.0
+            )
+            tail = adaptive_simpson(strat.pdf, cuts, S, abs_tol=0.0)
+            np.testing.assert_allclose(
+                batch_expected_costs(strat, ys), head + (k - 1) * ys * tail, rtol=1e-9, atol=0.0,
+                err_msg=strat.family,
+            )
+
     def test_flat_past_the_support(self):
         # every grace aborts once y >= S, even where the cdf at S is 1 +- an ulp
         for mode in (RW, RA):

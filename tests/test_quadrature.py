@@ -55,6 +55,37 @@ def assert_same_bits(f, a, b):
     assert adaptive_simpson(f, a, b) == reference_adaptive_simpson(f, a, b)
 
 
+def counting_nodes(f, a, b):
+    """``adaptive_simpson(f, a, b)`` and the number of nodes it passed to ``f``."""
+    lengths = []
+    return adaptive_simpson(lambda x: lengths.append(len(x)) or f(x), a, b), sum(lengths)
+
+
+def recorded_calls(monkeypatch, run):
+    """``(f, a, b, result)`` of each ``oracle.adaptive_simpson`` call ``run()`` makes."""
+    calls = []
+
+    def recording(f, a, b, *args):
+        calls.append((f, a, b, adaptive_simpson(f, a, b, *args)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(oracle, "adaptive_simpson", recording)
+    run()
+    return calls
+
+
+def assert_each_equals_reference(calls, expected):
+    """Each integral of the recorded calls is the recursion's float on its interval."""
+    integrals = [
+        (f, lo, hi, value)
+        for f, a, b, values in calls
+        for lo, hi, value in zip(*np.broadcast_arrays(a, b, values))
+    ]
+    assert len(integrals) == expected
+    for f, lo, hi, value in integrals:
+        assert value == reference_adaptive_simpson(f, float(lo), float(hi))
+
+
 def test_cubics_are_exact():
     assert adaptive_simpson(lambda x: x ** 3 - 2 * x + 1, 0.0, 2.0) == pytest.approx(
         4.0 - 4.0 + 2.0, abs=1e-14
@@ -111,17 +142,21 @@ class TestSameBitsAsRecursion:
             assert_same_bits(f, a, b)
 
     def test_quadrature_check_integrals(self, monkeypatch):
-        integrals = []
+        calls = recorded_calls(monkeypatch, oracle._quadrature_checks)
+        # a cdf and a moment call per case, each over the case's 5 fractions
+        assert len(calls) == 12
+        assert_each_equals_reference(calls, expected=60)
 
-        def recording(f, a, b, *args):
-            integrals.append((f, a, b))
-            return adaptive_simpson(f, a, b, *args)
+    def test_adversary_integrals(self, monkeypatch):
+        def probes():
+            for mode in ConflictMode:
+                for k in (2, 10):
+                    oracle._adversary_costs(mode, k, 100.0, np.linspace(0.0, 100.0 / (k - 1), 8))
 
-        monkeypatch.setattr(oracle, "adaptive_simpson", recording)
-        oracle._quadrature_checks()
-        assert len(integrals) == 60  # a cdf and a moment integral per case and fraction
-        for f, a, b in integrals:
-            assert_same_bits(f, a, b)
+        calls = recorded_calls(monkeypatch, probes)
+        # one call per adversary, over the 7 steps between its 8 grace periods
+        assert len(calls) == 4
+        assert_each_equals_reference(calls, expected=28)
 
     @pytest.mark.parametrize("mode", list(ConflictMode))
     def test_expected_cost_head_integrand(self, mode):
@@ -149,7 +184,8 @@ class TestSameBitsAsRecursion:
             return np.where(x < 0.003, 1.0, 2.0)
 
         adaptive_simpson(jump, 0.0, 10.0)
-        assert len(calls) == 1 + _MAX_DEPTH + 1  # panels, then every level down to depth 0
+        # the panels with the first level's nodes, then every level down to depth 0
+        assert len(calls) == _MAX_DEPTH + 1
         assert_same_bits(jump, 0.0, 10.0)
 
     def test_reversed_and_degenerate_intervals(self):
@@ -157,6 +193,43 @@ class TestSameBitsAsRecursion:
         assert_same_bits(lambda x: np.exp(-x), 50.0, 0.0)
         assert_same_bits(np.sin, 1.5, 1.5)
 
+    def test_batch_equals_each_interval_alone(self):
+        def peak(x):
+            return np.exp(-((x - 0.7) ** 2) / 5e-3)
+
+        # ordinary, reversed, degenerate, peaked and tiny intervals in one pass
+        a = np.array([0.0, math.pi, 1.5, 0.0, 10.0, 3.0, -2.0, 0.7, 5.0])
+        b = np.array([1.0, 0.0, 1.5, 10.0, 0.0, 3.0, 2.0, 0.7 + 1e-9, 50.0])
+        values = adaptive_simpson(peak, a, b)
+        assert values.shape == a.shape
+        for lo, hi, value in zip(a.tolist(), b.tolist(), values):
+            assert value == reference_adaptive_simpson(peak, lo, hi)
+        assert values[2] == values[5] == 0.0 and values[1] < 0.0
+
+    def test_batch_broadcasts_and_skips_empty_intervals(self):
+        values, nodes = counting_nodes(np.sin, 0.0, np.array([[0.0, 1.0], [math.pi, 0.0]]))
+        assert values.shape == (2, 2)
+        assert values[0, 0] == values[1, 1] == 0.0
+        assert values[0, 1] == reference_adaptive_simpson(np.sin, 0.0, 1.0)
+        assert values[1, 0] == reference_adaptive_simpson(np.sin, 0.0, math.pi)
+        # the empty intervals add no nodes, and a batch of them calls f not at all
+        alone = [counting_nodes(np.sin, 0.0, hi)[1] for hi in (1.0, math.pi)]
+        assert nodes == sum(alone)
+        assert adaptive_simpson(lambda x: 1 / 0, np.ones(3), 1.0).tolist() == [0.0] * 3
+
+    def test_scalars_give_a_float(self):
+        assert type(adaptive_simpson(np.sin, 0.0, 1.0)) is float
+        assert type(adaptive_simpson(np.sin, 1, 1)) is float
+        assert type(adaptive_simpson(np.sin, np.float32(1.0), np.asarray(0.0))) is float
+
+    def test_nan_in_a_batch_raises(self):
+        # one of the intervals never converges; the bound scales with the batch
+        with pytest.raises(RuntimeError):
+            adaptive_simpson(
+                lambda x: np.where(x < 1.0, np.nan, x), np.array([0.0, 1.0]), np.array([1.0, 2.0])
+            )
+
     def test_smooth_integrands(self):
         assert_same_bits(np.sin, 0.0, math.pi)
         assert_same_bits(lambda x: np.exp(-((x - 0.7) ** 2) / 5e-3), 0.0, 10.0)
+

@@ -177,11 +177,10 @@ class TestMicroTrace:
         offline = run_offline_baseline(config, sched)
         assert extras.mean() <= 2.0 * offline.sum_extra + 3.0 * stderr
 
-    def test_discrete_classic_abort_costs_one_day_more_than_costmodel(self):
-        # The replay grants day i as the grace x = i, so an abort costs i + B;
-        # costmodel's classic accounting charges i - 1 + B.  Each conflict
-        # therefore costs exactly P(day <= y) more in expectation, and the
-        # worst per-conflict ratio exceeds competitive_ratio by cdf(B)/B.
+    def test_discrete_classic_replay_costs_equal_costmodel(self):
+        # The replay charges a day-i abort i - 1 + B and commits iff y < i, as
+        # costmodel's classic accounting does, so each conflict's expected
+        # cost is batch_expected_costs and the worst ratio is the optimum.
         B = 100.0
         config = base_config(mode=RA, policy=PolicyConfig(Variant.DISCRETE_CLASSIC, B))
         strat = make_strategy(config.policy_spec(2, B))
@@ -196,13 +195,43 @@ class TestMicroTrace:
         ))
         assert all(np.array_equal(row, np.arange(1.0, B + 1.0)) for _, x, _ in chunks for row in x)
         simulated = np.concatenate([cost for _, _, cost in chunks]) @ pmf
-        scored = batch_expected_costs(strat, ys)
-        assert np.allclose(simulated, scored + strat.cdf(ys), rtol=1e-12, atol=0.0)
+        assert np.allclose(simulated, batch_expected_costs(strat, ys), rtol=1e-12, atol=0.0)
         worst = float(np.max(simulated / np.minimum(ys, B)))
         optimum = competitive_ratio(config.policy_spec(2, B)).theoretical_ratio
-        assert worst == pytest.approx(1.587367530085604, abs=1e-12)
+        assert worst == pytest.approx(1.5773675300856045, abs=1e-12)
         assert optimum == pytest.approx(1.5773675300856045, abs=1e-12)
-        assert worst - optimum == pytest.approx(1.0 / B, abs=1e-12)
+
+    # one policy per family: (mode, k, variant, mu), each at B = 100
+    REPLAY_FAMILIES = {
+        "atom": (RW, 2, Variant.DETERMINISTIC, None),
+        "uniform": (RW, 2, Variant.RANDOMIZED_UNCONSTRAINED, None),
+        "rw_power": (RW, 4, Variant.RANDOMIZED_UNCONSTRAINED, None),
+        "rw_log": (RW, 2, Variant.RANDOMIZED_CONSTRAINED, 10.0),
+        "rw_shifted_power": (RW, 4, Variant.RANDOMIZED_CONSTRAINED, 1.0),
+        "ra_exp": (RA, 3, Variant.RANDOMIZED_UNCONSTRAINED, None),
+        "ra_expm1": (RA, 3, Variant.RANDOMIZED_CONSTRAINED, 1.0),
+        "discrete_classic": (RA, 2, Variant.DISCRETE_CLASSIC, None),
+    }
+
+    @pytest.mark.parametrize("family", list(REPLAY_FAMILIES))
+    def test_replay_mean_cost_matches_costmodel(self, family):
+        mode, k, variant, mu = self.REPLAY_FAMILIES[family]
+        B, n = 100.0, 100_000
+        config = base_config(mode=mode, policy=PolicyConfig(variant, B, mu))
+        strat = make_strategy(config.policy_spec(k, B))
+        assert strat.family == family
+        S = strat.support_max
+        ys = np.array([0.1 * S, 0.5 * S, 0.9 * S, S, 1.5 * S])
+        if family == "discrete_classic":
+            ys = np.array([0.5, 37.0, 37.5, 99.5, 100.0, 150.0])  # ties at integer days
+        events = tuple(ConflictEvent(float(i), 0, k, y, i, 0.0, B) for i, y in enumerate(ys))
+        sched = Schedule(events, ((1.0,),), 1, 1, 1.0, "")
+        costs = np.concatenate([cost for _, _, cost in simulator._online_replay(
+            config, sched, streams(config.seed, "mc", n=n).uniform, n
+        )])
+        stderr = costs.std(axis=1, ddof=1) / math.sqrt(n)
+        expected = batch_expected_costs(strat, ys)
+        assert np.all(np.abs(costs.mean(axis=1) - expected) <= 4.0 * stderr + 1e-12 * expected)
 
     def test_trace_bad_fields_rejected(self, tmp_path):
         with pytest.raises(TraceError, match="expected"):
@@ -557,6 +586,8 @@ def reference_run(config, sched, policy_stream=None):
         x = strategies[key].sample(policy_stream)
         if ev.y < x:
             outcomes.append((ev, True, (ev.k - 1) * ev.y))
+        elif config.policy.variant is Variant.DISCRETE_CLASSIC:  # day x granted x - 1 days
+            outcomes.append((ev, False, x - 1.0 + ev.b_cost))
         elif config.mode is RW:
             outcomes.append((ev, False, ev.k * x + ev.b_cost))
         else:
