@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .adversary import AdversaryModel, remaining_time, worst_case_for_det
-from .costmodel import conflict_cost
+from .costmodel import conflict_cost, opt_cost
 from .rng import stream
 from .simulator import _integral, _real
 from .strategy import ConflictMode, StrategySpec, Variant, check_abort_cost, make_strategy
@@ -159,7 +159,7 @@ def _std_in_place(resid: np.ndarray) -> float:
 def _score_distribution(dist: str, config: BenchConfig, out: np.ndarray) -> list[TrialRecord]:
     n = config.trials
     ys = remaining_time(_length_model(dist, config), stream(config.seed, "bench", dist), n)
-    opt = np.minimum(ys, config.B)  # (k-1)*y = y at k = 2
+    opt = opt_cost(_K, config.B, ys)
     avg_opt = float(np.mean(opt))
     rows = []
     for name in config.strategies:

@@ -10,7 +10,7 @@ time ``y``, and granted grace period ``x``:
   penalty); requestor-aborts pays ``(k-1)*(x + B)`` since the ``k-1``
   requestors are the ones thrown away.
 
-The offline optimum with foresight is ``min((k-1)*y, B)``.
+The offline optimum with foresight is :func:`opt_cost`, ``min((k-1)*y, B)``.
 
 Expected costs against a point adversary are exact to rounding: every
 closed-form density carries its distribution function ``F`` and partial
@@ -60,9 +60,9 @@ class ConflictInstance:
             raise ValueError(f"remaining time y must be positive, got {self.y}")
 
 
-def opt_cost(instance: ConflictInstance) -> float:
-    """Offline optimum ``min((k-1)*y, B)``."""
-    return min((instance.k - 1) * instance.y, instance.B)
+def opt_cost(k, B, y):
+    """Offline optimum ``min((k-1)*y, B)``, elementwise over broadcastable arrays."""
+    return np.minimum((k - 1) * y, B)
 
 
 def conflict_cost(mode: ConflictMode, k: int, B: float, x, y):
@@ -147,7 +147,7 @@ def batch_ratios(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     if np.any(ys <= 0.0):
         raise ValueError("adversary grid must be strictly positive")
     costs = batch_expected_costs(strategy, ys)
-    return costs / np.minimum((strategy.spec.k - 1) * ys, strategy.spec.B)
+    return costs / opt_cost(strategy.spec.k, strategy.spec.B, ys)
 
 
 def ratio_profile(strategy: GracePeriodStrategy, y_grid) -> list[tuple[float, float]]:

@@ -368,7 +368,7 @@ def _deterministic_certificate_checks() -> list[dict]:
     for k in (2, 3, 5, 10):
         B, threshold, expected = 100.0, det_threshold(k, 100.0), det_competitive_ratio(k)
         xs = np.append(np.geomspace(1e-4, 10.0, 1000) * B, threshold)
-        ratios = costmodel.conflict_cost(_RW, k, B, xs, xs) / np.minimum((k - 1) * xs, B)
+        ratios = costmodel.conflict_cost(_RW, k, B, xs, xs) / costmodel.opt_cost(k, B, xs)
         idx = int(np.argmin(ratios))
         value, argmin = float(ratios[idx]), float(xs[idx])
         residual = abs(value - expected) / expected

@@ -36,8 +36,11 @@ on both sides.  Each event therefore carries its abort cost, fixed at
 generation time.  Trace files (``time receiver_thread k`` per line) are
 validated against the same windows and rejected with line diagnostics.
 
-The schedule's streams are drawn in blocks, and one chunked replay serves
-both a single run and a throughput campaign (one value per policy stream).
+The schedule holds its admitted conflicts as one record array of dtype
+:data:`EVENT`, in time order, and each thread's transaction lengths as a
+float64 array; the replays read the records' fields by name.  Its streams
+are drawn in blocks, and one chunked replay serves both a single run and a
+throughput campaign (one value per policy stream).
 Every sum keeps the one-by-one order, so results equal those of drawing one
 value at a time bit for bit, and each campaign seed equals its own run.
 """
@@ -49,13 +52,12 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 from itertools import chain, groupby
 
 import numpy as np
 
 from .adversary import AdversaryModel, sample_length
-from .costmodel import conflict_cost, day_abort_cost
+from .costmodel import conflict_cost, day_abort_cost, opt_cost
 from .rng import Stream, stream, streams
 from .strategy import (
     ConflictMode,
@@ -69,7 +71,7 @@ from .strategy import (
 )
 
 __all__ = [
-    "PolicyConfig", "SimConfig", "ConflictEvent", "Schedule", "SimMetrics",
+    "PolicyConfig", "SimConfig", "EVENT", "Schedule", "SimMetrics",
     "BoundCheck", "ProgressResult", "TraceError", "build_schedule", "run",
     "run_offline_baseline", "simulate_pair", "throughput_bound_check",
     "throughput_campaign", "progress_check", "config_from_dict",
@@ -151,32 +153,26 @@ class SimConfig:
         return StrategySpec(self.mode, k, B, self.policy.variant, mu=self.policy.mu)
 
 
-@dataclass(frozen=True)
-class ConflictEvent:
-    time: float
-    thread: int
-    k: int
-    y: float  # pegged remaining time of the receiver's current transaction
-    tx_index: int  # thread-local transaction index on the ideal timeline
-    elapsed: float  # ideal running time of that transaction at self.time
-    b_cost: float  # abort cost for this conflict (static/dynamic rule + backoff)
+# One record per admitted conflict: its time, receiver thread and chain size,
+# the receiver's pegged remaining time ``y``, the index of the transaction it
+# hits on the thread's ideal timeline and that transaction's ideal running
+# time so far, and the abort cost (static or dynamic rule, times backoff).
+EVENT = np.dtype([
+    ("time", "f8"), ("thread", "i8"), ("k", "i8"), ("y", "f8"),
+    ("tx_index", "i8"), ("elapsed", "f8"), ("b_cost", "f8"),
+])
 
 
-@dataclass(frozen=True)
+# eq=False: comparing array fields has no single truth value
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    events: tuple[ConflictEvent, ...]
-    rho: tuple[tuple[float, ...], ...]  # per-thread transaction lengths
+    events: np.ndarray  # EVENT records in time order
+    rho: tuple[np.ndarray, ...]  # per-thread float64 transaction lengths
     n_transactions: int
     transactions_committed: int  # ideal commit happens within the horizon
     sum_rho: float
     digest: str
     backoff_mults: tuple[tuple[tuple[int, int], float], ...] = ()
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        """Rows ``thread, tx_index, k, y, b_cost``: the events' fields as arrays."""
-        fields = [(e.thread, e.tx_index, e.k, e.y, e.b_cost) for e in self.events]
-        return np.array(fields, dtype=float).reshape(-1, 5).T
 
 
 @dataclass(frozen=True)
@@ -333,7 +329,7 @@ def build_schedule(config: SimConfig) -> Schedule:
     # admission: the grace-window exclusion and the forced-abort backoff rule
     next_allowed = [0.0] * config.n_threads
     mults: dict[tuple[int, int], float] = {}
-    events: list[ConflictEvent] = []
+    rows: list[tuple] = []
     candidates = chain.from_iterable(_candidate_blocks(config))
     for entry, (t, thr, k) in enumerate(candidates, start=1):
         if config.trace_path is not None:
@@ -364,13 +360,14 @@ def build_schedule(config: SimConfig) -> Schedule:
                 # throws away fresh synthetic requestors each time
                 mults[thr, idx] = mults.get((thr, idx), 1.0) * 2.0
         next_allowed[thr] = t + window
-        events.append(ConflictEvent(t, thr, k, rem, idx, el, b_cost))
+        rows.append((t, thr, k, rem, idx, el, b_cost))
 
-    digest_src = "\n".join(f"{e.time!r} {e.thread} {e.k} {e.y!r}" for e in events)
+    # from the Python values: numpy 2 prints an array element as np.float64(...)
+    digest_src = "\n".join(f"{t!r} {thr} {k} {y!r}" for t, thr, k, y, *_ in rows)
     digest = hashlib.sha256(digest_src.encode("ascii")).hexdigest()
     return Schedule(
-        events=tuple(events),
-        rho=tuple(map(tuple, rho)),
+        events=np.array(rows, dtype=EVENT),
+        rho=tuple(lengths for _, lengths, _ in per_thread),
         n_transactions=sum(map(len, rho)),
         # every transaction but a thread's last ends before the horizon
         transactions_committed=sum(
@@ -397,11 +394,12 @@ def _online_replay(config: SimConfig, schedule: Schedule, draw, n: int):
     elementwise call maps and costs a slice, so each stream's results equal
     a replay of that stream alone, bit for bit.
     """
-    _, _, k, y, b = schedule.columns
-    strategies: dict[tuple[float, float], GracePeriodStrategy] = {}  # one per (k, B)
+    events = schedule.events
+    y = events["y"]
+    strategies: dict[tuple[int, float], GracePeriodStrategy] = {}  # one per (k, B)
     step = max(1, _CHUNK_CELLS // n)
     hi = 0
-    for key, same in groupby(zip(k.tolist(), b.tolist())):
+    for key, same in groupby(zip(events["k"].tolist(), events["b_cost"].tolist())):
         lo, hi = hi, hi + sum(1 for _ in same)
         if key not in strategies:
             strategies[key] = make_strategy(config.policy_spec(*key))
@@ -422,7 +420,7 @@ def _online_replay(config: SimConfig, schedule: Schedule, draw, n: int):
 
 def _tally(config: SimConfig, schedule: Schedule, commit, extra) -> SimMetrics:
     """Metrics of one replay from its per-event arrays of commit flags and costs."""
-    thread, tx_index = schedule.columns[:2]
+    thread, tx_index = schedule.events["thread"], schedule.events["tx_index"]
     # aborted requestor-wins receivers retry; Counter, as the first np.unique
     # call imports numpy.ma (about 15 ms)
     retried = ~commit & (config.mode is ConflictMode.REQUESTOR_WINS)
@@ -462,12 +460,13 @@ def run(
         schedule = build_schedule(config)
     if policy_stream is None:
         policy_stream = stream(config.seed, "policy")
-    commit, extra = np.empty(len(schedule.events), dtype=bool), np.empty(len(schedule.events))
+    y = schedule.events["y"]
+    commit, extra = np.empty(len(y), dtype=bool), np.empty(len(y))
     replay = _online_replay(
         config, schedule, lambda m: policy_stream.uniform_batch(m)[:, None], 1
     )
     for rows, x, cost in replay:
-        commit[rows] = schedule.columns[3, rows] < x[:, 0]
+        commit[rows] = y[rows] < x[:, 0]
         extra[rows] = cost[:, 0]
     return _tally(config, schedule, commit, extra)
 
@@ -475,16 +474,14 @@ def run(
 def run_offline_baseline(config: SimConfig, schedule: Schedule | None = None) -> SimMetrics:
     """Perfect-information replay of the same schedule.
 
-    Each conflict costs ``min((k-1)*y, B)``: wait out the receiver when the
-    aggregate delay is cheaper than the abort penalty, abort immediately
-    otherwise.
+    Each conflict costs :func:`costmodel.opt_cost`, ``min((k-1)*y, B)``: wait
+    out the receiver when the aggregate delay is at most the abort penalty,
+    abort immediately otherwise.
     """
     if schedule is None:
         schedule = build_schedule(config)
-    _, _, k, y, b = schedule.columns
-    wait = (k - 1) * y
-    commit = wait <= b
-    return _tally(config, schedule, commit, np.where(commit, wait, b))
+    k, y, b = (schedule.events[name] for name in ("k", "y", "b_cost"))
+    return _tally(config, schedule, (k - 1) * y <= b, opt_cost(k, b, y))
 
 
 N_SIGMA = 3.0  # the bound check's margin, in standard errors of the seed average

@@ -419,7 +419,7 @@ _FAMILIES = {
         mean_aware=True,
     ),
     "rw_power": _Family(
-        pdf=lambda u, k, B, p: (k - 1) * (1.0 + u) ** (k - 2) / (B * (p["q"] - 1.0)),
+        pdf=lambda u, k, B, p: (k - 1) * np.exp((k - 2) * np.log1p(u)) / (B * (p["q"] - 1.0)),
         cdf=lambda u, k, B, p: np.expm1((k - 1) * np.log1p(u)) / (p["q"] - 1.0),
         moment=lambda u, k, B, p: (
             (k - 1) * u * u * _series(p["moment"], (k - 1) * u) / (p["q"] - 1.0)

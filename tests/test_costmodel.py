@@ -70,12 +70,22 @@ class TestPointwise:
 
 class TestOptCost:
     def test_values(self):
-        assert opt_cost(ConflictInstance(RW, 2, 100.0, 30.0)) == 30.0
-        assert opt_cost(ConflictInstance(RW, 3, 100.0, 80.0)) == 100.0
-        assert opt_cost(ConflictInstance(RA, 2, 100.0, 250.0)) == 100.0
+        assert opt_cost(2, 100.0, 30.0) == 30.0
+        assert opt_cost(3, 100.0, 80.0) == 100.0
+        assert opt_cost(2, 100.0, 250.0) == 100.0
 
     def test_vanishes_with_remaining_time(self):
-        assert opt_cost(ConflictInstance(RW, 4, 100.0, 1e-12)) == pytest.approx(0.0, abs=1e-11)
+        assert opt_cost(4, 100.0, 1e-12) == pytest.approx(0.0, abs=1e-11)
+
+    def test_elementwise(self):
+        # integer chain sizes against float remaining times and abort costs,
+        # the way the simulator's event records pass them
+        ks, bs = np.array([2, 3, 8, 2]), np.array([100.0, 100.0, 50.0, 7.0])
+        ys = np.array([30.0, 80.0, 5.0, 7.0])
+        got = opt_cost(ks, bs, ys)
+        assert got.dtype == np.float64
+        assert got.tolist() == [30.0, 100.0, 35.0, 7.0]
+        assert got.tolist() == [min((k - 1) * y, b) for k, b, y in zip([2, 3, 8, 2], bs, ys)]
 
 
 class TestExpectedCost:
@@ -315,4 +325,4 @@ def test_property_cost_decomposition(mode, k, b, y, x):
         assert total == pytest.approx(delay + abort, rel=1e-15)
     assert total >= 0.0
     # the offline optimum lower-bounds every realizable conflict cost
-    assert opt_cost(inst) <= total * (1.0 + 1e-12) + 1e-12
+    assert opt_cost(inst.k, inst.B, inst.y) <= total * (1.0 + 1e-12) + 1e-12

@@ -17,7 +17,7 @@ from graceperiod.adversary import KINDS, AdversaryModel, sample_length
 from graceperiod.costmodel import ConflictInstance, batch_expected_costs, expected_cost, opt_cost
 from graceperiod.rng import Stream, stream, streams
 from graceperiod.simulator import (
-    ConflictEvent,
+    EVENT,
     PolicyConfig,
     Schedule,
     SimConfig,
@@ -79,6 +79,26 @@ def micro_trace_config(tmp_path, text, **overrides):
 MICRO_TRACE = "10 0 2\n70 1 2\n130 0 3\n"
 
 
+def one_thread_schedule(k, ys, B):
+    """Conflicts of chain size ``k`` at remaining times ``ys`` on thread 0,
+    one per transaction, for replaying by hand."""
+    events = np.array([(float(i), 0, k, y, i, 0.0, B) for i, y in enumerate(ys)], dtype=EVENT)
+    return Schedule(events, (np.array([1.0]),), 1, 1, 1.0, "")
+
+
+def assert_same_schedule(got, want, name=""):
+    """Field by field, bit for bit: a Schedule holds arrays, so it has no ``==``."""
+    assert got.digest == want.digest, name
+    assert got.events.dtype == want.events.dtype == EVENT, name
+    assert got.events.tobytes() == want.events.tobytes(), name
+    assert len(got.rho) == len(want.rho), name
+    for ours, theirs in zip(got.rho, want.rho):
+        assert ours.dtype == theirs.dtype == np.float64, name
+        assert ours.tobytes() == theirs.tobytes(), name
+    scalars = ("n_transactions", "transactions_committed", "sum_rho", "backoff_mults")
+    assert [getattr(got, f) for f in scalars] == [getattr(want, f) for f in scalars], name
+
+
 class TestSchedule:
     def test_zero_rate_is_conflict_free(self):
         config = base_config(conflict_rate=0.0)
@@ -93,37 +113,51 @@ class TestSchedule:
         config = base_config(conflict_rate=5.0)  # heavy thinning
         sched = build_schedule(config)
         last_allowed = {}
-        for ev in sched.events:
-            if ev.thread in last_allowed:
-                assert ev.time >= last_allowed[ev.thread]
-            if (ev.k - 1) * ev.y <= ev.b_cost:
-                window = max(ev.y, ev.b_cost / (ev.k - 1))
+        for t, thr, k, y, _, _, b_cost in sched.events.tolist():
+            if thr in last_allowed:
+                assert t >= last_allowed[thr]
+            if (k - 1) * y <= b_cost:
+                window = max(y, b_cost / (k - 1))
             else:
-                window = ev.b_cost / (ev.k - 1)  # abort forced in both runs
-            last_allowed[ev.thread] = ev.time + window
+                window = b_cost / (k - 1)  # abort forced in both runs
+            last_allowed[thr] = t + window
 
     def test_pegged_remaining_time_is_consistent(self):
         sched = build_schedule(base_config())
-        for ev in sched.events:
-            rho = sched.rho[ev.thread][ev.tx_index]
-            assert 0.0 < ev.y <= rho + 1e-12
-            assert ev.elapsed == pytest.approx(rho - ev.y, rel=1e-9, abs=1e-9)
+        for _, thr, _, y, idx, elapsed, _ in sched.events.tolist():
+            rho = sched.rho[thr][idx]
+            assert 0.0 < y <= rho + 1e-12
+            assert elapsed == pytest.approx(rho - y, rel=1e-9, abs=1e-9)
 
     def test_chain_size_distribution(self):
         config = base_config(chain_size={2: 0.5, 4: 0.5}, conflict_rate=1.0)
         sched = build_schedule(config)
-        ks = {ev.k for ev in sched.events}
+        ks = set(sched.events["k"].tolist())
         assert ks <= {2, 4} and len(ks) == 2
+
+    def test_events_are_one_record_array(self):
+        # what the replay and perfbench's schedule probe read: one EVENT
+        # record per admitted conflict, in time order, with an integer k
+        config = base_config(chain_size={2: 1, 3: 1, 8: 1}, doubling_backoff=True)
+        sched = build_schedule(config)
+        assert sched.events.dtype == EVENT
+        assert sched.events.dtype["k"].kind == "i"
+        assert np.all(np.diff(sched.events["time"]) >= 0.0)
+        assert len(sched.rho) == config.n_threads
+        for lengths in sched.rho:
+            assert isinstance(lengths, np.ndarray) and lengths.dtype == np.float64
+        assert sched.n_transactions == sum(map(len, sched.rho))
+        assert len(sched.events) == run(config, sched).n_conflicts > 0
 
 
 class TestMicroTrace:
     def test_offline_waste_matches_hand_computation(self, tmp_path):
         config = micro_trace_config(tmp_path, MICRO_TRACE)
         sched = build_schedule(config)
-        assert [(e.time, e.thread, e.k) for e in sched.events] == [
+        assert sched.events[["time", "thread", "k"]].tolist() == [
             (10.0, 0, 2), (70.0, 1, 2), (130.0, 0, 3)
         ]
-        assert [e.y for e in sched.events] == [40.0, 30.0, 20.0]
+        assert sched.events["y"].tolist() == [40.0, 30.0, 20.0]
         # each thread: transactions of length 50 until the horizon is covered
         assert sched.n_transactions == 8
         assert sched.sum_rho == 400.0
@@ -152,7 +186,7 @@ class TestMicroTrace:
         with pytest.raises(TraceError, match=r"entry 1: .*dynamic_b.*cleanup_cost"):
             build_schedule(config)
         config = micro_trace_config(tmp_path, "0 0 2\n", dynamic_b=True, cleanup_cost=5.0)
-        assert [e.b_cost for e in build_schedule(config).events] == [5.0]
+        assert build_schedule(config).events["b_cost"].tolist() == [5.0]
 
     def test_trace_descending_times_rejected(self, tmp_path):
         with pytest.raises(TraceError, match="nondecreasing"):
@@ -186,8 +220,7 @@ class TestMicroTrace:
         strat = make_strategy(config.policy_spec(2, B))
         pmf, cum = strat.params["pmf"], strat.params["cumulative"]
         ys = np.arange(0.5, 130.0, 0.5)
-        events = tuple(ConflictEvent(float(i), 0, 2, y, i, 0.0, B) for i, y in enumerate(ys))
-        sched = Schedule(events, ((1.0,),), 1, 1, 1.0, "")
+        sched = one_thread_schedule(2, ys, B)
         # one lane per day: each lane's uniform maps to its own day
         day_uniforms = np.broadcast_to(cum - 0.5 * pmf, (len(ys), len(pmf)))
         chunks = list(simulator._online_replay(
@@ -196,7 +229,7 @@ class TestMicroTrace:
         assert all(np.array_equal(row, np.arange(1.0, B + 1.0)) for _, x, _ in chunks for row in x)
         simulated = np.concatenate([cost for _, _, cost in chunks]) @ pmf
         assert np.allclose(simulated, batch_expected_costs(strat, ys), rtol=1e-12, atol=0.0)
-        worst = float(np.max(simulated / np.minimum(ys, B)))
+        worst = float(np.max(simulated / opt_cost(2, B, ys)))
         optimum = competitive_ratio(config.policy_spec(2, B)).theoretical_ratio
         assert worst == pytest.approx(1.5773675300856045, abs=1e-12)
         assert optimum == pytest.approx(1.5773675300856045, abs=1e-12)
@@ -224,8 +257,7 @@ class TestMicroTrace:
         ys = np.array([0.1 * S, 0.5 * S, 0.9 * S, S, 1.5 * S])
         if family == "discrete_classic":
             ys = np.array([0.5, 37.0, 37.5, 99.5, 100.0, 150.0])  # ties at integer days
-        events = tuple(ConflictEvent(float(i), 0, k, y, i, 0.0, B) for i, y in enumerate(ys))
-        sched = Schedule(events, ((1.0,),), 1, 1, 1.0, "")
+        sched = one_thread_schedule(k, ys, B)
         costs = np.concatenate([cost for _, _, cost in simulator._online_replay(
             config, sched, streams(config.seed, "mc", n=n).uniform, n
         )])
@@ -289,17 +321,15 @@ class TestRunInvariants:
         config = base_config()
         sched = build_schedule(config)
         strat = make_strategy(StrategySpec(RW, 2, 100.0, Variant.RANDOMIZED_UNCONSTRAINED))
-        for ev in sched.events:
-            inst = ConflictInstance(RW, ev.k, 100.0, ev.y)
-            assert expected_cost(strat, inst) <= 2.0 * opt_cost(inst) * (1 + 1e-9)
+        for k, y in sched.events[["k", "y"]].tolist():
+            cost = expected_cost(strat, ConflictInstance(RW, k, 100.0, y))
+            assert cost <= 2.0 * opt_cost(k, 100.0, y) * (1 + 1e-9)
 
     def test_offline_extra_equals_sum_of_optima(self):
         config = base_config()
         sched = build_schedule(config)
         offline = run_offline_baseline(config, sched)
-        expected = sum(
-            opt_cost(ConflictInstance(RW, ev.k, 100.0, ev.y)) for ev in sched.events
-        )
+        expected = sum(opt_cost(k, 100.0, y) for k, y in sched.events[["k", "y"]].tolist())
         assert offline.sum_extra == pytest.approx(expected, rel=1e-12)
 
     def test_online_never_beats_offline(self):
@@ -336,7 +366,7 @@ class TestRunInvariants:
             horizon=200.0, seed=1, trace_path=str(path), doubling_backoff=True,
         )
         sched = build_schedule(config)
-        assert [e.b_cost for e in sched.events] == [4.0, 8.0]
+        assert sched.events["b_cost"].tolist() == [4.0, 8.0]
         assert sched.backoff_mults == (((0, 0), 4.0),)
         metrics = run(config, sched)
         assert metrics.abort_branches == 2
@@ -357,7 +387,7 @@ class TestRunInvariants:
         )
         sched = build_schedule(config)
         # the aborted parties are fresh requestors; the receiver's B stays put
-        assert [e.b_cost for e in sched.events] == [4.0, 4.0]
+        assert sched.events["b_cost"].tolist() == [4.0, 4.0]
 
     def test_dynamic_b_uses_elapsed_plus_cleanup(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -428,7 +458,7 @@ class TestThroughputBound:
         for name, config, families in engine_cases():
             sched = build_schedule(config)
             offline = run_offline_baseline(config, sched)
-            assert sched.events, name
+            assert len(sched.events), name
             assert bool(sched.backoff_mults) == config.doubling_backoff, name
             assert policy_families(config, sched) == families, name
             ratios, _, _ = throughput_campaign(config, ENGINE_SEEDS)
@@ -475,9 +505,9 @@ def engine_cases():
 def policy_families(config, sched):
     return {
         make_strategy(StrategySpec(
-            config.mode, ev.k, ev.b_cost, config.policy.variant, mu=config.policy.mu
+            config.mode, k, b_cost, config.policy.variant, mu=config.policy.mu
         )).family
-        for ev in sched.events
+        for k, b_cost in sched.events[["k", "b_cost"]].tolist()
     }
 
 
@@ -532,7 +562,7 @@ def reference_build_schedule(config):
         candidates = []
 
     next_allowed = [0.0] * config.n_threads
-    mults, events = {}, []
+    mults, rows = {}, []
     for t, thr, k in candidates:
         if t < next_allowed[thr]:
             if config.trace_path is not None:
@@ -550,15 +580,15 @@ def reference_build_schedule(config):
             if config.doubling_backoff and config.mode is RW:
                 mults[thr, idx] = mults.get((thr, idx), 1.0) * 2.0
         next_allowed[thr] = t + window
-        events.append(ConflictEvent(t, thr, k, y, idx, elapsed, b_cost))
+        rows.append((t, thr, k, y, idx, elapsed, b_cost))
 
-    digest = "\n".join(f"{e.time!r} {e.thread} {e.k} {e.y!r}" for e in events)
+    digest = "\n".join(f"{t!r} {thr} {k} {y!r}" for t, thr, k, y, *_ in rows)
     sum_rho = 0.0
     for total in totals:
         sum_rho += total
     return Schedule(
-        events=tuple(events),
-        rho=tuple(tuple(rs) for rs in lengths),
+        events=np.array(rows, dtype=EVENT),
+        rho=tuple(np.array(rs, dtype=float) for rs in lengths),
         n_transactions=sum(len(rs) for rs in lengths),
         transactions_committed=sum(
             1
@@ -577,39 +607,39 @@ def reference_run(config, sched, policy_stream=None):
     if policy_stream is None:
         policy_stream = stream(config.seed, "policy")
     strategies, outcomes = {}, []
-    for ev in sched.events:
-        key = (ev.k, ev.b_cost)
-        if key not in strategies:
-            strategies[key] = make_strategy(StrategySpec(
-                config.mode, ev.k, ev.b_cost, config.policy.variant, mu=config.policy.mu
+    for _, thr, k, y, idx, _, b_cost in sched.events.tolist():
+        if (k, b_cost) not in strategies:
+            strategies[k, b_cost] = make_strategy(StrategySpec(
+                config.mode, k, b_cost, config.policy.variant, mu=config.policy.mu
             ))
-        x = strategies[key].sample(policy_stream)
-        if ev.y < x:
-            outcomes.append((ev, True, (ev.k - 1) * ev.y))
+        x = strategies[k, b_cost].sample(policy_stream)
+        if y < x:
+            outcomes.append(((thr, idx), True, (k - 1) * y))
         elif config.policy.variant is Variant.DISCRETE_CLASSIC:  # day x granted x - 1 days
-            outcomes.append((ev, False, x - 1.0 + ev.b_cost))
+            outcomes.append(((thr, idx), False, x - 1.0 + b_cost))
         elif config.mode is RW:
-            outcomes.append((ev, False, ev.k * x + ev.b_cost))
+            outcomes.append(((thr, idx), False, k * x + b_cost))
         else:
-            outcomes.append((ev, False, (ev.k - 1) * (x + ev.b_cost)))
+            outcomes.append(((thr, idx), False, (k - 1) * (x + b_cost)))
     return reference_tally(config, sched, outcomes)
 
 
 def reference_offline(config, sched):
     outcomes = []
-    for ev in sched.events:
-        wait = (ev.k - 1) * ev.y
-        outcomes.append((ev, True, wait) if wait <= ev.b_cost else (ev, False, ev.b_cost))
+    for _, thr, k, y, idx, _, b_cost in sched.events.tolist():
+        wait = (k - 1) * y
+        outcomes.append(((thr, idx), True, wait) if wait <= b_cost else ((thr, idx), False, b_cost))
     return reference_tally(config, sched, outcomes)
 
 
 def reference_tally(config, sched, outcomes):
+    """``outcomes`` holds ``((thread, tx_index), committed, extra)`` per event."""
     attempts, sum_extra, commits = {}, 0.0, 0
-    for ev, commit, extra in outcomes:
+    for tx, commit, extra in outcomes:
         if commit:
             commits += 1
         elif config.mode is RW:
-            attempts[ev.thread, ev.tx_index] = attempts.get((ev.thread, ev.tx_index), 1) + 1
+            attempts[tx] = attempts.get(tx, 1) + 1
         sum_extra += extra
     hist = {}
     if sched.n_transactions > len(attempts):
@@ -665,9 +695,9 @@ def parity_cases(tmp_path):
 def drawing_events(config, sched):
     return sum(
         make_strategy(StrategySpec(
-            config.mode, ev.k, ev.b_cost, config.policy.variant, mu=config.policy.mu
+            config.mode, k, b_cost, config.policy.variant, mu=config.policy.mu
         )).kind is not StrategyKind.ATOM
-        for ev in sched.events
+        for k, b_cost in sched.events[["k", "b_cost"]].tolist()
     )
 
 
@@ -675,7 +705,7 @@ class TestScalarReference:
     def test_schedules_and_runs_match_the_scalar_reference(self, tmp_path):
         for name, config in parity_cases(tmp_path):
             sched = build_schedule(config)
-            assert sched == reference_build_schedule(config), name
+            assert_same_schedule(sched, reference_build_schedule(config), name)
             assert run(config, sched) == reference_run(config, sched), name
             assert run_offline_baseline(config, sched) == reference_offline(config, sched), name
 
@@ -686,7 +716,7 @@ class TestScalarReference:
         monkeypatch.setattr(simulator, "_CHUNK_CELLS", 7)
         for name, config, _ in engine_cases():
             sched = build_schedule(config)
-            assert sched == reference_build_schedule(config), name
+            assert_same_schedule(sched, reference_build_schedule(config), name)
             assert run(config, sched) == reference_run(config, sched), name
             offline = run_offline_baseline(config, sched)
             ratios, _, _ = throughput_campaign(config, 3, schedule=sched, offline=offline)
@@ -702,13 +732,12 @@ class TestScalarReference:
         began = time.perf_counter()
         sched = build_schedule(config)
         assert time.perf_counter() - began < 20.0
-        assert len({ev.thread for ev in sched.events}) == 512
-        starts = [list(accumulate(rs, initial=0.0)) for rs in sched.rho]
-        for ev in sched.events:
-            idx = bisect_right(starts[ev.thread], ev.time) - 1
-            elapsed = ev.time - starts[ev.thread][idx]
-            assert (ev.tx_index, ev.elapsed) == (idx, elapsed)
-            assert ev.y == sched.rho[ev.thread][idx] - elapsed
+        assert len(set(sched.events["thread"].tolist())) == 512
+        starts = [list(accumulate(rs.tolist(), initial=0.0)) for rs in sched.rho]
+        for t, thr, _, y, tx_index, elapsed, _ in sched.events.tolist():
+            idx = bisect_right(starts[thr], t) - 1
+            assert (tx_index, elapsed) == (idx, t - starts[thr][idx])
+            assert y == sched.rho[thr][idx] - elapsed
 
     def test_run_takes_one_draw_per_non_atom_event(self):
         for name, config, _ in engine_cases():

@@ -231,6 +231,22 @@ class TestMakeStrategy:
         q = (5.0 / 4.0) ** 4
         assert strat.pdf(10.0) == pytest.approx(4.0 * 1.1**3 / (100.0 * (q - 1.0)), rel=1e-14)
 
+    @pytest.mark.parametrize("k", [3, 10, 10**3, 10**5, 10**7])
+    def test_rw_power_pdf_matches_50_digit_arithmetic(self, k):
+        # (1 + u)**(k - 2) raised the rounding of 1 + u to the power k - 2:
+        # 1.1e-9 relative at k = 1e7; exp((k - 2) log1p(u)) keeps it to ulps
+        strat = make_strategy(StrategySpec(RW, k, 1.0, UNC))
+        assert strat.family == "rw_power"
+        xs = np.linspace(0.0, strat.support_max, 100)
+        got = strat.pdf(xs)
+        D = decimal.Decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            q = (D(k) / (k - 1)) ** (k - 1)
+            for x, value in zip(xs.tolist(), got.tolist()):
+                exact = (k - 1) * (1 + D(x)) ** (k - 2) / (q - 1)
+                assert abs(D(value) / exact - 1) <= D("1e-14"), x
+
     def test_rw_constrained_k2_closed_form(self):
         strat = make_strategy(StrategySpec(RW, 2, 100.0, CON, mu=10.0))
         assert strat.family == "rw_log"
