@@ -1,13 +1,7 @@
 """Optimal grace-period strategies for transactional conflict resolution."""
 
 from .adversary import AdversaryModel, remaining_time, sample_length, worst_case_for_det
-from .costmodel import (
-    ConflictInstance,
-    conflict_cost,
-    expected_cost,
-    opt_cost,
-    ratio_profile,
-)
+from .costmodel import conflict_cost, expected_cost, opt_cost, ratio_profile
 from .oracle import (
     abort_density_comparison,
     lagrange_identity_check,
@@ -38,7 +32,7 @@ from .strategy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversaryModel", "ConflictInstance", "ConflictMode",
+    "AdversaryModel", "ConflictMode",
     "GracePeriodStrategy", "RatioReport", "StrategyKind", "StrategySpec",
     "Stream", "Streams", "Variant", "abort_density_comparison",
     "competitive_ratio", "conflict_cost", "derive_seed",

@@ -12,11 +12,12 @@ time ``y``, and granted grace period ``x``:
 
 The offline optimum with foresight is :func:`opt_cost`, ``min((k-1)*y, B)``.
 
-Expected costs against a point adversary are exact to rounding: every
+Every cost function takes arrays of points and broadcasts.  Expected costs
+are keyed by the strategy alone: its spec carries the mode, ``k`` and ``B``,
+and only the adversary's ``y`` is passed.  They are exact to rounding: every
 closed-form density carries its distribution function ``F`` and partial
 first moment ``M``, and the cost is linear in them (see
-:func:`batch_expected_costs`, of which :func:`expected_cost` is the one-point
-call).
+:func:`batch_expected_costs`; :func:`expected_cost` is its one-point view).
 
 The discrete classic strategy is scored in integer days with the classic
 accounting of :func:`day_abort_cost`, which the simulator charges too (a
@@ -29,35 +30,12 @@ integer horizon ``D``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 # unused here, but perfbench/probes.py patches costmodel.adaptive_simpson
 from .quadrature import adaptive_simpson  # noqa: F401
-from .strategy import (
-    ConflictMode,
-    GracePeriodStrategy,
-    StrategyKind,
-    check_abort_cost,
-    check_chain_size,
-)
-
-
-@dataclass(frozen=True)
-class ConflictInstance:
-    """One conflict: mode, chain size, abort cost, hidden remaining time."""
-
-    mode: ConflictMode
-    k: int
-    B: float
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", check_chain_size(self.k))
-        object.__setattr__(self, "B", check_abort_cost(self.B))
-        if not 0.0 < self.y <= sys.float_info.max:  # an int past the float range too
-            raise ValueError(f"remaining time y must be positive, got {self.y}")
+from .strategy import ConflictMode, GracePeriodStrategy, StrategyKind
 
 
 def opt_cost(k, B, y):
@@ -70,17 +48,14 @@ def conflict_cost(mode: ConflictMode, k: int, B: float, x, y):
 
     The commit branch (``y < x``) costs ``(k-1)*y``; the abort branch costs
     ``k*x + B`` (requestor wins) or ``(k-1)*(x + B)`` (requestor aborts).
-    ``x`` and ``y`` may be floats or broadcastable arrays; two floats give a
-    float.  Passing ``y = x`` gives the abort branch alone.
+    ``x`` and ``y`` broadcast; the result is an array (0-d for two floats).
+    Passing ``y = x`` gives the abort branch alone.
     """
     if mode is ConflictMode.REQUESTOR_WINS:
         abort = k * x + B
     else:
         abort = (k - 1) * (x + B)
-    commit = y < x
-    if isinstance(commit, bool):
-        return (k - 1) * y if commit else abort
-    return np.where(commit, (k - 1) * y, abort)
+    return np.where(y < x, (k - 1) * y, abort)
 
 
 def day_abort_cost(days, B: float):
@@ -88,20 +63,12 @@ def day_abort_cost(days, B: float):
     return days - 1.0 + B
 
 
-def _check_match(strategy: GracePeriodStrategy, instance: ConflictInstance):
-    s = strategy.spec
-    if s.mode is not instance.mode or s.k != instance.k or s.B != instance.B:
-        raise ValueError(
-            f"strategy ({s.mode.value}, k={s.k}, B={s.B}) does not match "
-            f"instance ({instance.mode.value}, k={instance.k}, B={instance.B})"
-        )
-
-
-def expected_cost(strategy: GracePeriodStrategy, instance: ConflictInstance) -> float:
-    """Expected conflict cost of ``strategy`` against a point adversary: one
-    point of :func:`batch_expected_costs`."""
-    _check_match(strategy, instance)
-    return float(batch_expected_costs(strategy, np.array([instance.y]))[0])
+def expected_cost(strategy: GracePeriodStrategy, y: float) -> float:
+    """Expected conflict cost of ``strategy`` against remaining time ``y``: one
+    point of :func:`batch_expected_costs`.  Mode, ``k`` and ``B`` are the spec's."""
+    if not 0.0 < y <= sys.float_info.max:  # NaN, inf and an int past the float range too
+        raise ValueError(f"remaining time y must be positive and finite, got {y}")
+    return float(batch_expected_costs(strategy, np.array([y]))[0])
 
 
 def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
@@ -125,8 +92,9 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
         pmf = strategy.params["pmf"]
         days = np.arange(1, len(pmf) + 1, dtype=float)
         abort_prefix = np.concatenate([[0.0], np.cumsum(pmf * day_abort_cost(days, B))])
-        mass_prefix = np.concatenate([[0.0], np.cumsum(pmf)])
-        idx = np.clip(np.floor(ys).astype(int), 0, len(pmf))
+        # the pinned total 1.0 keeps y out of the cost past the last day
+        mass_prefix = np.concatenate([[0.0], strategy.params["cumulative"]])
+        idx = np.floor(np.clip(ys, 0.0, len(pmf))).astype(int)
         return abort_prefix[idx] + ys * (1.0 - mass_prefix[idx])
 
     below = np.where(ys < S, strategy.cdf(ys), 1.0)

@@ -163,7 +163,8 @@ def worst_case_ratio(
             best, best_y = float(rs[j]), float(zs[j])
     if strategy.kind is StrategyKind.CONTINUOUS_PDF:
         mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.spec.B
-        limit = 1.0 + costmodel.conflict_cost(mode, k, B, 0.0, 0.0) * strategy.pdf(0.0) / (k - 1)
+        at_zero = float(costmodel.conflict_cost(mode, k, B, 0.0, 0.0))
+        limit = 1.0 + at_zero * strategy.pdf(0.0) / (k - 1)
         if limit > best:
             best, best_y = limit, 0.0
     return best, best_y

@@ -31,9 +31,10 @@ def adaptive_simpson(
 ) -> float | np.ndarray:
     """Integrate ``f`` over [a, b] by adaptive Simpson subdivision.
 
-    ``f`` maps an array of nodes to their values, elementwise.  Float bounds
-    give a float; array bounds give one integral per interval (broadcast),
-    each the float of its own call, bit for bit.  Each interval starts from
+    ``f`` maps an array of nodes to their values, elementwise.  Array bounds
+    give one integral per interval (broadcast), each the float of its own
+    call, bit for bit; float bounds go through the same pass and give a
+    float.  Each interval starts from
     a fixed panel split so features down to a few percent of its width
     cannot hide between stencil points.  Each subdivision level calls ``f``
     once, on the new nodes of every interval still refining; the values are
@@ -41,10 +42,6 @@ def adaptive_simpson(
     the depth-first recursion.  ``a > b`` negates; ``a == b`` gives 0.0 and
     evaluates ``f`` at none of its nodes.
     """
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):  # floats skip the masks' ~5 us
-        if a >= b:
-            return 0.0 if a == b else -adaptive_simpson(f, b, a, rel_tol, abs_tol)
-        return float(_integrate(f, np.array([a], float), np.array([b], float), rel_tol, abs_tol)[0])
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     live = a != b
     sums = np.zeros(live.shape)

@@ -275,6 +275,7 @@ def _candidate_blocks(config: SimConfig):
 
 def parse_trace(path: str) -> list[tuple[float, int, int]]:
     rows = []
+    last_t = -math.inf
     # a byte that is not UTF-8 decodes to a lone surrogate, which no number parses
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -290,17 +291,13 @@ def parse_trace(path: str) -> list[tuple[float, int, int]]:
                 t, thr, k = float(parts[0]), int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise TraceError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((t, thr, k, lineno))
-    out = []
-    last_t = -math.inf
-    for t, thr, k, lineno in rows:
-        if t < last_t:
-            raise TraceError(f"{path}:{lineno}: conflict times must be nondecreasing")
-        last_t = t
-        out.append((t, thr, k))
+            if t < last_t:
+                raise TraceError(f"{path}:{lineno}: conflict times must be nondecreasing")
+            last_t = t
+            rows.append((t, thr, k))
     # simultaneous conflicts resolve in deterministic (time, thread) order
-    out.sort(key=lambda row: (row[0], row[1]))
-    return out
+    rows.sort(key=lambda row: (row[0], row[1]))
+    return rows
 
 
 def _check_trace_entry(config, entry, t, thr, k, next_allowed) -> None:

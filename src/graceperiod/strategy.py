@@ -515,8 +515,10 @@ class GracePeriodStrategy:
         clamped = np.clip(xs, 0.0, self.support_max)
         if self.kind is StrategyKind.DISCRETE_PMF:
             cum = self.params["cumulative"]
-            idx = np.floor(clamped).astype(int) - 1  # P(day <= x) = cum[floor(x) - 1]
+            # P(day <= x) = cum[floor(x) - 1]; a NaN x is never cast and stays NaN
+            idx = np.floor(np.nan_to_num(clamped)).astype(int) - 1
             vals = np.where(xs < 1.0, 0.0, cum[np.clip(idx, 0, len(cum) - 1)])
+            vals = np.where(np.isnan(xs), xs, vals)
         else:
             vals = self._cdf_inside(clamped / self.spec.B)
             vals = np.where(xs < 0.0, 0.0, vals)

@@ -14,7 +14,7 @@ from graceperiod.adversary import (
     sample_length,
     worst_case_for_det,
 )
-from graceperiod.costmodel import ConflictInstance, conflict_cost, expected_cost
+from graceperiod.costmodel import conflict_cost, expected_cost
 from graceperiod.rng import stream
 from graceperiod.strategy import ConflictMode, StrategySpec, Variant, make_strategy
 
@@ -260,5 +260,4 @@ class TestWorstCaseForDet:
             StrategySpec(ConflictMode.REQUESTOR_WINS, 2, 100.0,
                          Variant.RANDOMIZED_UNCONSTRAINED)
         )
-        inst = ConflictInstance(ConflictMode.REQUESTOR_WINS, 2, 100.0, 100.0)
-        assert expected_cost(strat, inst) == pytest.approx(200.0, rel=1e-9)
+        assert expected_cost(strat, 100.0) == pytest.approx(200.0, rel=1e-9)

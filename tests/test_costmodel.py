@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graceperiod.costmodel import (
-    ConflictInstance,
     batch_expected_costs,
+    batch_ratios,
     conflict_cost,
     expected_cost,
     opt_cost,
@@ -31,6 +32,19 @@ RA = ConflictMode.REQUESTOR_ABORTS
 UNC = Variant.RANDOMIZED_UNCONSTRAINED
 CON = Variant.RANDOMIZED_CONSTRAINED
 COST_KS = (2, 3, 5, 10)
+
+
+# one strategy of each family, for the one-point view of the batch
+ONE_POINT_SPECS = [
+    StrategySpec(RW, 3, 100.0, Variant.DETERMINISTIC),
+    StrategySpec(RW, 2, 100.0, UNC),
+    StrategySpec(RW, 3, 100.0, UNC),
+    StrategySpec(RW, 2, 100.0, CON, mu=0.1),
+    StrategySpec(RW, 3, 100.0, CON, mu=0.1),
+    StrategySpec(RA, 2, 100.0, UNC),
+    StrategySpec(RA, 3, 100.0, CON, mu=0.1),
+    StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC),
+]
 
 
 def cost_cases(mode, k, B=100.0):
@@ -56,16 +70,9 @@ class TestPointwise:
         assert conflict_cost(RW, 2, 100.0, 50.0, 50.0) == 200.0
         assert conflict_cost(RA, 2, 100.0, 50.0, 50.0) == 150.0
 
-    def test_instance_validation(self):
-        with pytest.raises(ValueError):
-            ConflictInstance(RW, 2, 100.0, 0.0)
-        with pytest.raises(ValueError):
-            ConflictInstance(RW, 2, -1.0, 10.0)
-        with pytest.raises(ValueError):
-            ConflictInstance(RW, 1, 100.0, 10.0)
-        for y in (math.inf, math.nan, 10**400):  # an int past the float range too
-            with pytest.raises(ValueError, match="remaining time y must be positive"):
-                ConflictInstance(RW, 2, 10.0, y)
+    def test_float_points_give_a_0d_array(self):
+        got = conflict_cost(RA, 2, 100.0, 50.0, 30.0)
+        assert isinstance(got, np.ndarray) and got.shape == () and float(got) == 30.0
 
 
 class TestOptCost:
@@ -92,27 +99,27 @@ class TestExpectedCost:
     def test_rw_uniform_k2_is_twice_y(self):
         strat = make_strategy(StrategySpec(RW, 2, 100.0, UNC))
         for y in (1.0, 17.0, 50.0, 99.0, 100.0):
-            got = expected_cost(strat, ConflictInstance(RW, 2, 100.0, y))
+            got = expected_cost(strat, y)
             assert got == pytest.approx(2.0 * y, rel=1e-9)
 
     def test_atom_at_tie(self):
         for k in (2, 3, 5):
             strat = make_strategy(StrategySpec(RW, k, 100.0, Variant.DETERMINISTIC))
             y = 100.0 / (k - 1)
-            got = expected_cost(strat, ConflictInstance(RW, k, 100.0, y))
+            got = expected_cost(strat, y)
             assert got == pytest.approx(k * 100.0 / (k - 1) + 100.0, rel=1e-12)
 
     def test_vanishes_as_y_to_zero(self):
         for spec in (StrategySpec(RW, 2, 100.0, UNC), StrategySpec(RA, 3, 100.0, UNC)):
             strat = make_strategy(spec)
-            got = expected_cost(strat, ConflictInstance(spec.mode, spec.k, 100.0, 1e-9))
+            got = expected_cost(strat, 1e-9)
             assert got < 1e-6
 
     def test_ra_exponential_k2_equalizes(self):
         strat = make_strategy(StrategySpec(RA, 2, 100.0, UNC))
         target = math.e / (math.e - 1.0)
         for y in (5.0, 50.0, 100.0):
-            got = expected_cost(strat, ConflictInstance(RA, 2, 100.0, y))
+            got = expected_cost(strat, y)
             assert got == pytest.approx(target * y, rel=1e-9)
 
     def test_discrete_classic_equalizes_on_integer_days(self):
@@ -120,19 +127,44 @@ class TestExpectedCost:
         strat = make_strategy(StrategySpec(RA, 2, float(B), Variant.DISCRETE_CLASSIC))
         flat = 1.0 / (1.0 - (1.0 - 1.0 / B) ** B)
         for d in (1, 7, 13, 20, 35):
-            inst = ConflictInstance(RA, 2, float(B), float(d))
-            assert expected_cost(strat, inst) == pytest.approx(
+            assert expected_cost(strat, float(d)) == pytest.approx(
                 flat * min(d, B), rel=1e-12
             )
 
-    def test_spec_mismatch_rejected(self):
-        strat = make_strategy(StrategySpec(RW, 2, 100.0, UNC))
-        with pytest.raises(ValueError):
-            expected_cost(strat, ConflictInstance(RA, 2, 100.0, 10.0))
-        with pytest.raises(ValueError):
-            expected_cost(strat, ConflictInstance(RW, 3, 100.0, 10.0))
-        with pytest.raises(ValueError):
-            expected_cost(strat, ConflictInstance(RW, 2, 50.0, 10.0))
+    @pytest.mark.parametrize("y", [0.0, -1.0, math.inf, math.nan, 10**400])
+    def test_rejects_a_nonpositive_or_nonfinite_y(self, y):
+        # mode, k and B come from the spec, which checks them; only y is left
+        strat = make_strategy(StrategySpec(RW, 2, 10.0, UNC))
+        with pytest.raises(ValueError, match=r"remaining time y must be positive and finite"):
+            expected_cost(strat, y)
+
+    @pytest.mark.parametrize("spec", ONE_POINT_SPECS)
+    def test_one_point_of_the_batch(self, spec):
+        strat = make_strategy(spec)
+        for y in (1e-6, 0.5, 7.0, 33.3, 100.0, 1e9):
+            got = expected_cost(strat, y)
+            assert type(got) is float
+            assert got == float(batch_expected_costs(strat, [y])[0]), (strat.family, y)
+
+    def test_one_point_cases_cover_every_family(self):
+        assert {make_strategy(s).family for s in ONE_POINT_SPECS} == {
+            "atom", "uniform", "rw_power", "rw_log", "rw_shifted_power",
+            "ra_exp", "ra_expm1", "discrete_classic",
+        }
+
+    @pytest.mark.parametrize("B", [3, 10, 100, 1000])
+    def test_discrete_classic_flat_past_the_last_day(self, B):
+        # every day aborts once y >= B: y must not leak through a cumulative
+        # mass that misses 1 by rounding, nor through an integer cast past 2**63
+        strat = make_strategy(StrategySpec(RA, 2, float(B), Variant.DISCRETE_CLASSIC))
+        ys = np.array([B, 2.0 * B, 1e18, 1e19, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            costs = batch_expected_costs(strat, ys)
+            ratios = batch_ratios(strat, ys)
+        assert np.all(costs == costs[0]), costs.tolist()
+        assert costs[0] == pytest.approx(B / (1.0 - (1.0 - 1.0 / B) ** B), rel=1e-12)
+        assert np.all(ratios == costs[0] / B), ratios.tolist()
 
     @pytest.mark.parametrize("mode", [RW, RA])
     @pytest.mark.parametrize("k", COST_KS)
@@ -152,7 +184,7 @@ class TestExpectedCost:
                 )
                 tail = adaptive_simpson(strat.pdf, cut, S, rel_tol=1e-13, abs_tol=0.0)
                 assert cost == pytest.approx(head + (k - 1) * y * tail, rel=1e-9), (strat, y)
-                assert expected_cost(strat, ConflictInstance(mode, k, B, y)) == cost
+                assert expected_cost(strat, y) == cost
 
     @pytest.mark.parametrize("mode", [RW, RA])
     @pytest.mark.parametrize("k", [100, 10**4, 10**7])
@@ -265,7 +297,7 @@ class TestLagrangeIdentity:
             S = strat.support_max
             for frac in (0.1, 0.35, 0.6, 0.85, 1.0):
                 y = frac * S
-                cost = expected_cost(strat, ConflictInstance(mode, k, B, y))
+                cost = expected_cost(strat, y)
                 line = lam1 + lam2 * y
                 assert cost / ((k - 1) * y) == pytest.approx(line, rel=1e-8)
 
@@ -316,7 +348,6 @@ class TestRatioScans:
     x=st.floats(min_value=0.0, max_value=800.0),
 )
 def test_property_cost_decomposition(mode, k, b, y, x):
-    inst = ConflictInstance(mode, k, b, y)
     total = conflict_cost(mode, k, b, x, y)
     delay, abort = (k * x, b) if mode is RW else ((k - 1) * x, (k - 1) * b)
     if y < x:
@@ -325,4 +356,4 @@ def test_property_cost_decomposition(mode, k, b, y, x):
         assert total == pytest.approx(delay + abort, rel=1e-15)
     assert total >= 0.0
     # the offline optimum lower-bounds every realizable conflict cost
-    assert opt_cost(inst.k, inst.B, inst.y) <= total * (1.0 + 1e-12) + 1e-12
+    assert opt_cost(k, b, y) <= total * (1.0 + 1e-12) + 1e-12

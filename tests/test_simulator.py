@@ -14,7 +14,7 @@ import pytest
 from graceperiod import simulator
 from graceperiod import strategy as strategy_module
 from graceperiod.adversary import KINDS, AdversaryModel, sample_length
-from graceperiod.costmodel import ConflictInstance, batch_expected_costs, expected_cost, opt_cost
+from graceperiod.costmodel import batch_expected_costs, expected_cost, opt_cost
 from graceperiod.rng import Stream, stream, streams
 from graceperiod.simulator import (
     EVENT,
@@ -192,6 +192,16 @@ class TestMicroTrace:
         with pytest.raises(TraceError, match="nondecreasing"):
             build_schedule(micro_trace_config(tmp_path, "10 0 2\n5 1 2\n"))
 
+    def test_trace_first_bad_line_in_file_order_named(self, tmp_path):
+        # one pass: a time decrease on line 3 is named before a malformed line 4
+        path = tmp_path / "two_faults.txt"
+        path.write_text("# t thread k\n10 0 2\n5 1 2\n20 0\n")
+        with pytest.raises(TraceError, match=r"two_faults.txt:3: conflict times must be"):
+            parse_trace(str(path))
+        path.write_text("10 0 2\n20 0\n5 1 2\n")
+        with pytest.raises(TraceError, match=r"two_faults.txt:2: expected"):
+            parse_trace(str(path))
+
     def test_online_mean_extra_matches_closed_form(self, tmp_path):
         # one conflict, k = 2, y = 40 <= B: the uniform policy's expected
         # extra equals 2y; check the Monte-Carlo mean over many policy seeds,
@@ -322,7 +332,8 @@ class TestRunInvariants:
         sched = build_schedule(config)
         strat = make_strategy(StrategySpec(RW, 2, 100.0, Variant.RANDOMIZED_UNCONSTRAINED))
         for k, y in sched.events[["k", "y"]].tolist():
-            cost = expected_cost(strat, ConflictInstance(RW, k, 100.0, y))
+            assert k == strat.spec.k
+            cost = expected_cost(strat, y)
             assert cost <= 2.0 * opt_cost(k, 100.0, y) * (1 + 1e-9)
 
     def test_offline_extra_equals_sum_of_optima(self):

@@ -3,6 +3,7 @@ import decimal
 import functools
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graceperiod.adversary import worst_case_for_det
-from graceperiod.costmodel import ConflictInstance
 from graceperiod.oracle import lagrange_identity_check
 from graceperiod.quadrature import adaptive_simpson
 from graceperiod.rng import stream
@@ -314,6 +314,15 @@ class TestMakeStrategy:
         assert strat.cdf(2.0) == pytest.approx(10.0 / 19.0, rel=1e-12)
         assert strat.cdf(3.0) == 1.0
         assert strat.cdf(99.0) == 1.0
+
+    def test_discrete_classic_cdf_of_nan_is_nan(self):
+        # as for the densities; NaN is never cast to a day index
+        strat = make_strategy(StrategySpec(RA, 2, 3.0, Variant.DISCRETE_CLASSIC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert math.isnan(strat.cdf(math.nan))
+            vals = strat.cdf(np.array([math.nan, 2.0, math.inf]))
+        assert math.isnan(vals[0]) and vals[1:].tolist() == [strat.cdf(2.0), 1.0]
 
     def test_invalid_spec_combinations(self):
         with pytest.raises(ValueError):
@@ -732,7 +741,6 @@ class TestDomainChecks:
     def test_chain_size(self, k):
         calls = [
             lambda: StrategySpec(RW, k, 10.0, UNC),
-            lambda: ConflictInstance(RW, k, 10.0, 1.0),
             lambda: det_threshold(k, 10.0),
             lambda: det_competitive_ratio(k),
             lambda: worst_case_for_det(k, 10.0),
@@ -747,7 +755,6 @@ class TestDomainChecks:
     def test_abort_cost(self, B):
         calls = [
             lambda: StrategySpec(RW, 2, B, UNC),
-            lambda: ConflictInstance(RW, 2, B, 1.0),
             lambda: det_threshold(2, B),
             lambda: worst_case_for_det(2, B),
             lambda: PolicyConfig(UNC, B),
