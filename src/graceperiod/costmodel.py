@@ -79,9 +79,11 @@ def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     and the rest commit, so the cost is ``(k-1)y(1-F) + B*F + k*M``
     (requestor wins) or ``(k-1)y(1-F) + (k-1)(B*F + M)`` (requestor aborts).
     Past the support ``F = 1`` and ``M`` is the mean.  Atoms and the day pmf
-    are exact too.
+    are exact too.  A NaN or infinite ``y`` raises a ValueError.
     """
     ys = np.asarray(ys, dtype=float)
+    if not np.isfinite(ys).all():
+        raise ValueError(f"remaining times y must be finite, got {ys[~np.isfinite(ys)][0]}")
     mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.spec.B
     S = strategy.support_max
 

@@ -36,6 +36,7 @@ from .strategy import (
     lagrange_corner,
     make_strategy,
     mean_threshold,
+    stacked_pdf,
 )
 
 NORMALIZATION_TOL = 1e-6
@@ -80,27 +81,63 @@ def verify_density(pdf, support_max: float) -> PdfCheck:
     """Check a density on ``[0, support_max]``: normalization by adaptive
     Simpson, nonnegativity on a grid.  ``pdf`` maps an array of points to an
     array of values."""
-    total = adaptive_simpson(pdf, 0.0, support_max)
+    total = adaptive_simpson(lambda x, _: pdf(x), 0.0, support_max)
+    return _pdf_check(abs(total - 1.0), pdf, support_max)
+
+
+def _pdf_check(err: float, pdf, support_max: float) -> PdfCheck:
+    """The verdict on a density whose integral misses 1 by ``err``; its
+    minimum is taken on a grid of ``_PDF_GRID`` points."""
     min_density = float(np.min(pdf(np.linspace(0.0, support_max, _PDF_GRID))))
-    err = abs(total - 1.0)
     ok = err < NORMALIZATION_TOL and min_density > DENSITY_FLOOR and math.isfinite(err)
     return PdfCheck(err, min_density, ok)
 
 
 def verify_pdf(strategy: GracePeriodStrategy) -> PdfCheck:
-    """Check a strategy's pmf exactly or its density by :func:`verify_density`."""
-    if strategy.kind is StrategyKind.ATOM:
+    """Check a strategy's pmf exactly or its density by quadrature: one
+    point of :func:`_verify_pdfs`."""
+    return _verify_pdfs([strategy])[0]
+
+
+def _pmf_check(strategy: GracePeriodStrategy) -> PdfCheck:
+    """The day pmf sums to 1 (in exact rationals up to ``_EXACT_PMF_MAX_B``)."""
+    B = int(strategy.spec.B)
+    if B <= _EXACT_PMF_MAX_B:
+        total = sum(strategy.exact_pmf(i) for i in range(1, B + 1))
+        err = abs(float(total - Fraction(1)))
+    else:
+        err = abs(float(np.sum(strategy.params["pmf"])) - 1.0)
+    min_density = float(np.min(strategy.params["pmf"]))
+    return PdfCheck(err, min_density, err < NORMALIZATION_TOL and min_density > DENSITY_FLOOR)
+
+
+def _verify_pdfs(strategies: list[GracePeriodStrategy]) -> list[PdfCheck]:
+    """Check many strategies' pmfs or densities, one result each.
+
+    Day pmfs are summed exactly.  The densities are checked once per
+    ``(family, k, B)``, which fixes the density (``mu`` only picks the
+    family): every distinct one is integrated over its support in one
+    adaptive Simpson pass through :func:`stacked_pdf`, and its grid is
+    scanned on its own, which keeps one grid in memory at a time.
+    """
+    if any(s.kind is StrategyKind.ATOM for s in strategies):
         raise ValueError("atom strategies carry no density to verify")
-    if strategy.kind is StrategyKind.DISCRETE_PMF:
-        B = int(strategy.spec.B)
-        if B <= _EXACT_PMF_MAX_B:
-            total = sum(strategy.exact_pmf(i) for i in range(1, B + 1))
-            err = abs(float(total - Fraction(1)))
-        else:
-            err = abs(float(np.sum(strategy.params["pmf"])) - 1.0)
-        min_density = float(np.min(strategy.params["pmf"]))
-        return PdfCheck(err, min_density, err < NORMALIZATION_TOL and min_density > DENSITY_FLOOR)
-    return verify_density(strategy.pdf, strategy.support_max)
+    distinct = {
+        (s.family, s.spec.k, s.spec.B): s
+        for s in strategies if s.kind is StrategyKind.CONTINUOUS_PDF
+    }
+    densities = list(distinct.values())
+    supports = np.array([s.support_max for s in densities])
+    totals = adaptive_simpson(stacked_pdf(densities), 0.0, supports)
+    checks = {
+        key: _pdf_check(abs(total - 1.0), s.pdf, s.support_max)
+        for (key, s), total in zip(distinct.items(), totals.tolist())
+    }
+    return [
+        checks[s.family, s.spec.k, s.spec.B] if s.kind is StrategyKind.CONTINUOUS_PDF
+        else _pmf_check(s)
+        for s in strategies
+    ]
 
 
 def lagrange_identity_check(
@@ -213,7 +250,8 @@ def _adversary_costs(mode: ConflictMode, k: int, B: float, xs: np.ndarray):
     def tail(y):
         return np.exp(-k * np.log1p(y / B)) if mode is _RW else np.exp(-y / B)
 
-    integrals = np.concatenate([[0.0], np.cumsum(adaptive_simpson(tail, xs[:-1], xs[1:]))])
+    steps = adaptive_simpson(lambda y, _: tail(y), xs[:-1], xs[1:])
+    integrals = np.concatenate([[0.0], np.cumsum(steps)])
     g = tail(xs)
     costs = (k - 1) * (integrals - xs * g) + costmodel.conflict_cost(mode, k, B, xs, xs) * g
     return costs, (k - 1) * integrals[-1]
@@ -253,8 +291,11 @@ def _check(name, passed, **details):
     return entry
 
 
-def _normalization_checks() -> list[dict]:
-    cells: list[tuple[str, StrategySpec]] = []
+def _normalization_cells() -> list[tuple[str, StrategySpec]]:
+    """``(name, spec)`` of each normalization entry: 96 densities (45 distinct,
+    as a constrained spec past its mean threshold is the unconstrained
+    density) and 3 day pmfs."""
+    cells = []
     for k in (2, 3, 5, 10):
         for B in (10.0, 200.0, 2000.0):
             cells += [(f"{tag}_unconstrained_k{k}_B{B:g}",
@@ -266,14 +307,17 @@ def _normalization_checks() -> list[dict]:
                           for mode, tag in _MODES]
     cells += [(f"discrete_classic_B{B}", StrategySpec(_RA, 2, float(B), Variant.DISCRETE_CLASSIC))
               for B in (3, 10, 100)]
-    checks = []
-    for name, spec in cells:
-        res = verify_pdf(make_strategy(spec))
-        checks.append(_check(
-            f"normalization/{name}", res.passed, residual=res.normalization_error,
-            min_density=res.min_density, tolerance=NORMALIZATION_TOL,
-        ))
-    return checks
+    return cells
+
+
+def _normalization_checks() -> list[dict]:
+    cells = _normalization_cells()
+    results = _verify_pdfs([make_strategy(spec) for _, spec in cells])
+    return [
+        _check(f"normalization/{name}", res.passed, residual=res.normalization_error,
+               min_density=res.min_density, tolerance=NORMALIZATION_TOL)
+        for (name, _), res in zip(cells, results)
+    ]
 
 
 def _negative_control_checks() -> list[dict]:
@@ -396,14 +440,17 @@ _QUADRATURE_FRACTIONS = (0.125, 0.375, 0.625, 0.875, 1.0)
 def _quadrature_checks() -> list[dict]:
     """Each family's closed-form cdf, then the partial moments the expected
     costs rest on, against quadrature."""
+    strats = [make_strategy(spec) for _, spec in _QUADRATURE_CASES]
+    # row i holds case i's points; the integral at flat index j is row j // n
+    xs = np.array([np.multiply(_QUADRATURE_FRACTIONS, s.support_max) for s in strats])
+    n, pdf = len(_QUADRATURE_FRACTIONS), stacked_pdf(strats)
+    cdfs = adaptive_simpson(lambda t, which: pdf(t, which // n), 0.0, xs)
+    moments = adaptive_simpson(lambda t, which: t * pdf(t, which // n), 0.0, xs)
     cdf_checks, moment_checks = [], []
-    for name, spec in _QUADRATURE_CASES:
-        strat = make_strategy(spec)
+    for (name, _), strat, x, cdf, integrals in zip(_QUADRATURE_CASES, strats, xs, cdfs, moments):
         S = strat.support_max
-        xs = np.multiply(_QUADRATURE_FRACTIONS, S)
-        cdf_worst = float(np.max(np.abs(strat.cdf(xs) - adaptive_simpson(strat.pdf, 0.0, xs))))
-        integrals = adaptive_simpson(lambda t, s=strat: t * s.pdf(t), 0.0, xs)
-        moment_worst = float(np.max(np.abs(strat.moment(xs) - integrals)))
+        cdf_worst = float(np.max(np.abs(strat.cdf(x) - cdf)))
+        moment_worst = float(np.max(np.abs(strat.moment(x) - integrals)))
         cdf_checks.append(_check(
             f"cdf_vs_quadrature/{name}", cdf_worst < 1e-8, residual=cdf_worst, tolerance=1e-8,
         ))

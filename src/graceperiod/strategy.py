@@ -596,6 +596,38 @@ class GracePeriodStrategy:
         return _FAMILIES[self.family].inverse(u, self.spec.k, self.spec.B, self.params)
 
 
+def stacked_pdf(strategies) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """One integrand for many continuous densities: ``f(x, which)`` is
+    ``strategies[which[j]].pdf(x[j])`` at each node ``x[j]`` in its density's
+    support ``[0, support_max]``, bit for bit.
+
+    Each family's row is evaluated once per call, on all of its nodes, with
+    every member's ``k``, ``B`` and scalar params gathered per node.
+    """
+    families = list(dict.fromkeys(s.family for s in strategies))
+    if any(name not in _FAMILIES for name in families):
+        raise ValueError("stacked_pdf takes continuous densities only")
+    code = np.array([families.index(s.family) for s in strategies])
+    k = np.array([s.spec.k for s in strategies])
+    B = np.array([s.spec.B for s in strategies])
+    # the scalar params (q, eps, g); the pdf rows read no series coefficients
+    scalars = dict.fromkeys(n for s in strategies for n, v in s.params.items() if type(v) is float)
+    params = {n: np.array([s.params.get(n, np.nan) for s in strategies]) for n in scalars}
+
+    def f(x, which):
+        u = x / B[which]
+        out = np.empty_like(u)
+        member = code[which]
+        for g, name in enumerate(families):
+            nodes = (member == g).nonzero()[0]
+            at = which[nodes]
+            p = {key: v[at] for key, v in params.items()}
+            out[nodes] = _FAMILIES[name].pdf(u[nodes], k[at], B[at], p)
+        return out
+
+    return f
+
+
 def _discrete_classic_pmf(B: int) -> np.ndarray:
     i = np.arange(1, B + 1, dtype=float)
     z = 1.0 - (1.0 - 1.0 / B) ** B

@@ -138,6 +138,20 @@ class TestExpectedCost:
         with pytest.raises(ValueError, match=r"remaining time y must be positive and finite"):
             expected_cost(strat, y)
 
+    @pytest.mark.parametrize("variant", [UNC, Variant.DISCRETE_CLASSIC])
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+    def test_batch_rejects_a_nonfinite_y(self, variant, y):
+        # a NaN must not spread, nor an inf turn into NaN through inf * 0 in y(1-F)
+        strat = make_strategy(StrategySpec(RA, 2, 10.0, variant))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for ys in (np.array([5.0, y]), y):
+                with pytest.raises(ValueError, match=r"remaining times y must be finite"):
+                    batch_expected_costs(strat, ys)
+            # batch_ratios rejects -inf as nonpositive first
+            with pytest.raises(ValueError, match=r"must be finite|strictly positive"):
+                batch_ratios(strat, np.array([5.0, y]))
+
     @pytest.mark.parametrize("spec", ONE_POINT_SPECS)
     def test_one_point_of_the_batch(self, spec):
         strat = make_strategy(spec)
@@ -179,10 +193,12 @@ class TestExpectedCost:
             for y, cost in zip(ys, batch_expected_costs(strat, ys)):
                 cut = min(y, S)
                 head = adaptive_simpson(
-                    lambda x: conflict_cost(mode, k, B, x, y) * strat.pdf(x), 0.0, cut,
+                    lambda x, _: conflict_cost(mode, k, B, x, y) * strat.pdf(x), 0.0, cut,
                     rel_tol=1e-13, abs_tol=0.0,
                 )
-                tail = adaptive_simpson(strat.pdf, cut, S, rel_tol=1e-13, abs_tol=0.0)
+                tail = adaptive_simpson(
+                    lambda x, _: strat.pdf(x), cut, S, rel_tol=1e-13, abs_tol=0.0
+                )
                 assert cost == pytest.approx(head + (k - 1) * y * tail, rel=1e-9), (strat, y)
                 assert expected_cost(strat, y) == cost
 
@@ -201,9 +217,9 @@ class TestExpectedCost:
             ys = np.array([1e-6, 0.01, 0.3, 0.99, 1.0, 2.0]) * S
             cuts = np.minimum(ys, S)
             head = adaptive_simpson(
-                lambda x: conflict_cost(mode, k, B, x, x) * strat.pdf(x), 0.0, cuts, abs_tol=0.0
+                lambda x, _: conflict_cost(mode, k, B, x, x) * strat.pdf(x), 0.0, cuts, abs_tol=0.0
             )
-            tail = adaptive_simpson(strat.pdf, cuts, S, abs_tol=0.0)
+            tail = adaptive_simpson(lambda x, _: strat.pdf(x), cuts, S, abs_tol=0.0)
             np.testing.assert_allclose(
                 batch_expected_costs(strat, ys), head + (k - 1) * ys * tail, rtol=1e-9, atol=0.0,
                 err_msg=strat.family,

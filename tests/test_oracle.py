@@ -21,6 +21,7 @@ from graceperiod.oracle import (
 from graceperiod.strategy import (
     ConflictMode,
     StrategySpec,
+    StrategyKind,
     Variant,
     competitive_ratio,
     lagrange_corner,
@@ -90,8 +91,27 @@ class TestVerifyPdf:
         assert not res.passed and res.min_density == pytest.approx(-0.05)
 
     def test_atom_rejected(self):
+        atom = make_strategy(StrategySpec(RW, 2, 100.0, Variant.DETERMINISTIC))
         with pytest.raises(ValueError):
-            verify_pdf(make_strategy(StrategySpec(RW, 2, 100.0, Variant.DETERMINISTIC)))
+            verify_pdf(atom)
+        with pytest.raises(ValueError):
+            oracle._verify_pdfs([make_strategy(StrategySpec(RW, 2, 100.0, UNC)), atom])
+
+    def test_each_normalization_entry_is_its_cell_alone(self):
+        # the one pass over the distinct densities gives every cell the bits
+        # of its own single-strategy check, which equals verify_density's
+        entries = {c["name"]: c for c in oracle._normalization_checks()}
+        cells = oracle._normalization_cells()
+        assert len(entries) == len(cells) == 99
+        for name, spec in cells:
+            strat = make_strategy(spec)
+            alone = verify_pdf(strat)
+            entry = entries[f"normalization/{name}"]
+            assert entry["residual"] == alone.normalization_error, name
+            assert entry["min_density"] == alone.min_density, name
+            assert entry["passed"] is alone.passed, name
+            if strat.kind is StrategyKind.CONTINUOUS_PDF:
+                assert verify_density(strat.pdf, strat.support_max) == alone, name
 
 
 class TestLagrangeIdentity:

@@ -30,6 +30,7 @@ from graceperiod.strategy import (
     lagrange_corner,
     make_strategy,
     mean_threshold,
+    stacked_pdf,
     threshold_condition,
 )
 from graceperiod.strategy import _g, _inverse_table, _q
@@ -772,6 +773,42 @@ class TestDomainChecks:
             StrategySpec(RW, 2, 10.0, CON, mu=mu)
 
 
+class TestStackedPdf:
+    # every continuous family, at chain sizes and abort costs far apart
+    SPECS = [
+        StrategySpec(mode, k, B, variant, mu=mu)
+        for mode in (RW, RA)
+        for k in (2, 3, 7, 10**6)
+        for B in (1e-3, 10.0, 2000.0)
+        for variant, mu in ((UNC, None), (CON, 0.0))
+    ]
+
+    def test_equals_each_pdf_bit_for_bit(self):
+        strats = [make_strategy(spec) for spec in self.SPECS]
+        assert {s.family for s in strats} == set(_FAMILIES)
+        grids = [np.linspace(0.0, s.support_max, 257) for s in strats]
+        # every strategy's grid, interleaved, in one call
+        which = np.tile(np.arange(len(strats)), 257)
+        x = np.array(grids).T.ravel()
+        got = stacked_pdf(strats)(x, which)
+        for i, (strat, grid) in enumerate(zip(strats, grids)):
+            assert np.array_equal(got[which == i], strat.pdf(grid)), (strat.family, strat.spec)
+
+    def test_one_family_and_repeated_members(self):
+        strat = make_strategy(StrategySpec(RA, 3, 50.0, UNC))
+        x = np.linspace(0.0, strat.support_max, 33)
+        got = stacked_pdf([strat, strat])(np.concatenate([x, x]), np.repeat([1, 0], 33))
+        assert np.array_equal(got, np.tile(strat.pdf(x), 2))
+
+    @pytest.mark.parametrize("spec", [
+        StrategySpec(RW, 2, 10.0, Variant.DETERMINISTIC),
+        StrategySpec(RA, 2, 10.0, Variant.DISCRETE_CLASSIC),
+    ])
+    def test_continuous_densities_only(self, spec):
+        with pytest.raises(ValueError, match="continuous densities only"):
+            stacked_pdf([make_strategy(StrategySpec(RW, 2, 10.0, UNC)), make_strategy(spec)])
+
+
 class TestMoment:
     @pytest.mark.parametrize("mode", [RW, RA])
     @pytest.mark.parametrize("k", [2, 3, 10, 100])
@@ -784,7 +821,7 @@ class TestMoment:
             xs = np.array([1e-9, 1e-3, 0.125 - 1e-12, 0.125, 0.125 + 1e-12, 0.6, 1.0]) * S
             for x, m in zip(xs, strat.moment(xs)):
                 ref = adaptive_simpson(
-                    lambda t: t * strat.pdf(t), 0.0, x, rel_tol=1e-13, abs_tol=0.0
+                    lambda t, _: t * strat.pdf(t), 0.0, x, rel_tol=1e-13, abs_tol=0.0
                 )
                 assert m == pytest.approx(ref, rel=1e-10), (strat.family, x / S)
 
