@@ -79,6 +79,13 @@ class BenchConfig:
                     raise ValueError(
                         f"config field '{name}': unknown {what} {v!r}; expected one of {allowed}"
                     )
+        # a model only checks its mean when built (it calibrates when first
+        # sampled), so a mean a distribution cannot take fails before any scoring
+        for dist in self.distributions:
+            try:
+                _length_model(dist, self)
+            except ValueError as exc:
+                raise ValueError(f"config field 'mu': {exc} (distribution {dist})") from exc
 
 
 def config_from_dict(data: dict) -> BenchConfig:

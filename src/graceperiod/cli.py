@@ -31,6 +31,7 @@ from .strategy import (
     StrategyKind,
     StrategySpec,
     Variant,
+    check_abort_cost,
     make_strategy,
 )
 
@@ -92,8 +93,7 @@ def _cmd_simulate(args) -> int:
         data["seed"] = args.seed
     config = simulator.config_from_dict(data)
     schedule = simulator.build_schedule(config)
-    baseline = simulator.run_offline_baseline(config, schedule)
-    online, offline, check = simulator.simulate_pair(config, schedule, baseline)
+    online, offline, check = simulator.simulate_pair(config, schedule)
     doc = {
         "config": data,
         "online": online.to_json_dict(),
@@ -102,7 +102,7 @@ def _cmd_simulate(args) -> int:
     }
     if args.campaign_seeds > 1:
         ratios, _, camp = simulator.throughput_campaign(
-            config, args.campaign_seeds, schedule=schedule, offline=baseline
+            config, args.campaign_seeds, schedule, offline
         )
         doc["campaign"] = {
             "n_seeds": args.campaign_seeds,
@@ -151,6 +151,14 @@ def count(text: str) -> int:
     return value
 
 
+def abort_cost(text: str) -> float:
+    """An abort cost in ``check_abort_cost``'s range; argparse names the flag on error."""
+    try:
+        return check_abort_cost(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graceperiod",
@@ -190,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy-variant", required=True,
                    choices=[v.value for v in Variant])
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--B", type=float, required=True)
+    p.add_argument("--B", type=abort_cost, required=True)
     p.add_argument("--mu", type=float)
     p.add_argument("--points", type=count, default=101)
     p.add_argument("--out", help="output path (default stdout)")

@@ -37,10 +37,11 @@ generation time.  Trace files (``time receiver_thread k`` per line) are
 validated against the same windows and rejected with line diagnostics.
 
 The schedule holds its admitted conflicts as one record array of dtype
-:data:`EVENT`, in time order, and each thread's transaction lengths as a
-float64 array; the replays read the records' fields by name.  Its streams
-are drawn in blocks, and one chunked replay serves both a single run and a
-throughput campaign (one value per policy stream).
+:data:`EVENT`, in time order, and the timelines' totals; the replays read
+the records' fields by name.  Admission bisects a thread's start array, the
+one copy of its timeline.  Its streams are drawn in blocks, and one chunked
+replay serves both a single run and a throughput campaign (one value per
+policy stream).
 Every sum keeps the one-by-one order, so results equal those of drawing one
 value at a time bit for bit, and each campaign seed equals its own run.
 """
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, groupby
@@ -167,12 +167,10 @@ EVENT = np.dtype([
 @dataclass(frozen=True, eq=False)
 class Schedule:
     events: np.ndarray  # EVENT records in time order
-    rho: tuple[np.ndarray, ...]  # per-thread float64 transaction lengths
     n_transactions: int
     transactions_committed: int  # ideal commit happens within the horizon
     sum_rho: float
     digest: str
-    backoff_mults: tuple[tuple[tuple[int, int], float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -320,8 +318,6 @@ def _check_trace_entry(config, entry, t, thr, k, next_allowed) -> None:
 def build_schedule(config: SimConfig) -> Schedule:
     """Generate (or load and validate) the policy-independent schedule."""
     per_thread = [_draw_lengths(config, i) for i in range(config.n_threads)]
-    starts = [s.tolist() for s, _, _ in per_thread]
-    rho = [lengths.tolist() for _, lengths, _ in per_thread]
 
     # admission: the grace-window exclusion and the forced-abort backoff rule
     next_allowed = [0.0] * config.n_threads
@@ -334,17 +330,21 @@ def build_schedule(config: SimConfig) -> Schedule:
         elif t < next_allowed[thr]:
             continue  # thinned: the receiver may still be inside a grace window
         # the transaction it hits on the receiver's ideal timeline; only the
-        # admitted candidates are located, a bisect each
-        idx = bisect_right(starts[thr], t) - 1
-        el = t - starts[thr][idx]
-        rem = rho[thr][idx] - el
+        # admitted candidates are located, a right bisection of its starts each
+        starts, lengths, _ = per_thread[thr]
+        idx = int(starts.searchsorted(t, side="right")) - 1
+        el = t - float(starts[idx])
+        rem = float(lengths[idx]) - el
         base_b = (el + config.cleanup_cost) if config.dynamic_b else config.policy.B
-        if config.trace_path is not None and base_b <= 0.0:
-            raise TraceError(
-                f"{config.trace_path}: entry {entry}: conflict at time {t} hits the start of a"
-                " transaction, so dynamic_b gives abort cost elapsed + cleanup_cost = 0;"
-                " set cleanup_cost > 0"
-            )
+        if config.trace_path is not None:
+            try:
+                check_abort_cost(base_b)
+            except ValueError as exc:
+                raise TraceError(
+                    f"{config.trace_path}: entry {entry}: under dynamic_b, the conflict at time"
+                    f" {t} costs elapsed + cleanup_cost: {exc} (at a transaction's start, set"
+                    " cleanup_cost > 0)"
+                ) from exc
         b_cost = base_b * mults.get((thr, idx), 1.0)
         if (k - 1) * rem <= b_cost:
             # the offline baseline may wait the receiver out
@@ -364,15 +364,13 @@ def build_schedule(config: SimConfig) -> Schedule:
     digest = hashlib.sha256(digest_src.encode("ascii")).hexdigest()
     return Schedule(
         events=np.array(rows, dtype=EVENT),
-        rho=tuple(lengths for _, lengths, _ in per_thread),
-        n_transactions=sum(map(len, rho)),
+        n_transactions=sum(len(lengths) for _, lengths, _ in per_thread),
         # every transaction but a thread's last ends before the horizon
         transactions_committed=sum(
             len(lengths) - (total > config.horizon) for _, lengths, total in per_thread
         ),
         sum_rho=float(np.cumsum([total for _, _, total in per_thread])[-1]),
         digest=digest,
-        backoff_mults=tuple(sorted(mults.items())),
     )
 
 
@@ -443,18 +441,12 @@ def _tally(config: SimConfig, schedule: Schedule, commit, extra) -> SimMetrics:
     )
 
 
-def run(
-    config: SimConfig,
-    schedule: Schedule | None = None,
-    policy_stream: Stream | None = None,
-) -> SimMetrics:
-    """Online run: the configured policy draws every grace period.
+def run(config: SimConfig, schedule: Schedule, policy_stream: Stream | None = None) -> SimMetrics:
+    """Online run of ``schedule``: the configured policy draws every grace period.
 
-    This is the one-stream case of the campaign's replay.  It takes one draw
-    of ``policy_stream`` per event whose strategy is not an atom.
+    The one-stream case of the campaign's replay: one draw of ``policy_stream``
+    (``stream(config.seed, "policy")`` by default) per event not at an atom.
     """
-    if schedule is None:
-        schedule = build_schedule(config)
     if policy_stream is None:
         policy_stream = stream(config.seed, "policy")
     y = schedule.events["y"]
@@ -468,15 +460,13 @@ def run(
     return _tally(config, schedule, commit, extra)
 
 
-def run_offline_baseline(config: SimConfig, schedule: Schedule | None = None) -> SimMetrics:
-    """Perfect-information replay of the same schedule.
+def run_offline_baseline(config: SimConfig, schedule: Schedule) -> SimMetrics:
+    """Perfect-information replay of ``schedule``.
 
     Each conflict costs :func:`costmodel.opt_cost`, ``min((k-1)*y, B)``: wait
     out the receiver when the aggregate delay is at most the abort penalty,
     abort immediately otherwise.
     """
-    if schedule is None:
-        schedule = build_schedule(config)
     k, y, b = (schedule.events[name] for name in ("k", "y", "b_cost"))
     return _tally(config, schedule, (k - 1) * y <= b, opt_cost(k, b, y))
 
@@ -503,28 +493,11 @@ def throughput_bound_check(online: SimMetrics, offline: SimMetrics) -> BoundChec
     return _bound_check(np.array([online.sum_gamma / offline.sum_gamma]), offline.waste)
 
 
-def _schedule_and_offline(
-    config: SimConfig, schedule: Schedule | None, offline: SimMetrics | None
-) -> tuple[Schedule, SimMetrics]:
-    if schedule is None:
-        schedule = build_schedule(config)
-    if offline is None:
-        offline = run_offline_baseline(config, schedule)
-    elif offline.schedule_digest != schedule.digest:
-        raise ValueError("the offline baseline must replay the given schedule")
-    return schedule, offline
-
-
 def simulate_pair(
-    config: SimConfig,
-    schedule: Schedule | None = None,
-    offline: SimMetrics | None = None,
+    config: SimConfig, schedule: Schedule
 ) -> tuple[SimMetrics, SimMetrics, BoundCheck]:
-    """Online and offline runs of one schedule plus the throughput bound.
-
-    ``schedule`` and its ``offline`` baseline are built when not given.
-    """
-    schedule, offline = _schedule_and_offline(config, schedule, offline)
+    """Online and offline runs of ``schedule`` plus the throughput bound."""
+    offline = run_offline_baseline(config, schedule)
     online = run(config, schedule)
     check = throughput_bound_check(online, offline)
     online = replace(online, global_ratio=online.sum_gamma / offline.sum_gamma)
@@ -533,21 +506,19 @@ def simulate_pair(
 
 
 def throughput_campaign(
-    config: SimConfig,
-    n_seeds: int,
-    schedule: Schedule | None = None,
-    offline: SimMetrics | None = None,
+    config: SimConfig, n_seeds: int, schedule: Schedule, offline: SimMetrics
 ) -> tuple[np.ndarray, SimMetrics, BoundCheck]:
-    """Many online runs of one schedule under independent policy streams.
+    """Many online runs of ``schedule`` under independent policy streams,
+    each against ``offline``, the schedule's offline baseline.
 
     Seed ``i`` draws from ``stream(config.seed, "campaign", i)``.  All seeds
     replay together in one pass over the events, and each seed's ratio
-    equals that of ``run`` with its stream, bit for bit.  ``schedule`` and
-    its ``offline`` baseline are built when not given.
+    equals that of ``run`` with its stream, bit for bit.
     """
     if n_seeds < 1:
         raise ValueError(f"a campaign needs n_seeds >= 1, got {n_seeds}")
-    schedule, offline = _schedule_and_offline(config, schedule, offline)
+    if offline.schedule_digest != schedule.digest:
+        raise ValueError("the offline baseline must replay the given schedule")
     lanes = streams(config.seed, "campaign", n=n_seeds)
     sum_extra = np.zeros(n_seeds)
     for _, _, extra in _online_replay(config, schedule, lanes.uniform, n_seeds):

@@ -119,10 +119,19 @@ def check_chain_size(k) -> int:
     return int(k)
 
 
+# The abort costs a spec accepts: at every accepted k, 2*B, mean_threshold, the
+# corners, support_max, the densities and a conflict's cost stay finite there
+# (past them 2*B overflows near 9e307, and a subnormal B gives infinite densities).
+MIN_ABORT_COST, MAX_ABORT_COST = 1e-250, 1e250
+
+
 def check_abort_cost(B) -> float:
-    """``B`` as a float; a ValueError unless it is positive and finite."""
-    if not 0.0 < B <= sys.float_info.max:  # an int past the float range too
-        raise ValueError(f"abort cost B must be positive and finite, got {B}")
+    """``B`` as a float; a ValueError unless ``MIN_ABORT_COST <= B <= MAX_ABORT_COST``."""
+    if not MIN_ABORT_COST <= B <= MAX_ABORT_COST:  # NaN and an int past the float range too
+        raise ValueError(
+            f"abort cost B must be positive and finite, in [{MIN_ABORT_COST:g}, "
+            f"{MAX_ABORT_COST:g}], got {B}"
+        )
     return float(B)
 
 

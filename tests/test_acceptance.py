@@ -29,7 +29,13 @@ from graceperiod.oracle import (
     verify_pdf,
     worst_case_ratio,
 )
-from graceperiod.simulator import config_from_dict, progress_check, throughput_campaign
+from graceperiod.simulator import (
+    build_schedule,
+    config_from_dict,
+    progress_check,
+    run_offline_baseline,
+    throughput_campaign,
+)
 from graceperiod.strategy import (
     ConflictMode,
     StrategySpec,
@@ -248,7 +254,9 @@ def test_criterion_5_throughput_bound_campaign():
     for name in ("stress_low.json", "stress_high.json"):
         raw = resources.files("graceperiod").joinpath("configs", name).read_text()
         config = config_from_dict(json.loads(raw))
-        ratios, offline, check = throughput_campaign(config, 10_000)
+        schedule = build_schedule(config)
+        baseline = run_offline_baseline(config, schedule)
+        ratios, offline, check = throughput_campaign(config, 10_000, schedule, baseline)
         gate.check(
             f"{name}: mean ratio <= (2w+1)/(w+1) + 3 sigma", check.passed,
             f"lhs {check.lhs:.5f} vs rhs {check.rhs:.5f} + {check.margin:.5f} "

@@ -44,6 +44,14 @@ def test_unknown_names_rejected():
         BenchConfig(B=10.0, mu=5.0, trials=0)
 
 
+@pytest.mark.parametrize("dist, mu", [("geometric", 0.5), ("poisson", 1.0)])
+def test_mean_a_distribution_cannot_take_is_named_at_config_time(dist, mu):
+    # it used to be raised inside run_bench, after the earlier distributions
+    # were scored, and named no field
+    with pytest.raises(ValueError, match=rf"^config field 'mu': .* \(distribution {dist}\)$"):
+        BenchConfig(B=10.0, mu=mu, distributions=("uniform", dist))
+
+
 def test_deterministic_rows():
     a = run_bench(small())
     b = run_bench(small())

@@ -38,6 +38,9 @@ BAD_SIM_FIELDS = [
     ("conflict_schedule.path", {"conflict_schedule": {"kind": "trace", "path": None}}),
     ("policy.B", {"policy": {"variant": "randomized_unconstrained", "B": [100.0]}}),
     ("policy.B", {"policy": {"variant": "randomized_unconstrained", "B": True}}),
+    # outside [1e-250, 1e250]: 1e308 ended in a ZeroDivisionError traceback
+    ("policy.B", {"policy": {"variant": "randomized_constrained", "B": 1e308, "mu": 1.0}}),
+    ("policy.B", {"policy": {"variant": "randomized_unconstrained", "B": 5e-324}}),
     ("length_model.mean", {"length_model": {"kind": "exponential", "mean": [20.0]}}),
     ("length_model.sigma",
      {"length_model": {"kind": "normal_truncated", "mean": 20.0, "sigma": [5.0]}}),
@@ -106,12 +109,23 @@ class TestBenchCommand:
         assert err.startswith("error: ") and f"'{field}'" in err
 
     @pytest.mark.parametrize("flag,value", [
-        ("--B", "-1"), ("--B", "inf"), ("--mu", "0"), ("--mu", "nan"),
+        ("--B", "-1"), ("--B", "inf"), ("--B", "1e308"), ("--B", "5e-324"),
+        ("--mu", "0"), ("--mu", "nan"),
     ])
     def test_out_of_range_flag_names_its_field(self, capsys, flag, value):
         assert main(["bench-synthetic", "--trials", "10", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{flag[2:]}'"), err
+
+
+    def test_mean_a_distribution_cannot_take_fails_before_scoring(self, capsys, monkeypatch):
+        from graceperiod import bench
+
+        monkeypatch.setattr(bench, "run_bench", None)  # reached only after the config
+        rc = main(["bench-synthetic", "--dist", "uniform", "--dist", "poisson", "--mu", "1.0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'mu': ") and "(distribution poisson)" in err
 
 
 class TestSimulateCommand:
@@ -130,12 +144,18 @@ class TestSimulateCommand:
         assert doc["online"]["global_ratio"] >= 1.0 - 1e-9
 
     def test_schedule_built_once(self, tmp_path, monkeypatch):
+        # one schedule and one offline baseline serve the pair and the campaign
         from graceperiod import simulator
 
-        built = []
+        built, baselines = [], []
         original = simulator.build_schedule
         monkeypatch.setattr(
             simulator, "build_schedule", lambda config: built.append(config) or original(config)
+        )
+        offline = simulator.run_offline_baseline
+        monkeypatch.setattr(
+            simulator, "run_offline_baseline",
+            lambda config, sched: baselines.append(sched) or offline(config, sched),
         )
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps(SIM_CONFIG))
@@ -144,6 +164,7 @@ class TestSimulateCommand:
         )
         assert rc == 0
         assert len(built) == 1
+        assert len(baselines) == 1
 
     def test_bundled_configs_resolve(self, tmp_path):
         rc, data = run_to_file(
@@ -351,6 +372,17 @@ class TestStrategyTableCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "1 <= B <= 1e+06" in err, err
+
+    @pytest.mark.parametrize("value", ["1e308", "5e-324", "1.1e250", "nan"])
+    def test_abort_cost_outside_its_range_rejected(self, capsys, value):
+        # 1e308 used to end in a ZeroDivisionError traceback, 5e-324 in an
+        # infinite density
+        with pytest.raises(SystemExit) as exc:
+            main(["strategy-table", "--mode", "requestor_wins",
+                  "--strategy-variant", "randomized_constrained", "--B", value, "--mu", "1"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --B: abort cost B" in errors[0], errors
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_points_below_one_rejected(self, capsys, value):

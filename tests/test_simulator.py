@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -83,7 +84,18 @@ def one_thread_schedule(k, ys, B):
     """Conflicts of chain size ``k`` at remaining times ``ys`` on thread 0,
     one per transaction, for replaying by hand."""
     events = np.array([(float(i), 0, k, y, i, 0.0, B) for i, y in enumerate(ys)], dtype=EVENT)
-    return Schedule(events, (np.array([1.0]),), 1, 1, 1.0, "")
+    return Schedule(events, 1, 1, 1.0, "")
+
+
+def pair(config):
+    """``simulate_pair`` of a freshly built schedule."""
+    return simulate_pair(config, build_schedule(config))
+
+
+def campaign(config, n_seeds):
+    """``throughput_campaign`` of a freshly built schedule and its baseline."""
+    sched = build_schedule(config)
+    return throughput_campaign(config, n_seeds, sched, run_offline_baseline(config, sched))
 
 
 def assert_same_schedule(got, want, name=""):
@@ -91,18 +103,26 @@ def assert_same_schedule(got, want, name=""):
     assert got.digest == want.digest, name
     assert got.events.dtype == want.events.dtype == EVENT, name
     assert got.events.tobytes() == want.events.tobytes(), name
-    assert len(got.rho) == len(want.rho), name
-    for ours, theirs in zip(got.rho, want.rho):
-        assert ours.dtype == theirs.dtype == np.float64, name
-        assert ours.tobytes() == theirs.tobytes(), name
-    scalars = ("n_transactions", "transactions_committed", "sum_rho", "backoff_mults")
+    scalars = ("n_transactions", "transactions_committed", "sum_rho")
     assert [getattr(got, f) for f in scalars] == [getattr(want, f) for f in scalars], name
+
+
+def assert_same_lengths(config, name=""):
+    """Each thread's block-drawn lengths, starts and total equal the scalar
+    reference's one-by-one draws and sums, bit for bit."""
+    lengths, starts, totals = reference_lengths(config)
+    for thread in range(config.n_threads):
+        got_starts, got_lengths, got_total = simulator._draw_lengths(config, thread)
+        assert got_lengths.dtype == got_starts.dtype == np.float64, name
+        assert got_lengths.tobytes() == np.array(lengths[thread]).tobytes(), name
+        assert got_starts.tobytes() == np.array(starts[thread]).tobytes(), name
+        assert got_total == totals[thread], name
 
 
 class TestSchedule:
     def test_zero_rate_is_conflict_free(self):
         config = base_config(conflict_rate=0.0)
-        online, offline, check = simulate_pair(config)
+        online, offline, check = pair(config)
         assert online.n_conflicts == 0
         assert online.waste == 0.0
         assert online.global_ratio == 1.0
@@ -123,9 +143,11 @@ class TestSchedule:
             last_allowed[thr] = t + window
 
     def test_pegged_remaining_time_is_consistent(self):
-        sched = build_schedule(base_config())
+        config = base_config()
+        sched = build_schedule(config)
+        lengths = [simulator._draw_lengths(config, i)[1] for i in range(config.n_threads)]
         for _, thr, _, y, idx, elapsed, _ in sched.events.tolist():
-            rho = sched.rho[thr][idx]
+            rho = lengths[thr][idx]
             assert 0.0 < y <= rho + 1e-12
             assert elapsed == pytest.approx(rho - y, rel=1e-9, abs=1e-9)
 
@@ -143,11 +165,27 @@ class TestSchedule:
         assert sched.events.dtype == EVENT
         assert sched.events.dtype["k"].kind == "i"
         assert np.all(np.diff(sched.events["time"]) >= 0.0)
-        assert len(sched.rho) == config.n_threads
-        for lengths in sched.rho:
-            assert isinstance(lengths, np.ndarray) and lengths.dtype == np.float64
-        assert sched.n_transactions == sum(map(len, sched.rho))
+        # the schedule holds no copy of the timelines, only their totals
+        assert [f.name for f in fields(Schedule)] == [
+            "events", "n_transactions", "transactions_committed", "sum_rho", "digest"
+        ]
+        per_thread = [simulator._draw_lengths(config, i) for i in range(config.n_threads)]
+        assert sched.n_transactions == sum(len(lengths) for _, lengths, _ in per_thread)
         assert len(sched.events) == run(config, sched).n_conflicts > 0
+
+    def test_build_peak_memory_is_bounded(self):
+        # the timelines are held once, as the arrays the block draw returns:
+        # stress_high over 2e5 time units peaks near 10.5 MB of allocations,
+        # where holding a list copy of every start and length took 15.6 MB
+        config = replace(bundled_config("stress_high.json", 72), horizon=2e5)
+        build_schedule(replace(config, horizon=2e3))  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            build_schedule(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.5e6, f"{peak / 1e6:.2f} MB"
 
 
 class TestMicroTrace:
@@ -170,7 +208,7 @@ class TestMicroTrace:
     def test_offline_aborts_when_waiting_costs_more(self, tmp_path):
         config = micro_trace_config(tmp_path, "10 0 2\n", policy=PolicyConfig(
             Variant.RANDOMIZED_UNCONSTRAINED, 25.0))
-        offline = run_offline_baseline(config)
+        offline = run_offline_baseline(config, build_schedule(config))
         # y = 40 > B = 25: immediate abort at cost B
         assert offline.abort_branches == 1
         assert offline.sum_extra == pytest.approx(25.0)
@@ -187,6 +225,10 @@ class TestMicroTrace:
             build_schedule(config)
         config = micro_trace_config(tmp_path, "0 0 2\n", dynamic_b=True, cleanup_cost=5.0)
         assert build_schedule(config).events["b_cost"].tolist() == [5.0]
+        # the same range as a policy's B: a cost below 1e-250 is refused too
+        config = micro_trace_config(tmp_path, "0 0 2\n", dynamic_b=True, cleanup_cost=1e-300)
+        with pytest.raises(TraceError, match=r"entry 1: under dynamic_b, .*, got 1e-300 "):
+            build_schedule(config)
 
     def test_trace_descending_times_rejected(self, tmp_path):
         with pytest.raises(TraceError, match="nondecreasing"):
@@ -308,12 +350,14 @@ class TestMicroTrace:
 class TestRunInvariants:
     def test_determinism_bit_identical(self):
         config = base_config()
-        assert run(config) == run(config)
-        assert run_offline_baseline(config) == run_offline_baseline(config)
+        a, b = build_schedule(config), build_schedule(config)
+        assert_same_schedule(a, b)
+        assert run(config, a) == run(config, b)
+        assert run_offline_baseline(config, a) == run_offline_baseline(config, b)
 
     def test_schedule_parity(self):
         config = base_config()
-        online, offline, _ = simulate_pair(config)
+        online, offline, _ = pair(config)
         assert online.schedule_digest == offline.schedule_digest
         assert online.n_conflicts == offline.n_conflicts
         assert online.n_transactions == offline.n_transactions
@@ -322,7 +366,8 @@ class TestRunInvariants:
     def test_conservation_is_exact(self):
         for rate in (0.05, 0.5):
             config = base_config(conflict_rate=rate)
-            for metrics in (run(config), run_offline_baseline(config)):
+            sched = build_schedule(config)
+            for metrics in (run(config, sched), run_offline_baseline(config, sched)):
                 assert metrics.sum_gamma == metrics.sum_rho + metrics.sum_extra
 
     def test_per_conflict_dominance(self):
@@ -347,13 +392,13 @@ class TestRunInvariants:
         # per conflict the online extra dominates min((k-1)y, B), so the
         # global ratio cannot fall below one
         for seed in (404, 405, 406):
-            online, offline, _ = simulate_pair(base_config(seed=seed))
+            online, offline, _ = pair(base_config(seed=seed))
             assert online.sum_extra >= offline.sum_extra
             assert online.global_ratio >= 1.0
 
     def test_attempts_histogram_counts_transactions(self):
         config = base_config()
-        metrics = run(config)
+        metrics = run(config, build_schedule(config))
         assert sum(metrics.attempts_hist.values()) == metrics.n_transactions
         assert (
             sum((a - 1) * c for a, c in metrics.attempts_hist.items())
@@ -362,7 +407,7 @@ class TestRunInvariants:
 
     def test_ra_receiver_never_restarts(self):
         config = base_config(mode=RA)
-        metrics = run(config)
+        metrics = run(config, build_schedule(config))
         assert set(metrics.attempts_hist) == {1}
 
     def test_doubling_backoff_doubles_costs(self, tmp_path):
@@ -377,8 +422,9 @@ class TestRunInvariants:
             horizon=200.0, seed=1, trace_path=str(path), doubling_backoff=True,
         )
         sched = build_schedule(config)
+        # both hit transaction 0, whose abort cost doubles after the first
+        assert sched.events["tx_index"].tolist() == [0, 0]
         assert sched.events["b_cost"].tolist() == [4.0, 8.0]
-        assert sched.backoff_mults == (((0, 0), 4.0),)
         metrics = run(config, sched)
         assert metrics.abort_branches == 2
         assert metrics.attempts_hist == {3: 1}  # the one transaction, aborted twice
@@ -410,7 +456,7 @@ class TestRunInvariants:
             horizon=50.0, seed=1, trace_path=str(path),
             dynamic_b=True, cleanup_cost=5.0,
         )
-        metrics = run(config)
+        metrics = run(config, build_schedule(config))
         # elapsed = 10, cleanup = 5 -> B = 15, det grace x = 15 < y = 40: abort
         assert metrics.abort_branches == 1
         assert metrics.sum_extra == pytest.approx(2 * 15.0 + 15.0)
@@ -418,13 +464,14 @@ class TestRunInvariants:
 
 class TestThroughputBound:
     def test_bound_check_requires_matching_schedules(self):
-        m1 = run(base_config())
-        m2 = run_offline_baseline(base_config(seed=405))
+        config, other = base_config(), base_config(seed=405)
+        m1 = run(config, build_schedule(config))
+        m2 = run_offline_baseline(other, build_schedule(other))
         with pytest.raises(ValueError):
             throughput_bound_check(m1, m2)
 
     def test_campaign_bound_holds(self):
-        ratios, offline, check = throughput_campaign(base_config(), 400)
+        ratios, offline, check = campaign(base_config(), 400)
         assert check.passed
         assert simulator.N_SIGMA == 3.0 and check.margin == 3.0 * check.stderr
         assert check.lhs < 2.0
@@ -435,7 +482,7 @@ class TestThroughputBound:
         config = base_config()
         sched = build_schedule(config)
         offline = run_offline_baseline(config, sched)
-        ratios, _, _ = throughput_campaign(config, 5)
+        ratios, _, _ = throughput_campaign(config, 5, sched, offline)
         for i in range(5):
             m = run(config, sched, policy_stream=stream(config.seed, "campaign", i))
             assert ratios[i] == m.sum_gamma / offline.sum_gamma
@@ -444,35 +491,38 @@ class TestThroughputBound:
         config = base_config()
         sched = build_schedule(config)
         offline = run_offline_baseline(config, sched)
-        ratios, got_offline, check = throughput_campaign(
-            config, 30, schedule=sched, offline=offline
-        )
+        ratios, got_offline, check = throughput_campaign(config, 30, sched, offline)
         assert got_offline is offline
-        assert np.array_equal(ratios, throughput_campaign(config, 30)[0])
-        assert check == throughput_campaign(config, 30)[2]
-        assert simulate_pair(config, sched, offline) == simulate_pair(config)
+        # a rebuilt schedule and baseline give the same campaign and pair
+        again = campaign(config, 30)
+        assert np.array_equal(ratios, again[0]) and check == again[2]
+        got_pair = simulate_pair(config, sched)
+        assert got_pair == pair(config)
+        assert got_pair[1] == replace(offline, global_ratio=1.0)
 
     def test_baseline_of_another_schedule_rejected(self):
         sched = build_schedule(base_config())
-        other = run_offline_baseline(base_config(seed=405))
+        other_config = base_config(seed=405)
+        other = run_offline_baseline(other_config, build_schedule(other_config))
         with pytest.raises(ValueError, match="offline baseline"):
-            throughput_campaign(base_config(), 10, schedule=sched, offline=other)
-        with pytest.raises(ValueError, match="offline baseline"):
-            simulate_pair(base_config(), sched, other)
+            throughput_campaign(base_config(), 10, sched, other)
 
     def test_campaign_rejects_no_seeds(self):
         for n_seeds in (0, -3):
             with pytest.raises(ValueError, match="n_seeds"):
-                throughput_campaign(base_config(), n_seeds)
+                campaign(base_config(), n_seeds)
 
     def test_campaign_engine_matches_per_seed_reference(self):
         for name, config, families in engine_cases():
             sched = build_schedule(config)
             offline = run_offline_baseline(config, sched)
             assert len(sched.events), name
-            assert bool(sched.backoff_mults) == config.doubling_backoff, name
+            # some abort cost carries a backoff multiplier iff backoff is on
+            events = sched.events
+            base_b = events["elapsed"] + config.cleanup_cost if config.dynamic_b else config.policy.B
+            assert bool(np.any(events["b_cost"] > base_b)) == config.doubling_backoff, name
             assert policy_families(config, sched) == families, name
-            ratios, _, _ = throughput_campaign(config, ENGINE_SEEDS)
+            ratios, _, _ = throughput_campaign(config, ENGINE_SEEDS, sched, offline)
             expected = reference_campaign_ratios(config, sched, offline, ENGINE_SEEDS)
             assert np.array_equal(ratios, expected), name
 
@@ -535,8 +585,9 @@ def reference_campaign_ratios(config, sched, offline, n_seeds):
 # one grace-period sample per event, every sum added one term at a time ----
 
 
-def reference_build_schedule(config):
-    """The scalar schedule builder the block-drawing ``build_schedule`` replaces."""
+def reference_lengths(config):
+    """Per thread, the ``"rho"`` stream's lengths drawn one at a time up to the
+    horizon, their starts and their total, each summed one term at a time."""
     lengths, starts, totals = [], [], []
     for thread in range(config.n_threads):
         s = stream(config.seed, "rho", thread)
@@ -549,6 +600,12 @@ def reference_build_schedule(config):
         lengths.append(rs)
         starts.append(ss)
         totals.append(total)
+    return lengths, starts, totals
+
+
+def reference_build_schedule(config):
+    """The scalar schedule builder the block-drawing ``build_schedule`` replaces."""
+    lengths, starts, totals = reference_lengths(config)
 
     if config.trace_path is not None:
         candidates = parse_trace(config.trace_path)
@@ -599,7 +656,6 @@ def reference_build_schedule(config):
         sum_rho += total
     return Schedule(
         events=np.array(rows, dtype=EVENT),
-        rho=tuple(np.array(rs, dtype=float) for rs in lengths),
         n_transactions=sum(len(rs) for rs in lengths),
         transactions_committed=sum(
             1
@@ -609,7 +665,6 @@ def reference_build_schedule(config):
         ),
         sum_rho=sum_rho,
         digest=hashlib.sha256(digest.encode("ascii")).hexdigest(),
-        backoff_mults=tuple(sorted(mults.items())),
     )
 
 
@@ -717,6 +772,7 @@ class TestScalarReference:
         for name, config in parity_cases(tmp_path):
             sched = build_schedule(config)
             assert_same_schedule(sched, reference_build_schedule(config), name)
+            assert_same_lengths(config, name)
             assert run(config, sched) == reference_run(config, sched), name
             assert run_offline_baseline(config, sched) == reference_offline(config, sched), name
 
@@ -728,27 +784,29 @@ class TestScalarReference:
         for name, config, _ in engine_cases():
             sched = build_schedule(config)
             assert_same_schedule(sched, reference_build_schedule(config), name)
+            assert_same_lengths(config, name)
             assert run(config, sched) == reference_run(config, sched), name
             offline = run_offline_baseline(config, sched)
-            ratios, _, _ = throughput_campaign(config, 3, schedule=sched, offline=offline)
+            ratios, _, _ = throughput_campaign(config, 3, sched, offline)
             assert np.array_equal(
                 ratios, reference_campaign_ratios(config, sched, offline, 3)
             ), name
 
     def test_many_threads_build_in_bounded_time(self):
         # 512 receivers over a long horizon: 160k candidates in three blocks.
-        # Only admitted candidates are located, one bisect each, so the build
+        # Only admitted candidates are located, one bisection each, so the build
         # stays linear in the candidates (under a second on two cores).
         config = base_config(n_threads=512, horizon=2e4, conflict_rate=8.0)
         began = time.perf_counter()
         sched = build_schedule(config)
         assert time.perf_counter() - began < 20.0
         assert len(set(sched.events["thread"].tolist())) == 512
-        starts = [list(accumulate(rs.tolist(), initial=0.0)) for rs in sched.rho]
+        rho = [simulator._draw_lengths(config, i)[1].tolist() for i in range(512)]
+        starts = [list(accumulate(rs, initial=0.0)) for rs in rho]
         for t, thr, _, y, tx_index, elapsed, _ in sched.events.tolist():
             idx = bisect_right(starts[thr], t) - 1
             assert (tx_index, elapsed) == (idx, t - starts[thr][idx])
-            assert y == sched.rho[thr][idx] - elapsed
+            assert y == rho[thr][idx] - elapsed
 
     def test_run_takes_one_draw_per_non_atom_event(self):
         for name, config, _ in engine_cases():
@@ -885,7 +943,7 @@ class TestConfigParsing:
         config = config_from_dict(data)
         assert config.n_threads == 4
         assert config.conflict_rate == 0.1
-        run(config)  # executes cleanly
+        run(config, build_schedule(config))  # executes cleanly
 
     def test_field_diagnostics(self):
         with pytest.raises(ValueError, match="'n_threads'"):

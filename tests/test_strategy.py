@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 from graceperiod.adversary import worst_case_for_det
 from graceperiod.oracle import lagrange_identity_check
 from graceperiod.quadrature import adaptive_simpson
+from graceperiod.costmodel import conflict_cost
 from graceperiod.rng import stream
 from graceperiod.simulator import PolicyConfig
 from graceperiod.strategy import (
     _FAMILIES,
     DISCRETE_CLASSIC_MAX_B,
+    MAX_ABORT_COST,
+    MIN_ABORT_COST,
     ConflictMode,
     GracePeriodStrategy,
     StrategyKind,
@@ -765,6 +768,40 @@ class TestDomainChecks:
         for call in calls:
             with pytest.raises(ValueError, match="abort cost B must be positive and finite"):
                 call()
+
+    # 2*B overflowed from about 9e307, and a subnormal B made the densities infinite
+    @pytest.mark.parametrize("B", [1e308, 9e307, 1.01e250, 9.9e-251, 5e-324])
+    def test_abort_cost_outside_the_documented_range(self, B):
+        with pytest.raises(ValueError, match=r"in \[1e-250, 1e\+250\], got"):
+            StrategySpec(RW, 2, B, CON, mu=1.0)
+        with pytest.raises(ValueError, match="abort cost B"):
+            PolicyConfig(CON, B, mu=1.0)
+
+    @pytest.mark.parametrize("B", [MIN_ABORT_COST, MAX_ABORT_COST])
+    @pytest.mark.parametrize("k", [2, 2**53 - 1])
+    def test_every_quantity_is_finite_at_the_range_ends(self, B, k):
+        assert (MIN_ABORT_COST, MAX_ABORT_COST) == (1e-250, 1e250)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow or a division by zero fails
+            for mode in (RW, RA):
+                threshold = mean_threshold(mode, k, B)
+                assert 0.0 < threshold < math.inf
+                for constrained in (False, True):
+                    lam1, lam2 = lagrange_corner(mode, k, B, constrained)
+                    assert 0.0 < lam1 < math.inf
+                    assert (0.0 < lam2 < math.inf) if constrained else lam2 == 0.0
+                # mu = 0 resolves to the mean-aware density, mu = None to the other
+                for variant, mu in ((UNC, None), (CON, 0.0)):
+                    strat = make_strategy(StrategySpec(mode, k, B, variant, mu=mu))
+                    S = strat.support_max
+                    assert 0.0 < S < math.inf
+                    at_zero, at_top = strat.pdf(np.array([0.0, S]))
+                    assert 0.0 <= at_zero < math.inf and 0.0 < at_top < math.inf
+                    assert (at_zero > 0.0) != strat.mean_aware  # mean-aware ones vanish at 0
+                    cost = float(conflict_cost(mode, k, B, S, S))
+                    assert 0.0 < cost < math.inf
+            det = make_strategy(StrategySpec(RW, k, B, Variant.DETERMINISTIC))
+            assert 0.0 < float(conflict_cost(RW, k, B, det.support_max, det.support_max)) < math.inf
 
 
     @pytest.mark.parametrize("mu", NONFINITE + [-1.0, 10**400])
