@@ -261,7 +261,9 @@ def _candidate_blocks(config: SimConfig):
         # u + 2**-54 is uniform_open of the same draw, bit for bit; math.log, not
         # np.log: the two differ in the last bit for some inputs
         logs = np.fromiter(map(math.log, (u[:, 0] + 2.0**-54).tolist()), float, m)
-        when = np.cumsum(np.concatenate(([t], logs / -rate)))[1:]
+        # at a tiny rate a gap or a time may overflow: inf is past the horizon
+        with np.errstate(over="ignore"):
+            when = np.cumsum(np.concatenate(([t], logs / -rate)))[1:]
         stop = int(np.searchsorted(when, horizon))
         threads = (u[:stop, 1] * config.n_threads).astype(np.int64)
         ks = sizes[np.searchsorted(cum, u[:stop, 2], side="right")]

@@ -151,6 +151,15 @@ class TestSchedule:
             assert 0.0 < y <= rho + 1e-12
             assert elapsed == pytest.approx(rho - y, rel=1e-9, abs=1e-9)
 
+    def test_subnormal_rate_draws_no_conflict(self):
+        # each gap overflows to inf, past the horizon; numpy's overflow warning
+        # used to escape (an error in this suite and under CI's warning filter)
+        for rate in (5e-324, 2.2250738585e-313, 1e-300):
+            config = base_config(conflict_rate=rate)
+            sched = build_schedule(config)
+            assert len(sched.events) == 0
+            assert_same_schedule(sched, reference_build_schedule(config))
+
     def test_chain_size_distribution(self):
         config = base_config(chain_size={2: 0.5, 4: 0.5}, conflict_rate=1.0)
         sched = build_schedule(config)
