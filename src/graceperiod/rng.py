@@ -120,9 +120,9 @@ def stream(seed: int, *tokens: int | str) -> Stream:
 class Streams:
     """Many SplitMix64 streams advanced in lockstep, one column per stream.
 
-    :meth:`uniform` takes the next ``m`` draws of each stream as an
-    ``(m, n)`` block: row ``j`` is ``mix64(state_i + (j+1) * GOLDEN)`` for
-    every stream ``i`` and equals that stream's next :meth:`Stream.uniform`.
+    :meth:`uniform_batch` takes the next ``m`` draws of each stream as an
+    ``(m, n)`` block: row ``j`` is ``mix64(state_i + (j+1) * GOLDEN)``, and
+    column ``i`` equals stream ``i``'s own :meth:`Stream.uniform_batch`.
     """
 
     __slots__ = ("_states",)
@@ -130,7 +130,7 @@ class Streams:
     def __init__(self, states: np.ndarray):
         self._states = np.asarray(states, dtype=np.uint64)
 
-    def uniform(self, m: int) -> np.ndarray:
+    def uniform_batch(self, m: int) -> np.ndarray:
         """The next ``m`` uniform doubles in [0, 1) of every stream, shape ``(m, n)``."""
         counters = self._states + np.uint64(GOLDEN) * np.arange(1, m + 1, dtype=np.uint64)[:, None]
         if m:

@@ -58,11 +58,10 @@ import numpy as np
 
 from .adversary import AdversaryModel, sample_length
 from .costmodel import conflict_cost, day_abort_cost, opt_cost
-from .rng import Stream, stream, streams
+from .rng import Stream, Streams, stream, streams
 from .strategy import (
     ConflictMode,
     GracePeriodStrategy,
-    StrategyKind,
     StrategySpec,
     Variant,
     check_abort_cost,
@@ -381,15 +380,15 @@ def build_schedule(config: SimConfig) -> Schedule:
 _CHUNK_CELLS = 8192  # about this many (event, stream) cells per replay chunk
 
 
-def _online_replay(config: SimConfig, schedule: Schedule, draw, n: int):
+def _online_replay(config: SimConfig, schedule: Schedule, lanes: Stream | Streams, n: int):
     """The online policy's replay of ``schedule`` under ``n`` streams at once.
 
     Yields ``(rows, x, extra)`` for consecutive slices of at most
     ``_CHUNK_CELLS // n`` events (at least one) that share one strategy, with
-    their ``(len, n)`` grace periods and costs.  ``draw(m)`` returns the next
-    ``m`` draws of every stream as an ``(m, n)`` block; atoms take none.  One
-    elementwise call maps and costs a slice, so each stream's results equal
-    a replay of that stream alone, bit for bit.
+    their ``(len, n)`` grace periods and costs (``(len, 1)`` at an atom).
+    ``lanes`` is ``run``'s one stream or the campaign's ``n``; a slice draws
+    through ``sample_batch``, and one elementwise call maps and costs it, so
+    each stream's results equal a replay of that stream alone, bit for bit.
     """
     events = schedule.events
     y = events["y"]
@@ -404,12 +403,9 @@ def _online_replay(config: SimConfig, schedule: Schedule, draw, n: int):
         for start in range(lo, hi, step):
             rows = slice(start, min(start + step, hi))
             m = rows.stop - rows.start
-            if strat.kind is StrategyKind.ATOM:
-                x = np.full((m, n), strat.support_max)
-            else:
-                x = strat.quantile(draw(m))
+            x = strat.sample_batch(lanes, m).reshape(m, -1)
             spec, ys = strat.spec, y[rows, None]
-            if strat.kind is StrategyKind.DISCRETE_PMF:  # k = 2: a commit costs y
+            if config.policy.variant is Variant.DISCRETE_CLASSIC:  # k = 2: a commit costs y
                 yield rows, x, np.where(ys < x, ys, day_abort_cost(x, spec.B))
             else:
                 yield rows, x, conflict_cost(config.mode, spec.k, spec.B, x, ys)
@@ -453,10 +449,7 @@ def run(config: SimConfig, schedule: Schedule, policy_stream: Stream | None = No
         policy_stream = stream(config.seed, "policy")
     y = schedule.events["y"]
     commit, extra = np.empty(len(y), dtype=bool), np.empty(len(y))
-    replay = _online_replay(
-        config, schedule, lambda m: policy_stream.uniform_batch(m)[:, None], 1
-    )
-    for rows, x, cost in replay:
+    for rows, x, cost in _online_replay(config, schedule, policy_stream, 1):
         commit[rows] = y[rows] < x[:, 0]
         extra[rows] = cost[:, 0]
     return _tally(config, schedule, commit, extra)
@@ -523,7 +516,7 @@ def throughput_campaign(
         raise ValueError("the offline baseline must replay the given schedule")
     lanes = streams(config.seed, "campaign", n=n_seeds)
     sum_extra = np.zeros(n_seeds)
-    for _, _, extra in _online_replay(config, schedule, lanes.uniform, n_seeds):
+    for _, _, extra in _online_replay(config, schedule, lanes, n_seeds):
         for row in extra:  # in event order, as a run of one seed sums them
             sum_extra += row
     ratios = (schedule.sum_rho + sum_extra) / offline.sum_gamma
@@ -583,7 +576,7 @@ def progress_check(
     for a in range(bound):
         b_a = B * 2.0**a
         miss *= 1.0 - max(0.0, 1.0 - (k - 1) * y / b_a) ** gamma
-        committed |= np.all(lanes.uniform(gamma) * (b_a / (k - 1)) > y, axis=0)
+        committed |= np.all(lanes.uniform_batch(gamma) * (b_a / (k - 1)) > y, axis=0)
     probability = 1.0 - miss
     doubling_ok = doubling_threshold == 0 or B * 2.0**doubling_threshold >= 2.0 * k * y * gamma
     stderr = math.sqrt(probability * (1.0 - probability) / n_trials)

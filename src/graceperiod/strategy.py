@@ -82,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import Stream
+from .rng import Stream, Streams
 
 LN4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
 # The discrete classic tabulates its pmf and cdf over the days 1..B: 16 MB
@@ -584,8 +584,9 @@ class GracePeriodStrategy:
             return self.support_max
         return float(self.quantile(np.array([stream.uniform()]))[0])
 
-    def sample_batch(self, stream: Stream, n: int) -> np.ndarray:
-        """``n`` grace periods; atoms repeat their point without consuming draws."""
+    def sample_batch(self, stream: Stream | Streams, n: int) -> np.ndarray:
+        """``n`` grace periods from each stream, shape ``(n,)`` or ``(n, lanes)``;
+        atoms repeat their point, shape ``(n,)``, without consuming draws."""
         if self.kind is StrategyKind.ATOM:
             return np.full(n, self.support_max)
         return self.quantile(stream.uniform_batch(n))

@@ -71,7 +71,7 @@ def test_stream_columns_match_scalar_streams():
     # stream(seed, *labels, i); consecutive blocks continue the streams
     for labels in (("campaign",), ("a", 3), ()):
         lanes = streams(72, *labels, n=40)
-        columns = np.concatenate([lanes.uniform(1), lanes.uniform(0), lanes.uniform(5)])
+        columns = np.concatenate([lanes.uniform_batch(m) for m in (1, 0, 5)])
         assert columns.shape == (6, 40)
         for i in range(40):
             s = stream(72, *labels, i)

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import accumulate
 from dataclasses import fields, replace
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -260,9 +261,7 @@ class TestMicroTrace:
         config = micro_trace_config(tmp_path, "10 0 2\n")
         sched = build_schedule(config)
         n = 10_000
-        [(_, _, cost)] = simulator._online_replay(
-            config, sched, streams(config.seed, "mc", n=n).uniform, n
-        )
+        [(_, _, cost)] = simulator._online_replay(config, sched, streams(config.seed, "mc", n=n), n)
         extras = cost[0]
         for i in (0, 4321, n - 1):  # each lane is that seed's single run
             single = run(config, sched, policy_stream=stream(config.seed, "mc", i))
@@ -284,9 +283,8 @@ class TestMicroTrace:
         sched = one_thread_schedule(2, ys, B)
         # one lane per day: each lane's uniform maps to its own day
         day_uniforms = np.broadcast_to(cum - 0.5 * pmf, (len(ys), len(pmf)))
-        chunks = list(simulator._online_replay(
-            config, sched, lambda m: day_uniforms[:m], len(pmf)
-        ))
+        lanes = SimpleNamespace(uniform_batch=lambda m: day_uniforms[:m])
+        chunks = list(simulator._online_replay(config, sched, lanes, len(pmf)))
         assert all(np.array_equal(row, np.arange(1.0, B + 1.0)) for _, x, _ in chunks for row in x)
         simulated = np.concatenate([cost for _, _, cost in chunks]) @ pmf
         assert np.allclose(simulated, batch_expected_costs(strat, ys), rtol=1e-12, atol=0.0)
@@ -319,8 +317,9 @@ class TestMicroTrace:
         if family == "discrete_classic":
             ys = np.array([0.5, 37.0, 37.5, 99.5, 100.0, 150.0])  # ties at integer days
         sched = one_thread_schedule(k, ys, B)
-        costs = np.concatenate([cost for _, _, cost in simulator._online_replay(
-            config, sched, streams(config.seed, "mc", n=n).uniform, n
+        # an atom's (len, 1) costs stand for every lane
+        costs = np.concatenate([np.broadcast_to(cost, (len(cost), n)) for _, _, cost in (
+            simulator._online_replay(config, sched, streams(config.seed, "mc", n=n), n)
         )])
         stderr = costs.std(axis=1, ddof=1) / math.sqrt(n)
         expected = batch_expected_costs(strat, ys)
