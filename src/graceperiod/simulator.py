@@ -63,6 +63,8 @@ from .strategy import (
     ConflictMode,
     GracePeriodStrategy,
     StrategySpec,
+    MAX_ABORT_COST,
+    MIN_ABORT_COST,
     Variant,
     check_abort_cost,
     check_chain_size,
@@ -128,6 +130,12 @@ class SimConfig:
             )
         if self.cleanup_cost and not self.dynamic_b:
             raise ValueError(f"cleanup_cost is read by dynamic_b only, got {self.cleanup_cost}")
+        if self.dynamic_b and self.cleanup_cost + self.horizon > MAX_ABORT_COST:
+            # every elapsed time is below the horizon
+            raise ValueError(
+                f"cleanup_cost {self.cleanup_cost} plus horizon {self.horizon} exceeds the largest"
+                f" abort cost {MAX_ABORT_COST:g}: dynamic_b charges elapsed + cleanup_cost"
+            )
         size = self.chain_size
         weights = size if isinstance(size, dict) else {size: 1.0}
         # a NaN or infinite weight makes the sum fail too
@@ -316,6 +324,22 @@ def _check_trace_entry(config, entry, t, thr, k, next_allowed) -> None:
         )
 
 
+def _abort_cost_error(config, entry, t, thr, b_cost, mult) -> ValueError:
+    """The error for a conflict whose abort cost is outside ``check_abort_cost``'s
+    range, naming the fields it comes from (a TraceError for a trace entry)."""
+    at = f"the conflict at time {t} on thread {thr}"
+    msg = f"under dynamic_b, {at} costs elapsed + cleanup_cost" if config.dynamic_b else (
+        f"{at} costs policy.B")
+    if mult > 1.0:
+        msg += f" times its doubling_backoff factor {mult:g}"
+    msg += f", outside [{MIN_ABORT_COST:g}, {MAX_ABORT_COST:g}], got {b_cost}"
+    if b_cost < MIN_ABORT_COST:  # elapsed + cleanup_cost, at a transaction's start
+        msg += " (at a transaction's start, set cleanup_cost > 0)"
+    if config.trace_path is None:
+        return ValueError(msg)
+    return TraceError(f"{config.trace_path}: entry {entry}: {msg}")
+
+
 def build_schedule(config: SimConfig) -> Schedule:
     """Generate (or load and validate) the policy-independent schedule."""
     per_thread = [_draw_lengths(config, i) for i in range(config.n_threads)]
@@ -337,16 +361,10 @@ def build_schedule(config: SimConfig) -> Schedule:
         el = t - float(starts[idx])
         rem = float(lengths[idx]) - el
         base_b = (el + config.cleanup_cost) if config.dynamic_b else config.policy.B
-        if config.trace_path is not None:
-            try:
-                check_abort_cost(base_b)
-            except ValueError as exc:
-                raise TraceError(
-                    f"{config.trace_path}: entry {entry}: under dynamic_b, the conflict at time"
-                    f" {t} costs elapsed + cleanup_cost: {exc} (at a transaction's start, set"
-                    " cleanup_cost > 0)"
-                ) from exc
-        b_cost = base_b * mults.get((thr, idx), 1.0)
+        mult = mults.get((thr, idx), 1.0)
+        b_cost = base_b * mult
+        if not MIN_ABORT_COST <= b_cost <= MAX_ABORT_COST:
+            raise _abort_cost_error(config, entry, t, thr, b_cost, mult)
         if (k - 1) * rem <= b_cost:
             # the offline baseline may wait the receiver out
             window = max(rem, b_cost / (k - 1))
@@ -356,7 +374,7 @@ def build_schedule(config: SimConfig) -> Schedule:
             if config.doubling_backoff and config.mode is ConflictMode.REQUESTOR_WINS:
                 # only the receiver accumulates retries; requestor-aborts
                 # throws away fresh synthetic requestors each time
-                mults[thr, idx] = mults.get((thr, idx), 1.0) * 2.0
+                mults[thr, idx] = mult * 2.0
         next_allowed[thr] = t + window
         rows.append((t, thr, k, rem, idx, el, b_cost))
 

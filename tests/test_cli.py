@@ -261,6 +261,22 @@ class TestSimulateCommand:
         assert rc == 2
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, named", [
+        # rejected as the config is read
+        ({"dynamic_b": True, "cleanup_cost": 1e300}, "cleanup_cost 1e+300 plus horizon"),
+        # rejected by the build: a second conflict doubles policy.B past the range
+        ({"policy": {"variant": "deterministic", "B": 1e250}, "doubling_backoff": True,
+          "length_model": {"kind": "point_mass", "mean": 1e245}, "horizon": 1e240,
+          "conflict_schedule": {"kind": "random_rate", "rate": 1e-236},
+          "chain_size": 2**52, "n_threads": 1}, "on thread 0 costs policy.B times"),
+    ], ids=["cleanup_cost", "policy.B doubled"])
+    def test_abort_cost_past_its_range_names_its_source(self, tmp_path, capsys, overrides, named):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(dict(SIM_CONFIG, **overrides)))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and named in err and "Traceback" not in err, err
+
 
 class TestVerifyCommand:
     def test_clean_build_exits_zero(self, tmp_path):

@@ -227,6 +227,32 @@ class TestMicroTrace:
         with pytest.raises(TraceError, match="grace window"):
             build_schedule(micro_trace_config(tmp_path, "10 0 2\n50 0 2\n"))
 
+    @pytest.mark.parametrize("dynamic_b, B, cleanup, source, got", [
+        (False, 1e250, 0.0, "policy.B", "2e\\+250"),
+        (True, 1.0, 9e249, "elapsed \\+ cleanup_cost", "1.8\\d*e\\+250"),
+    ], ids=["policy.B", "cleanup_cost"])
+    def test_backoff_past_the_abort_cost_range_rejected(
+        self, tmp_path, dynamic_b, B, cleanup, source, got
+    ):
+        # a forced abort at chain size 2**52 closes the window after B/(k-1), so
+        # a second conflict doubles an abort cost near 1e250 past the range; the
+        # build names its source, time and thread, where the replay named none
+        common = dict(
+            n_threads=1, policy=PolicyConfig(Variant.DETERMINISTIC, B),
+            length_model=AdversaryModel("point_mass", 1e245, value=1e245), horizon=1e240,
+            doubling_backoff=True, dynamic_b=dynamic_b, cleanup_cost=cleanup,
+        )
+        random = base_config(conflict_rate=1e-236, chain_size=2**52, **common)
+        with pytest.raises(ValueError, match=(
+            rf"^(under dynamic_b, )?the conflict at time [-+.e\d]+ on thread 0 costs {source}"
+            rf" times its doubling_backoff factor 2, outside \[1e-250, 1e\+250\], got {got}$"
+        )) as exc:
+            build_schedule(random)
+        assert not isinstance(exc.value, TraceError)
+        trace = micro_trace_config(tmp_path, f"0 0 {2**52}\n1e235 0 {2**52}\n", **common)
+        with pytest.raises(TraceError, match=rf"entry 2: .*time 1e\+235 on thread 0 costs {source}"):
+            build_schedule(trace)
+
     def test_dynamic_b_zero_abort_cost_rejected(self, tmp_path):
         # dynamic_b charges elapsed + cleanup_cost, which is 0 at a
         # transaction's start when cleanup_cost is 0
@@ -1011,6 +1037,16 @@ class TestConfigParsing:
     def test_nan_cleanup_cost_rejected(self):
         with pytest.raises(ValueError, match="cleanup_cost"):
             config_from_dict(dict(CONFIG_DATA, cleanup_cost=float("nan")))
+
+    def test_cleanup_cost_past_the_abort_cost_range_rejected(self):
+        # every elapsed time is below the horizon, so cleanup_cost + horizon
+        # bounds each dynamic abort cost; 1e300 used to pass here and fail in
+        # the replay with an error that named no field
+        data = dict(CONFIG_DATA, dynamic_b=True, cleanup_cost=1e300)
+        with pytest.raises(ValueError, match=r"cleanup_cost 1e\+300 plus horizon 500.0 exceeds"):
+            config_from_dict(data)
+        data["cleanup_cost"] = 1e250 - 500.0  # rounds to 1e250: the sum is in range
+        assert config_from_dict(data).cleanup_cost == 1e250
 
     def test_cleanup_cost_needs_dynamic_b(self):
         # it used to parse and go unread: every abort cost stayed policy.B
