@@ -505,14 +505,17 @@ class GracePeriodStrategy:
         """Density at ``x`` (pmf value at integer days for the discrete kind)."""
         if self.kind is StrategyKind.ATOM:
             raise ValueError("atom strategies have no density")
-        if self.kind is StrategyKind.DISCRETE_PMF:
-            return self._pmf(x)
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
         inside = (xs >= 0.0) & (xs <= self.support_max)
-        u = np.where(inside, xs, 0.0) / self.spec.B
-        vals = np.where(inside, self._pdf_inside(u), 0.0)
+        if self.kind is StrategyKind.DISCRETE_PMF:  # day i in 1..B has pmf[i - 1]
+            inside &= (xs >= 1.0) & (xs == np.round(xs))
+            days = np.where(inside, xs, 1.0).astype(int)
+            vals = np.where(inside, self.params["pmf"][days - 1], 0.0)
+        else:
+            u = np.where(inside, xs, 0.0) / self.spec.B
+            vals = np.where(inside, self._pdf_inside(u), 0.0)
         return float(vals[0]) if scalar else vals
 
     def cdf(self, x):
@@ -548,18 +551,6 @@ class GracePeriodStrategy:
 
     def _cdf_inside(self, u):
         return _FAMILIES[self.family].cdf(u, self.spec.k, self.spec.B, self.params)
-
-    def _pmf(self, i):
-        arr = np.asarray(i, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        pmf = self.params["pmf"]
-        B = len(pmf)
-        integral = arr == np.round(arr)
-        idx = np.where(integral, arr, 0.0).astype(int)
-        ok = integral & (idx >= 1) & (idx <= B)
-        vals = np.where(ok, pmf[np.clip(idx - 1, 0, B - 1)], 0.0)
-        return float(vals[0]) if scalar else vals
 
     def exact_pmf(self, i: int) -> Fraction:
         """Rational pmf value for the discrete classic (exact arithmetic)."""

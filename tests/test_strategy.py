@@ -423,6 +423,16 @@ class TestSampling:
         pmf = np.array([strat.pdf(i) for i in range(1, 11)])
         assert np.max(np.abs(freq - pmf)) < 0.004
 
+    def test_discrete_pdf_is_the_pmf_at_days_and_zero_elsewhere(self):
+        strat = make_strategy(StrategySpec(RA, 2, 10.0, Variant.DISCRETE_CLASSIC))
+        days = np.arange(1.0, 11.0)
+        assert np.array_equal(strat.pdf(days), strat.params["pmf"])
+        assert [strat.pdf(d) for d in days] == strat.params["pmf"].tolist()
+        # no day, and no cast of an infinite or huge x (a RuntimeWarning, an
+        # error in this suite, before the lookup folded into pdf)
+        off = [math.nan, -math.inf, -1.0, 0.0, 0.5, 1.5, 9.999, 11.0, 1e300, math.inf]
+        assert strat.pdf(np.array(off)).tolist() == [0.0] * len(off)
+
 
 def reference_bisection_quantile(strat, u):
     """The 48-step bisection ``quantile`` used before its Newton inverse,
