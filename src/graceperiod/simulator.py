@@ -60,11 +60,11 @@ from .adversary import AdversaryModel, sample_length
 from .costmodel import conflict_cost, day_abort_cost, opt_cost
 from .rng import Stream, Streams, stream, streams
 from .strategy import (
+    MAX_ABORT_COST,
+    MIN_ABORT_COST,
     ConflictMode,
     GracePeriodStrategy,
     StrategySpec,
-    MAX_ABORT_COST,
-    MIN_ABORT_COST,
     Variant,
     check_abort_cost,
     check_chain_size,
@@ -333,7 +333,7 @@ def _abort_cost_error(config, entry, t, thr, b_cost, mult) -> ValueError:
     if mult > 1.0:
         msg += f" times its doubling_backoff factor {mult:g}"
     msg += f", outside [{MIN_ABORT_COST:g}, {MAX_ABORT_COST:g}], got {b_cost}"
-    if b_cost < MIN_ABORT_COST:  # elapsed + cleanup_cost, at a transaction's start
+    if b_cost < MIN_ABORT_COST:  # only elapsed + cleanup_cost can fall below the range
         msg += " (at a transaction's start, set cleanup_cost > 0)"
     if config.trace_path is None:
         return ValueError(msg)
