@@ -75,7 +75,7 @@ def sim_configs(draw, variant, mode, kind):
         B = draw(st.floats(0.5, 150.0))
         sizes = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3, unique=True))
         dynamic_b = draw(st.booleans())
-    # below and above the mean threshold (0.5B to 0.8B at k = 2), so both the
+    # below and above the mean threshold (0.77B and 0.84B at k = 2), so both the
     # mean-aware density and its unconstrained fallback are drawn
     mu = B * draw(st.floats(0.0, 2.0)) if variant is Variant.RANDOMIZED_CONSTRAINED else None
     if len(sizes) == 1 and draw(st.booleans()):
@@ -87,6 +87,8 @@ def sim_configs(draw, variant, mode, kind):
         mode=mode,
         policy=PolicyConfig(variant, B, mu),
         length_model=draw(length_models(kind)),
+        # each second range keeps most schedules nonempty; the first still
+        # reaches the edges, such as a subnormal rate
         horizon=draw(st.floats(1.0, 300.0) | st.floats(100.0, 300.0)),
         seed=draw(st.integers(0, 2**32)),
         conflict_rate=draw(st.floats(0.0, 1.5) | st.floats(0.1, 1.5)),
