@@ -34,7 +34,7 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # (4.3 MB) at this cap; larger means are rejected rather than truncated.
 POISSON_MAX_MEAN = 1e9
 _POISSON_TAIL = 1e-16  # mass the table may leave out on each side
-_ROUND = 1 << 14  # draws (normal candidate pairs) taken at a time: bounds the temporaries
+_ROUND = 1 << 14  # draws taken at a time: bounds the temporaries
 
 
 def _phi(z: float) -> float:
@@ -134,20 +134,20 @@ def worst_case_for_det(k: int, B: float) -> AdversaryModel:
     return AdversaryModel(kind="point_mass", mean=x0, value=x0)
 
 
-def _sample_normal_truncated(model: AdversaryModel, stream: Stream, n: int) -> np.ndarray:
-    """The first ``n`` positive candidates ``loc + sigma*sqrt(-2 ln u1)*cos(2 pi u2)``,
-    one per consecutive pair ``(u1, u2)`` of draws.
+def _sample_normal_truncated(model: AdversaryModel, stream: Stream, out: np.ndarray) -> None:
+    """Fill ``out`` with the first positive candidates
+    ``loc + sigma*sqrt(-2 ln u1)*cos(2 pi u2)``, one per consecutive pair
+    ``(u1, u2)`` of draws.
 
     Each round draws two uniforms per length still missing (at most
-    ``_ROUND`` pairs), so no draw goes unused: any split of ``n`` into
-    blocks gives the same lengths and leaves the stream where ``n``
+    ``_ROUND`` draws), so no draw goes unused: any split of the lengths
+    into blocks gives the same lengths and leaves the stream where
     one-at-a-time draws would.
     """
     loc = _solve_truncated_normal_loc(model.mean, model.sigma)
-    out = np.empty(n)
     filled = 0
-    while filled < n:
-        m = min(n - filled, _ROUND)
+    while filled < out.size:
+        m = min(out.size - filled, _ROUND // 2)
         pairs = stream.uniform_open_batch(2 * m).reshape(m, 2).T.copy()
         cand, u2 = pairs  # contiguous rows, transformed in place
         np.log(cand, out=cand)
@@ -160,13 +160,13 @@ def _sample_normal_truncated(model: AdversaryModel, stream: Stream, n: int) -> n
         cand = cand[cand > 0.0]
         out[filled:filled + cand.size] = cand
         filled += cand.size
-    return out
 
 
 @lru_cache(maxsize=64)
-def _zero_truncated_poisson_table(mean: float) -> tuple[int, np.ndarray]:
-    """``(lo, cdf)``: ``cdf[j] = P(N <= lo + j | N >= 1)``, ``cdf[-1] = 1``, for
-    ``N ~ Poisson(lam)`` with ``lam`` calibrated to ``mean``.
+def _zero_truncated_poisson_table(mean: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(lo, cdf, guide)``: ``cdf[j] = P(N <= lo + j | N >= 1)``, ``cdf[-1] = 1``,
+    for ``N ~ Poisson(lam)`` with ``lam`` calibrated to ``mean``, and the guide
+    table of :func:`_guide_table`.
 
     The window is O(sqrt(lam)) wide: Chernoff's ``P(N <= lam - x) <=
     exp(-x^2/(2 lam))`` and ``P(N >= lam + x) <= exp(-x^2/(2(lam + x)))`` put
@@ -184,59 +184,113 @@ def _zero_truncated_poisson_table(mean: float) -> tuple[int, np.ndarray]:
     np.cumsum(log_pmf, out=log_pmf)  # peaks about c above lo: exp cannot overflow
     cdf = np.cumsum(np.exp(log_pmf, out=log_pmf), out=log_pmf)
     cdf /= cdf[-1]
-    cdf.flags.writeable = False  # shared by every caller of the cache
-    return lo, cdf
+    guide = _guide_table(cdf)
+    cdf.flags.writeable = guide.flags.writeable = False  # shared by every caller of the cache
+    return lo, cdf, guide
 
 
-def sample_length(model: AdversaryModel, stream: Stream, n: int) -> np.ndarray:
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Chen and Asau's (1974) indexed search over ``G`` equal buckets of [0, 1).
+
+    ``G`` is the largest power of two up to the table's length, at least
+    2^12 and at most 2^16, so ``floor(u*G)`` is exact and the guide is no
+    longer than a table past 4096 entries.  ``guide[j]`` is
+    ``searchsorted(cdf, j/G, side="right")``, or -1 when more than one CDF
+    point lies in ``(j/G, (j+1)/G]``.
+    """
+    G = 1 << min(16, max(12, cdf.size.bit_length() - 1))
+    guide = np.searchsorted(cdf, np.arange(G + 1) / G, side="right")
+    several = np.diff(guide) > 1
+    guide = guide[:-1]
+    guide[several] = -1
+    return guide
+
+
+def _invert_table(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for ``u`` in [0, 1), through the guide.
+
+    In a bucket with no CDF point the guide is the answer, and the compare
+    ``cdf[k] <= u`` adds 0; with one point the compare places ``u`` against
+    it.  A bucket with several points gives -1 (``cdf[-1] = 1 > u``), and
+    only those ``u`` are searched.
+    """
+    k = guide[(u * guide.size).astype(np.intp)]
+    k += cdf[k] <= u
+    several = k < 0
+    if several.any():
+        k[several] = np.searchsorted(cdf, u[several], side="right")
+    return k
+
+
+def sample_length(model: AdversaryModel, stream: Stream, n: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """``n`` transaction lengths, in draw order: any split of ``n`` into blocks
-    draws the same lengths."""
+    draws the same lengths.
+
+    They fill ``out`` (a new array by default) ``_ROUND`` at a time, so no
+    temporary is longer than a block, and ``out`` is returned.
+    """
+    out = _buffer(out, n)
     kind = model.kind
     if kind == "point_mass":
-        out = np.full(n, model.value)
-    elif kind == "normal_truncated":
-        out = _sample_normal_truncated(model, stream, n)
-    else:  # one uniform a length, transformed in place
-        out = stream.uniform_open_batch(n)
+        out.fill(model.value)
+        return out
+    if kind == "normal_truncated":
+        _sample_normal_truncated(model, stream, out)
+        return out
+    for start in range(0, n, _ROUND):  # one uniform a length
+        block = out[start:start + _ROUND]
+        u = stream.uniform_open_batch(block.size)
         if kind == "exponential":
-            np.log(out, out=out)
-            out *= -model.mean
+            np.log(u, out=block)
+            block *= -model.mean
         elif kind == "uniform":
-            out *= 2.0 * model.mean
+            np.multiply(u, 2.0 * model.mean, out=block)
         elif kind == "geometric":
             p = 1.0 / model.mean
             if p < 1.0:
-                np.log(out, out=out)
-                out /= math.log1p(-p)
-                np.floor(out, out=out)
-                out += 1.0
+                np.log(u, out=u)
+                u /= math.log1p(-p)
+                np.floor(u, out=block)
+                block += 1.0
             else:
-                out.fill(1.0)
+                block.fill(1.0)
         elif kind == "poisson":  # table inversion (Devroye 1986, X.3)
-            lo, cdf = _zero_truncated_poisson_table(model.mean)
-            np.add(np.searchsorted(cdf, out, side="right"), lo, out=out)
+            lo, cdf, guide = _zero_truncated_poisson_table(model.mean)
+            np.add(_invert_table(cdf, guide, u), lo, out=block)
         else:  # pragma: no cover
             raise AssertionError(kind)
     return out
 
 
-def remaining_time(model: AdversaryModel, stream: Stream, n: int) -> np.ndarray:
-    """Hidden remaining times of ``n`` interrupted transactions.
+def remaining_time(model: AdversaryModel, stream: Stream, n: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Hidden remaining times of ``n`` interrupted transactions, in ``out``
+    (a new array by default), which is returned.
 
     Draws a length ``r`` and a uniform interrupt point ``i`` in ``[0, r)``
     and returns ``r - i`` (integer-valued for the discrete kinds).  Point
     masses return their pegged value directly.  The interrupt points follow
-    the lengths in the stream, drawn ``_ROUND`` at a time.
+    the lengths in the stream; both fill ``out`` ``_ROUND`` at a time.
     """
+    out = sample_length(model, stream, n, out)
     if model.is_point_mass:
-        return np.full(n, model.value)
-    out = sample_length(model, stream, n)
-    for lo in range(0, n, _ROUND):
-        r = out[lo:lo + _ROUND]  # a view: the remaining times replace the lengths
+        return out
+    for start in range(0, n, _ROUND):
+        r = out[start:start + _ROUND]  # a view: the remaining times replace the lengths
         u = stream.uniform_batch(r.size)
         if model.kind in DISCRETE_KINDS:  # r - floor(u*r)
             u *= r
             r -= np.floor(u, out=u)
         else:  # r*(1 - u)
             r *= np.subtract(1.0, u, out=u)
+    return out
+
+
+def _buffer(out: np.ndarray | None, n: int) -> np.ndarray:
+    if out is None:
+        return np.empty(n)
+    if out.shape != (n,) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape ({n},), "
+                         f"got {out.dtype} {out.shape}")
     return out

@@ -13,13 +13,20 @@ and OPT (offline optimum).  Length distributions share draws within a
 distribution so strategy columns are paired; every cell has its own
 sampling stream, so output is byte-reproducible per (config, seed).
 
-Memory: a distribution's remaining times ``ys`` and their optimum
-``min(ys, B)`` are drawn once, and one cost buffer serves every cell of the
-run; these are the only trials-length arrays.  A cell draws and scores
-``_BLOCK`` trials at a time (the streams are counter-based, so the draws
-equal one whole batch), then forms its residuals ``cost - ratio*opt`` in
-the same buffer and takes their standard deviation there.  The output is
-the same, bit for bit, as scoring every cell on whole arrays.
+Memory: a run allocates three trials-length arrays, once: the remaining
+times ``ys``, their optimum ``min(ys, B)`` and one cost buffer.  Each
+distribution draws its lengths, then its interrupt points, into ``ys``
+(``adversary._ROUND`` at a time) and writes the optimum into the second.  A
+cell draws and scores ``_BLOCK`` trials at a time (the streams are
+counter-based, so the draws equal one whole batch), then forms its
+residuals ``cost - ratio*opt`` in the cost buffer and takes their standard
+deviation there.  The output is the same, bit for bit, as scoring every
+cell on whole arrays.
+
+Before it starts, :func:`run_bench` frees one empty trials-length block.
+glibc's mmap threshold then rises to that size and its trim threshold to
+twice it, so the heap keeps the block temporaries' pages instead of
+trimming them and faulting them in again on the next block.
 """
 
 from __future__ import annotations
@@ -163,10 +170,13 @@ def _std_in_place(resid: np.ndarray) -> float:
     return float(np.sqrt(resid.sum() / (resid.size - 1)))
 
 
-def _score_distribution(dist: str, config: BenchConfig, out: np.ndarray) -> list[TrialRecord]:
+def _score_distribution(dist: str, config: BenchConfig, ys: np.ndarray, opt: np.ndarray,
+                        out: np.ndarray) -> list[TrialRecord]:
+    """The rows of one distribution; ``ys``, ``opt`` and ``out`` are the run's
+    trials-length buffers, overwritten here."""
     n = config.trials
-    ys = remaining_time(_length_model(dist, config), stream(config.seed, "bench", dist), n)
-    opt = opt_cost(_K, config.B, ys)
+    remaining_time(_length_model(dist, config), stream(config.seed, "bench", dist), n, out=ys)
+    opt_cost(_K, config.B, ys, out=opt)
     avg_opt = float(np.mean(opt))
     rows = []
     for name in config.strategies:
@@ -186,10 +196,11 @@ def _score_distribution(dist: str, config: BenchConfig, out: np.ndarray) -> list
 
 
 def run_bench(config: BenchConfig) -> list[TrialRecord]:
-    out = np.empty(config.trials)  # every cell's costs, then its residuals
+    np.empty(config.trials)  # freed at once: see the module docstring
+    ys, opt, out = np.empty((3, config.trials))
     rows: list[TrialRecord] = []
     for dist in config.distributions:
-        rows += _score_distribution(dist, config, out)
+        rows += _score_distribution(dist, config, ys, opt, out)
     return rows
 
 

@@ -38,9 +38,10 @@ from .quadrature import adaptive_simpson  # noqa: F401
 from .strategy import ConflictMode, GracePeriodStrategy, StrategyKind
 
 
-def opt_cost(k, B, y):
-    """Offline optimum ``min((k-1)*y, B)``, elementwise over broadcastable arrays."""
-    return np.minimum((k - 1) * y, B)
+def opt_cost(k, B, y, out=None):
+    """Offline optimum ``min((k-1)*y, B)``, elementwise over broadcastable arrays,
+    written into ``out`` when it is given (then no temporary is made)."""
+    return np.minimum(np.multiply(k - 1, y, out=out), B, out=out)
 
 
 def conflict_cost(mode: ConflictMode, k: int, B: float, x, y):

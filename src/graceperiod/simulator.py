@@ -56,7 +56,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from .adversary import AdversaryModel, sample_length
+from .adversary import AdversaryModel, _solve_truncated_normal_loc, sample_length
 from .costmodel import conflict_cost, day_abort_cost, opt_cost
 from .rng import Stream, Streams, stream, streams
 from .strategy import (
@@ -691,6 +691,11 @@ def config_from_dict(data: dict) -> SimConfig:
         length_model = AdversaryModel(kind, mean, sigma, value)
     except ValueError as exc:
         raise ValueError(f"config field 'length_model': {exc}") from exc
+    if kind == "normal_truncated":  # its calibration is cached for the draws
+        try:
+            _solve_truncated_normal_loc(length_model.mean, length_model.sigma)
+        except ValueError as exc:
+            raise ValueError(f"config field 'length_model.sigma': {exc}") from exc
 
     sched = section("conflict_schedule")
     rate, trace_path = None, None

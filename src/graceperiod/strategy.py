@@ -388,12 +388,14 @@ def _tabulated_inverse(family: str, u, k, B, p):
     c = _inverse_table(family, k)
     s = np.sqrt(u)
     s *= _PANELS
-    j = np.minimum(s.astype(np.intp), _PANELS - 1)  # u = 1 ends the last panel
+    j = s.astype(np.intp)
+    np.minimum(j, _PANELS - 1, out=j)  # u = 1 ends the last panel
     s -= j
     x = c[-1].take(j, mode="clip")  # j is in range; "clip" is numpy's faster take
+    term = np.empty_like(x)
     for row in c[-2::-1]:
         x *= s
-        x += row.take(j, mode="clip")
+        x += row.take(j, mode="clip", out=term)
     x *= B
     return np.clip(x, 0.0, B / (k - 1), out=x)
 

@@ -128,6 +128,44 @@ def test_zero_draws_leave_the_stream():
         assert s.u64() == stream(25, "empty").u64()
 
 
+BUFFER_MODELS = BLOCK_MODELS + [AdversaryModel("normal_truncated", 1.0, sigma=0.9)]
+
+
+def whole_array_lengths(model, s, n):
+    """One batch of ``n`` uniforms, transformed on the whole array, for the
+    kinds that take one uniform a length."""
+    u = s.uniform_open_batch(n)
+    if model.kind == "exponential":
+        return np.log(u) * -model.mean
+    if model.kind == "uniform":
+        return u * (2.0 * model.mean)
+    if model.kind == "geometric":
+        return np.floor(np.log(u) / math.log1p(-1.0 / model.mean)) + 1.0
+    lo, cdf, _ = adversary._zero_truncated_poisson_table(model.mean)
+    return (np.searchsorted(cdf, u, side="right") + lo).astype(float)
+
+
+@pytest.mark.parametrize("draw", [sample_length, remaining_time], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("model", BUFFER_MODELS, ids=lambda m: f"{m.kind}-{m.mean:g}")
+def test_draws_into_a_callers_buffer(model, draw):
+    n = 3 * adversary._ROUND + 5
+    fresh, given = stream(28, "buffer"), stream(28, "buffer")
+    expected = draw(model, fresh, n)
+    buf = np.full(n, np.nan)
+    assert draw(model, given, n, out=buf) is buf
+    assert np.array_equal(buf, expected)
+    assert fresh.u64() == given.u64()
+    if draw is sample_length and model.kind in ("exponential", "uniform", "geometric", "poisson"):
+        assert np.array_equal(buf, whole_array_lengths(model, stream(28, "buffer"), n))
+
+
+def test_buffer_of_the_wrong_shape_rejected():
+    model = AdversaryModel("exponential", 40.0)
+    for buf in (np.empty(9), np.empty((2, 5)), np.empty(10, dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be"):
+            remaining_time(model, stream(1), 10, out=buf)
+
+
 def test_extreme_sigma_rejected():
     with pytest.raises(ValueError):
         sample_length(AdversaryModel("normal_truncated", 1.0, sigma=100.0), stream(1), 10)
@@ -191,7 +229,7 @@ class TestZeroTruncatedPoisson:
     @pytest.mark.parametrize("mean", [1.0001, 1.5, 30.0, 500.0, 1e6])
     def test_dropped_tail_mass(self, mean):
         lam = adversary._solve_zero_truncated_poisson_rate(mean)
-        lo, cdf = adversary._zero_truncated_poisson_table(mean)
+        lo, cdf, _ = adversary._zero_truncated_poisson_table(mean)
         hi = lo + len(cdf) - 1
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
         dropped = 0.0
@@ -205,11 +243,28 @@ class TestZeroTruncatedPoisson:
                 j += step
         assert dropped < 1e-15
 
+    @pytest.mark.parametrize("mean", [1.0001, 1.5, 30.0, 500.0, 1e6])
+    def test_guide_lookup_is_searchsorted(self, mean):
+        _, cdf, guide = adversary._zero_truncated_poisson_table(mean)
+        points = np.concatenate([cdf, np.arange(guide.size) / guide.size])  # and bucket edges
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)], points, np.nextafter(points, 0.0),
+            np.nextafter(points, 1.0), stream(29, "guide").uniform_open_batch(100_000),
+        ])
+        u = u[u < 1.0]
+        assert np.array_equal(adversary._invert_table(cdf, guide, u),
+                              np.searchsorted(cdf, u, side="right"))
+
+    def test_guide_size(self):
+        for mean, size in ((500.0, 1 << 12), (1e6, 1 << 14), (POISSON_MAX_MEAN, 1 << 16)):
+            _, cdf, guide = adversary._zero_truncated_poisson_table(mean)
+            assert guide.size == size, (mean, cdf.size)
+
     def test_large_mean_builds_in_bounded_time_and_memory(self):
         adversary._zero_truncated_poisson_table.cache_clear()
         tracemalloc.start()
         t0 = time.perf_counter()
-        lo, cdf = adversary._zero_truncated_poisson_table(1e6)
+        lo, cdf, _ = adversary._zero_truncated_poisson_table(1e6)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()

@@ -46,6 +46,9 @@ BAD_SIM_FIELDS = [
      {"length_model": {"kind": "normal_truncated", "mean": 20.0, "sigma": [5.0]}}),
     # a field the kind does not read
     ("length_model.sigma", {"length_model": {"kind": "exponential", "mean": 20.0, "sigma": 5}}),
+    # under 1% of the mass above zero: rejected by the first draw, naming no field
+    ("length_model.sigma",
+     {"length_model": {"kind": "normal_truncated", "mean": 1.0, "sigma": 3.0}}),
     ("length_model.value", {"length_model": {"kind": "uniform", "mean": 20.0, "value": 3.0}}),
     ("cleanup_cost", {"cleanup_cost": [1.0]}),
     ("cleanup_cost", {"cleanup_cost": "abc"}),

@@ -94,6 +94,14 @@ class TestOptCost:
         assert got.tolist() == [30.0, 100.0, 35.0, 7.0]
         assert got.tolist() == [min((k - 1) * y, b) for k, b, y in zip([2, 3, 8, 2], bs, ys)]
 
+    def test_into_a_buffer(self):
+        # bench writes each distribution's optimum into one run-long buffer
+        ys = np.linspace(0.5, 300.0, 1001)
+        for k, b in ((2, 100.0), (3, 100.0), (np.array([2, 5] * 500 + [3]), 40.0)):
+            buf = np.full(ys.size, np.nan)
+            assert opt_cost(k, b, ys, out=buf) is buf
+            assert np.array_equal(buf, np.minimum((k - 1) * ys, b))
+
 
 class TestExpectedCost:
     def test_rw_uniform_k2_is_twice_y(self):

@@ -1048,6 +1048,16 @@ class TestConfigParsing:
         data["cleanup_cost"] = 1e250 - 500.0  # rounds to 1e250: the sum is in range
         assert config_from_dict(data).cleanup_cost == 1e250
 
+    def test_truncated_normal_with_little_mass_above_zero_rejected(self):
+        # it used to parse, and only the first length draw in build_schedule
+        # rejected it, with an error that named no field
+        data = dict(CONFIG_DATA, length_model={"kind": "normal_truncated", "mean": 1.0,
+                                               "sigma": 3.0})
+        with pytest.raises(ValueError, match=r"config field 'length_model.sigma': .* under 1%"):
+            config_from_dict(data)
+        data["length_model"]["sigma"] = 0.9
+        assert config_from_dict(data).length_model.sigma == 0.9
+
     def test_cleanup_cost_needs_dynamic_b(self):
         # it used to parse and go unread: every abort cost stayed policy.B
         with pytest.raises(ValueError, match="cleanup_cost is read by dynamic_b only"):
