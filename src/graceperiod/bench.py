@@ -17,7 +17,7 @@ Memory: a run allocates three trials-length arrays, once: the remaining
 times ``ys``, their optimum ``min(ys, B)`` and one cost buffer.  Each
 distribution draws its lengths, then its interrupt points, into ``ys``
 (``adversary._ROUND`` at a time) and writes the optimum into the second.  A
-cell draws and scores ``_BLOCK`` trials at a time (the streams are
+cell draws and scores ``_ROUND`` trials at a time too (the streams are
 counter-based, so the draws equal one whole batch), then forms its
 residuals ``cost - ratio*opt`` in the cost buffer and takes their standard
 deviation there.  The output is the same, bit for bit, as scoring every
@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adversary import AdversaryModel, remaining_time, worst_case_for_det
+from .adversary import _ROUND, AdversaryModel, remaining_time, worst_case_for_det
 from .costmodel import conflict_cost, opt_cost
 from .rng import stream
 from .simulator import _integral, _real
@@ -49,7 +49,6 @@ WORST_CASE_DIST = "worst_case_det"
 CSV_HEADER = "distribution,strategy,trials,avg_cost,avg_opt,ratio,stderr"
 
 _K = 2  # two conflicting transactions
-_BLOCK = 16384  # trials drawn and scored at a time
 
 
 @dataclass(frozen=True)
@@ -150,15 +149,16 @@ def _cell_costs(name: str, ys: np.ndarray, config: BenchConfig, dist: str,
     """A strategy cell's per-trial costs, written into ``out``.
 
     The strategy draws and scores one block of trials at a time, so no
-    temporary is longer than ``_BLOCK``; its stream is counter-based, so the
+    temporary is longer than ``_ROUND``; its stream is counter-based, so the
     draws equal one batch of ``len(ys)``.
     """
     strategy = _strategy_for(name, config)
+    mode, b = strategy.spec.mode, strategy.abort_cost
     draws = stream(config.seed, "bench", dist, name)
-    for lo in range(0, len(ys), _BLOCK):
-        hi = min(lo + _BLOCK, len(ys))
+    for lo in range(0, len(ys), _ROUND):
+        hi = min(lo + _ROUND, len(ys))
         xs = strategy.sample_batch(draws, hi - lo)
-        out[lo:hi] = conflict_cost(strategy.spec.mode, _K, config.B, xs, ys[lo:hi])
+        out[lo:hi] = conflict_cost(mode, _K, b, xs, ys[lo:hi])
     return out
 
 
@@ -185,8 +185,8 @@ def _score_distribution(dist: str, config: BenchConfig, ys: np.ndarray, opt: np.
         ratio = avg_cost / avg_opt
         if n > 1:
             # the residual costs - ratio*opt goes into out, a block at a time
-            for lo in range(0, n, _BLOCK):
-                hi = min(lo + _BLOCK, n)
+            for lo in range(0, n, _ROUND):
+                hi = min(lo + _ROUND, n)
                 np.subtract(costs[lo:hi], ratio * opt[lo:hi], out=out[lo:hi])
             stderr = _std_in_place(out) / (avg_opt * math.sqrt(n))
         else:

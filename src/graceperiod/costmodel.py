@@ -15,14 +15,15 @@ The offline optimum with foresight is :func:`opt_cost`, ``min((k-1)*y, B)``.
 Every cost function takes arrays of points and broadcasts.  Expected costs
 are keyed by the strategy alone: its spec carries the mode, ``k`` and ``B``,
 and only the adversary's ``y`` is passed.  They are exact to rounding: every
-closed-form density carries its distribution function ``F`` and partial
-first moment ``M``, and the cost is linear in them (see
-:func:`batch_expected_costs`; :func:`expected_cost` is its one-point view).
+strategy carries its distribution function ``F`` and partial first moment
+``M``, and the cost is linear in them (see :func:`batch_expected_costs`;
+:func:`expected_cost` is its one-point view).
 
 The discrete classic strategy is scored in integer days with the classic
-accounting of :func:`day_abort_cost`, which the simulator charges too (a
-strategy that commits on day ``i`` pays ``i-1+B`` when it fires the abort,
-i.e. the grace actually granted is ``i-1``); that is the convention under
+accounting: a strategy that fires the abort on day ``i`` pays ``i-1+B``, the
+grace actually granted being ``i-1``, and commits iff ``y < i``.  That is
+``conflict_cost`` at grace ``i`` and abort cost ``B - 1``, the strategy's
+``abort_cost``, which the simulator charges too; it is the convention under
 which its expected cost equals ``min(D, B) / (1 - (1-1/B)**B)`` for every
 integer horizon ``D``.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 # unused here, but perfbench/probes.py patches costmodel.adaptive_simpson
 from .quadrature import adaptive_simpson  # noqa: F401
-from .strategy import ConflictMode, GracePeriodStrategy, StrategyKind
+from .strategy import ConflictMode, GracePeriodStrategy
 
 
 def opt_cost(k, B, y, out=None):
@@ -59,11 +60,6 @@ def conflict_cost(mode: ConflictMode, k: int, B: float, x, y):
     return np.where(y < x, (k - 1) * y, abort)
 
 
-def day_abort_cost(days, B: float):
-    """``i - 1 + B``: a discrete-classic abort on day ``i`` (which commits iff ``y < i``)."""
-    return days - 1.0 + B
-
-
 def expected_cost(strategy: GracePeriodStrategy, y: float) -> float:
     """Expected conflict cost of ``strategy`` against remaining time ``y``: one
     point of :func:`batch_expected_costs`.  Mode, ``k`` and ``B`` are the spec's."""
@@ -75,34 +71,22 @@ def expected_cost(strategy: GracePeriodStrategy, y: float) -> float:
 def batch_expected_costs(strategy: GracePeriodStrategy, ys) -> np.ndarray:
     """Expected costs for many adversary points in one pass.
 
-    A closed-form density is costed from its distribution ``F`` and partial
-    first moment ``M(y) = integral_0^y x p(x) dx``: graces up to ``y`` abort
-    and the rest commit, so the cost is ``(k-1)y(1-F) + B*F + k*M``
+    Every strategy is costed from its distribution ``F`` and partial first
+    moment ``M(y) = E[x; x <= y]``, at its ``abort_cost`` ``B``: graces up to
+    ``y`` abort and the rest commit, so the cost is ``(k-1)y(1-F) + B*F + k*M``
     (requestor wins) or ``(k-1)y(1-F) + (k-1)(B*F + M)`` (requestor aborts).
-    Past the support ``F = 1`` and ``M`` is the mean.  Atoms and the day pmf
-    are exact too.  A NaN or infinite ``y`` raises a ValueError.
+    Past the support ``F = 1`` and ``M`` is the mean.  A NaN or infinite ``y``
+    raises a ValueError.
     """
     ys = np.asarray(ys, dtype=float)
     if not np.isfinite(ys).all():
         raise ValueError(f"remaining times y must be finite, got {ys[~np.isfinite(ys)][0]}")
-    mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.spec.B
+    mode, k, B = strategy.spec.mode, strategy.spec.k, strategy.abort_cost
     S = strategy.support_max
-
-    if strategy.kind is StrategyKind.ATOM:
-        return conflict_cost(mode, k, B, S, ys)
-
-    if strategy.kind is StrategyKind.DISCRETE_PMF:
-        pmf = strategy.params["pmf"]
-        days = np.arange(1, len(pmf) + 1, dtype=float)
-        abort_prefix = np.concatenate([[0.0], np.cumsum(pmf * day_abort_cost(days, B))])
-        # the pinned total 1.0 keeps y out of the cost past the last day
-        mass_prefix = np.concatenate([[0.0], strategy.params["cumulative"]])
-        idx = np.floor(np.clip(ys, 0.0, len(pmf))).astype(int)
-        return abort_prefix[idx] + ys * (1.0 - mass_prefix[idx])
-
     below = np.where(ys < S, strategy.cdf(ys), 1.0)
     moment = strategy.moment(ys)
-    commit = (k - 1) * ys * (1.0 - below)
+    # nothing commits past the support, where (k-1)*y could overflow and times 0 give NaN
+    commit = (k - 1) * np.minimum(ys, S) * (1.0 - below)
     if mode is ConflictMode.REQUESTOR_WINS:
         return commit + B * below + k * moment
     return commit + (k - 1) * (B * below + moment)

@@ -20,8 +20,8 @@ immediately, retaining their commit cost; multiplicative backoff doubles
 their abort cost per retry.  Start-to-commit times are accounted through
 the amortization identity ``sum(Gamma) = sum(rho) + sum(conflict extras)``,
 which the totals satisfy exactly.  A ``discrete_classic`` day ``i`` commits
-iff ``y < i`` and otherwise aborts at :func:`costmodel.day_abort_cost`,
-``i - 1 + B``, the accounting its expected costs use.
+iff ``y < i`` and otherwise aborts at ``i - 1 + B``, the accounting its
+expected costs use: the conflict cost at the strategy's ``abort_cost``.
 
 Scheduling assumptions: requestors are synthetic waiters charged only for
 delay (so a requestor is never re-conflicted as a receiver and chains stay
@@ -57,7 +57,7 @@ from itertools import chain, groupby
 import numpy as np
 
 from .adversary import AdversaryModel, _solve_truncated_normal_loc, sample_length
-from .costmodel import conflict_cost, day_abort_cost, opt_cost
+from .costmodel import conflict_cost, opt_cost
 from .rng import Stream, Streams, stream, streams
 from .strategy import (
     MAX_ABORT_COST,
@@ -130,6 +130,9 @@ class SimConfig:
             )
         if self.cleanup_cost and not self.dynamic_b:
             raise ValueError(f"cleanup_cost is read by dynamic_b only, got {self.cleanup_cost}")
+        if self.policy.mu is not None and self.policy.variant is not Variant.RANDOMIZED_CONSTRAINED:
+            raise ValueError(f"config field 'policy.mu' is read by variant randomized_constrained"
+                             f" only, got {self.policy.mu}")
         if self.dynamic_b and self.cleanup_cost + self.horizon > MAX_ABORT_COST:
             # every elapsed time is below the horizon
             raise ValueError(
@@ -418,15 +421,12 @@ def _online_replay(config: SimConfig, schedule: Schedule, lanes: Stream | Stream
         if key not in strategies:
             strategies[key] = make_strategy(config.policy_spec(*key))
         strat = strategies[key]
+        k, b = strat.spec.k, strat.abort_cost
         for start in range(lo, hi, step):
             rows = slice(start, min(start + step, hi))
             m = rows.stop - rows.start
             x = strat.sample_batch(lanes, m).reshape(m, -1)
-            spec, ys = strat.spec, y[rows, None]
-            if config.policy.variant is Variant.DISCRETE_CLASSIC:  # k = 2: a commit costs y
-                yield rows, x, np.where(ys < x, ys, day_abort_cost(x, spec.B))
-            else:
-                yield rows, x, conflict_cost(config.mode, spec.k, spec.B, x, ys)
+            yield rows, x, conflict_cost(config.mode, k, b, x, y[rows, None])
 
 
 def _tally(config: SimConfig, schedule: Schedule, commit, extra) -> SimMetrics:

@@ -85,8 +85,8 @@ import numpy as np
 from .rng import Stream, Streams
 
 LN4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
-# The discrete classic tabulates its pmf and cdf over the days 1..B: 16 MB
-# at this cap; larger abort costs are rejected rather than allocated.
+# The discrete classic tabulates its pmf, cdf and partial moments over the days
+# 1..B: 24 MB at this cap; larger abort costs are rejected rather than allocated.
 DISCRETE_CLASSIC_MAX_B = 1e6
 
 # Power series in v in [0, 1] whose j-th coefficient is at most 1/j!, cut
@@ -496,6 +496,13 @@ class GracePeriodStrategy:
         return self.spec.support_max
 
     @property
+    def abort_cost(self) -> float:
+        """The abort cost :func:`costmodel.conflict_cost` charges a grace drawn
+        here: ``spec.B``, or ``B - 1`` for the discrete classic, whose abort on
+        day ``i`` costs ``i - 1 + B``."""
+        return self.spec.B - 1.0 if self.kind is StrategyKind.DISCRETE_PMF else self.spec.B
+
+    @property
     def mean_aware(self) -> bool:
         """True for the constrained densities built from the known mean."""
         row = _FAMILIES.get(self.family)
@@ -521,38 +528,42 @@ class GracePeriodStrategy:
         return float(vals[0]) if scalar else vals
 
     def cdf(self, x):
-        if self.kind is StrategyKind.ATOM:
-            raise ValueError(f"the {self.family} strategy has no distribution function")
+        """``P(grace <= x)``: a step at an atom's point, and for the day pmf the
+        mass of the days up to ``x``.  A NaN ``x`` stays NaN."""
+        return self._cumulative(x, "cumulative", 1.0, self._cdf_inside)
+
+    def moment(self, x):
+        """Partial first moment ``E[grace; grace <= x]``, ``integral_0^x t pdf(t) dt``
+        for a density; the mean past the support.  A NaN ``x`` stays NaN."""
+        return self._cumulative(x, "moments", self.support_max, self._moment_inside)
+
+    def _cumulative(self, x, prefix: str, atom: float, inside):
+        """``inside(x/B)`` on a density's support, ``atom`` from an atom's point on,
+        or the day pmf's ``params[prefix]`` at the last day up to ``x``; 0 below
+        the support, and a NaN ``x`` stays NaN (it is never cast to a day)."""
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
         clamped = np.clip(xs, 0.0, self.support_max)
-        if self.kind is StrategyKind.DISCRETE_PMF:
-            cum = self.params["cumulative"]
-            # P(day <= x) = cum[floor(x) - 1]; a NaN x is never cast and stays NaN
-            idx = np.floor(np.nan_to_num(clamped)).astype(int) - 1
-            vals = np.where(xs < 1.0, 0.0, cum[np.clip(idx, 0, len(cum) - 1)])
-            vals = np.where(np.isnan(xs), xs, vals)
+        if self.kind is StrategyKind.CONTINUOUS_PDF:  # every family's cdf and moment are 0 at u = 0
+            vals = inside(clamped / self.spec.B)
         else:
-            vals = self._cdf_inside(clamped / self.spec.B)
-            vals = np.where(xs < 0.0, 0.0, vals)
+            if self.kind is StrategyKind.ATOM:
+                vals = np.where(xs >= self.support_max, atom, 0.0)
+            else:  # days 1..floor(x)
+                idx = np.floor(np.nan_to_num(clamped)).astype(int) - 1
+                vals = np.where(idx < 0, 0.0, self.params[prefix][idx])
+            vals = np.where(np.isnan(xs), xs, vals)
         return float(vals[0]) if scalar else vals
-
-    def moment(self, x):
-        """Partial first moment ``integral_0^x t pdf(t) dt``; the mean past the support."""
-        if self.kind is not StrategyKind.CONTINUOUS_PDF:
-            raise ValueError(f"the {self.family} strategy has no closed-form moment")
-        xs = np.asarray(x, dtype=float)
-        u = np.clip(np.atleast_1d(xs), 0.0, self.support_max) / self.spec.B
-        moment = _FAMILIES[self.family].moment
-        vals = self.spec.B * moment(u, self.spec.k, self.spec.B, self.params)
-        return float(vals[0]) if xs.ndim == 0 else vals
 
     def _pdf_inside(self, u):
         return _FAMILIES[self.family].pdf(u, self.spec.k, self.spec.B, self.params)
 
     def _cdf_inside(self, u):
         return _FAMILIES[self.family].cdf(u, self.spec.k, self.spec.B, self.params)
+
+    def _moment_inside(self, u):
+        return self.spec.B * _FAMILIES[self.family].moment(u, self.spec.k, self.spec.B, self.params)
 
     def exact_pmf(self, i: int) -> Fraction:
         """Rational pmf value for the discrete classic (exact arithmetic)."""
@@ -653,8 +664,9 @@ def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
         pmf = _discrete_classic_pmf(int(B))
         cumulative = np.cumsum(pmf)
         cumulative[-1] = 1.0
+        moments = np.cumsum(np.arange(1.0, len(pmf) + 1.0) * pmf)
         return GracePeriodStrategy(
-            spec, "discrete_classic", {"pmf": pmf, "cumulative": cumulative}
+            spec, "discrete_classic", {"pmf": pmf, "cumulative": cumulative, "moments": moments}
         )
 
     mean_aware = spec.variant is Variant.RANDOMIZED_CONSTRAINED and threshold_condition(spec)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graceperiod import cli
-from graceperiod.adversary import remaining_time
+from graceperiod.adversary import _ROUND, remaining_time
 from graceperiod.bench import (
     BenchConfig,
     CSV_HEADER,
@@ -14,7 +14,6 @@ from graceperiod.bench import (
     STRATEGIES,
     TrialRecord,
     WORST_CASE_DIST,
-    _BLOCK,
     _K,
     _length_model,
     _strategy_for,
@@ -136,7 +135,7 @@ def reference_rows(config):
     return rows
 
 
-@pytest.mark.parametrize("trials", [1, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("trials", [1, _ROUND - 1, _ROUND + 1, 3 * _ROUND + 7])
 def test_blocked_cells_equal_whole_array_reference(trials):
     # == on the float fields is bit-identity up to the sign of zero, and
     # the CSV text pins that too

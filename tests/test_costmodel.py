@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,6 +188,44 @@ class TestExpectedCost:
         assert np.all(costs == costs[0]), costs.tolist()
         assert costs[0] == pytest.approx(B / (1.0 - (1.0 - 1.0 / B) ** B), rel=1e-12)
         assert np.all(ratios == costs[0] / B), ratios.tolist()
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("B", [1e-3, 7.0, 100.0, 1e6])
+    def test_atom_costs_are_its_conflict_cost(self, k, B):
+        # F = 1[y >= S] and M = S*F in the one formula give conflict_cost at S
+        strat = make_strategy(StrategySpec(RW, k, B, Variant.DETERMINISTIC))
+        S = strat.support_max
+        ys = np.array([1e-300, 0.5 * S, np.nextafter(S, 0.0), S, np.nextafter(S, np.inf),
+                       1.5 * S, 1e250])
+        got = batch_expected_costs(strat, ys)
+        assert np.array_equal(got, conflict_cost(RW, k, B, S, ys)), got.tolist()
+
+    @pytest.mark.parametrize("spec", [
+        StrategySpec(RW, 2**52, 1e250, Variant.DETERMINISTIC),
+        StrategySpec(RW, 2**52, 1e250, UNC),
+        StrategySpec(RA, 3, 1e250, CON, mu=1e249),
+        StrategySpec(RA, 2, 1e6, Variant.DISCRETE_CLASSIC),
+    ])
+    def test_finite_past_the_support_at_any_y(self, spec):
+        # every grace aborts there: (k-1)*y overflowed and inf * 0 gave NaN
+        strat = make_strategy(spec)
+        ys = np.array([2.0 * strat.support_max, 1e300, sys.float_info.max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            costs = batch_expected_costs(strat, ys)
+        assert np.isfinite(costs).all() and np.all(costs == costs[0]), costs.tolist()
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 12])
+    def test_discrete_classic_matches_exact_sums(self, B):
+        # day i aborts at i - 1 + B iff i <= y, and otherwise y is waited out
+        strat = make_strategy(StrategySpec(RA, 2, float(B), Variant.DISCRETE_CLASSIC))
+        ys = np.arange(0.5, B + 2.0, 0.5)
+        for y, got in zip(ys, batch_expected_costs(strat, ys)):
+            yq = Fraction(y)
+            exact = sum(
+                strat.exact_pmf(i) * (i - 1 + B if i <= yq else yq) for i in range(1, B + 1)
+            )
+            assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0), y
 
     @pytest.mark.parametrize("mode", [RW, RA])
     @pytest.mark.parametrize("k", COST_KS)

@@ -86,8 +86,8 @@ class TestDeterministic:
         assert strat.sample(s) == 100.0
         with pytest.raises(ValueError):
             strat.pdf(10.0)
-        with pytest.raises(ValueError):
-            strat.cdf(10.0)
+        assert (strat.cdf(10.0), strat.moment(10.0)) == (0.0, 0.0)
+        assert (strat.cdf(100.0), strat.moment(100.0)) == (1.0, 100.0)
         with pytest.raises(ValueError, match="takes no draws"):
             strat.quantile(np.array([0.5]))
 
@@ -880,13 +880,38 @@ class TestMoment:
             assert strat.moment(2.0 * S) == strat.moment(S)
             assert list(strat.moment(np.array([-1.0, 0.0]))) == [0.0, 0.0]
 
-    def test_only_table_densities_have_one(self):
-        for strat in (
-            make_strategy(StrategySpec(RW, 2, 10.0, Variant.DETERMINISTIC)),
-            make_strategy(StrategySpec(RA, 2, 10.0, Variant.DISCRETE_CLASSIC)),
-        ):
-            with pytest.raises(ValueError, match="no closed-form moment"):
-                strat.moment(1.0)
+    @pytest.mark.parametrize("k, B", [(2, 100.0), (3, 7.0), (10, 1e-3), (2, 1e6)])
+    def test_atom_is_a_step_at_its_point(self, k, B):
+        strat = make_strategy(StrategySpec(RW, k, B, Variant.DETERMINISTIC))
+        S = strat.support_max
+        below = [-1.0, 0.0, 0.5 * S, np.nextafter(S, 0.0)]
+        at_or_past = [S, np.nextafter(S, np.inf), 1.5 * S, 1e250]
+        xs = np.array(below + at_or_past + [math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            F, M = strat.cdf(xs), strat.moment(xs)
+            assert math.isnan(strat.cdf(math.nan)) and math.isnan(strat.moment(math.nan))
+        assert F[:-1].tolist() == [0.0] * 4 + [1.0] * 4
+        assert M[:-1].tolist() == [0.0] * 4 + [S] * 4
+        assert math.isnan(F[-1]) and math.isnan(M[-1])
+        assert (strat.cdf(S), strat.moment(S)) == (1.0, S)
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 12])
+    def test_day_pmf_sums_match_exact_pmf(self, B):
+        # F(x) = sum of pmf_i and M(x) = sum of i*pmf_i over the days i <= x
+        strat = make_strategy(StrategySpec(RA, 2, float(B), Variant.DISCRETE_CLASSIC))
+        xs = np.arange(-1.0, B + 2.0, 0.5)
+        F, M = strat.cdf(xs), strat.moment(xs)
+        for x, f, m in zip(xs, F, M):
+            days = range(1, min(math.floor(x), B) + 1)
+            assert f == pytest.approx(float(sum(map(strat.exact_pmf, days), Fraction(0))),
+                                      rel=1e-15, abs=0.0), x
+            assert m == pytest.approx(float(sum((i * strat.exact_pmf(i) for i in days),
+                                                Fraction(0))), rel=1e-15, abs=0.0), x
+        assert strat.moment(B + 1.0) == strat.moment(1e300)  # the mean past the last day
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert math.isnan(strat.moment(math.nan))
 
 
 class TestRegimesAndRatios:
@@ -1043,7 +1068,9 @@ def test_property_density_is_normalized_and_nonnegative(spec):
     grid = np.linspace(0.0, strat.support_max, 2001)
     vals = strat.pdf(grid)
     assert np.all(vals >= -1e-12)
-    assert strat.cdf(0.0) >= 0.0
+    below = np.array([-1e300, -1.0, 0.0])  # every family's closed forms are +0 at 0
+    for at_or_below_zero in (strat.cdf(below), strat.moment(below)):
+        assert at_or_below_zero.tolist() == [0.0] * 3 and not np.signbit(at_or_below_zero).any()
     assert strat.cdf(strat.support_max) == pytest.approx(1.0, abs=1e-9)
     cdf_vals = strat.cdf(grid)
     assert np.all(np.diff(cdf_vals) >= -1e-12)
