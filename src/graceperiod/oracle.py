@@ -45,6 +45,7 @@ IDENTITY_TOL = 1e-9
 WORST_CASE_TOL = 1e-9
 ADVERSARY_TOL = 1e-9  # the adversary's flat cost and its ratio, by quadrature
 CERTIFICATE_TOL = 1e-12  # a closed-form worst case against the closed-form bound
+_ARGMAX_TIE_TOL = 1e-12  # relative: ratios this close to the day pmf's maximum tie
 _EXACT_PMF_MAX_B = 12
 _PDF_GRID = 10_000  # points of the nonnegativity scan
 _IDENTITY_POINTS = 1000  # interior points of the cost identity
@@ -149,15 +150,16 @@ def lagrange_identity_check(
 
     Checks ``Cost(p, y)/((k-1)y) = lam1 + lam2*y`` on an interior grid and
     the point-mass constraint at ``K = support_max`` (the always-abort cost
-    over ``B``), both as relative residuals.
+    over ``B``), both as relative residuals.  The grid and the point ``2S``
+    beyond the support are costed in one call; the cost is elementwise.
     """
     S = strategy.support_max
     k = strategy.spec.k
     ys = np.linspace(S / _IDENTITY_POINTS, S, _IDENTITY_POINTS)
-    costs = costmodel.batch_expected_costs(strategy, ys)
+    costs = costmodel.batch_expected_costs(strategy, np.append(ys, 2.0 * S))
+    costs, beyond = costs[:-1], costs[-1]
     line = lam1 + lam2 * ys
     max_residual = float(np.max(np.abs(costs / ((k - 1) * ys) - line) / line))
-    beyond = costmodel.batch_expected_costs(strategy, np.array([2.0 * S]))[0]
     target = lam1 + lam2 * S
     point_mass_residual = abs(beyond / strategy.spec.B - target) / target
     passed = max_residual < IDENTITY_TOL and point_mass_residual < IDENTITY_TOL
@@ -173,7 +175,8 @@ def worst_case_ratio(
     beyond it, where the offline optimum is pinned at ``B``), refine an
     interior grid argmax on finer grids, and add the exact limit as ``y -> 0+``,
     ``1 + abort(0) * pdf(0) / (k-1)``, with argmax 0; the discrete classic
-    scans integer days; atoms are evaluated exactly on and beyond their jump.
+    scans integer days, its argmax the first day within 1e-12 of the maximum;
+    atoms are evaluated exactly on and beyond their jump.
     """
     S = strategy.support_max
     if strategy.kind is StrategyKind.DISCRETE_PMF:
@@ -185,7 +188,12 @@ def worst_case_ratio(
         ys = np.append(np.linspace(S / n_grid, S, n_grid), 1.5 * S)
     ratios = costmodel.batch_ratios(strategy, ys)
     idx = int(np.argmax(ratios))
-    best, best_y = float(ratios[idx]), float(ys[idx])
+    best = float(ratios[idx])
+    if strategy.kind is StrategyKind.DISCRETE_PMF:
+        # the days up to B tie at the granular optimum to rounding: report the
+        # first one within _ARGMAX_TIE_TOL of the maximum, not the one the last bit picks
+        idx = int(np.argmax(ratios >= best - _ARGMAX_TIE_TOL * best))
+    best_y = float(ys[idx])
 
     if strategy.kind is StrategyKind.CONTINUOUS_PDF and 0 < idx < len(ys) - 1 and ys[idx] < S:
         # refine an interior argmax on two finer grids, each spanning the
@@ -333,21 +341,32 @@ def _negative_control_checks() -> list[dict]:
     )]
 
 
-def _identity_checks() -> list[dict]:
-    checks = []
+def _identity_cases() -> list[tuple[str, GracePeriodStrategy, tuple[float, float]]]:
+    """``(name, strategy, corner)`` of each cost-identity entry: 24 densities,
+    a constrained one at half its mean threshold."""
+    cases = []
     for mode, tag in _MODES:
         for k in (2, 3, 5):
             for B in (10.0, 100.0):
                 for variant in (Variant.RANDOMIZED_UNCONSTRAINED, Variant.RANDOMIZED_CONSTRAINED):
                     constrained = variant is Variant.RANDOMIZED_CONSTRAINED
                     mu = 0.5 * mean_threshold(mode, k, B) if constrained else None
-                    strat = make_strategy(StrategySpec(mode, k, B, variant, mu=mu))
-                    res = lagrange_identity_check(strat, *lagrange_corner(mode, k, B, constrained))
-                    checks.append(_check(
-                        f"lagrange/{tag}_{variant.value.removeprefix('randomized_')}_k{k}_B{B:g}",
-                        res.passed, max_residual=res.max_residual,
-                        point_mass_residual=res.point_mass_residual, tolerance=IDENTITY_TOL,
+                    cases.append((
+                        f"{tag}_{variant.value.removeprefix('randomized_')}_k{k}_B{B:g}",
+                        make_strategy(StrategySpec(mode, k, B, variant, mu=mu)),
+                        lagrange_corner(mode, k, B, constrained),
                     ))
+    return cases
+
+
+def _identity_checks() -> list[dict]:
+    checks = []
+    for name, strat, corner in _identity_cases():
+        res = lagrange_identity_check(strat, *corner)
+        checks.append(_check(
+            f"lagrange/{name}", res.passed, max_residual=res.max_residual,
+            point_mass_residual=res.point_mass_residual, tolerance=IDENTITY_TOL,
+        ))
     return checks
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, groupby
@@ -346,6 +347,8 @@ def _abort_cost_error(config, entry, t, thr, b_cost, mult) -> ValueError:
 def build_schedule(config: SimConfig) -> Schedule:
     """Generate (or load and validate) the policy-independent schedule."""
     per_thread = [_draw_lengths(config, i) for i in range(config.n_threads)]
+    # each thread's starts and lengths, read as Python floats with no copy
+    views = [(memoryview(starts), memoryview(lengths)) for starts, lengths, _ in per_thread]
 
     # admission: the grace-window exclusion and the forced-abort backoff rule
     next_allowed = [0.0] * config.n_threads
@@ -359,10 +362,10 @@ def build_schedule(config: SimConfig) -> Schedule:
             continue  # thinned: the receiver may still be inside a grace window
         # the transaction it hits on the receiver's ideal timeline; only the
         # admitted candidates are located, a right bisection of its starts each
-        starts, lengths, _ = per_thread[thr]
-        idx = int(starts.searchsorted(t, side="right")) - 1
-        el = t - float(starts[idx])
-        rem = float(lengths[idx]) - el
+        starts, lengths = views[thr]
+        idx = bisect_right(starts, t) - 1
+        el = t - starts[idx]
+        rem = lengths[idx] - el
         base_b = (el + config.cleanup_cost) if config.dynamic_b else config.policy.B
         mult = mults.get((thr, idx), 1.0)
         b_cost = base_b * mult

@@ -73,11 +73,12 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -254,8 +255,8 @@ def lagrange_corner(mode: ConflictMode, k: int, B: float, constrained: bool) -> 
     matching density on the whole support.
     """
     k, B = check_chain_size(k), check_abort_cost(B)
-    row = _FAMILIES[_RESOLVE[mode, constrained][k > 2]]
-    return row.corner(k, B, row.params(k))
+    family = _RESOLVE[mode, constrained][k > 2]
+    return _FAMILIES[family].corner(k, B, _params(family, k))
 
 
 class _Family(NamedTuple):
@@ -268,7 +269,7 @@ class _Family(NamedTuple):
     density meets the cost identity of :func:`lagrange_corner`.  ``inverse``
     maps uniforms to grace periods, in closed form or from the family's
     table (:func:`_tabulated_inverse`).  ``params(k)`` precomputes the
-    family's constants.
+    family's constants, which :func:`_params` caches.
     """
 
     pdf: Callable
@@ -287,11 +288,11 @@ _SMALL_U = 0.125
 
 def _series(coefs, v, first=0):
     """``sum(c * v**j for j, c in enumerate(coefs) if j >= first)`` by Horner's rule."""
-    acc = np.zeros_like(v) + coefs[-1]
+    acc = np.full_like(v, coefs[-1])
     for c in reversed(coefs[first:-1]):
         acc *= v
         acc += c
-    return acc * v**first
+    return acc * v**first if first else acc
 
 
 def _binomials(m: int, n: int) -> list[float]:
@@ -306,12 +307,12 @@ def _binomials(m: int, n: int) -> list[float]:
 def _power_params(k: int) -> dict:
     # int_0^u t (1+t)**(k-2) dt = u**2 * sum_j C(k-2, j) u**j / (j+2), and
     # (1+u)**(k-1) - 1 - (k-1)u = sum_{j>=2} C(k-1, j) u**j: positive terms
-    # only, so no cancellation at small u
+    # only, so no cancellation at small u; tuples, as _params shares them
     n = k - 1
     return {
         "q": _q(k),
-        "moment": [c / (j + 2) for j, c in enumerate(_binomials(n - 1, n))],
-        "binomials": _binomials(n, n),
+        "moment": tuple(c / (j + 2) for j, c in enumerate(_binomials(n - 1, n))),
+        "binomials": tuple(_binomials(n, n)),
     }
 
 
@@ -365,7 +366,7 @@ def _inverse_table(family: str, k: int) -> np.ndarray:
     ``s``; the node ``s = 0`` comes first, so ``c[0, 0] = 0`` exactly.
     """
     row = _FAMILIES[family]
-    p, top = row.params(k), 1.0 / (k - 1)
+    p, top = _params(family, k), 1.0 / (k - 1)
     w = (np.arange(_PANELS)[:, None] + _LOBATTO) / _PANELS
     dd = w * top
     for _ in range(8):
@@ -458,6 +459,15 @@ _FAMILIES = {
     ),
 }
 
+
+@lru_cache(maxsize=1024)
+def _params(family: str, k: int) -> Mapping:
+    """``_FAMILIES[family].params(k)``, built once per ``(family, k)`` and
+    read-only, as every strategy, corner and inverse table of that family and
+    chain size shares it."""
+    return MappingProxyType(_FAMILIES[family].params(k))
+
+
 # the row a randomized spec resolves to, by (mode, mean-aware), at k = 2 and
 # at k >= 3
 _RESOLVE = {
@@ -477,7 +487,8 @@ class GracePeriodStrategy:
     """A realized distribution over grace periods.
 
     ``family`` selects the closed form (a row of ``_FAMILIES`` for the
-    continuous kind); ``params`` carries its precomputed constants.
+    continuous kind); ``params`` carries its precomputed constants, for a
+    density the read-only mapping :func:`_params` shares per ``(family, k)``.
     ``kind``, which follows from the family, distinguishes atoms (the point
     ``support_max``), continuous densities on ``[0, support_max]``, and the
     integer-day pmf of the discrete classic.
@@ -485,7 +496,7 @@ class GracePeriodStrategy:
 
     spec: StrategySpec
     family: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     @property
     def kind(self) -> StrategyKind:
@@ -671,7 +682,7 @@ def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
 
     mean_aware = spec.variant is Variant.RANDOMIZED_CONSTRAINED and threshold_condition(spec)
     family = _RESOLVE[mode, mean_aware][k > 2]
-    return GracePeriodStrategy(spec, family, _FAMILIES[family].params(k))
+    return GracePeriodStrategy(spec, family, _params(family, k))
 
 
 def competitive_ratio(spec: StrategySpec) -> RatioReport:

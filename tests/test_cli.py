@@ -295,8 +295,8 @@ class TestVerifyCommand:
 
     # the report's bytes: every residual the quadrature and the closed forms give
     @pytest.mark.parametrize("seed,digest", [
-        ("1", "e7f871eac5bfdbaf48edb5a203452e06b475adbfd1bf437b967483426e85c350"),
-        ("7", "d7600dd9f8b0de25447506992a3bc74aee07a34812d2fb06b8015483bfa53548"),
+        ("1", "4fc22d6cd070ce33adc51ba2174bc0f9e9e114ef34be560f01573434e9e83f5b"),
+        ("7", "cdf71e2aaa3ea4a201c23f7bd2e7a3e01ef7ecbbda35b64aef234a2447e8574c"),
     ])
     def test_report_digest(self, capsys, seed, digest):
         assert main(["verify", "--seed", seed]) == 0

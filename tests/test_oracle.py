@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graceperiod import oracle
+from graceperiod import costmodel, oracle
 from graceperiod.oracle import (
     _adversary_costs,
     _deterministic_certificate_checks,
+    _identity_cases,
+    _identity_checks,
     abort_density_comparison,
     lagrange_identity_check,
     optimality_probe,
@@ -139,6 +141,36 @@ class TestLagrangeIdentity:
         res = lagrange_identity_check(strat, 1.5, 0.0)
         assert not res.passed
 
+    @staticmethod
+    def two_call_residuals(strategy, lam1, lam2):
+        """The residuals with the grid and the point 2S costed in separate calls."""
+        S, k = strategy.support_max, strategy.spec.k
+        ys = np.linspace(S / 1000, S, 1000)
+        line = lam1 + lam2 * ys
+        costs = costmodel.batch_expected_costs(strategy, ys)
+        max_residual = float(np.max(np.abs(costs / ((k - 1) * ys) - line) / line))
+        beyond = costmodel.batch_expected_costs(strategy, np.array([2.0 * S]))[0]
+        target = lam1 + lam2 * S
+        return max_residual, abs(beyond / strategy.spec.B - target) / target
+
+    def test_one_call_equals_two_calls_bit_for_bit(self):
+        cases = _identity_cases()
+        assert len(cases) == 24
+        for name, strat, corner in cases:
+            res = lagrange_identity_check(strat, *corner)
+            ref = self.two_call_residuals(strat, *corner)
+            got = (res.max_residual, res.point_mass_residual)
+            assert [v.hex() for v in map(float, got)] == [v.hex() for v in ref], name
+
+    def test_one_cost_call_per_check(self, monkeypatch):
+        calls = []
+        real = costmodel.batch_expected_costs
+        monkeypatch.setattr(
+            costmodel, "batch_expected_costs", lambda s, ys: calls.append(len(ys)) or real(s, ys)
+        )
+        assert len(_identity_checks()) == 24
+        assert calls == [1001] * 24
+
 
 class TestWorstCaseRatio:
     def test_rw_uniform_flat_two(self):
@@ -152,6 +184,16 @@ class TestWorstCaseRatio:
         )
         assert ratio == pytest.approx(3.0, abs=1e-9)
         assert argmax == pytest.approx(100.0)
+
+    def test_discrete_classic_argmax_is_the_first_tied_day(self):
+        # every day up to B ties at the granular optimum to rounding; the
+        # reported day is the first, whichever day the last bit favours
+        for B in (3.0, 10.0, 100.0):
+            strat = make_strategy(StrategySpec(RA, 2, B, Variant.DISCRETE_CLASSIC))
+            ratio, argmax = worst_case_ratio(strat)
+            ratios = costmodel.batch_ratios(strat, np.arange(1.0, B + 2.0))
+            assert ratio == ratios.max() and argmax == 1.0
+            assert np.all(np.abs(ratios[:-1] / ratio - 1.0) < 1e-12)
 
     def test_discrete_classic_bounded_by_continuous_limit(self):
         strat = make_strategy(StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC))

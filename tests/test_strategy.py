@@ -36,7 +36,16 @@ from graceperiod.strategy import (
     stacked_pdf,
     threshold_condition,
 )
-from graceperiod.strategy import _g, _inverse_table, _q
+from graceperiod.strategy import (
+    _EXP_MOMENT,
+    _LOG_MOMENT,
+    _g,
+    _inverse_table,
+    _params,
+    _power_params,
+    _q,
+    _series,
+)
 
 RW = ConflictMode.REQUESTOR_WINS
 RA = ConflictMode.REQUESTOR_ABORTS
@@ -668,6 +677,54 @@ class TestSmallUSeries:
             for u, got in zip(us.tolist(), strat.cdf(us).tolist()):
                 exact = exact_cdf(strat.family, k, decimal.Decimal(u))
                 assert abs(decimal.Decimal(got) - exact) <= decimal.Decimal("1e-14") * exact, u
+
+
+class TestSeries:
+    @staticmethod
+    def reference(coefs, v, first):
+        """Horner's rule from zeros plus the top coefficient, times ``v**first``."""
+        acc = np.zeros_like(v) + coefs[-1]
+        for c in reversed(coefs[first:-1]):
+            acc = acc * v + c
+        return acc * v**first
+
+    @pytest.mark.parametrize("first", [0, 1, 2])
+    @pytest.mark.parametrize("coefs", [_EXP_MOMENT, _LOG_MOMENT, _power_params(5)["binomials"]])
+    def test_equals_the_reference_bit_for_bit(self, coefs, first):
+        v = np.array([0.0, 5e-324, 1.0, np.nan, 0.125, 0.3, 1e-300])
+        assert _series(coefs, v, first).tobytes() == self.reference(coefs, v, first).tobytes()
+
+
+class TestSharedParams:
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 1000, 10**7])
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("variant", [UNC, CON])
+    def test_one_read_only_mapping_per_family_and_k(self, mode, variant, k):
+        mu = 0.0 if variant is CON else None
+        a, b = (make_strategy(StrategySpec(mode, k, B, variant, mu=mu)) for B in (10.0, 2000.0))
+        assert a.family == b.family and a.params is b.params is _params(a.family, k)
+        assert a.params == _FAMILIES[a.family].params(k)
+        with pytest.raises(TypeError):
+            a.params["q"] = 1.0
+
+    def test_params_built_once_per_family_and_k(self, monkeypatch):
+        built = []
+        for name, row in _FAMILIES.items():
+            monkeypatch.setitem(_FAMILIES, name, row._replace(
+                params=lambda k, name=name, f=row.params: built.append((name, k)) or f(k)
+            ))
+        _params.cache_clear()
+        _inverse_table.cache_clear()
+        try:
+            for _ in range(3):
+                for mode, variant, k in itertools.product((RW, RA), (UNC, CON), (2, 3, 5)):
+                    spec = StrategySpec(mode, k, 100.0, variant, mu=1.0 if variant is CON else None)
+                    make_strategy(spec).quantile(np.array([0.5]))
+                    competitive_ratio(spec), mean_threshold(mode, k, 100.0)
+        finally:
+            _params.cache_clear()
+            _inverse_table.cache_clear()
+        assert built and len(built) == len(set(built))
 
 
 class TestPowerAndExpConstants:
