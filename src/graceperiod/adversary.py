@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import Stream
+from .rng import _ROUND, Stream
 from .strategy import det_threshold
 
 KINDS = ("geometric", "normal_truncated", "uniform", "exponential", "poisson", "point_mass")
@@ -34,7 +34,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # (4.3 MB) at this cap; larger means are rejected rather than truncated.
 POISSON_MAX_MEAN = 1e9
 _POISSON_TAIL = 1e-16  # mass the table may leave out on each side
-_ROUND = 1 << 14  # draws taken at a time: bounds the temporaries
 
 
 def _phi(z: float) -> float:

@@ -16,7 +16,7 @@ sampling stream, so output is byte-reproducible per (config, seed).
 Memory: a run allocates three trials-length arrays, once: the remaining
 times ``ys``, their optimum ``min(ys, B)`` and one cost buffer.  Each
 distribution draws its lengths, then its interrupt points, into ``ys``
-(``adversary._ROUND`` at a time) and writes the optimum into the second.  A
+(``rng._ROUND`` at a time) and writes the optimum into the second.  A
 cell draws and scores ``_ROUND`` trials at a time too (the streams are
 counter-based, so the draws equal one whole batch), then forms its
 residuals ``cost - ratio*opt`` in the cost buffer and takes their standard
@@ -36,9 +36,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adversary import _ROUND, AdversaryModel, remaining_time, worst_case_for_det
+from .adversary import AdversaryModel, remaining_time, worst_case_for_det
 from .costmodel import conflict_cost, opt_cost
-from .rng import stream
+from .rng import _ROUND, stream
 from .simulator import _integral, _real
 from .strategy import ConflictMode, StrategySpec, Variant, check_abort_cost, make_strategy
 

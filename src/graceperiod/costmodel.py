@@ -50,14 +50,20 @@ def conflict_cost(mode: ConflictMode, k: int, B: float, x, y):
 
     The commit branch (``y < x``) costs ``(k-1)*y``; the abort branch costs
     ``k*x + B`` (requestor wins) or ``(k-1)*(x + B)`` (requestor aborts).
-    ``x`` and ``y`` broadcast; the result is an array (0-d for two floats).
-    Passing ``y = x`` gives the abort branch alone.
+    ``x`` and ``y`` (arrays, lists or floats) broadcast; the result is an
+    array (0-d for two floats).  Passing ``y = x`` gives the abort branch
+    alone.  That branch is formed in one float array, which int inputs upcast
+    into.
     """
+    x, y = np.asarray(x), np.asarray(y)
     if mode is ConflictMode.REQUESTOR_WINS:
-        abort = k * x + B
+        abort = np.multiply(k, x, dtype=float)
+        abort += B
     else:
-        abort = (k - 1) * (x + B)
-    return np.where(y < x, (k - 1) * y, abort)
+        abort = np.add(x, B, dtype=float)
+        abort *= k - 1
+    commit = y if k == 2 else (k - 1) * y  # at k = 2, (k-1)*y is y bit for bit
+    return np.where(y < x, commit, abort)
 
 
 def expected_cost(strategy: GracePeriodStrategy, y: float) -> float:

@@ -29,6 +29,11 @@ _STR_TAG = 0x5F
 
 _INV_2_53 = 2.0 ** -53
 
+_ROUND = 1 << 14  # draws taken at a time by block callers: bounds the temporaries
+# GOLDEN * (1.._ROUND) mod 2**64, the counter offsets of a block's draws; shared read-only
+_STEPS = np.arange(1, _ROUND + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+_STEPS.flags.writeable = False
+
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: bijective 64-bit mixing of ``z``."""
@@ -72,9 +77,10 @@ def derive_seed(seed: int, *tokens: int | str) -> int:
 
 
 def _to_unit(z: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each ``z`` as doubles; shifts ``z`` in place."""
+    """The top 53 bits of each ``z`` as doubles; shifts ``z`` in place.  They
+    are below ``2**53``, so the int64 view converts them exactly."""
     z >>= np.uint64(11)
-    return z.astype(np.float64)
+    return z.view(np.int64).astype(np.float64)
 
 
 class Stream:
@@ -94,10 +100,11 @@ class Stream:
         return (self.u64() >> 11) * _INV_2_53
 
     def u64_batch(self, n: int) -> np.ndarray:
-        counters = np.arange(1, n + 1, dtype=np.uint64)
-        counters *= np.uint64(GOLDEN)
-        counters += np.uint64(self._state)
-        self._state = (self._state + GOLDEN * n) & _MASK
+        counters = np.empty(n, dtype=np.uint64)
+        for lo in range(0, n, _ROUND):  # one _STEPS-length piece at a time
+            piece = counters[lo:lo + _ROUND]
+            np.add(_STEPS[:piece.size], np.uint64(self._state), out=piece)
+            self._state = (self._state + GOLDEN * piece.size) & _MASK
         return _mix64_vec(counters, out=counters)
 
     def uniform_batch(self, n: int) -> np.ndarray:
@@ -128,13 +135,15 @@ class Streams:
     __slots__ = ("_states",)
 
     def __init__(self, states: np.ndarray):
-        self._states = np.asarray(states, dtype=np.uint64)
+        self._states = np.array(states, dtype=np.uint64)  # a copy: advanced in place
 
     def uniform_batch(self, m: int) -> np.ndarray:
         """The next ``m`` uniform doubles in [0, 1) of every stream, shape ``(m, n)``."""
-        counters = self._states + np.uint64(GOLDEN) * np.arange(1, m + 1, dtype=np.uint64)[:, None]
-        if m:
-            self._states = counters[-1].copy()
+        counters = np.empty((m, *self._states.shape), dtype=np.uint64)
+        for lo in range(0, m, _ROUND):  # one _STEPS-length piece at a time
+            piece = counters[lo:lo + _ROUND]
+            np.add(_STEPS[:len(piece), None], self._states, out=piece)
+            self._states += _STEPS[len(piece) - 1]
         out = _to_unit(_mix64_vec(counters, out=counters))
         out *= _INV_2_53
         return out

@@ -268,8 +268,10 @@ class _Family(NamedTuple):
     ``corner(k, B, p)`` the dual corner ``(lambda1, lambda2)`` at which the
     density meets the cost identity of :func:`lagrange_corner`.  ``inverse``
     maps uniforms to grace periods, in closed form or from the family's
-    table (:func:`_tabulated_inverse`).  ``params(k)`` precomputes the
-    family's constants, which :func:`_params` caches.
+    table (:func:`_tabulated_inverse`), as ``(u, k, B, p, out)``: it writes
+    them into ``out``, a float array of ``u``'s shape that may be ``u``.
+    ``params(k)`` precomputes the family's constants, which :func:`_params`
+    caches.
     """
 
     pdf: Callable
@@ -383,22 +385,34 @@ def _inverse_table(family: str, k: int) -> np.ndarray:
     return c
 
 
-def _tabulated_inverse(family: str, u, k, B, p):
-    """Grace periods for uniforms ``u``: a Horner sum on the panel of each
-    ``sqrt(u)``, scaled by ``B`` and kept on the support."""
+def _tabulated_inverse(family: str, u, k, B, p, out):
+    """Grace periods for uniforms ``u``, in ``out``: a Horner sum on the panel
+    of each ``sqrt(u)``, scaled by ``B`` and kept on the support."""
     c = _inverse_table(family, k)
-    s = np.sqrt(u)
+    s = np.sqrt(u, out=out)
     s *= _PANELS
-    j = s.astype(np.intp)
-    np.minimum(j, _PANELS - 1, out=j)  # u = 1 ends the last panel
-    s -= j
-    x = c[-1].take(j, mode="clip")  # j is in range; "clip" is numpy's faster take
+    jf = np.floor(s)
+    np.minimum(jf, _PANELS - 1, out=jf)  # u = 1 ends the last panel
+    s -= jf
+    j = jf.astype(np.intp)
+    # j is in range ("clip" is numpy's faster take), and jf's block is free for x
+    x = c[-1].take(j, mode="clip", out=jf)
     term = np.empty_like(x)
-    for row in c[-2::-1]:
+    for row in c[-2:0:-1]:
         x *= s
         x += row.take(j, mode="clip", out=term)
+    s *= x  # the last Horner step lands in out
+    s += c[0].take(j, mode="clip", out=term)
+    s *= B
+    return np.clip(s, 0.0, B / (k - 1), out=s)
+
+
+def _rw_power_inverse(u, k, B, p, out):
+    x = np.log1p(np.multiply(u, p["q"] - 1.0, out=out), out=out)
+    x /= k - 1
+    np.expm1(x, out=x)
     x *= B
-    return np.clip(x, 0.0, B / (k - 1), out=x)
+    return x
 
 
 _FAMILIES = {
@@ -407,7 +421,7 @@ _FAMILIES = {
         cdf=lambda u, k, B, p: (k - 1) * u,
         moment=lambda u, k, B, p: 0.5 * (k - 1) * u * u,
         corner=lambda k, B, p: (2.0, 0.0),  # equalizing at k = 2 only
-        inverse=lambda u, k, B, p: B / (k - 1) * u,
+        inverse=lambda u, k, B, p, out: np.multiply(u, B / (k - 1), out=out),
     ),
     "rw_log": _Family(
         pdf=lambda u, k, B, p: np.log1p(u) / (B * LN4_MINUS_1),
@@ -437,7 +451,7 @@ _FAMILIES = {
             (k - 1) * u * u * _series(p["moment"], (k - 1) * u) / (p["q"] - 1.0)
         ),
         corner=lambda k, B, p: (p["q"] / (p["q"] - 1.0), 0.0),
-        inverse=lambda u, k, B, p: B * np.expm1(np.log1p(u * (p["q"] - 1.0)) / (k - 1)),
+        inverse=_rw_power_inverse,
         params=_power_params,
     ),
     "ra_exp": _Family(
@@ -445,7 +459,9 @@ _FAMILIES = {
         cdf=lambda u, k, B, p: np.expm1(u) / p["eps"],
         moment=lambda u, k, B, p: u * u * _series(_EXP_MOMENT, u) / p["eps"],
         corner=lambda k, B, p: ((1.0 + p["eps"]) / p["eps"], 0.0),
-        inverse=lambda u, k, B, p: B * np.log1p(u * p["eps"]),
+        inverse=lambda u, k, B, p, out: np.multiply(
+            np.log1p(np.multiply(u, p["eps"], out=out), out=out), B, out=out
+        ),
         params=lambda k: {"eps": _eps(k)},
     ),
     "ra_expm1": _Family(
@@ -604,10 +620,12 @@ class GracePeriodStrategy:
         atoms repeat their point, shape ``(n,)``, without consuming draws."""
         if self.kind is StrategyKind.ATOM:
             return np.full(n, self.support_max)
-        return self.quantile(stream.uniform_batch(n))
+        u = stream.uniform_batch(n)
+        return self.quantile(u, out=u)
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
-        """Grace periods for uniforms ``u`` in [0, 1): the inverse CDF.
+    def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Grace periods for uniforms ``u`` in [0, 1): the inverse CDF, written
+        into ``out`` (a new array by default; it may be ``u`` itself).
 
         Every sampler maps its draws through this one function, so a draw
         gives the same bits whichever sampler made it.  An atom takes no
@@ -615,10 +633,12 @@ class GracePeriodStrategy:
         """
         if self.kind is StrategyKind.ATOM:
             raise ValueError(f"the {self.family} strategy takes no draws")
+        if out is None:
+            out = np.empty(np.shape(u))
         if self.kind is StrategyKind.DISCRETE_PMF:
-            days = np.searchsorted(self.params["cumulative"], u, side="right") + 1
-            return days.astype(float)
-        return _FAMILIES[self.family].inverse(u, self.spec.k, self.spec.B, self.params)
+            days = np.searchsorted(self.params["cumulative"], u, side="right")
+            return np.add(days, 1.0, out=out)
+        return _FAMILIES[self.family].inverse(u, self.spec.k, self.spec.B, self.params, out)
 
 
 def stacked_pdf(strategies) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

@@ -76,6 +76,42 @@ class TestPointwise:
         assert isinstance(got, np.ndarray) and got.shape == () and float(got) == 30.0
 
 
+def where_reference(mode, k, B, x, y):
+    """``conflict_cost`` as a two-branch formula, the abort branch in full."""
+    x, y = np.asarray(x), np.asarray(y)
+    abort = k * x + B if mode is RW else (k - 1) * (x + B)
+    return np.where(y < x, (k - 1) * y, abort)
+
+
+GRID = np.linspace(0.0, 100.0, 12).reshape(3, 4)
+COLUMN = np.array([[5.0], [50.0], [95.0]])
+CONTRACT_POINTS = {
+    "floats": (50.0, 30.0),
+    "float_tie": (50.0, 50.0),
+    "0d": (np.array(50.0), np.array(80.0)),
+    "lists": ([10.0, 50.0, 90.0], [20.0, 50.0, 10.0]),
+    "ints": (np.array([10, 50, 90]), np.array([20, 50, 10])),
+    "column_y": (GRID, COLUMN),
+    "column_x": (COLUMN, GRID),
+    "tie": (GRID, GRID),
+}
+
+
+class TestPointwiseContract:
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("mode", [RW, RA])
+    @pytest.mark.parametrize("case", CONTRACT_POINTS)
+    def test_same_bits_as_the_where_reference(self, case, mode, k):
+        x, y = CONTRACT_POINTS[case]
+        kept = np.array(x, copy=True)
+        got = conflict_cost(mode, k, 100.0, x, y)
+        ref = where_reference(mode, k, 100.0, x, y)
+        assert isinstance(got, np.ndarray)
+        assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+        assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(np.asarray(x), kept)  # the abort branch is a new array
+
+
 class TestOptCost:
     def test_values(self):
         assert opt_cost(2, 100.0, 30.0) == 30.0

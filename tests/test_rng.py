@@ -2,8 +2,21 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from graceperiod.rng import Stream, _mix64_vec, derive_seed, mix64, stream, streams
+from graceperiod.rng import (
+    _ROUND,
+    _STEPS,
+    GOLDEN,
+    Stream,
+    Streams,
+    _mix64_vec,
+    _to_unit,
+    derive_seed,
+    mix64,
+    stream,
+    streams,
+)
 
 
 def test_splitmix64_reference_vector():
@@ -76,6 +89,42 @@ def test_stream_columns_match_scalar_streams():
         for i in range(40):
             s = stream(72, *labels, i)
             assert np.array_equal(columns[:, i], [s.uniform() for _ in range(6)])
+
+
+def test_step_table_is_read_only():
+    assert _STEPS.size == _ROUND and int(_STEPS[-1]) == _ROUND * GOLDEN % 2**64
+    with pytest.raises(ValueError):
+        _STEPS[0] = 0
+
+
+@pytest.mark.parametrize("n", [0, 1, _ROUND, _ROUND + 1, 3 * _ROUND + 5])
+def test_u64_batch_equals_an_arange_reference(n):
+    # the counters state + i*GOLDEN, i = 1..n, built in one piece; the state wraps
+    seed = 2**64 - 3
+    counters = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN) + np.uint64(seed)
+    s = Stream(seed)
+    assert np.array_equal(s.u64_batch(n), _mix64_vec(counters))
+    assert s._state == (seed + n * GOLDEN) % 2**64
+
+
+def test_to_unit_keeps_the_top_53_bits_exactly():
+    ends = _to_unit(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert (ends * 2.0**-53).tolist() == [0.0, (2**53 - 1) * 2.0**-53]
+    z = Stream(17).u64_batch(1000)
+    assert np.array_equal(_to_unit(z.copy()), (z >> np.uint64(11)).astype(np.float64))
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, _ROUND + 1])
+def test_stream_blocks_equal_per_stream_columns(m):
+    states = np.array([0, 1, 2**64 - 1, GOLDEN], dtype=np.uint64)
+    kept = states.copy()
+    lanes = Streams(states)
+    first, second = lanes.uniform_batch(m), lanes.uniform_batch(m)
+    assert first.shape == (m, 4)
+    assert np.array_equal(states, kept)  # the caller's array is never advanced
+    for i, state in enumerate(kept.tolist()):
+        column = np.concatenate([first[:, i], second[:, i]])
+        assert np.array_equal(column, Stream(state).uniform_batch(2 * m))
 
 
 def test_uniform_ranges():

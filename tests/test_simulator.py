@@ -307,9 +307,10 @@ class TestMicroTrace:
         pmf, cum = strat.params["pmf"], strat.params["cumulative"]
         ys = np.arange(0.5, 130.0, 0.5)
         sched = one_thread_schedule(2, ys, B)
-        # one lane per day: each lane's uniform maps to its own day
+        # one lane per day: each lane's uniform maps to its own day; a fresh block
+        # per call, as a stream's is, since sample_batch maps it in place
         day_uniforms = np.broadcast_to(cum - 0.5 * pmf, (len(ys), len(pmf)))
-        lanes = SimpleNamespace(uniform_batch=lambda m: day_uniforms[:m])
+        lanes = SimpleNamespace(uniform_batch=lambda m: day_uniforms[:m].copy())
         chunks = list(simulator._online_replay(config, sched, lanes, len(pmf)))
         assert all(np.array_equal(row, np.arange(1.0, B + 1.0)) for _, x, _ in chunks for row in x)
         simulated = np.concatenate([cost for _, _, cost in chunks]) @ pmf

@@ -15,7 +15,7 @@ from graceperiod.adversary import worst_case_for_det
 from graceperiod.oracle import lagrange_identity_check
 from graceperiod.quadrature import adaptive_simpson
 from graceperiod.costmodel import conflict_cost
-from graceperiod.rng import stream
+from graceperiod.rng import stream, streams
 from graceperiod.simulator import PolicyConfig
 from graceperiod.strategy import (
     _FAMILIES,
@@ -592,6 +592,42 @@ NEWTON_U = np.concatenate([
     np.logspace(-30.0, -1.0, 88),
     1.0 - np.logspace(-15.0, -1.0, 57),
 ])
+
+
+# one spec of each kind that takes draws
+SAMPLED = [
+    (StrategySpec(RW, 2, 100.0, UNC), "uniform"),
+    (StrategySpec(RW, 3, 100.0, CON, mu=90.0), "rw_power"),
+    (StrategySpec(RA, 3, 100.0, UNC), "ra_exp"),
+    (StrategySpec(RW, 2, 100.0, CON, mu=10.0), "rw_log"),
+    (StrategySpec(RW, 3, 100.0, CON, mu=10.0), "rw_shifted_power"),
+    (StrategySpec(RA, 2, 100.0, CON, mu=10.0), "ra_expm1"),
+    (StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC), "discrete_classic"),
+]
+
+
+class TestQuantileOut:
+    @pytest.mark.parametrize("spec,family", SAMPLED, ids=[family for _, family in SAMPLED])
+    def test_in_place_gives_the_same_bits(self, spec, family):
+        strat = make_strategy(spec)
+        assert strat.family == family
+        u = np.concatenate([U_GRID, SMALLEST_UNIFORMS, [1.0]])
+        kept = u.copy()
+        fresh = strat.quantile(u)
+        assert np.array_equal(u, kept)  # without out, u is only read
+        buffer = np.empty_like(u)
+        assert strat.quantile(u, out=buffer) is buffer
+        assert buffer.tobytes() == fresh.tobytes()
+        block = u.reshape(2, -1)
+        assert strat.quantile(block, out=block) is block
+        assert u.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("spec,family", SAMPLED, ids=[family for _, family in SAMPLED])
+    def test_sample_batch_maps_its_stream_block(self, spec, family):
+        strat = make_strategy(spec)
+        for draws, twin in ((stream(9, "x"), stream(9, "x")), (streams(9, n=3), streams(9, n=3))):
+            got = strat.sample_batch(draws, 40)
+            assert got.tobytes() == strat.quantile(twin.uniform_batch(40)).tobytes()
 
 
 class TestTabulatedInverse:
