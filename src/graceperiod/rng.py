@@ -83,6 +83,14 @@ def _to_unit(z: np.ndarray) -> np.ndarray:
     return z.view(np.int64).astype(np.float64)
 
 
+def open_uniform(u: np.ndarray) -> np.ndarray:
+    """Uniforms ``u`` of [0, 1) moved, in place, into (0, 1): each up half a
+    cell, ``u + 2**-54``.  The top cell's ``1 - 2**-54`` rounds to 1.0, so it
+    is held at ``1 - 2**-53``, the largest double below 1."""
+    u += 2.0 ** -54
+    return np.minimum(u, 1.0 - _INV_2_53, out=u)
+
+
 class Stream:
     """One SplitMix64 stream.  Not thread-safe; use one per caller."""
 
@@ -113,10 +121,9 @@ class Stream:
         return out
 
     def uniform_open_batch(self, n: int) -> np.ndarray:
-        out = _to_unit(self.u64_batch(n))
-        out += 0.5
-        out *= _INV_2_53
-        return out
+        """``n`` uniform doubles in (0, 1): :func:`open_uniform` of the next
+        ``uniform_batch(n)``."""
+        return open_uniform(self.uniform_batch(n))
 
 
 def stream(seed: int, *tokens: int | str) -> Stream:

@@ -59,7 +59,7 @@ import numpy as np
 
 from .adversary import AdversaryModel, _solve_truncated_normal_loc, sample_length
 from .costmodel import conflict_cost, opt_cost
-from .rng import Stream, Streams, stream, streams
+from .rng import Stream, Streams, open_uniform, stream, streams
 from .strategy import (
     MAX_ABORT_COST,
     MIN_ABORT_COST,
@@ -264,14 +264,14 @@ def _candidate_blocks(config: SimConfig):
     sizes = np.array([int(k) for k, _ in items])
     weights = np.array([w for _, w in items], dtype=float)
     cum = np.cumsum(weights) / np.sum(weights)
+    cum[-1] = 1.0  # np.sum adds pairwise, cumsum in order: the top may fall short of 1
     s = stream(config.seed, "conflicts")
     t = 0.0
     while True:
         m = _block_size((horizon - t) * rate)
         u = s.uniform_batch(3 * m).reshape(m, 3)
-        # u + 2**-54 is uniform_open of the same draw, bit for bit; math.log, not
-        # np.log: the two differ in the last bit for some inputs
-        logs = np.fromiter(map(math.log, (u[:, 0] + 2.0**-54).tolist()), float, m)
+        # math.log, not np.log: the two differ in the last bit for some inputs
+        logs = np.fromiter(map(math.log, open_uniform(u[:, 0]).tolist()), float, m)
         # at a tiny rate a gap or a time may overflow: inf is past the horizon
         with np.errstate(over="ignore"):
             when = np.cumsum(np.concatenate(([t], logs / -rate)))[1:]
@@ -552,22 +552,12 @@ class ProgressResult:
     bound_attempts: int
     doubling_threshold: int
     probability: float  # exact commit probability within bound_attempts
-    empirical_probability: float  # commit fraction of the sampled trials
-    stderr: float  # its standard error, sqrt(p(1-p)/n_trials) at the exact p
     doubling_assert_ok: bool
     passed: bool
-    n_trials: int
 
 
-def progress_check(
-    y: float,
-    gamma: int,
-    k: int,
-    B: float,
-    n_trials: int = 1000,
-    seed: int = 0,
-) -> ProgressResult:
-    """Commit probability within the doubling-backoff bound, exact and sampled.
+def progress_check(y: float, gamma: int, k: int, B: float) -> ProgressResult:
+    """Commit probability within the doubling-backoff bound, in closed form.
 
     A tracked transaction with running time ``y`` suffers exactly ``gamma``
     conflicts per attempt; each draws a uniform grace period on ``[0,
@@ -577,33 +567,23 @@ def progress_check(
     max(0, 1 - (k-1)y/B_a)**gamma``.  The claim: commit within ``N =
     ceil(log2(y) + log2(gamma) + log2(k) - log2(B) + 2)`` attempts with
     probability ``1 - prod_{a<=N}(1 - s_a) >= 1/2``, and after one fewer
-    doubling ``B_a >= 2*k*y*gamma``.  ``passed`` reads the exact probability.
-    As a sampled check, the streams ``"progress", i`` replay ``n_trials``
-    trials in lockstep, one ``(gamma, n_trials)`` block per attempt.
+    doubling ``B_a >= 2*k*y*gamma``.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError(f"remaining time y must be positive and finite, got {y}")
     if not (gamma >= 0 and float(gamma).is_integer()):
         raise ValueError(f"gamma must be a nonnegative integer, got {gamma}")
-    if not (n_trials >= 1 and float(n_trials).is_integer()):
-        raise ValueError(f"n_trials must be an integer >= 1, got {n_trials}")
-    k, B, gamma, n_trials = check_chain_size(k), check_abort_cost(B), int(gamma), int(n_trials)
+    k, B, gamma = check_chain_size(k), check_abort_cost(B), int(gamma)
     raw = math.log2(y) + math.log2(max(gamma, 1)) + math.log2(k) - math.log2(B)
     bound = max(1, math.ceil(raw + 2.0))
     doubling_threshold = max(0, math.ceil(raw + 1.0))
     miss = 1.0  # every attempt so far aborted
-    lanes = streams(seed, "progress", n=n_trials)
-    committed = np.zeros(n_trials, dtype=bool)
     for a in range(bound):
-        b_a = B * 2.0**a
-        miss *= 1.0 - max(0.0, 1.0 - (k - 1) * y / b_a) ** gamma
-        committed |= np.all(lanes.uniform_batch(gamma) * (b_a / (k - 1)) > y, axis=0)
+        miss *= 1.0 - max(0.0, 1.0 - (k - 1) * y / (B * 2.0**a)) ** gamma
     probability = 1.0 - miss
     doubling_ok = doubling_threshold == 0 or B * 2.0**doubling_threshold >= 2.0 * k * y * gamma
-    stderr = math.sqrt(probability * (1.0 - probability) / n_trials)
     return ProgressResult(
-        bound, doubling_threshold, probability, float(np.mean(committed)), stderr,
-        doubling_ok, probability >= 0.5 and doubling_ok, n_trials,
+        bound, doubling_threshold, probability, doubling_ok, probability >= 0.5 and doubling_ok
     )
 
 

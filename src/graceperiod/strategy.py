@@ -209,10 +209,7 @@ def _g(k: int) -> float:
     if k == 2:
         return math.e - 2.0
     t = 1.0 / (k - 1)
-    acc = 0.0
-    for c in reversed(_EXPM1_RATIO):
-        acc = acc * t + c
-    return acc * t
+    return float(_series(_EXPM1_RATIO, np.float64(t)) * t)
 
 
 def det_threshold(k: int, B: float) -> float:
@@ -606,14 +603,8 @@ class GracePeriodStrategy:
     # -- sampling -------------------------------------------------------
 
     def sample(self, stream: Stream) -> float:
-        """One grace period drawn from this strategy.
-
-        Atoms return their point without consuming the stream; all other
-        strategies consume exactly one draw.
-        """
-        if self.kind is StrategyKind.ATOM:
-            return self.support_max
-        return float(self.quantile(np.array([stream.uniform()]))[0])
+        """One grace period, ``sample_batch(stream, 1)[0]``: one draw, none at an atom."""
+        return float(self.sample_batch(stream, 1)[0])
 
     def sample_batch(self, stream: Stream | Streams, n: int) -> np.ndarray:
         """``n`` grace periods from each stream, shape ``(n,)`` or ``(n, lanes)``;

@@ -270,14 +270,10 @@ def test_criterion_5_throughput_bound_campaign():
 
 def test_criterion_6_progress_guarantee():
     gate = Gate("criterion 6")
-    res = progress_check(y=64.0, gamma=4, k=2, B=1.0, n_trials=1000, seed=606)
+    res = progress_check(y=64.0, gamma=4, k=2, B=1.0)
     gate.check("attempt bound is 11", res.bound_attempts == 11, str(res.bound_attempts))
-    gate.check(
-        "commit probability >= 1/2 - 3 sigma",
-        res.empirical_probability >= 0.5 - 3.0 * res.stderr,
-        f"{res.empirical_probability:.3f} (stderr {res.stderr:.4f})",
-    )
-    gate.check("doubled cost reaches 2*k*y*gamma in every trial", res.doubling_assert_ok)
+    gate.check("commit probability >= 1/2", res.probability >= 0.5, f"{res.probability!r}")
+    gate.check("doubled cost reaches 2*k*y*gamma", res.doubling_assert_ok)
     gate.finish()
 
 

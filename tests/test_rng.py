@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graceperiod.adversary import AdversaryModel, sample_length
 from graceperiod.rng import (
+    _MIX_A,
+    _MIX_B,
     _ROUND,
     _STEPS,
     GOLDEN,
@@ -14,9 +17,33 @@ from graceperiod.rng import (
     _to_unit,
     derive_seed,
     mix64,
+    open_uniform,
     stream,
     streams,
 )
+
+MASK = 2**64 - 1
+
+
+def unmix64(z: int) -> int:
+    """The inverse of :func:`mix64`: each xorshift undone by repeating it, each
+    multiply by the inverse of its odd factor modulo 2**64."""
+
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(_MIX_B, -1, 2**64) & MASK, 27)
+    return unshift(z * pow(_MIX_A, -1, 2**64) & MASK, 30)
+
+
+def top_cell_stream(draw: int = 1) -> Stream:
+    """A stream whose ``draw``-th output has all 64 bits set, so its top 53
+    bits are the top cell of the unit interval."""
+    return Stream((unmix64(MASK) - draw * GOLDEN) & MASK)
 
 
 def test_splitmix64_reference_vector():
@@ -72,11 +99,30 @@ def test_uniform_batch_matches_scalar():
 
 
 def test_open_uniform_is_uniform_plus_half_an_ulp():
-    # build_schedule reads the conflict gaps' open uniforms as u + 2**-54
+    # build_schedule maps the conflict gaps' uniforms through the same open_uniform
     a, b = Stream(11), Stream(11)
     assert np.array_equal(a.uniform_batch(100_000) + 2.0**-54, b.uniform_open_batch(100_000))
-    edges = np.array([0, 1, 2, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=float)
-    assert np.array_equal(edges * 2.0**-53 + 2.0**-54, (edges + 0.5) * 2.0**-53)
+    edges = np.array([0, 1, 2, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2], dtype=float)
+    assert np.array_equal(open_uniform(edges * 2.0**-53), (edges + 0.5) * 2.0**-53)
+    # the top cell's u + 2**-54 rounds to 1.0; it is held just below
+    assert (2**53 - 1) * 2.0**-53 + 2.0**-54 == 1.0
+    assert open_uniform(np.array([(2**53 - 1) * 2.0**-53])).tolist() == [1.0 - 2.0**-53]
+
+
+def test_unmix64_inverts_mix64():
+    for z in (0, 1, GOLDEN, MASK, *Stream(5).u64_batch(100).tolist()):
+        assert mix64(unmix64(z)) == z and unmix64(mix64(z)) == z
+    assert top_cell_stream(3).u64_batch(3).tolist()[2] == MASK
+
+
+def test_top_cell_open_draw_stays_below_one():
+    # one draw in 2**53 has its top 53 bits set: it is 1 - 2**-53, never 1.0
+    assert top_cell_stream().uniform_open_batch(1).tolist() == [1.0 - 2.0**-53]
+    # so an inverted length stays in its support, and no table is indexed past its end
+    lengths = sample_length(AdversaryModel("poisson", 20.0), top_cell_stream(), 1)
+    assert lengths[0] >= 1.0
+    lengths = sample_length(AdversaryModel("exponential", 20.0), top_cell_stream(), 1)
+    assert lengths[0] > 0.0
 
 
 def test_stream_columns_match_scalar_streams():
@@ -153,9 +199,9 @@ def test_stream_helper():
     assert stream(5).u64() == Stream(5).u64()
 
 
-# The scalar samplers: kept as references for the tests and as patch targets
-# of the perf probes, and called nowhere else in the package.
-SCALAR_SAMPLERS = {("Stream", "uniform"), ("GracePeriodStrategy", "sample")}
+# The one scalar sampler: kept as a reference for the tests, and called nowhere
+# else in the package (GracePeriodStrategy.sample draws through sample_batch).
+SCALAR_SAMPLERS = {("Stream", "uniform")}
 SRC = Path(__file__).resolve().parent.parent / "src" / "graceperiod"
 
 
@@ -189,4 +235,4 @@ def test_no_scalar_draw_in_src():
         for line, attr, scope in scalar_draws(path.read_text(encoding="utf-8")):
             assert scope[:2] in SCALAR_SAMPLERS, f"{path.name}:{line}: scalar .{attr}() in {scope}"
             exempt.append(scope[:2])
-    assert set(exempt) == SCALAR_SAMPLERS  # both exemptions still name a draw
+    assert set(exempt) == SCALAR_SAMPLERS  # the exemption still names a draw

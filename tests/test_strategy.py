@@ -38,6 +38,7 @@ from graceperiod.strategy import (
 )
 from graceperiod.strategy import (
     _EXP_MOMENT,
+    _EXPM1_RATIO,
     _LOG_MOMENT,
     _g,
     _inverse_table,
@@ -51,6 +52,19 @@ RW = ConflictMode.REQUESTOR_WINS
 RA = ConflictMode.REQUESTOR_ABORTS
 UNC = Variant.RANDOMIZED_UNCONSTRAINED
 CON = Variant.RANDOMIZED_CONSTRAINED
+
+# a spec of every sampling family, with the family it resolves to
+EVERY_FAMILY = [
+    (StrategySpec(RW, 2, 100.0, UNC), "uniform"),
+    (StrategySpec(RA, 3, 100.0, UNC), "ra_exp"),
+    (StrategySpec(RW, 2, 100.0, CON, mu=10.0), "rw_log"),
+    (StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC), "discrete_classic"),
+    (StrategySpec(RW, 3, 100.0, CON, mu=90.0), "rw_power"),
+    (StrategySpec(RW, 3, 100.0, CON, mu=10.0), "rw_shifted_power"),
+    (StrategySpec(RA, 2, 100.0, CON, mu=10.0), "ra_expm1"),
+    (StrategySpec(RW, 2, 100.0, Variant.DETERMINISTIC), "atom"),
+]
+
 LN4M1 = 2.0 * math.log(2.0) - 1.0
 
 
@@ -406,16 +420,7 @@ class TestSampling:
         assert ks_statistic(xs, strat.cdf) < 0.004
 
     def test_scalar_and_batch_draws_agree(self):
-        for spec, family in (
-            (StrategySpec(RW, 2, 100.0, UNC), "uniform"),
-            (StrategySpec(RA, 3, 100.0, UNC), "ra_exp"),
-            (StrategySpec(RW, 2, 100.0, CON, mu=10.0), "rw_log"),
-            (StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC), "discrete_classic"),
-            (StrategySpec(RW, 3, 100.0, CON, mu=90.0), "rw_power"),
-            (StrategySpec(RW, 3, 100.0, CON, mu=10.0), "rw_shifted_power"),
-            (StrategySpec(RA, 2, 100.0, CON, mu=10.0), "ra_expm1"),
-            (StrategySpec(RW, 2, 100.0, Variant.DETERMINISTIC), "atom"),
-        ):
+        for spec, family in EVERY_FAMILY:
             strat = make_strategy(spec)
             assert strat.family == family
             a, b = stream(9, "x"), stream(9, "x")
@@ -423,6 +428,20 @@ class TestSampling:
             scalars = np.array([strat.sample(b) for _ in range(50)])
             assert np.array_equal(batch, scalars), family
             assert a.u64() == b.u64()  # both consumed the same number of draws
+
+    @pytest.mark.parametrize("spec, family", EVERY_FAMILY)
+    def test_sample_is_one_draw_of_sample_batch(self, spec, family):
+        strat = make_strategy(spec)
+        s, twin, ref = stream(9, "one"), stream(9, "one"), stream(9, "one")
+        x = strat.sample(s)
+        assert type(x) is float
+        assert x.hex() == float(strat.sample_batch(twin, 1)[0]).hex()
+        assert s._state == twin._state
+        if family == "atom":  # its point, and no draw taken
+            assert x == strat.support_max and s._state == ref._state
+        else:  # the scalar stream's draw through the one quantile
+            assert x.hex() == float(strat.quantile(np.array([ref.uniform()]))[0]).hex()
+            assert s._state == ref._state
 
     def test_discrete_sampling_matches_pmf(self):
         strat = make_strategy(StrategySpec(RA, 2, 10.0, Variant.DISCRETE_CLASSIC))
@@ -767,6 +786,15 @@ class TestPowerAndExpConstants:
     def test_k2_values_are_pinned(self):
         assert _q(2) == 2.0
         assert _g(2) == math.e - 2.0
+
+    def test_g_is_the_scalar_horner_sum(self):
+        # _series run on a 0-d float64 takes the steps of a Python float loop
+        for k in [*range(3, 5000), 10**5, 10**7, 2**40, 2**52]:
+            t, acc = 1.0 / (k - 1), 0.0
+            for c in reversed(_EXPM1_RATIO):
+                acc = acc * t + c
+            g = _g(k)
+            assert type(g) is float and g.hex() == (acc * t).hex(), k
 
     @pytest.mark.parametrize("k", [3, 4, 10, 100, 10**4, 10**6])
     def test_relative_error_at_rounding_level(self, k):
