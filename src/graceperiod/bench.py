@@ -37,9 +37,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .adversary import AdversaryModel, remaining_time, worst_case_for_det
+from .config import integral, known, read, real
 from .costmodel import conflict_cost, opt_cost
 from .rng import _ROUND, stream
-from .simulator import _integral, _real
 from .strategy import ConflictMode, StrategySpec, Variant, check_abort_cost, make_strategy
 
 DISTRIBUTIONS = ("geometric", "normal", "uniform", "exponential", "poisson")
@@ -61,13 +61,10 @@ class BenchConfig:
     strategies: tuple[str, ...] = STRATEGIES
 
     def __post_init__(self):
-        casts = {"trials": _integral, "seed": _integral, "mu": _real,
-                 "B": lambda v: check_abort_cost(_real(v))}
+        casts = {"trials": integral, "seed": integral, "mu": real,
+                 "B": lambda v: check_abort_cost(real(v))}
         for name, cast in casts.items():
-            try:
-                object.__setattr__(self, name, cast(getattr(self, name)))
-            except ValueError as exc:
-                raise ValueError(f"config field '{name}': {exc}") from exc
+            object.__setattr__(self, name, read(vars(self), name, cast))
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
             raise ValueError(f"config field 'mu' must be positive and finite, got {self.mu}")
         if self.trials < 1:
@@ -96,10 +93,7 @@ class BenchConfig:
 
 def config_from_dict(data: dict) -> BenchConfig:
     """Build a BenchConfig from parsed JSON; a key it has no field for is an error."""
-    known = [f.name for f in fields(BenchConfig)]
-    for key in data:
-        if key not in known:
-            raise ValueError(f"config field '{key}' is not a known field")
+    known(data, [f.name for f in fields(BenchConfig)])
     return BenchConfig(**data)
 
 

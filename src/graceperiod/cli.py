@@ -52,13 +52,27 @@ def _resolve_config_path(path: str) -> str:
     return path  # let open() raise a clean FileNotFoundError
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json keeps a repeated key's last value; a config may not repeat one
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str) -> dict:
     resolved = _resolve_config_path(path)
     try:
         with open(resolved, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{resolved}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{resolved}: nested too deeply") from exc
+    except ValueError as exc:  # a repeated key, or bytes that are not UTF-8
+        raise ValueError(f"{resolved}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{resolved}: a config must be a JSON object")
     return data
@@ -211,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, simulator.TraceError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -58,6 +58,7 @@ from itertools import chain, groupby
 import numpy as np
 
 from .adversary import AdversaryModel, _solve_truncated_normal_loc, sample_length
+from .config import flag, integral, known, read, real, section, text
 from .costmodel import conflict_cost, opt_cost
 from .rng import Stream, Streams, open_uniform, stream, streams
 from .strategy import (
@@ -590,83 +591,26 @@ def progress_check(y: float, gamma: int, k: int, B: float) -> ProgressResult:
 # -- config ingestion -------------------------------------------------------
 
 
-def _integral(value) -> int:
-    # JSON numbers only: 3 and 3.0 pass, 1.7, true and "3" do not
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value) -> float:
-    # JSON numbers only: 2 and 2.5 pass, true, "2" and [2] do not
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int past the float range reads as 1e400 does
-        return math.inf if value > 0 else -math.inf
-
-
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
-    return value
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"must be a string, got {value!r}")
-    return value
-
-
 def config_from_dict(data: dict) -> SimConfig:
     """Build a SimConfig from parsed JSON, naming the offending field on error."""
-
-    def read(obj, key, cast, default=..., where=""):
-        # obj[key] through cast; default when absent, or null if default is None
-        if key not in obj or (default is None and obj[key] is None):
-            if default is ...:
-                raise ValueError(f"config field '{where}{key}' is required")
-            return default
-        try:
-            return cast(obj[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config field '{where}{key}': {exc}") from exc
-
-    def known(obj, keys, where=""):
-        # a key no reader below looks at, such as a misspelled one
-        for key in obj:
-            if key not in keys:
-                raise ValueError(f"config field '{where}{key}' is not a known field")
-
-    def section(key, keys=None):
-        obj = read(data, key, lambda v: v)
-        if not isinstance(obj, dict):
-            raise ValueError(f"config field '{key}' must be an object")
-        if keys is not None:
-            known(obj, keys, f"{key}.")
-        return obj
-
     known(data, (
         "n_threads", "mode", "policy", "length_model", "conflict_schedule", "chain_size",
         "cleanup_cost", "dynamic_b", "doubling_backoff", "horizon", "seed",
     ))
     mode = read(data, "mode", ConflictMode)
 
-    pol = section("policy", ("variant", "B", "mu"))
+    pol = section(data, "policy", ("variant", "B", "mu"))
     policy = PolicyConfig(
         variant=read(pol, "variant", Variant, Variant.RANDOMIZED_UNCONSTRAINED, "policy."),
-        B=read(pol, "B", lambda v: check_abort_cost(_real(v)), where="policy."),
-        mu=read(pol, "mu", _real, None, "policy."),
+        B=read(pol, "B", lambda v: check_abort_cost(real(v)), where="policy."),
+        mu=read(pol, "mu", real, None, "policy."),
     )
 
-    lm = section("length_model", ("kind", "mean", "sigma", "value"))
+    lm = section(data, "length_model", ("kind", "mean", "sigma", "value"))
     kind = lm.get("kind", "exponential")
-    mean = read(lm, "mean", _real, 0.0, "length_model.")
-    sigma = read(lm, "sigma", _real, None, "length_model.")
-    value = read(lm, "value", _real, None, "length_model.")
+    mean = read(lm, "mean", real, 0.0, "length_model.")
+    sigma = read(lm, "sigma", real, None, "length_model.")
+    value = read(lm, "value", real, None, "length_model.")
     for key, reader in (("sigma", "normal_truncated"), ("value", "point_mass")):
         if lm.get(key) is not None and kind != reader:
             raise ValueError(f"config field 'length_model.{key}' is read by kind {reader} only")
@@ -680,14 +624,14 @@ def config_from_dict(data: dict) -> SimConfig:
         except ValueError as exc:
             raise ValueError(f"config field 'length_model.sigma': {exc}") from exc
 
-    sched = section("conflict_schedule")
+    sched = section(data, "conflict_schedule")
     rate, trace_path = None, None
     if sched.get("kind") == "random_rate":
         known(sched, ("kind", "rate"), "conflict_schedule.")
-        rate = read(sched, "rate", _real, 0.0, "conflict_schedule.")
+        rate = read(sched, "rate", real, 0.0, "conflict_schedule.")
     elif sched.get("kind") == "trace":
         known(sched, ("kind", "path"), "conflict_schedule.")
-        trace_path = read(sched, "path", _text, where="conflict_schedule.")
+        trace_path = read(sched, "path", text, where="conflict_schedule.")
     else:
         raise ValueError(
             "config field 'conflict_schedule' must be "
@@ -697,29 +641,29 @@ def config_from_dict(data: dict) -> SimConfig:
     chain = data.get("chain_size", 2)
     try:
         if isinstance(chain, dict):  # JSON object keys are strings
-            keys = [_integral(float(k) if isinstance(k, str) else k) for k in chain]
+            keys = [integral(float(k) if isinstance(k, str) else k) for k in chain]
             if len(set(keys)) < len(keys):
                 raise ValueError(f"a chain size appears twice in {list(chain)}")
-            chain = dict(zip(keys, map(_real, chain.values())))
+            chain = dict(zip(keys, map(real, chain.values())))
         else:
-            chain = _integral(chain)
+            chain = integral(chain)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config field 'chain_size': {exc}") from exc
 
     try:
         return SimConfig(
-            n_threads=read(data, "n_threads", _integral),
+            n_threads=read(data, "n_threads", integral),
             mode=mode,
             policy=policy,
             length_model=length_model,
-            horizon=read(data, "horizon", _real),
-            seed=read(data, "seed", _integral),
+            horizon=read(data, "horizon", real),
+            seed=read(data, "seed", integral),
             conflict_rate=rate,
             trace_path=trace_path,
             chain_size=chain,
-            cleanup_cost=read(data, "cleanup_cost", _real, 0.0),
-            dynamic_b=read(data, "dynamic_b", _flag, False),
-            doubling_backoff=read(data, "doubling_backoff", _flag, False),
+            cleanup_cost=read(data, "cleanup_cost", real, 0.0),
+            dynamic_b=read(data, "dynamic_b", flag, False),
+            doubling_backoff=read(data, "doubling_backoff", flag, False),
         )
     except ValueError as exc:
         raise ValueError(f"invalid simulation config: {exc}") from exc

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -282,6 +284,56 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and named in err and "Traceback" not in err, err
+
+
+def _sim_text(extra: str) -> str:
+    # SIM_CONFIG as JSON text, with raw text added before its closing brace
+    return json.dumps(SIM_CONFIG)[:-1] + ", " + extra + "}"
+
+
+class TestConfigFile:
+    """What both file-driven commands share: the loader and the field readers."""
+
+    @pytest.mark.parametrize("command,text,key", [
+        # json keeps the last value: seed 5, weight 5 and 20 trials ran unreported
+        ("simulate", _sim_text('"seed": 5'), "seed"),
+        ("simulate", _sim_text('"chain_size": {"2": 1, "2": 5}'), "2"),
+        ("bench-synthetic", '{"trials": 10, "trials": 20}', "trials"),
+    ], ids=["simulate-seed", "simulate-chain_size", "bench-trials"])
+    def test_repeated_key_is_rejected(self, tmp_path, capsys, command, text, key):
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: key {key!r} appears twice in one object\n", err
+
+    @pytest.mark.parametrize("command", ["simulate", "bench-synthetic"])
+    def test_deep_nesting_is_rejected(self, tmp_path, capsys, command):
+        # 100,000 nested arrays ended in a RecursionError traceback and exit 1
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: nested too deeply\n"
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_bad_value_reads_alike_in_both_commands(self, value):
+        from graceperiod import bench
+
+        wording = re.escape(f"config field 'seed': must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=wording):
+            bench.config_from_dict({"trials": 10, "seed": value})
+        with pytest.raises(ValueError, match=wording):
+            config_from_dict(dict(SIM_CONFIG, seed=value))
+
+    def test_bench_does_not_import_simulator(self):
+        # bench reads its config through graceperiod.config, not the simulator's casts
+        script = "import sys, graceperiod.bench\nprint('graceperiod.simulator' in sys.modules)\n"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestVerifyCommand:
