@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import quote
 from .rng import _ROUND, Stream
 from .strategy import det_threshold
 
@@ -95,7 +96,7 @@ class AdversaryModel:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown adversary kind {self.kind!r}; expected one of {KINDS}")
+            raise ValueError(f"unknown adversary kind {quote(self.kind)}; expected one of {KINDS}")
         if self.kind == "point_mass":
             v = self.value if self.value is not None else self.mean
             if not (v > 0.0 and math.isfinite(v)):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .adversary import AdversaryModel, remaining_time, worst_case_for_det
-from .config import integral, known, read, real
+from .config import integral, known, quote, read, real
 from .costmodel import conflict_cost, opt_cost
 from .rng import _ROUND, stream
 from .strategy import ConflictMode, StrategySpec, Variant, check_abort_cost, make_strategy
@@ -75,13 +75,12 @@ class BenchConfig:
         ):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):
-                raise ValueError(f"config field '{name}' must be a list, got {value!r}")
+                raise ValueError(f"config field '{name}' must be a list, got {quote(value)}")
             object.__setattr__(self, name, tuple(value))
             for v in value:
                 if v not in allowed:
-                    raise ValueError(
-                        f"config field '{name}': unknown {what} {v!r}; expected one of {allowed}"
-                    )
+                    raise ValueError(f"config field '{name}': unknown {what} {quote(v)}; "
+                                     f"expected one of {allowed}")
         # a model only checks its mean when built (it calibrates when first
         # sampled), so a mean a distribution cannot take fails before any scoring
         for dist in self.distributions:

@@ -115,7 +115,7 @@ def _cmd_simulate(args) -> int:
         "bound_check": check.to_json_dict(),
     }
     if args.campaign_seeds > 1:
-        ratios, _, camp = simulator.throughput_campaign(
+        ratios, camp = simulator.throughput_campaign(
             config, args.campaign_seeds, schedule, offline
         )
         doc["campaign"] = {

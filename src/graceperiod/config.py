@@ -4,6 +4,14 @@ the field on error (dotted when nested).  bench and simulator read through these
 from __future__ import annotations
 
 import math
+import reprlib
+from enum import EnumMeta
+
+
+def quote(value) -> str:
+    """``repr(value)`` cut short (a string to 30 characters, a list to six items
+    and six levels), so an error that echoes a config value stays one short line."""
+    return reprlib.repr(value)
 
 
 def integral(value) -> int:
@@ -11,14 +19,14 @@ def integral(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
         isinstance(value, float) and not value.is_integer()
     ):
-        raise ValueError(f"must be an integer, got {value!r}")
+        raise ValueError(f"must be an integer, got {quote(value)}")
     return int(value)
 
 
 def real(value) -> float:
     # JSON numbers only: 2 and 2.5 pass, true, "2" and [2] do not
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {value!r}")
+        raise ValueError(f"must be a number, got {quote(value)}")
     try:
         return float(value)
     except OverflowError:  # an int past the float range reads as 1e400 does
@@ -27,13 +35,13 @@ def real(value) -> float:
 
 def flag(value) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
+        raise ValueError(f"must be true or false, got {quote(value)}")
     return value
 
 
 def text(value) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"must be a string, got {value!r}")
+        raise ValueError(f"must be a string, got {quote(value)}")
     return value
 
 
@@ -43,10 +51,14 @@ def read(obj, key, cast, default=..., where=""):
         if default is ...:
             raise ValueError(f"config field '{where}{key}' is required")
         return default
+    value = obj[key]
     try:
-        return cast(obj[key])
+        return cast(value)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"config field '{where}{key}': {exc}") from exc
+        reason = exc
+        if isinstance(cast, EnumMeta):  # its own message echoes the whole value
+            reason = f"must be one of {[m.value for m in cast]}, got {quote(value)}"
+        raise ValueError(f"config field '{where}{key}': {reason}") from exc
 
 
 def known(obj, keys, where=""):

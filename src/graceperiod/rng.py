@@ -103,10 +103,6 @@ class Stream:
         self._state = (self._state + GOLDEN) & _MASK
         return mix64(self._state)
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53-bit resolution."""
-        return (self.u64() >> 11) * _INV_2_53
-
     def u64_batch(self, n: int) -> np.ndarray:
         counters = np.empty(n, dtype=np.uint64)
         for lo in range(0, n, _ROUND):  # one _STEPS-length piece at a time

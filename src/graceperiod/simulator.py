@@ -524,9 +524,10 @@ def simulate_pair(
 
 def throughput_campaign(
     config: SimConfig, n_seeds: int, schedule: Schedule, offline: SimMetrics
-) -> tuple[np.ndarray, SimMetrics, BoundCheck]:
+) -> tuple[np.ndarray, BoundCheck]:
     """Many online runs of ``schedule`` under independent policy streams,
-    each against ``offline``, the schedule's offline baseline.
+    each against ``offline``, the schedule's offline baseline: each seed's
+    throughput ratio and their bound check.
 
     Seed ``i`` draws from ``stream(config.seed, "campaign", i)``.  All seeds
     replay together in one pass over the events, and each seed's ratio
@@ -542,7 +543,7 @@ def throughput_campaign(
         for row in extra:  # in event order, as a run of one seed sums them
             sum_extra += row
     ratios = (schedule.sum_rho + sum_extra) / offline.sum_gamma
-    return ratios, offline, _bound_check(ratios, offline.waste)
+    return ratios, _bound_check(ratios, offline.waste)
 
 
 # -- progress under multiplicative backoff ---------------------------------

@@ -256,11 +256,11 @@ def test_criterion_5_throughput_bound_campaign():
         config = config_from_dict(json.loads(raw))
         schedule = build_schedule(config)
         baseline = run_offline_baseline(config, schedule)
-        ratios, offline, check = throughput_campaign(config, 10_000, schedule, baseline)
+        ratios, check = throughput_campaign(config, 10_000, schedule, baseline)
         gate.check(
             f"{name}: mean ratio <= (2w+1)/(w+1) + 3 sigma", check.passed,
             f"lhs {check.lhs:.5f} vs rhs {check.rhs:.5f} + {check.margin:.5f} "
-            f"(w = {offline.waste:.4f}, {offline.n_conflicts} conflicts)",
+            f"(w = {baseline.waste:.4f}, {baseline.n_conflicts} conflicts)",
         )
         gate.check(f"{name}: bound strictly below 2", check.lhs < 2.0 and check.rhs < 2.0)
     elapsed = time.time() - t0

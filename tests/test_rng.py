@@ -94,7 +94,7 @@ def test_batches_do_not_share_memory_or_disturb_the_stream():
 def test_uniform_batch_matches_scalar():
     a, b = Stream(7), Stream(7)
     batch = a.uniform_batch(100)
-    scalars = np.array([b.uniform() for _ in range(100)])
+    scalars = np.array([(b.u64() >> 11) * 2**-53 for _ in range(100)])
     assert np.array_equal(batch, scalars)
 
 
@@ -134,7 +134,7 @@ def test_stream_columns_match_scalar_streams():
         assert columns.shape == (6, 40)
         for i in range(40):
             s = stream(72, *labels, i)
-            assert np.array_equal(columns[:, i], [s.uniform() for _ in range(6)])
+            assert np.array_equal(columns[:, i], [(s.u64() >> 11) * 2**-53 for _ in range(6)])
 
 
 def test_step_table_is_read_only():
@@ -199,9 +199,10 @@ def test_stream_helper():
     assert stream(5).u64() == Stream(5).u64()
 
 
-# The one scalar sampler: kept as a reference for the tests, and called nowhere
-# else in the package (GracePeriodStrategy.sample draws through sample_batch).
-SCALAR_SAMPLERS = {("Stream", "uniform")}
+# No scalar sampler is left in the package: GracePeriodStrategy.sample draws
+# through sample_batch, and the tests write their scalar reference,
+# (s.u64() >> 11) * 2**-53, themselves.
+SCALAR_SAMPLERS = set()
 SRC = Path(__file__).resolve().parent.parent / "src" / "graceperiod"
 
 

@@ -521,18 +521,17 @@ class TestThroughputBound:
             throughput_bound_check(m1, m2)
 
     def test_campaign_bound_holds(self):
-        ratios, offline, check = campaign(base_config(), 400)
+        ratios, check = campaign(base_config(), 400)
         assert check.passed
         assert simulator.N_SIGMA == 3.0 and check.margin == 3.0 * check.stderr
         assert check.lhs < 2.0
-        assert check.rhs < 2.0
-        assert 0 < offline.waste
+        assert 1.0 < check.rhs < 2.0  # (2w+1)/(w+1) of a positive waste w
 
     def test_campaign_matches_individual_runs(self):
         config = base_config()
         sched = build_schedule(config)
         offline = run_offline_baseline(config, sched)
-        ratios, _, _ = throughput_campaign(config, 5, sched, offline)
+        ratios, _ = throughput_campaign(config, 5, sched, offline)
         for i in range(5):
             m = run(config, sched, policy_stream=stream(config.seed, "campaign", i))
             assert ratios[i] == m.sum_gamma / offline.sum_gamma
@@ -541,11 +540,10 @@ class TestThroughputBound:
         config = base_config()
         sched = build_schedule(config)
         offline = run_offline_baseline(config, sched)
-        ratios, got_offline, check = throughput_campaign(config, 30, sched, offline)
-        assert got_offline is offline
+        ratios, check = throughput_campaign(config, 30, sched, offline)
         # a rebuilt schedule and baseline give the same campaign and pair
         again = campaign(config, 30)
-        assert np.array_equal(ratios, again[0]) and check == again[2]
+        assert np.array_equal(ratios, again[0]) and check == again[1]
         got_pair = simulate_pair(config, sched)
         assert got_pair == pair(config)
         assert got_pair[1] == replace(offline, global_ratio=1.0)
@@ -572,7 +570,7 @@ class TestThroughputBound:
             base_b = events["elapsed"] + config.cleanup_cost if config.dynamic_b else config.policy.B
             assert bool(np.any(events["b_cost"] > base_b)) == config.doubling_backoff, name
             assert policy_families(config, sched) == families, name
-            ratios, _, _ = throughput_campaign(config, ENGINE_SEEDS, sched, offline)
+            ratios, _ = throughput_campaign(config, ENGINE_SEEDS, sched, offline)
             expected = reference_campaign_ratios(config, sched, offline, ENGINE_SEEDS)
             assert np.array_equal(ratios, expected), name
 
@@ -675,8 +673,8 @@ def reference_build_schedule(config):
             t += -math.log(s.uniform_open_batch(1)[0]) / config.conflict_rate
             if t >= config.horizon:
                 break
-            thr = int(s.uniform() * config.n_threads)
-            candidates.append((t, thr, draw_k(s.uniform())))
+            thr = int((s.u64() >> 11) * 2**-53 * config.n_threads)
+            candidates.append((t, thr, draw_k((s.u64() >> 11) * 2**-53)))
     else:
         candidates = []
 
@@ -838,7 +836,7 @@ class TestScalarReference:
             assert_same_lengths(config, name)
             assert run(config, sched) == reference_run(config, sched), name
             offline = run_offline_baseline(config, sched)
-            ratios, _, _ = throughput_campaign(config, 3, sched, offline)
+            ratios, _ = throughput_campaign(config, 3, sched, offline)
             assert np.array_equal(
                 ratios, reference_campaign_ratios(config, sched, offline, 3)
             ), name
@@ -888,7 +886,7 @@ def reference_progress_commits(y, gamma, k, B, n_trials, seed, attempts) -> np.n
         s = stream(seed, "progress", trial)
         ok = False
         for a in range(attempts):
-            graces = [s.uniform() * (B * 2.0**a / (k - 1)) for _ in range(gamma)]
+            graces = [(s.u64() >> 11) * 2**-53 * (B * 2.0**a / (k - 1)) for _ in range(gamma)]
             ok = ok or all(x > y for x in graces)
         commits.append(ok)
     return np.array(commits)

@@ -105,7 +105,7 @@ def assert_engines_match_references(config):
     assert run(config, sched) == reference_run(config, sched)
     offline = run_offline_baseline(config, sched)
     assert offline == reference_offline(config, sched)
-    ratios, _, _ = throughput_campaign(config, CAMPAIGN_SEEDS, sched, offline)
+    ratios, _ = throughput_campaign(config, CAMPAIGN_SEEDS, sched, offline)
     expected = reference_campaign_ratios(config, sched, offline, CAMPAIGN_SEEDS)
     assert np.array_equal(ratios, expected)
 

@@ -440,7 +440,7 @@ class TestSampling:
         if family == "atom":  # its point, and no draw taken
             assert x == strat.support_max and s._state == ref._state
         else:  # the scalar stream's draw through the one quantile
-            assert x.hex() == float(strat.quantile(np.array([ref.uniform()]))[0]).hex()
+            assert x.hex() == float(strat.quantile(np.array([(ref.u64() >> 11) * 2**-53]))[0]).hex()
             assert s._state == ref._state
 
     def test_discrete_sampling_matches_pmf(self):
