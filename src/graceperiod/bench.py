@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .adversary import AdversaryModel, remaining_time, worst_case_for_det
-from .config import integral, known, quote, read, real
+from .config import MAX_COUNT, integral, known, quote, read, real
 from .costmodel import conflict_cost, opt_cost
 from .rng import _ROUND, stream
 from .strategy import ConflictMode, StrategySpec, Variant, check_abort_cost, make_strategy
@@ -67,8 +67,8 @@ class BenchConfig:
             object.__setattr__(self, name, read(vars(self), name, cast))
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
             raise ValueError(f"config field 'mu' must be positive and finite, got {self.mu}")
-        if self.trials < 1:
-            raise ValueError(f"config field 'trials' must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_COUNT:
+            raise ValueError(f"config field 'trials' must be 1 to {MAX_COUNT:g}, got {self.trials}")
         for name, what, allowed in (
             ("distributions", "distribution", DISTRIBUTIONS + (WORST_CASE_DIST,)),
             ("strategies", "strategy", STRATEGIES),

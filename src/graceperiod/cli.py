@@ -26,6 +26,7 @@ from importlib import resources
 import numpy as np
 
 from . import bench, oracle, simulator
+from .config import MAX_COUNT, quote
 from .strategy import (
     ConflictMode,
     StrategyKind,
@@ -57,24 +58,25 @@ def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"key {key!r} appears twice in one object")
+            raise ValueError(f"key {quote(key)} appears twice in one object")
         obj[key] = value
     return obj
 
 
 def _load_json(path: str) -> dict:
     resolved = _resolve_config_path(path)
+    where = quote(resolved)
     try:
         with open(resolved, "r", encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{resolved}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ValueError(f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
-        raise ValueError(f"{resolved}: nested too deeply") from exc
+        raise ValueError(f"{where}: nested too deeply") from exc
     except ValueError as exc:  # a repeated key, or bytes that are not UTF-8
-        raise ValueError(f"{resolved}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ValueError(f"{resolved}: a config must be a JSON object")
+        raise ValueError(f"{where}: a config must be a JSON object")
     return data
 
 
@@ -158,10 +160,10 @@ def _cmd_strategy_table(args) -> int:
 
 
 def count(text: str) -> int:
-    """An integer flag value of at least 1; argparse names the flag on error."""
+    """An integer flag value in [1, ``MAX_COUNT``]; argparse names the flag on error."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not 1 <= value <= MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be 1 to {MAX_COUNT:g}, got {value}")
     return value
 
 
@@ -226,6 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # its str has the whole path
+            exc = f"{exc.strerror}: {quote(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,8 @@ import math
 import reprlib
 from enum import EnumMeta
 
+MAX_COUNT = 10**7  # campaign seeds, table points, bench trials: arrays far below 1 GiB
+
 
 def quote(value) -> str:
     """``repr(value)`` cut short (a string to 30 characters, a list to six items
@@ -65,7 +67,7 @@ def known(obj, keys, where=""):
     """Reject a key no reader looks at, such as a misspelled one."""
     for key in obj:
         if key not in keys:
-            raise ValueError(f"config field '{where}{key}' is not a known field")
+            raise ValueError(f"config field '{where}{quote(key)[1:-1]}' is not a known field")
 
 
 def section(data, key, keys=None):

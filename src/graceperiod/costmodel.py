@@ -45,24 +45,24 @@ def opt_cost(k, B, y, out=None):
     return np.minimum(np.multiply(k - 1, y, out=out), B, out=out)
 
 
-def conflict_cost(mode: ConflictMode, k: int, B: float, x, y):
+def conflict_cost(mode: ConflictMode, k, B, x, y, out=None):
     """Total cost of grace ``x`` against remaining time ``y``; ties abort.
 
     The commit branch (``y < x``) costs ``(k-1)*y``; the abort branch costs
     ``k*x + B`` (requestor wins) or ``(k-1)*(x + B)`` (requestor aborts).
-    ``x`` and ``y`` (arrays, lists or floats) broadcast; the result is an
-    array (0-d for two floats).  Passing ``y = x`` gives the abort branch
-    alone.  That branch is formed in one float array, which int inputs upcast
-    into.
+    ``x``, ``y`` and arrays ``k`` and ``B`` broadcast; the result is an array
+    (0-d for two floats).  Passing ``y = x`` gives the abort branch alone.
+    That branch is formed in one float array (``out`` of ``x``'s shape when
+    given), which int inputs upcast into.
     """
     x, y = np.asarray(x), np.asarray(y)
     if mode is ConflictMode.REQUESTOR_WINS:
-        abort = np.multiply(k, x, dtype=float)
+        abort = np.multiply(k, x, out=out, dtype=float)
         abort += B
     else:
-        abort = np.add(x, B, dtype=float)
+        abort = np.add(x, B, out=out, dtype=float)
         abort *= k - 1
-    commit = y if k == 2 else (k - 1) * y  # at k = 2, (k-1)*y is y bit for bit
+    commit = y if not isinstance(k, np.ndarray) and k == 2 else (k - 1) * y  # (k-1)*y is y at 2
     return np.where(y < x, commit, abort)
 
 

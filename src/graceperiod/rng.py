@@ -25,6 +25,7 @@ _MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+_S11, _S27, _S30, _S31, _MA, _MB = map(np.uint64, (11, 27, 30, 31, _MIX_A, _MIX_B))  # built once
 _STR_TAG = 0x5F
 
 _INV_2_53 = 2.0 ** -53
@@ -43,16 +44,16 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_vec(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`mix64` of every element of ``z``, in ``out`` (a new array by
-    default, or ``z`` itself); ``z`` is left unmodified unless it is ``out``."""
-    tmp = np.right_shift(z, np.uint64(30))
+def _mix64_vec(z: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """:func:`mix64` of each ``z``, in ``out`` (new by default, or ``z``), with the uint64
+    ``tmp`` (new by default) as scratch; ``z`` is left unmodified unless it is ``out``."""
+    tmp = np.right_shift(z, _S30, out=tmp)
     out = np.bitwise_xor(z, tmp, out=out)
-    out *= np.uint64(_MIX_A)
-    np.right_shift(out, np.uint64(27), out=tmp)
+    out *= _MA
+    np.right_shift(out, _S27, out=tmp)
     out ^= tmp
-    out *= np.uint64(_MIX_B)
-    np.right_shift(out, np.uint64(31), out=tmp)
+    out *= _MB
+    np.right_shift(out, _S31, out=tmp)
     out ^= tmp
     return out
 
@@ -76,11 +77,13 @@ def derive_seed(seed: int, *tokens: int | str) -> int:
     return h
 
 
-def _to_unit(z: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each ``z`` as doubles; shifts ``z`` in place.  They
-    are below ``2**53``, so the int64 view converts them exactly."""
-    z >>= np.uint64(11)
-    return z.view(np.int64).astype(np.float64)
+def _to_unit(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each ``z`` times ``2**-53``, in ``out``; shifts ``z`` in place.
+    Below ``2**53``, the int64 view converts them exactly (copyto casts unbuffered)."""
+    z >>= _S11
+    np.copyto(out, z.view(np.int64))
+    out *= _INV_2_53
+    return out
 
 
 def open_uniform(u: np.ndarray) -> np.ndarray:
@@ -103,18 +106,18 @@ class Stream:
         self._state = (self._state + GOLDEN) & _MASK
         return mix64(self._state)
 
-    def u64_batch(self, n: int) -> np.ndarray:
-        counters = np.empty(n, dtype=np.uint64)
+    def u64_batch(self, n: int, out=None, scratch=None) -> np.ndarray:
+        counters = np.empty(n, dtype=np.uint64) if out is None else out
         for lo in range(0, n, _ROUND):  # one _STEPS-length piece at a time
             piece = counters[lo:lo + _ROUND]
             np.add(_STEPS[:piece.size], np.uint64(self._state), out=piece)
             self._state = (self._state + GOLDEN * piece.size) & _MASK
-        return _mix64_vec(counters, out=counters)
+        return _mix64_vec(counters, out=counters, tmp=scratch)
 
-    def uniform_batch(self, n: int) -> np.ndarray:
-        out = _to_unit(self.u64_batch(n))
-        out *= _INV_2_53
-        return out
+    def uniform_batch(self, n: int, out=None, scratch=None) -> np.ndarray:
+        """The next ``n`` uniforms in [0, 1), in ``out``, formed in the uint64 ``scratch``."""
+        out = np.empty(n) if out is None else out
+        return _to_unit(self.u64_batch(n, scratch, out.view(np.uint64)), out)
 
     def uniform_open_batch(self, n: int) -> np.ndarray:
         """``n`` uniform doubles in (0, 1): :func:`open_uniform` of the next
@@ -140,16 +143,20 @@ class Streams:
     def __init__(self, states: np.ndarray):
         self._states = np.array(states, dtype=np.uint64)  # a copy: advanced in place
 
-    def uniform_batch(self, m: int) -> np.ndarray:
-        """The next ``m`` uniform doubles in [0, 1) of every stream, shape ``(m, n)``."""
-        counters = np.empty((m, *self._states.shape), dtype=np.uint64)
+    def __getitem__(self, lanes: slice) -> Streams:
+        return Streams(self._states[lanes])  # a new block that advances on its own
+
+    def uniform_batch(self, m: int, out=None, scratch=None) -> np.ndarray:
+        """The next ``m`` uniform doubles in [0, 1) of every stream, shape ``(m, n)``,
+        in ``out`` and formed in ``scratch`` (``m*n`` elements each) as a Stream's are."""
+        shape = (m, *self._states.shape)
+        counters = np.empty(shape, dtype=np.uint64) if scratch is None else scratch.reshape(shape)
         for lo in range(0, m, _ROUND):  # one _STEPS-length piece at a time
             piece = counters[lo:lo + _ROUND]
             np.add(_STEPS[:len(piece), None], self._states, out=piece)
             self._states += _STEPS[len(piece) - 1]
-        out = _to_unit(_mix64_vec(counters, out=counters))
-        out *= _INV_2_53
-        return out
+        out = np.empty(shape) if out is None else out.reshape(shape)
+        return _to_unit(_mix64_vec(counters, out=counters, tmp=out.view(np.uint64)), out)
 
 
 def streams(seed: int, *tokens: int | str, n: int) -> Streams:

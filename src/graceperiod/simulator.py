@@ -39,11 +39,10 @@ validated against the same windows and rejected with line diagnostics.
 The schedule holds its admitted conflicts as one record array of dtype
 :data:`EVENT`, in time order, and the timelines' totals; the replays read
 the records' fields by name.  Admission bisects a thread's start array, the
-one copy of its timeline.  Its streams are drawn in blocks, and one chunked
-replay serves both a single run and a throughput campaign (one value per
-policy stream).
-Every sum keeps the one-by-one order, so results equal those of drawing one
-value at a time bit for bit, and each campaign seed equals its own run.
+one copy of its timeline.  Its streams are drawn in blocks.  One replay, in
+event x lane tiles by ``(family, k)`` group, serves a run and a campaign (a
+lane per policy stream).  Every sum keeps the one-by-one order, so results
+equal one-draw-at-a-time ones bit for bit, and a campaign seed equals its run.
 """
 
 from __future__ import annotations
@@ -53,24 +52,24 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, groupby
+from itertools import chain
 
 import numpy as np
 
 from .adversary import AdversaryModel, _solve_truncated_normal_loc, sample_length
-from .config import flag, integral, known, read, real, section, text
+from .config import flag, integral, known, quote, read, real, section, text
 from .costmodel import conflict_cost, opt_cost
 from .rng import Stream, Streams, open_uniform, stream, streams
 from .strategy import (
     MAX_ABORT_COST,
     MIN_ABORT_COST,
     ConflictMode,
-    GracePeriodStrategy,
     StrategySpec,
     Variant,
     check_abort_cost,
     check_chain_size,
     make_strategy,
+    mean_threshold,
 )
 
 __all__ = [
@@ -295,16 +294,15 @@ def parse_trace(path: str) -> list[tuple[float, int, int]]:
             if not text or text.startswith("#"):
                 continue
             parts = text.split()
+            where = f"{quote(path)}:{lineno}"
             if len(parts) != 3:
-                raise TraceError(
-                    f"{path}:{lineno}: expected 'time receiver_thread k', got {text!r}"
-                )
+                raise TraceError(f"{where}: expected 'time receiver_thread k', got {quote(text)}")
             try:
                 t, thr, k = float(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from exc
+            except ValueError:  # its message would echo the whole field
+                raise TraceError(f"{where}: expected numbers, got {quote(text)}") from None
             if t < last_t:
-                raise TraceError(f"{path}:{lineno}: conflict times must be nondecreasing")
+                raise TraceError(f"{where}: conflict times must be nondecreasing")
             last_t = t
             rows.append((t, thr, k))
     # simultaneous conflicts resolve in deterministic (time, thread) order
@@ -313,7 +311,7 @@ def parse_trace(path: str) -> list[tuple[float, int, int]]:
 
 
 def _check_trace_entry(config, entry, t, thr, k, next_allowed) -> None:
-    where = f"{config.trace_path}: entry {entry}"
+    where = f"{quote(config.trace_path)}: entry {entry}"
     if not 0 <= thr < config.n_threads:
         raise TraceError(f"{where}: thread {thr} out of range")
     try:
@@ -342,7 +340,7 @@ def _abort_cost_error(config, entry, t, thr, b_cost, mult) -> ValueError:
         msg += " (at a transaction's start, set cleanup_cost > 0)"
     if config.trace_path is None:
         return ValueError(msg)
-    return TraceError(f"{config.trace_path}: entry {entry}: {msg}")
+    return TraceError(f"{quote(config.trace_path)}: entry {entry}: {msg}")
 
 
 def build_schedule(config: SimConfig) -> Schedule:
@@ -402,35 +400,58 @@ def build_schedule(config: SimConfig) -> Schedule:
 
 # -- execution -------------------------------------------------------------
 
-_CHUNK_CELLS = 8192  # about this many (event, stream) cells per replay chunk
+_CHUNK_CELLS = 28672  # at most this many (event, lane) cells per replay tile
+
+
+def _groups(config: SimConfig, k: np.ndarray, b: np.ndarray) -> tuple[list, np.ndarray]:
+    """One strategy per ``(family, k)`` group, from its last event, and each event's group."""
+    key = 2 * k
+    if config.policy.variant is Variant.RANDOMIZED_CONSTRAINED:
+        for size in set(k.tolist()):
+            at = k == size
+            key[at] += config.policy.mu < mean_threshold(config.mode, size, b[at])
+    last = dict(zip(key.tolist(), range(len(key))))  # not np.unique: 0.4 MB at its first call
+    code = np.searchsorted(sorted(last), key)
+    return [make_strategy(config.policy_spec(k[i], b[i])) for _, i in sorted(last.items())], code
 
 
 def _online_replay(config: SimConfig, schedule: Schedule, lanes: Stream | Streams, n: int):
     """The online policy's replay of ``schedule`` under ``n`` streams at once.
 
-    Yields ``(rows, x, extra)`` for consecutive slices of at most
-    ``_CHUNK_CELLS // n`` events (at least one) that share one strategy, with
-    their ``(len, n)`` grace periods and costs (``(len, 1)`` at an atom).
-    ``lanes`` is ``run``'s one stream or the campaign's ``n``; a slice draws
-    through ``sample_batch``, and one elementwise call maps and costs it, so
-    each stream's results equal a replay of that stream alone, bit for bit.
+    Yields ``(rows, seeds, x, cost)`` per tile of at most ``_CHUNK_CELLS`` cells,
+    in event order: slices of events and lanes (split only when one event's row
+    does not fit), grace periods and costs (one column at an atom, which takes
+    no draws), overwritten by the next tile.  A tile draws into a workspace made
+    once per replay, maps each ``(family, k)`` group of its rows through that
+    inverse with the events' ``B`` column (in place for one group) and puts the
+    abort costs there too, as glibc may map and unmap each fresh array of 128
+    KiB or more.  The streams are counter-based (Salmon et al. 2011), so each
+    stream's results equal its own run's, bit for bit.
     """
-    events = schedule.events
-    y = events["y"]
-    strategies: dict[tuple[int, float], GracePeriodStrategy] = {}  # one per (k, B)
-    step = max(1, _CHUNK_CELLS // n)
-    hi = 0
-    for key, same in groupby(zip(events["k"].tolist(), events["b_cost"].tolist())):
-        lo, hi = hi, hi + sum(1 for _ in same)
-        if key not in strategies:
-            strategies[key] = make_strategy(config.policy_spec(*key))
-        strat = strategies[key]
-        k, b = strat.spec.k, strat.abort_cost
-        for start in range(lo, hi, step):
-            rows = slice(start, min(start + step, hi))
-            m = rows.stop - rows.start
-            x = strat.sample_batch(lanes, m).reshape(m, -1)
-            yield rows, x, conflict_cost(config.mode, k, b, x, y[rows, None])
+    strategies, code = _groups(config, schedule.events["k"], schedule.events["b_cost"])
+    # float k: the cost's k*x and (k-1)*y convert it exactly, once per replay
+    k, y, b = (schedule.events[name].astype(float)[:, None] for name in ("k", "y", "b_cost"))
+    charge = b - (config.policy.variant is Variant.DISCRETE_CLASSIC)  # day i aborts at i - 1 + B
+    width, step = min(n, _CHUNK_CELLS), max(1, min(_CHUNK_CELLS // n, len(code)))
+    work, scratch = np.empty(step * width), np.empty(step * width, dtype=np.uint64)
+    blocks = [(slice(lo, min(lo + width, n)), lanes if width == n else lanes[lo:lo + width])
+              for lo in range(0, n, width)]
+    starts = np.arange(0, len(code), step)
+    low, high = (f.reduceat(code, starts).tolist() for f in (np.minimum, np.maximum))
+    for lo, g0, g1 in zip(starts.tolist(), low, high):
+        rows, m = slice(lo, lo + step), min(step, len(code) - lo)
+        for seeds, block in blocks:
+            if config.policy.variant is Variant.DETERMINISTIC:
+                x = b[rows] / (k[rows] - 1)  # the point support_max
+            else:
+                cells = m * (seeds.stop - seeds.start)
+                x = block.uniform_batch(m, out=work[:cells], scratch=scratch[:cells]).reshape(m, -1)
+                for g in range(g0, g1 + 1):
+                    at = np.flatnonzero(code[rows] == g) if g0 < g1 else slice(None)
+                    part = x[at]
+                    x[at] = strategies[g].quantile(part, out=part, B=b[rows][at])
+            out = scratch[:x.size].view(np.float64).reshape(x.shape)  # the abort costs
+            yield rows, seeds, x, conflict_cost(config.mode, k[rows], charge[rows], x, y[rows], out)
 
 
 def _tally(config: SimConfig, schedule: Schedule, commit, extra) -> SimMetrics:
@@ -471,7 +492,7 @@ def run(config: SimConfig, schedule: Schedule, policy_stream: Stream | None = No
         policy_stream = stream(config.seed, "policy")
     y = schedule.events["y"]
     commit, extra = np.empty(len(y), dtype=bool), np.empty(len(y))
-    for rows, x, cost in _online_replay(config, schedule, policy_stream, 1):
+    for rows, _, x, cost in _online_replay(config, schedule, policy_stream, 1):
         commit[rows] = y[rows] < x[:, 0]
         extra[rows] = cost[:, 0]
     return _tally(config, schedule, commit, extra)
@@ -539,9 +560,11 @@ def throughput_campaign(
         raise ValueError("the offline baseline must replay the given schedule")
     lanes = streams(config.seed, "campaign", n=n_seeds)
     sum_extra = np.zeros(n_seeds)
-    for _, _, extra in _online_replay(config, schedule, lanes, n_seeds):
-        for row in extra:  # in event order, as a run of one seed sums them
-            sum_extra += row
+    for _, seeds, _, cost in _online_replay(config, schedule, lanes, n_seeds):
+        totals = sum_extra[seeds]
+        for row in cost:  # in event order, as a run of one seed sums them
+            totals += row
+        del cost, row  # the next tile's costs take their place
     ratios = (schedule.sum_rho + sum_extra) / offline.sum_gamma
     return ratios, _bound_check(ratios, offline.waste)
 
@@ -642,9 +665,12 @@ def config_from_dict(data: dict) -> SimConfig:
     chain = data.get("chain_size", 2)
     try:
         if isinstance(chain, dict):  # JSON object keys are strings
-            keys = [integral(float(k) if isinstance(k, str) else k) for k in chain]
+            try:
+                keys = [integral(float(k) if isinstance(k, str) else k) for k in chain]
+            except ValueError:  # float()'s message would echo the whole key
+                raise ValueError(f"keys must be integers, got {quote(list(chain))}") from None
             if len(set(keys)) < len(keys):
-                raise ValueError(f"a chain size appears twice in {list(chain)}")
+                raise ValueError(f"a chain size appears twice in {quote(list(chain))}")
             chain = dict(zip(keys, map(real, chain.values())))
         else:
             chain = integral(chain)

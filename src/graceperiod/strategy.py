@@ -222,10 +222,10 @@ def det_competitive_ratio(k: int) -> float:
     return 2.0 + 1.0 / (check_chain_size(k) - 1)
 
 
-def mean_threshold(mode: ConflictMode, k: int, B: float) -> float:
+def mean_threshold(mode: ConflictMode, k: int, B):
     """The adversary mean below which the mean-aware density does better: where
-    its objective ``1 + lambda2*mu`` crosses the unconstrained ratio
-    ``lambda1`` (the switch point of constrained ski rental).
+    its objective ``1 + lambda2*mu`` crosses the unconstrained ratio ``lambda1``
+    (the switch point of constrained ski rental), elementwise for an array ``B``.
 
     ``(lambda1_unc - 1)/lambda2_con`` is ``2B(ln4-1)`` at RW ``k = 2``,
     ``2B(q-2)/((k-2)(q-1))`` at RW ``k >= 3`` and ``2Bg/((k-1)eps)`` at RA.
@@ -243,15 +243,15 @@ def threshold_condition(spec: StrategySpec) -> bool:
     return spec.mu < mean_threshold(spec.mode, spec.k, spec.B)
 
 
-def lagrange_corner(mode: ConflictMode, k: int, B: float, constrained: bool) -> tuple[float, float]:
+def lagrange_corner(mode: ConflictMode, k: int, B, constrained: bool) -> tuple[float, float]:
     """Dual corner point ``(lambda1, lambda2)`` for the given regime.
 
-    The unconstrained corner has ``lambda2 = 0``; the constrained corner is
-    the binding point where the density vanishes at ``x = 0``.  The cost
-    identity ``Cost(p, y)/((k-1)*y) = lambda1 + lambda2*y`` holds for the
-    matching density on the whole support.
+    The unconstrained corner has ``lambda2 = 0``; the constrained corner is the
+    binding point where the density vanishes at ``x = 0``.  The cost identity
+    ``Cost(p, y)/((k-1)*y) = lambda1 + lambda2*y`` holds for the matching
+    density on the whole support; an array ``B`` of checked costs gives each corner.
     """
-    k, B = check_chain_size(k), check_abort_cost(B)
+    k, B = check_chain_size(k), B if isinstance(B, np.ndarray) else check_abort_cost(B)
     family = _RESOLVE[mode, constrained][k > 2]
     return _FAMILIES[family].corner(k, B, _params(family, k))
 
@@ -614,13 +614,13 @@ class GracePeriodStrategy:
         u = stream.uniform_batch(n)
         return self.quantile(u, out=u)
 
-    def quantile(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def quantile(self, u: np.ndarray, out: np.ndarray | None = None, B=None) -> np.ndarray:
         """Grace periods for uniforms ``u`` in [0, 1): the inverse CDF, written
         into ``out`` (a new array by default; it may be ``u`` itself).
 
         Every sampler maps its draws through this one function, so a draw
         gives the same bits whichever sampler made it.  An atom takes no
-        draws and has none.
+        draws and has none.  A density scales by ``B``: an array ``B`` maps each draw.
         """
         if self.kind is StrategyKind.ATOM:
             raise ValueError(f"the {self.family} strategy takes no draws")
@@ -629,7 +629,8 @@ class GracePeriodStrategy:
         if self.kind is StrategyKind.DISCRETE_PMF:
             days = np.searchsorted(self.params["cumulative"], u, side="right")
             return np.add(days, 1.0, out=out)
-        return _FAMILIES[self.family].inverse(u, self.spec.k, self.spec.B, self.params, out)
+        B = self.spec.B if B is None else B
+        return _FAMILIES[self.family].inverse(u, self.spec.k, B, self.params, out)
 
 
 def stacked_pdf(strategies) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

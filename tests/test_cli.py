@@ -11,6 +11,7 @@ import pytest
 
 from graceperiod import strategy as strategy_module
 from graceperiod.cli import main
+from graceperiod.config import quote
 from graceperiod.simulator import config_from_dict
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -304,7 +305,7 @@ class TestConfigFile:
         cfg.write_text(text)
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {cfg}: key {key!r} appears twice in one object\n", err
+        assert err == f"error: {quote(str(cfg))}: key {key!r} appears twice in one object\n", err
 
     @pytest.mark.parametrize("command", ["simulate", "bench-synthetic"])
     def test_deep_nesting_is_rejected(self, tmp_path, capsys, command):
@@ -312,7 +313,7 @@ class TestConfigFile:
         cfg = tmp_path / "deep.json"
         cfg.write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}")
         assert main([command, "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}: nested too deeply\n"
+        assert capsys.readouterr().err == f"error: {quote(str(cfg))}: nested too deeply\n"
 
     @pytest.mark.parametrize("value", [1.5, True])
     def test_bad_value_reads_alike_in_both_commands(self, value):
@@ -349,6 +350,33 @@ class TestConfigFile:
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err and len(err) < 250, err[:300]
+
+    KEY = "k" * 100_000
+
+    @pytest.mark.parametrize("text,field", [
+        (_sim_text(f'"{KEY}": 1'), "is not a known field"),
+        (_sim_text(f'"chain_size": {{"{KEY}": 1}}'), "'chain_size'"),
+        (_sim_text(f'"{KEY}": 1, "{KEY}": 2'), "appears twice"),
+        (json.dumps(dict(SIM_CONFIG, conflict_schedule={"kind": "trace", "path": KEY})),
+         quote(KEY)),
+    ], ids=["unknown-key", "chain_size-key", "repeated-key", "trace-path"])
+    def test_echoed_key_or_path_is_cut_short(self, tmp_path, capsys, text, field):
+        # each was echoed whole, in one error line of about 100 KB
+        cfg = tmp_path / "long.json"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+        assert field in err and len(err.encode()) < 250, err[:300]
+
+    def test_long_config_path_is_cut_short(self, capsys):
+        # a 5,000-character --config path was echoed whole by open()'s error
+        path = "p" * 5_000
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+        # the path, resolved against a config directory, ends the line cut short
+        assert err.endswith("p" * 13 + "'\n") and len(err.encode()) < 250, err[:300]
 
     def test_bench_does_not_import_simulator(self):
         # bench reads its config through graceperiod.config, not the simulator's casts

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graceperiod import bench
+from graceperiod.config import quote
 from graceperiod.simulator import SimConfig, TraceError, config_from_dict, parse_trace
 
 SIM_BASE = {
@@ -51,6 +52,11 @@ def assert_names_one_of(exc, names):
     assert any(name in str(exc) for name in names), (str(exc), names)
 
 
+def escaped(name):
+    # a field is named as config.quote prints it: escaped and cut short
+    return quote(name)[1:-1]
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_simulate_config(data):
@@ -65,7 +71,7 @@ def test_simulate_config(data):
     try:
         assert isinstance(config_from_dict(config), SimConfig)
     except ValueError as exc:
-        assert_names_one_of(exc, edited)
+        assert_names_one_of(exc, [escaped(name) for name in edited])
 
 
 @settings(max_examples=200)
@@ -78,7 +84,7 @@ def test_bench_config(data):
     try:
         assert isinstance(bench.config_from_dict(config), bench.BenchConfig)
     except ValueError as exc:
-        assert_names_one_of(exc, [f"'{key}'" for key in config])
+        assert_names_one_of(exc, [f"'{escaped(key)}'" for key in config])
 
 
 trace_token = st.integers().map(str) | st.floats().map(repr) | st.text(
@@ -94,6 +100,6 @@ def test_trace(tmp_path, content):
     try:
         rows = parse_trace(str(path))
     except TraceError as exc:
-        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+        assert re.match(rf"{re.escape(quote(str(path)))}:\d+: ", str(exc)), str(exc)
     else:
         assert all(isinstance(t, float) and type(thr) is type(k) is int for t, thr, k in rows)

@@ -154,10 +154,12 @@ def test_u64_batch_equals_an_arange_reference(n):
 
 
 def test_to_unit_keeps_the_top_53_bits_exactly():
-    ends = _to_unit(np.array([0, 2**64 - 1], dtype=np.uint64))
-    assert (ends * 2.0**-53).tolist() == [0.0, (2**53 - 1) * 2.0**-53]
+    ends = _to_unit(np.array([0, 2**64 - 1], dtype=np.uint64), np.empty(2))
+    assert ends.tolist() == [0.0, (2**53 - 1) * 2.0**-53]
     z = Stream(17).u64_batch(1000)
-    assert np.array_equal(_to_unit(z.copy()), (z >> np.uint64(11)).astype(np.float64))
+    out = np.empty(1000)
+    assert _to_unit(z.copy(), out) is out
+    assert np.array_equal(out, (z >> np.uint64(11)).astype(np.float64) * 2.0**-53)
 
 
 @pytest.mark.parametrize("m", [0, 1, 3, _ROUND + 1])

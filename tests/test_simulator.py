@@ -9,6 +9,7 @@ from itertools import accumulate
 from dataclasses import fields, replace
 from importlib import resources
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from graceperiod.simulator import (
 )
 from graceperiod.strategy import (
     ConflictMode,
+    GracePeriodStrategy,
     StrategyKind,
     StrategySpec,
     Variant,
@@ -87,6 +89,15 @@ def one_thread_schedule(k, ys, B):
     one per transaction, for replaying by hand."""
     events = np.array([(float(i), 0, k, y, i, 0.0, B) for i, y in enumerate(ys)], dtype=EVENT)
     return Schedule(events, 1, 1, 1.0, "")
+
+
+def replay(config, sched, lanes, n):
+    """The replay's grace periods and costs, each an ``(events, n)`` array
+    assembled from its tiles (an atom's one column stands for every lane)."""
+    x, costs = np.empty((2, len(sched.events), n))
+    for rows, seeds, tile_x, cost in simulator._online_replay(config, sched, lanes, n):
+        x[rows, seeds], costs[rows, seeds] = tile_x, cost
+    return x, costs
 
 
 def pair(config):
@@ -289,10 +300,10 @@ class TestMicroTrace:
         # one pass: a time decrease on line 3 is named before a malformed line 4
         path = tmp_path / "two_faults.txt"
         path.write_text("# t thread k\n10 0 2\n5 1 2\n20 0\n")
-        with pytest.raises(TraceError, match=r"two_faults.txt:3: conflict times must be"):
+        with pytest.raises(TraceError, match=r"faults.txt':3: conflict times must be"):
             parse_trace(str(path))
         path.write_text("10 0 2\n20 0\n5 1 2\n")
-        with pytest.raises(TraceError, match=r"two_faults.txt:2: expected"):
+        with pytest.raises(TraceError, match=r"faults.txt':2: expected"):
             parse_trace(str(path))
 
     def test_online_mean_extra_matches_closed_form(self, tmp_path):
@@ -302,8 +313,7 @@ class TestMicroTrace:
         config = micro_trace_config(tmp_path, "10 0 2\n")
         sched = build_schedule(config)
         n = 10_000
-        [(_, _, cost)] = simulator._online_replay(config, sched, streams(config.seed, "mc", n=n), n)
-        extras = cost[0]
+        _, [extras] = replay(config, sched, streams(config.seed, "mc", n=n), n)
         for i in (0, 4321, n - 1):  # each lane is that seed's single run
             single = run(config, sched, policy_stream=stream(config.seed, "mc", i))
             assert extras[i] == single.sum_extra
@@ -322,13 +332,19 @@ class TestMicroTrace:
         pmf, cum = strat.params["pmf"], strat.params["cumulative"]
         ys = np.arange(0.5, 130.0, 0.5)
         sched = one_thread_schedule(2, ys, B)
-        # one lane per day: each lane's uniform maps to its own day; a fresh block
-        # per call, as a stream's is, since sample_batch maps it in place
-        day_uniforms = np.broadcast_to(cum - 0.5 * pmf, (len(ys), len(pmf)))
-        lanes = SimpleNamespace(uniform_batch=lambda m: day_uniforms[:m].copy())
-        chunks = list(simulator._online_replay(config, sched, lanes, len(pmf)))
-        assert all(np.array_equal(row, np.arange(1.0, B + 1.0)) for _, x, _ in chunks for row in x)
-        simulated = np.concatenate([cost for _, _, cost in chunks]) @ pmf
+        # one lane per day: each lane's uniform maps to its own day, written into
+        # the replay's workspace as a stream's draws are
+        day_uniforms = cum - 0.5 * pmf
+
+        def uniform_batch(m, out, scratch):
+            out = out.reshape(m, -1)
+            out[:] = day_uniforms
+            return out
+
+        lanes = SimpleNamespace(uniform_batch=uniform_batch)
+        x, costs = replay(config, sched, lanes, len(pmf))
+        assert all(np.array_equal(row, np.arange(1.0, B + 1.0)) for row in x)
+        simulated = costs @ pmf
         assert np.allclose(simulated, batch_expected_costs(strat, ys), rtol=1e-12, atol=0.0)
         worst = float(np.max(simulated / opt_cost(2, B, ys)))
         optimum = competitive_ratio(config.policy_spec(2, B)).theoretical_ratio
@@ -359,10 +375,7 @@ class TestMicroTrace:
         if family == "discrete_classic":
             ys = np.array([0.5, 37.0, 37.5, 99.5, 100.0, 150.0])  # ties at integer days
         sched = one_thread_schedule(k, ys, B)
-        # an atom's (len, 1) costs stand for every lane
-        costs = np.concatenate([np.broadcast_to(cost, (len(cost), n)) for _, _, cost in (
-            simulator._online_replay(config, sched, streams(config.seed, "mc", n=n), n)
-        )])
+        _, costs = replay(config, sched, streams(config.seed, "mc", n=n), n)
         stderr = costs.std(axis=1, ddof=1) / math.sqrt(n)
         expected = batch_expected_costs(strat, ys)
         assert np.all(np.abs(costs.mean(axis=1) - expected) <= 4.0 * stderr + 1e-12 * expected)
@@ -379,7 +392,7 @@ class TestMicroTrace:
         # they used to raise a UnicodeDecodeError that named no line
         path = tmp_path / "bytes.txt"
         path.write_bytes(b"# \xff in a comment\n10 0 2\n20 \xff 2\n")
-        with pytest.raises(TraceError, match=r"bytes.txt:3: .*'\\udcff'"):
+        with pytest.raises(TraceError, match=r"bytes.txt':3: .*\\udcff"):
             parse_trace(str(path))
 
     def test_trace_chain_size_past_the_float_range_rejected(self, tmp_path):
@@ -510,6 +523,44 @@ class TestRunInvariants:
         # elapsed = 10, cleanup = 5 -> B = 15, det grace x = 15 < y = 40: abort
         assert metrics.abort_branches == 1
         assert metrics.sum_extra == pytest.approx(2 * 15.0 + 15.0)
+
+
+class TestReplayTiles:
+    def test_inverse_calls_are_at_most_groups_times_tiles(self):
+        # mixed chain sizes under dynamic_b, crossing the mean threshold: one
+        # inverse call per (family, k) group of each tile, where the replay
+        # that cut the schedule into runs of equal (k, B) made one per event
+        config = base_config(
+            policy=PolicyConfig(Variant.RANDOMIZED_CONSTRAINED, 100.0, mu=10.0),
+            chain_size={2: 1.0, 3: 1.0, 8: 1.0}, dynamic_b=True, cleanup_cost=5.0,
+        )
+        sched = build_schedule(config)
+        strategies, _ = simulator._groups(config, sched.events["k"], sched.events["b_cost"])
+        assert len({s.mean_aware for s in strategies}) == 2  # both sides of the threshold
+        tiles = -(-len(sched.events) // simulator._CHUNK_CELLS)
+        quantile = GracePeriodStrategy.quantile
+        with mock.patch.object(GracePeriodStrategy, "quantile", autospec=True,
+                               side_effect=quantile) as inverse:
+            metrics = run(config, sched)
+        assert inverse.call_count <= len(strategies) * tiles < len(sched.events) / 50
+        assert metrics == reference_run(config, sched)
+
+    def test_campaign_peak_memory_is_its_arrays_and_one_cost_tile(self):
+        # the 10k-seed stress_high campaign holds its ratios, stream states and
+        # sums, the workspace (two tiles) and one cost tile, np.where's result,
+        # with its mask and a cast buffer; a temporary per tile would not fit
+        config = bundled_config("stress_high.json", 72)
+        sched = build_schedule(config)
+        offline = run_offline_baseline(config, sched)
+        n = 10_000
+        cells = min(simulator._CHUNK_CELLS // n, len(sched.events)) * n
+        tracemalloc.start()
+        try:
+            throughput_campaign(config, n, sched, offline)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * n + 3 * cells) + cells + 2**16, peak
 
 
 class TestThroughputBound:
