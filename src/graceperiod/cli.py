@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
@@ -47,9 +46,9 @@ def _resolve_config_path(path: str) -> str:
         candidate = os.path.join(env_dir, path)
         if os.path.exists(candidate):
             return candidate
-    bundled = resources.files("graceperiod").joinpath("configs", path)
-    if bundled.is_file():
-        return str(bundled)
+    bundled = os.path.join(os.path.dirname(__file__), "configs", path)
+    if os.path.isfile(bundled):
+        return bundled
     return path  # let open() raise a clean FileNotFoundError
 
 

@@ -39,8 +39,9 @@ cancel there.  ``q`` and ``g`` are evaluated as ``exp((k-1)*log1p(1/(k-1)))``
 and as a positive series for ``(expm1(t) - t)/t``, ``t = 1/(k-1)``, so they
 hold to rounding at every ``k``.
 
-Each density is one row of ``_FAMILIES`` with its cdf, partial moment and
-dual corner ``(lambda1, lambda2)``.  The constrained (mean-aware) densities
+Every law is one row of ``_FAMILIES``, with its kind, cdf, partial moment,
+inverse and dual corner ``(lambda1, lambda2)``: the six densities, the atom
+and the discrete classic's day pmf.  The constrained (mean-aware) densities
 apply while the adversary mean stays below :func:`mean_threshold`, derived
 from the two corners.  They are optimal among densities on ``[0, B/(k-1)]``
 only, a cap that is part of the model: waiting longer does better against an
@@ -160,7 +161,7 @@ class StrategySpec:
         object.__setattr__(self, "B", check_abort_cost(self.B))
         if self.mu is not None:
             if not 0.0 <= self.mu <= sys.float_info.max:
-                raise ValueError(f"mean mu must be nonnegative, got {self.mu}")
+                raise ValueError(f"mean mu must be nonnegative and finite, got {self.mu}")
             object.__setattr__(self, "mu", float(self.mu))
         if self.variant is Variant.RANDOMIZED_CONSTRAINED and self.mu is None:
             raise ValueError("randomized_constrained requires a known mean mu")
@@ -257,27 +258,29 @@ def lagrange_corner(mode: ConflictMode, k: int, B, constrained: bool) -> tuple[f
 
 
 class _Family(NamedTuple):
-    """One closed-form density family, as functions of ``u = x/B``.
+    """One grace-period law, as functions of ``u = x/unit`` on the support:
+    ``unit`` is ``B`` for a density and 1 for the atom and the day pmf.
 
-    ``pdf`` is the density in ``x`` and ``cdf`` its distribution function,
-    both called as ``(u, k, B, p)``; ``moment`` is the partial first moment
-    ``m(u)``, with ``integral_0^x t pdf(t) dt = B*m(x/B)``, and
-    ``corner(k, B, p)`` the dual corner ``(lambda1, lambda2)`` at which the
-    density meets the cost identity of :func:`lagrange_corner`.  ``inverse``
-    maps uniforms to grace periods, in closed form or from the family's
-    table (:func:`_tabulated_inverse`), as ``(u, k, B, p, out)``: it writes
-    them into ``out``, a float array of ``u``'s shape that may be ``u``.
-    ``params(k)`` precomputes the family's constants, which :func:`_params`
-    caches.
+    ``pdf`` is the density in ``x`` (the pmf at whole days; the atom has
+    none) and ``cdf`` its distribution function, both called as ``(u, k, B,
+    p)``; ``moment`` is the partial first moment ``m(u)``, with ``E[grace;
+    grace <= x] = unit*m(x/unit)``, and ``corner(k, B, p)`` the dual corner
+    ``(lambda1, lambda2)`` of :func:`lagrange_corner` (``lambda1`` the
+    worst-case ratio of the atom and the day pmf).  ``inverse`` maps
+    uniforms to grace periods as ``(u, k, B, p, out)``, writing them into
+    ``out``, a float array of ``u``'s shape that may be ``u``; the atom takes
+    no draws and has none.  ``params(k)`` precomputes a density's constants,
+    which :func:`_params` caches.
     """
 
-    pdf: Callable
+    pdf: Callable | None
     cdf: Callable
     moment: Callable
     corner: Callable
-    inverse: Callable
+    inverse: Callable | None
     params: Callable = lambda k: {}
     mean_aware: bool = False  # built from the known mean mu (constrained)
+    kind: StrategyKind = StrategyKind.CONTINUOUS_PDF
 
 
 # below this u the rw_log cdf and moment and the ra_expm1 cdf, whose closed
@@ -335,15 +338,6 @@ def _below_cut(closed, u, coefs, first=0):
 def _rw_log_moment(u):
     closed = 0.5 * (u * u - 1.0) * np.log1p(u) - 0.25 * u * u + 0.5 * u
     return _below_cut(closed, u, _LOG_MOMENT, 1) / LN4_MINUS_1
-
-
-def _rw_log_cdf(u):
-    return _below_cut((1.0 + u) * np.log1p(u) - u, u, _LOG_CDF) / LN4_MINUS_1
-
-
-def _ra_expm1_cdf(u, k, p):
-    # expm1(u) - u = u**2 * sum_j u**j / (j+2)!
-    return (k - 1) * _below_cut(np.expm1(u) - u, u, _EXPM1_RATIO) / p["g"]
 
 
 # The inverse cdf of a family without a closed form, tabulated per k in w =
@@ -404,6 +398,12 @@ def _tabulated_inverse(family: str, u, k, B, p, out):
     return np.clip(s, 0.0, B / (k - 1), out=s)
 
 
+def _days(x, prefix):
+    # prefix at the last day up to x on [0, B], 0 before day 1; a NaN x stays NaN
+    idx = np.floor(np.nan_to_num(x)).astype(int) - 1
+    return np.where(np.isnan(x), x, np.where(idx < 0, 0.0, prefix[idx]))
+
+
 def _rw_power_inverse(u, k, B, p, out):
     x = np.log1p(np.multiply(u, p["q"] - 1.0, out=out), out=out)
     x /= k - 1
@@ -422,7 +422,7 @@ _FAMILIES = {
     ),
     "rw_log": _Family(
         pdf=lambda u, k, B, p: np.log1p(u) / (B * LN4_MINUS_1),
-        cdf=lambda u, k, B, p: _rw_log_cdf(u),
+        cdf=lambda u, k, B, p: _below_cut((1.0 + u) * np.log1p(u) - u, u, _LOG_CDF) / LN4_MINUS_1,
         moment=lambda u, k, B, p: _rw_log_moment(u),
         corner=lambda k, B, p: (1.0, 1.0 / (2.0 * B * LN4_MINUS_1)),
         inverse=partial(_tabulated_inverse, "rw_log"),
@@ -463,12 +463,35 @@ _FAMILIES = {
     ),
     "ra_expm1": _Family(
         pdf=lambda u, k, B, p: (k - 1) * np.expm1(u) / (B * p["g"]),
-        cdf=lambda u, k, B, p: _ra_expm1_cdf(u, k, p),
+        # expm1(u) - u = u**2 * sum_j u**j / (j+2)!
+        cdf=lambda u, k, B, p: (k - 1) * _below_cut(np.expm1(u) - u, u, _EXPM1_RATIO) / p["g"],
         moment=lambda u, k, B, p: (k - 1) * u * u * _series(_EXP_MOMENT, u, 1) / p["g"],
         corner=lambda k, B, p: (1.0, (k - 1) / (2.0 * B * p["g"])),
         inverse=partial(_tabulated_inverse, "ra_expm1"),
         params=lambda k: {"g": _g(k)},
         mean_aware=True,
+    ),
+    "atom": _Family(  # a step at the point support_max = B/(k-1); NaN stays NaN
+        pdf=None,
+        cdf=lambda u, k, B, p: np.heaviside(u - B / (k - 1), 1.0),
+        moment=lambda u, k, B, p: np.heaviside(u - B / (k - 1), 1.0) * (B / (k - 1)),
+        corner=lambda k, B, p: (det_competitive_ratio(k), 0.0),
+        inverse=None,
+        kind=StrategyKind.ATOM,
+    ),
+    "discrete_classic": _Family(
+        # u = x is on [0, B]: day i in 1..B has pmf[i - 1]
+        pdf=lambda u, k, B, p: np.where(
+            (u >= 1.0) & (u == np.round(u)), p["pmf"][np.maximum(u, 1.0).astype(int) - 1], 0.0
+        ),
+        cdf=lambda u, k, B, p: _days(u, p["cumulative"]),
+        moment=lambda u, k, B, p: _days(u, p["moments"]),
+        # the day-granular optimum; e/(e-1) is its limit as B grows
+        corner=lambda k, B, p: (1.0 / (1.0 - (1.0 - 1.0 / B) ** B), 0.0),
+        inverse=lambda u, k, B, p, out: np.add(
+            np.searchsorted(p["cumulative"], u, side="right"), 1.0, out=out
+        ),
+        kind=StrategyKind.DISCRETE_PMF,
     ),
 }
 
@@ -491,20 +514,16 @@ _RESOLVE = {
 }
 
 
-# the families that are not continuous densities
-_KINDS = {"atom": StrategyKind.ATOM, "discrete_classic": StrategyKind.DISCRETE_PMF}
-
-
 @dataclass(frozen=True)
 class GracePeriodStrategy:
     """A realized distribution over grace periods.
 
-    ``family`` selects the closed form (a row of ``_FAMILIES`` for the
-    continuous kind); ``params`` carries its precomputed constants, for a
-    density the read-only mapping :func:`_params` shares per ``(family, k)``.
-    ``kind``, which follows from the family, distinguishes atoms (the point
-    ``support_max``), continuous densities on ``[0, support_max]``, and the
-    integer-day pmf of the discrete classic.
+    ``family`` selects its row of ``_FAMILIES``; ``params`` carries the
+    row's precomputed constants, for a density the read-only mapping
+    :func:`_params` shares per ``(family, k)``, for the day pmf its tables.
+    ``kind``, the row's, distinguishes atoms (the point ``support_max``),
+    continuous densities on ``[0, support_max]``, and the integer-day pmf of
+    the discrete classic.
     """
 
     spec: StrategySpec
@@ -513,7 +532,7 @@ class GracePeriodStrategy:
 
     @property
     def kind(self) -> StrategyKind:
-        return _KINDS.get(self.family, StrategyKind.CONTINUOUS_PDF)
+        return _FAMILIES[self.family].kind
 
     @property
     def support_max(self) -> float:
@@ -529,65 +548,46 @@ class GracePeriodStrategy:
     @property
     def mean_aware(self) -> bool:
         """True for the constrained densities built from the known mean."""
-        row = _FAMILIES.get(self.family)
-        return row is not None and row.mean_aware
+        return _FAMILIES[self.family].mean_aware
+
+    @property
+    def _unit(self) -> float:
+        """What the row's functions divide ``x`` by: ``B`` for a density, else 1."""
+        return self.spec.B if self.kind is StrategyKind.CONTINUOUS_PDF else 1.0
 
     # -- evaluation -----------------------------------------------------
 
     def pdf(self, x):
         """Density at ``x`` (pmf value at integer days for the discrete kind)."""
-        if self.kind is StrategyKind.ATOM:
-            raise ValueError("atom strategies have no density")
+        row = _FAMILIES[self.family]
+        if row.pdf is None:
+            raise ValueError(f"{self.family} strategies have no density")
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
         inside = (xs >= 0.0) & (xs <= self.support_max)
-        if self.kind is StrategyKind.DISCRETE_PMF:  # day i in 1..B has pmf[i - 1]
-            inside &= (xs >= 1.0) & (xs == np.round(xs))
-            days = np.where(inside, xs, 1.0).astype(int)
-            vals = np.where(inside, self.params["pmf"][days - 1], 0.0)
-        else:
-            u = np.where(inside, xs, 0.0) / self.spec.B
-            vals = np.where(inside, self._pdf_inside(u), 0.0)
+        u = np.where(inside, xs, 0.0) / self._unit
+        vals = np.where(inside, row.pdf(u, self.spec.k, self.spec.B, self.params), 0.0)
         return float(vals[0]) if scalar else vals
 
     def cdf(self, x):
         """``P(grace <= x)``: a step at an atom's point, and for the day pmf the
         mass of the days up to ``x``.  A NaN ``x`` stays NaN."""
-        return self._cumulative(x, "cumulative", 1.0, self._cdf_inside)
+        return self._cumulative(x, _FAMILIES[self.family].cdf)
 
     def moment(self, x):
         """Partial first moment ``E[grace; grace <= x]``, ``integral_0^x t pdf(t) dt``
         for a density; the mean past the support.  A NaN ``x`` stays NaN."""
-        return self._cumulative(x, "moments", self.support_max, self._moment_inside)
+        return self._unit * self._cumulative(x, _FAMILIES[self.family].moment)
 
-    def _cumulative(self, x, prefix: str, atom: float, inside):
-        """``inside(x/B)`` on a density's support, ``atom`` from an atom's point on,
-        or the day pmf's ``params[prefix]`` at the last day up to ``x``; 0 below
-        the support, and a NaN ``x`` stays NaN (it is never cast to a day)."""
+    def _cumulative(self, x, law):
+        """``law(x/unit)`` at ``x`` clamped to the support, so 0 below it (every
+        row's cdf and moment are 0 at 0) and the total past it."""
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        clamped = np.clip(xs, 0.0, self.support_max)
-        if self.kind is StrategyKind.CONTINUOUS_PDF:  # every family's cdf and moment are 0 at u = 0
-            vals = inside(clamped / self.spec.B)
-        else:
-            if self.kind is StrategyKind.ATOM:
-                vals = np.where(xs >= self.support_max, atom, 0.0)
-            else:  # days 1..floor(x)
-                idx = np.floor(np.nan_to_num(clamped)).astype(int) - 1
-                vals = np.where(idx < 0, 0.0, self.params[prefix][idx])
-            vals = np.where(np.isnan(xs), xs, vals)
+        clamped = np.clip(np.atleast_1d(xs), 0.0, self.support_max)
+        vals = law(clamped / self._unit, self.spec.k, self.spec.B, self.params)
         return float(vals[0]) if scalar else vals
-
-    def _pdf_inside(self, u):
-        return _FAMILIES[self.family].pdf(u, self.spec.k, self.spec.B, self.params)
-
-    def _cdf_inside(self, u):
-        return _FAMILIES[self.family].cdf(u, self.spec.k, self.spec.B, self.params)
-
-    def _moment_inside(self, u):
-        return self.spec.B * _FAMILIES[self.family].moment(u, self.spec.k, self.spec.B, self.params)
 
     def exact_pmf(self, i: int) -> Fraction:
         """Rational pmf value for the discrete classic (exact arithmetic)."""
@@ -609,7 +609,7 @@ class GracePeriodStrategy:
     def sample_batch(self, stream: Stream | Streams, n: int) -> np.ndarray:
         """``n`` grace periods from each stream, shape ``(n,)`` or ``(n, lanes)``;
         atoms repeat their point, shape ``(n,)``, without consuming draws."""
-        if self.kind is StrategyKind.ATOM:
+        if _FAMILIES[self.family].inverse is None:
             return np.full(n, self.support_max)
         u = stream.uniform_batch(n)
         return self.quantile(u, out=u)
@@ -622,15 +622,12 @@ class GracePeriodStrategy:
         gives the same bits whichever sampler made it.  An atom takes no
         draws and has none.  A density scales by ``B``: an array ``B`` maps each draw.
         """
-        if self.kind is StrategyKind.ATOM:
+        inverse = _FAMILIES[self.family].inverse
+        if inverse is None:
             raise ValueError(f"the {self.family} strategy takes no draws")
         if out is None:
             out = np.empty(np.shape(u))
-        if self.kind is StrategyKind.DISCRETE_PMF:
-            days = np.searchsorted(self.params["cumulative"], u, side="right")
-            return np.add(days, 1.0, out=out)
-        B = self.spec.B if B is None else B
-        return _FAMILIES[self.family].inverse(u, self.spec.k, B, self.params, out)
+        return inverse(u, self.spec.k, self.spec.B if B is None else B, self.params, out)
 
 
 def stacked_pdf(strategies) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -642,7 +639,7 @@ def stacked_pdf(strategies) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     every member's ``k``, ``B`` and scalar params gathered per node.
     """
     families = list(dict.fromkeys(s.family for s in strategies))
-    if any(name not in _FAMILIES for name in families):
+    if any(_FAMILIES[name].kind is not StrategyKind.CONTINUOUS_PDF for name in families):
         raise ValueError("stacked_pdf takes continuous densities only")
     code = np.array([families.index(s.family) for s in strategies])
     k = np.array([s.spec.k for s in strategies])
@@ -665,36 +662,34 @@ def stacked_pdf(strategies) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     return f
 
 
-def _discrete_classic_pmf(B: int) -> np.ndarray:
+def _discrete_classic_pmf(B: int) -> dict:
+    """The discrete classic's params: its pmf on the days 1..B and two prefix sums."""
     i = np.arange(1, B + 1, dtype=float)
-    z = 1.0 - (1.0 - 1.0 / B) ** B
-    return ((B - 1.0) / B) ** (B - i) / (B * z)
+    pmf = ((B - 1.0) / B) ** (B - i) / (B * (1.0 - (1.0 - 1.0 / B) ** B))
+    cumulative = np.cumsum(pmf)
+    cumulative[-1] = 1.0
+    return {"pmf": pmf, "cumulative": cumulative, "moments": np.cumsum(i * pmf)}
+
+
+def _resolve(spec: StrategySpec) -> str:
+    """The row of ``_FAMILIES`` the optimal strategy for ``spec`` reads.  The
+    unconstrained requestor-wins density is the uniform one at ``k = 2`` and the
+    ``(1+x/B)**(k-2)`` power density above; a constrained spec whose threshold
+    condition fails falls back to the unconstrained density."""
+    if spec.variant is Variant.DETERMINISTIC:
+        return "atom"  # the point support_max = B/(k-1)
+    if spec.variant is Variant.DISCRETE_CLASSIC:
+        return "discrete_classic"
+    mean_aware = spec.variant is Variant.RANDOMIZED_CONSTRAINED and threshold_condition(spec)
+    return _RESOLVE[spec.mode, mean_aware][spec.k > 2]
 
 
 def make_strategy(spec: StrategySpec) -> GracePeriodStrategy:
-    """Build the optimal strategy for ``spec``.
-
-    The unconstrained requestor-wins density is the uniform one at ``k = 2``
-    and the ``(1+x/B)**(k-2)`` power density above.  A constrained spec whose
-    threshold condition fails falls back to the unconstrained density.
-    """
-    mode, k, B = spec.mode, spec.k, spec.B
-
-    if spec.variant is Variant.DETERMINISTIC:
-        return GracePeriodStrategy(spec, "atom")  # the point support_max = B/(k-1)
-
-    if spec.variant is Variant.DISCRETE_CLASSIC:
-        pmf = _discrete_classic_pmf(int(B))
-        cumulative = np.cumsum(pmf)
-        cumulative[-1] = 1.0
-        moments = np.cumsum(np.arange(1.0, len(pmf) + 1.0) * pmf)
-        return GracePeriodStrategy(
-            spec, "discrete_classic", {"pmf": pmf, "cumulative": cumulative, "moments": moments}
-        )
-
-    mean_aware = spec.variant is Variant.RANDOMIZED_CONSTRAINED and threshold_condition(spec)
-    family = _RESOLVE[mode, mean_aware][k > 2]
-    return GracePeriodStrategy(spec, family, _params(family, k))
+    """The optimal strategy for ``spec``: the row :func:`_resolve` names, and its params."""
+    family = _resolve(spec)
+    if family == "discrete_classic":  # its tables are built per B, not cached per k
+        return GracePeriodStrategy(spec, family, _discrete_classic_pmf(int(spec.B)))
+    return GracePeriodStrategy(spec, family, _params(family, spec.k))
 
 
 def competitive_ratio(spec: StrategySpec) -> RatioReport:
@@ -707,15 +702,11 @@ def competitive_ratio(spec: StrategySpec) -> RatioReport:
     randomized ratios meet :func:`graceperiod.oracle.yao_lower_bound`, a
     bound on every strategy.
     """
-    if spec.variant is Variant.DETERMINISTIC:
-        return RatioReport(det_competitive_ratio(spec.k), "unconstrained", False)
-    if spec.variant is Variant.DISCRETE_CLASSIC:
-        # the day-granular optimum; e/(e-1) is its limit as B grows
-        return RatioReport(1.0 / (1.0 - (1.0 - 1.0 / spec.B) ** spec.B), "unconstrained", False)
-
-    strategy = make_strategy(spec)
-    holds = spec.mu is not None and threshold_condition(spec)
-    lam1, lam2 = lagrange_corner(spec.mode, spec.k, spec.B, strategy.mean_aware)
-    if strategy.mean_aware:
+    family = _resolve(spec)
+    row = _FAMILIES[family]  # no corner reads the day pmf's tables, which are not built
+    lam1, lam2 = row.corner(spec.k, spec.B, _params(family, spec.k))
+    if row.mean_aware:
         return RatioReport(lam1 + lam2 * spec.mu, "constrained", True)
-    return RatioReport(lam1, "unconstrained", holds)
+    # the atom and the day pmf have no mean-aware form to switch to
+    holds = row.kind is StrategyKind.CONTINUOUS_PDF and spec.mu is not None
+    return RatioReport(lam1, "unconstrained", holds and threshold_condition(spec))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graceperiod import strategy as strategy_module
 from graceperiod.adversary import worst_case_for_det
 from graceperiod.oracle import lagrange_identity_check
 from graceperiod.quadrature import adaptive_simpson
@@ -584,17 +585,18 @@ def exact_quantile(family, k, u):
 
 def reference_newton_quantile(strat, u):
     """The per-draw inverse the tables replaced: four Newton steps on
-    ``sqrt(F)`` from the linear guess, through ``_cdf_inside`` and
-    ``_pdf_inside``; kept here only as a reference."""
-    B, top = strat.spec.B, strat.support_max / strat.spec.B
+    ``sqrt(F)`` from the linear guess, through the row's cdf and pdf in
+    ``t = x/B``; kept here only as a reference."""
+    row, k, B, p = _FAMILIES[strat.family], strat.spec.k, strat.spec.B, strat.params
+    top = strat.support_max / B
     root_u = np.sqrt(u)
     t = root_u * top
     for _ in range(4):
-        root_f = np.sqrt(strat._cdf_inside(t))
+        root_f = np.sqrt(row.cdf(t, k, B, p))
         step = np.subtract(root_f, root_u)
         step *= root_f
         step *= 2.0 / B
-        np.divide(step, strat._pdf_inside(t), out=step, where=root_f > 0.0)
+        np.divide(step, row.pdf(t, k, B, p), out=step, where=root_f > 0.0)
         t -= step
         np.clip(t, 0.0, top, out=t)
     return np.multiply(t, B, out=t)
@@ -937,7 +939,7 @@ class TestDomainChecks:
 
     @pytest.mark.parametrize("mu", NONFINITE + [-1.0, 10**400])
     def test_mean(self, mu):
-        with pytest.raises(ValueError, match="mean mu must be nonnegative"):
+        with pytest.raises(ValueError, match="mean mu must be nonnegative and finite, got "):
             StrategySpec(RW, 2, 10.0, CON, mu=mu)
 
 
@@ -953,7 +955,8 @@ class TestStackedPdf:
 
     def test_equals_each_pdf_bit_for_bit(self):
         strats = [make_strategy(spec) for spec in self.SPECS]
-        assert {s.family for s in strats} == set(_FAMILIES)
+        densities = {n for n, row in _FAMILIES.items() if row.kind is StrategyKind.CONTINUOUS_PDF}
+        assert {s.family for s in strats} == densities
         grids = [np.linspace(0.0, s.support_max, 257) for s in strats]
         # every strategy's grid, interleaved, in one call
         which = np.tile(np.arange(len(strats)), 257)
@@ -1204,3 +1207,165 @@ def test_property_samples_live_on_support(spec, seed):
     xs = strat.sample_batch(stream(seed, "prop"), 256)
     assert np.all(xs >= 0.0)
     assert np.all(xs <= strat.support_max * (1.0 + 1e-12))
+
+
+# -- every law, pinned to the per-kind expressions it was first written with --
+
+def reference_pdf(strat, x):
+    """``pdf`` as an if-chain on the family, kept here only as a reference."""
+    if strat.family == "atom":
+        raise ValueError("atom strategies have no density")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    inside = (xs >= 0.0) & (xs <= strat.support_max)
+    if strat.family == "discrete_classic":  # day i in 1..B has pmf[i - 1]
+        inside &= (xs >= 1.0) & (xs == np.round(xs))
+        days = np.where(inside, xs, 1.0).astype(int)
+        return np.where(inside, strat.params["pmf"][days - 1], 0.0)
+    u = np.where(inside, xs, 0.0) / strat.spec.B
+    row = _FAMILIES[strat.family]
+    return np.where(inside, row.pdf(u, strat.spec.k, strat.spec.B, strat.params), 0.0)
+
+
+def reference_cumulative(strat, x, moment: bool):
+    """``cdf`` (``moment`` False) or ``moment`` as an if-chain on the family."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    clamped = np.clip(xs, 0.0, strat.support_max)
+    if strat.family == "atom":
+        vals = np.where(xs >= strat.support_max, strat.support_max if moment else 1.0, 0.0)
+    elif strat.family == "discrete_classic":  # days 1..floor(x)
+        idx = np.floor(np.nan_to_num(clamped)).astype(int) - 1
+        prefix = strat.params["moments" if moment else "cumulative"]
+        vals = np.where(idx < 0, 0.0, prefix[idx])
+    else:
+        row, k, B = _FAMILIES[strat.family], strat.spec.k, strat.spec.B
+        u = clamped / B
+        return B * row.moment(u, k, B, strat.params) if moment else row.cdf(u, k, B, strat.params)
+    return np.where(np.isnan(xs), xs, vals)
+
+
+def reference_quantile(strat, u):
+    if strat.family == "atom":
+        raise ValueError("the atom strategy takes no draws")
+    out = np.empty(np.shape(u))
+    if strat.family == "discrete_classic":
+        days = np.searchsorted(strat.params["cumulative"], u, side="right")
+        return np.add(days, 1.0, out=out)
+    return _FAMILIES[strat.family].inverse(u, strat.spec.k, strat.spec.B, strat.params, out)
+
+
+def reference_day_tables(B: int):
+    """The discrete classic's pmf over days 1..B and its two prefix sums."""
+    i = np.arange(1, B + 1, dtype=float)
+    pmf = ((B - 1.0) / B) ** (B - i) / (B * (1.0 - (1.0 - 1.0 / B) ** B))
+    cumulative = np.cumsum(pmf)
+    cumulative[-1] = 1.0
+    return pmf, cumulative, np.cumsum(i * pmf)
+
+
+# every row of _FAMILIES at chain sizes and abort costs far apart
+PINNED = (
+    [StrategySpec(RW, k, 100.0, Variant.DETERMINISTIC) for k in (2, 3, 10)]
+    + [StrategySpec(RA, 2, float(B), Variant.DISCRETE_CLASSIC) for B in (3, 10, 100)]
+    + [
+        StrategySpec(mode, k, B, variant, mu=mu)
+        for mode in (RW, RA)
+        for k in (2, 3, 10)
+        for B in (1e-3, 7.0, 2000.0)
+        for variant, mu in ((UNC, None), (CON, 0.0))
+    ]
+)
+
+
+def pinned_points(S):
+    """NaN, the infinities, -1, 0, whole and fractional days, the support end
+    and past it."""
+    days = [1.0, 2.0, 3.0, 10.0, 1.5, 2.25, 9.999, 99.5]
+    return np.array(
+        [math.nan, math.inf, -math.inf, -1.0, 0.0, *days, 0.3 * S, np.nextafter(S, 0.0), S, 2.0 * S]
+    )
+
+
+def pinned_id(spec):
+    return f"{spec.mode.value}-{spec.variant.value}-k{spec.k}-B{spec.B:g}"
+
+
+class TestEveryLawPinned:
+    @pytest.mark.parametrize("spec", PINNED, ids=pinned_id)
+    def test_pdf_cdf_and_moment_keep_their_bits(self, spec):
+        strat = make_strategy(spec)
+        xs = pinned_points(strat.support_max)
+        laws = [
+            (strat.cdf, lambda x: reference_cumulative(strat, x, False)),
+            (strat.moment, lambda x: reference_cumulative(strat, x, True)),
+        ]
+        if strat.family != "atom":
+            laws.append((strat.pdf, lambda x: reference_pdf(strat, x)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for law, reference in laws:
+                want = reference(xs)
+                assert law(xs).tobytes() == want.tobytes(), (law.__name__, strat.family)
+                for x, w in zip(xs, want):  # a scalar gives the same bits, as a float
+                    got = law(float(x))
+                    assert type(got) is float and np.float64(got).tobytes() == w.tobytes(), x
+
+    @pytest.mark.parametrize("B", [3, 10, 100])
+    def test_day_tables_keep_their_bits(self, B):
+        strat = make_strategy(StrategySpec(RA, 2, float(B), Variant.DISCRETE_CLASSIC))
+        for name, want in zip(("pmf", "cumulative", "moments"), reference_day_tables(B)):
+            assert strat.params[name].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("spec", PINNED, ids=pinned_id)
+    def test_quantile_and_sample_batch_keep_their_bits(self, spec):
+        strat = make_strategy(spec)
+        if strat.family == "atom":
+            with pytest.raises(ValueError, match="atom strategies have no density"):
+                strat.pdf(1.0)
+            with pytest.raises(ValueError, match="the atom strategy takes no draws"):
+                strat.quantile(np.array([0.5]))
+            draws, ref = stream(3, "pinned"), stream(3, "pinned")
+            got = strat.sample_batch(draws, 17)
+            assert got.tobytes() == np.full(17, strat.support_max).tobytes()
+            assert draws._state == ref._state  # no draw taken
+            return
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], U_GRID[::97], SMALLEST_UNIFORMS])
+        assert strat.quantile(u).tobytes() == reference_quantile(strat, u).tobytes()
+        pairs = [(stream(3, "pinned"), stream(3, "pinned")), (streams(3, n=4), streams(3, n=4))]
+        for draws, twin in pairs:
+            got = strat.sample_batch(draws, 33)
+            assert got.tobytes() == reference_quantile(strat, twin.uniform_batch(33)).tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        StrategySpec(RW, 2, 100.0, Variant.DETERMINISTIC, mu=1.0),
+        StrategySpec(RW, 5, 100.0, Variant.DETERMINISTIC, mu=1.0),
+        StrategySpec(RA, 2, 100.0, Variant.DISCRETE_CLASSIC, mu=1.0),
+    ], ids=pinned_id)
+    def test_atom_and_day_pmf_ignore_a_mean(self, spec, monkeypatch):
+        # mu = 1 lies below every mean threshold here, and these laws have no
+        # mean-aware form to switch to; the ratio builds no day tables
+        monkeypatch.setattr(strategy_module, "_discrete_classic_pmf", None)
+        assert threshold_condition(spec)
+        report = competitive_ratio(spec)
+        plain = competitive_ratio(dataclasses.replace(spec, mu=None))
+        assert report == plain
+        assert report.regime == "unconstrained" and report.threshold_holds is False
+
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_every_row_is_a_whole_law(self, family):
+        # every row: cdf 0 at 0 and 1 at its support end, where the partial
+        # moment is the law's mean
+        spec = next((s for s in PINNED if make_strategy(s).family == family), None)
+        assert spec is not None, f"no pinned spec resolves to {family}"
+        strat = make_strategy(spec)
+        S = strat.support_max
+        if family == "atom":
+            mean = S
+        elif family == "discrete_classic":
+            mean = float(sum(i * strat.exact_pmf(i) for i in range(1, int(spec.B) + 1)))
+        else:
+            mean = adaptive_simpson(
+                lambda t, _: t * strat.pdf(t), 0.0, S, rel_tol=1e-13, abs_tol=0.0
+            )
+        assert strat.cdf(0.0) == 0.0 and strat.moment(0.0) == 0.0
+        assert strat.cdf(S) == pytest.approx(1.0, rel=1e-12)
+        assert strat.moment(S) == pytest.approx(mean, rel=1e-12)
