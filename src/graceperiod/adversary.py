@@ -69,8 +69,8 @@ def _bisect(f, target: float, lo: float, hi: float, iters: int) -> float:
 @lru_cache(maxsize=64)
 def _solve_truncated_normal_loc(mean: float, sigma: float) -> float:
     # E[X | X > 0] for X ~ N(loc, sigma) is loc + sigma*inv_mills(loc/sigma),
-    # increasing in loc.
-    lo = min(mean - 45.0 * sigma, -2.0 * sigma * sigma / mean - 10.0 * sigma)
+    # increasing in loc.  sigma*sigma would overflow for a mean above ~4e154.
+    lo = min(mean - 45.0 * sigma, -2.0 * sigma * (sigma / mean) - 10.0 * sigma)
     loc = _bisect(lambda m: m + sigma * _inv_mills(m / sigma), mean, lo, mean, 200)
     if _big_phi(loc / sigma) < 1e-2:
         raise ValueError(

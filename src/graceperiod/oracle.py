@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -101,11 +100,10 @@ def verify_pdf(strategy: GracePeriodStrategy) -> PdfCheck:
 
 
 def _pmf_check(strategy: GracePeriodStrategy) -> PdfCheck:
-    """The day pmf sums to 1 (in exact rationals up to ``_EXACT_PMF_MAX_B``)."""
-    B = int(strategy.spec.B)
-    if B <= _EXACT_PMF_MAX_B:
-        total = sum(strategy.exact_pmf(i) for i in range(1, B + 1))
-        err = abs(float(total - Fraction(1)))
+    """The day pmf sums to 1 (in exact integers up to ``_EXACT_PMF_MAX_B``)."""
+    if int(strategy.spec.B) <= _EXACT_PMF_MAX_B:
+        masses, den = strategy.exact_day_masses()
+        err = abs(sum(masses) - den) / den
     else:
         err = abs(float(np.sum(strategy.params["pmf"])) - 1.0)
     min_density = float(np.min(strategy.params["pmf"]))

@@ -47,7 +47,6 @@ equal one-draw-at-a-time ones bit for bit, and a campaign seed equals its run.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -55,6 +54,14 @@ from dataclasses import asdict, dataclass, replace
 from itertools import chain
 
 import numpy as np
+
+try:  # the interpreter's own SHA-256: hashlib would map OpenSSL's libcrypto (+3.6 MB)
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .adversary import AdversaryModel, _solve_truncated_normal_loc, sample_length
 from .config import flag, integral, known, quote, read, real, section, text
@@ -385,7 +392,7 @@ def build_schedule(config: SimConfig) -> Schedule:
 
     # from the Python values: numpy 2 prints an array element as np.float64(...)
     digest_src = "\n".join(f"{t!r} {thr} {k} {y!r}" for t, thr, k, y, *_ in rows)
-    digest = hashlib.sha256(digest_src.encode("ascii")).hexdigest()
+    digest = sha256(digest_src.encode("ascii")).hexdigest()
     return Schedule(
         events=np.array(rows, dtype=EVENT),
         n_transactions=sum(len(lengths) for _, lengths, _ in per_thread),

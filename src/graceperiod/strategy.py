@@ -77,14 +77,16 @@ import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache, partial
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .rng import Stream, Streams
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 LN4_MINUS_1 = 2.0 * math.log(2.0) - 1.0
 # The discrete classic tabulates its pmf, cdf and partial moments over the days
@@ -589,16 +591,20 @@ class GracePeriodStrategy:
         vals = law(clamped / self._unit, self.spec.k, self.spec.B, self.params)
         return float(vals[0]) if scalar else vals
 
-    def exact_pmf(self, i: int) -> Fraction:
-        """Rational pmf value for the discrete classic (exact arithmetic)."""
+    def exact_day_masses(self) -> tuple[list[int], int]:
+        """The discrete classic's day masses as integers over one denominator:
+        day ``i`` in ``1..B`` has ``(B-1)**(B-i) * B**(i-1) / (B**B - (B-1)**B)``."""
         if self.family != "discrete_classic":
-            raise ValueError("exact_pmf is only defined for the discrete classic")
+            raise ValueError("exact day masses are only defined for the discrete classic")
         B = int(self.spec.B)
-        if not 1 <= i <= B:
-            return Fraction(0)
-        r = Fraction(B - 1, B)
-        z = 1 - r ** B
-        return r ** (B - i) / (B * z)
+        return [(B - 1) ** (B - i) * B ** (i - 1) for i in range(1, B + 1)], B**B - (B - 1) ** B
+
+    def exact_pmf(self, i: int) -> Fraction:
+        """Rational pmf value for the discrete classic, from :meth:`exact_day_masses`."""
+        from fractions import Fraction  # here, so only exact callers load decimal
+
+        masses, den = self.exact_day_masses()
+        return Fraction(masses[i - 1] if 1 <= i <= len(masses) else 0, den)
 
     # -- sampling -------------------------------------------------------
 

@@ -171,6 +171,20 @@ def test_extreme_sigma_rejected():
         sample_length(AdversaryModel("normal_truncated", 1.0, sigma=100.0), stream(1), 10)
 
 
+@pytest.mark.parametrize("mean", [1e155, 1e200, 1e300])
+def test_huge_mean_calibrates(mean):
+    # the bracket squared sigma, so from a mean of about 5e154 it overflowed to
+    # -inf and the calibration falsely left "under 1% of the mass above zero"
+    loc = adversary._solve_truncated_normal_loc(mean, mean / 4.0)
+    assert loc == pytest.approx(mean, rel=1e-4)
+
+
+@pytest.mark.parametrize("mean, sigma", [(1.0, 100.0), (20.0, 1e200)])
+def test_mass_below_zero_still_rejected(mean, sigma):
+    with pytest.raises(ValueError, match="under 1% of the mass above zero"):
+        adversary._solve_truncated_normal_loc(mean, sigma)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         AdversaryModel("nope", 10.0)

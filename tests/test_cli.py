@@ -62,6 +62,15 @@ BAD_SIM_FIELDS = [
 ]
 
 
+def run_script(script, cwd=None):
+    """The standard output of ``python -c script`` with ``src`` on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def run_to_file(args, out):
     rc = main(args + ["--out", str(out)])
     return rc, out.read_bytes()
@@ -96,6 +105,17 @@ class TestBenchCommand:
         cfg.write_text(json.dumps({"trails": 10, "trials": 10}))
         assert main(["bench-synthetic", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: config field 'trails' is not a known field\n"
+
+    def test_huge_normal_mean_runs(self, tmp_path):
+        # its calibration overflowed and exited 2 with an error naming no field
+        rc, data = run_to_file(
+            ["bench-synthetic", "--mu", "1e200", "--dist", "normal", "--trials", "3"],
+            tmp_path / "n.csv",
+        )
+        assert rc == 0
+        rows = [line.split(",") for line in data.decode().split("\r\n")[1:-1]]
+        assert len(rows) == 6
+        assert all(math.isfinite(float(v)) for row in rows for v in row[3:])
 
     def test_unknown_distribution_is_an_error(self, tmp_path, capsys):
         rc = main(["bench-synthetic", "--dist", "zipf", "--trials", "10"])
@@ -382,12 +402,24 @@ class TestConfigFile:
     def test_bench_does_not_import_simulator(self):
         # bench reads its config through graceperiod.config, not the simulator's casts
         script = "import sys, graceperiod.bench\nprint('graceperiod.simulator' in sys.modules)\n"
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        assert run_script(script) == "False\n"
+
+    def test_commands_load_neither_openssl_nor_decimal(self, tmp_path):
+        # hashlib maps OpenSSL's libcrypto (+3.6 MB of peak RSS) and fractions
+        # pulls in decimal (+0.4 MB); no command needs either
+        script = (
+            "import contextlib, io, sys\n"
+            "import graceperiod\n"
+            "from graceperiod import cli\n"
+            "for argv in (['bench-synthetic', '--trials', '1000'],\n"
+            "             ['simulate', '--config', 'stress_low.json'], ['verify'],\n"
+            "             ['strategy-table', '--mode', 'requestor_aborts', '--strategy-variant',\n"
+            "              'discrete_classic', '--k', '2', '--B', '3']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(sorted({'hashlib', '_hashlib', 'fractions', 'decimal'} & sys.modules.keys()))\n"
         )
-        assert out.stdout.strip() == "False"
+        assert run_script(script, cwd=tmp_path) == "[]\n"
 
 
 class TestVerifyCommand:

@@ -45,6 +45,8 @@ from graceperiod.strategy import (
     competitive_ratio,
     make_strategy,
 )
+from test_cli import run_script
+from test_golden import DIGESTS
 from test_rng import top_cell_stream
 
 RW = ConflictMode.REQUESTOR_WINS
@@ -208,6 +210,24 @@ class TestSchedule:
         per_thread = [simulator._draw_lengths(config, i) for i in range(config.n_threads)]
         assert sched.n_transactions == sum(len(lengths) for _, lengths, _ in per_thread)
         assert len(sched.events) == run(config, sched).n_conflicts > 0
+
+    def test_digest_is_the_sha256_of_the_schedule_text(self, tmp_path):
+        # hashlib is the reference here; the simulator hashes with the
+        # interpreter's own SHA-256 (_sha2 or _sha256) and never loads hashlib
+        sched = build_schedule(bundled_config("stress_high.json", 1))
+        text = "\n".join(f"{t!r} {thr} {k} {y!r}" for t, thr, k, y, *_ in sched.events.tolist())
+        assert sched.digest == hashlib.sha256(text.encode("ascii")).hexdigest()
+        # without either built-in module, the hashlib fallback prints the golden row
+        argv = ["simulate", "--config", "stress_high.json", "--campaign-seeds", "1000", "--seed", "1"]
+        script = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from graceperiod import cli, simulator\n"
+            "assert simulator.sha256 is __import__('hashlib').sha256\n"
+            f"sys.exit(cli.main({argv!r}))\n"
+        )
+        out = run_script(script, cwd=tmp_path)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[tuple(argv)]
 
     def test_build_peak_memory_is_bounded(self):
         # the timelines are held once, as the arrays the block draw returns:
